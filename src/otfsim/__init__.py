@@ -3,8 +3,8 @@
 Delay-Doppler multiplexing on top of an OFDM modem: the literal
 SFFT/OFDM reference cascade, the cancellation-based low-complexity modem,
 an exact linear-time-varying channel model with its delay-Doppler
-reconstruction, linear detectors over the resulting block-circulant system,
-and a complex-multiplication audit of all three modem structures.
+reconstruction, per-OFDM-symbol ZF/MMSE detection, and a
+complex-multiplication audit of all three modem structures.
 """
 
 from .audit import audit_report, measured_cm, predicted_cm, proposed_to_ofdm_ratio
@@ -16,7 +16,6 @@ from .channel import (
     apply_channel,
     build_Hn,
     build_dd_response,
-    build_doppler_taps,
     doppler_cycles_per_sample,
     identity_channel,
     load_channel,
@@ -29,7 +28,6 @@ from .detect import (
     EffectiveSystem,
     assemble_effective,
     bit_error_rate,
-    fast_block_solve,
     mmse_detect,
     zf_detect,
 )
@@ -55,7 +53,6 @@ from .modem_reference import (
 from .numerics import (
     CmCounter,
     SingularMatrixError,
-    block_circulant_assemble,
     circ_conv2d,
     dft,
     dft_matrix,

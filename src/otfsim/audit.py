@@ -5,6 +5,9 @@ cascade, the bare OFDM modem (SFFT stages bypassed, time-frequency grid
 treated as data), and the proposed low-complexity structure. Predicted
 counts come from the closed-form rows; measured counts come from running
 the instrumented pipelines on a random grid and reading the CM counter.
+Both count the number and size of the transforms each structure invokes,
+charged by the convention in :mod:`otfsim.numerics`, not the butterflies
+``numpy.fft`` executes.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ kappa and delay ell. Two parameterizations are provided:
   regime in which the per-symbol channel matrices are circulant and the
   end-to-end response is an exact 2-D circular convolution.
 
-From either, the per-symbol matrices ``H_n``, the Doppler taps across
-symbols, and the windowed delay-Doppler response are constructed exactly.
+From either, the per-symbol matrices ``H_n`` are constructed exactly; the
+windowed delay-Doppler response follows from the per-symbol blocks by one
+FFT across symbols.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModemConfig, SeparableWindow
-from .modem_reference import cp_matrices
+from .grids import ModemConfig
 
 
 @dataclass(frozen=True)
@@ -166,35 +166,15 @@ def build_Hn(ch, n: int, cfg: ModemConfig) -> np.ndarray:
     return out
 
 
-def build_doppler_taps(ch, wr: np.ndarray, cfg: ModemConfig) -> list[np.ndarray]:
-    """Doppler-domain channel taps: the DFT across symbols of the windowed H_n.
-
-    ``taps[k] = (1/N) * sum_i H_i * wr[i] * exp(-j*2*pi*k*i/N)``.
-    """
-    wr = np.asarray(wr, dtype=np.complex128)
-    if wr.shape != (cfg.N,):
-        raise ValueError(f"time window must have length {cfg.N}")
-    h_stack = np.stack([build_Hn(ch, i, cfg) for i in range(cfg.N)])
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(cfg.N), np.arange(cfg.N)) / cfg.N)
-    weights = phases * wr[None, :] / cfg.N
-    taps = np.einsum("ki,imn->kmn", weights, h_stack)
-    return [taps[k] for k in range(cfg.N)]
-
-
-def build_dd_response(doppler_taps: list[np.ndarray], window: SeparableWindow) -> np.ndarray:
+def build_dd_response(blocks: np.ndarray) -> np.ndarray:
     """Windowed delay-Doppler channel impulse response (M x N).
 
-    Column l is the first column of ``Wbar_c @ taps[l]``; with a rectangular
-    frequency window that is just the first column of the l-th Doppler tap.
+    `blocks` holds the per-symbol effective blocks ``G_n = Wbar_c wr[n] H_n``
+    (shape (N, M, M), see ``otfsim.detect.assemble_effective``). Column l is
+    the first column of the l-th Doppler tap ``(1/N) sum_n G_n
+    exp(-j*2*pi*l*n/N)``.
     """
-    m = doppler_taps[0].shape[0]
-    n = len(doppler_taps)
-    out = np.empty((m, n), dtype=np.complex128)
-    wbar = None if window.is_rect_freq else window.wbar_c()
-    for l, tap in enumerate(doppler_taps):
-        col = tap[:, 0] if wbar is None else (wbar @ tap)[:, 0]
-        out[:, l] = col
-    return out
+    return np.fft.fft(blocks[:, :, 0], axis=0).T / blocks.shape[0]
 
 
 def doppler_cycles_per_sample(

@@ -29,15 +29,15 @@ from .channel import (
     apply_channel,
     add_awgn,
     build_dd_response,
-    build_doppler_taps,
     channel_from_spec,
     dump_dd_response,
     load_channel,
 )
 from .detect import (
+    BerStat,
+    EffectiveSystem,
     assemble_effective,
     bit_error_rate,
-    fast_block_solve,
     mmse_detect,
     zf_detect,
 )
@@ -54,6 +54,8 @@ from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
 from .numerics import vec
 
+#: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
+#: ZF solve is the fast structured solver for every channel
 DETECTORS = ("zf", "mmse", "fast")
 
 EQUIVALENCE_TOL = 1e-11
@@ -109,6 +111,8 @@ class RunConfig:
             problems["rho"] = f"must be in [0, 1], got {self.window_rho!r}"
         if self.detector not in DETECTORS:
             problems["detector"] = f"must be one of {DETECTORS}, got {self.detector!r}"
+        elif self.detector == "fast":
+            self.detector = "zf"
         if len(self.snr_db) == 0:
             problems["snr"] = "needs at least one SNR point"
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -203,25 +207,25 @@ def _apply_file(cfg: RunConfig, raw: dict) -> RunConfig:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _detect(detector: str, d_tilde, system):
-    if detector == "zf":
-        return zf_detect(d_tilde, system)
-    if detector == "mmse":
-        return mmse_detect(d_tilde, system)
-    return fast_block_solve(d_tilde, system)
+def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> list[dict]:
+    """BER sweep over the configured channel; one result row per SNR point.
 
-
-def run_simulation(cfg: RunConfig) -> list[dict]:
-    """BER sweep over the configured channel; one result row per SNR point."""
+    `system` is the effective system of `cfg`'s channel and window, built
+    here when not given; every SNR point shares its blocks and its ZF
+    factorization.
+    """
     cfg.validate()
-    window = cfg.build_window()
     channel = cfg.build_channel()
+    if system is None:
+        system = assemble_effective(channel, cfg.build_window(), cfg.modem_config())
+    window = system.window
+    detect = mmse_detect if cfg.detector == "mmse" else zf_detect
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = 10.0 ** (-snr_db / 10.0)  # unit-energy symbols
-        mcfg = cfg.modem_config(noise_var)
-        system = assemble_effective(channel, window, mcfg, dense=cfg.detector != "fast")
+        system = system.with_noise_var(noise_var)
+        mcfg = system.cfg
         errors = 0
         total = 0
         for trial_seed in point_seed.spawn(cfg.trials):
@@ -232,18 +236,18 @@ def run_simulation(cfg: RunConfig) -> list[dict]:
                 apply_channel(modulate_fast(x, mcfg), channel), noise_var, rng
             )
             d_tilde = demodulate_fast(received, window, mcfg)
-            detected = _detect(cfg.detector, d_tilde, system)
+            detected = detect(d_tilde, system)
             stat = bit_error_rate(qam_demap(vec(detected), cfg.qam_order), bits)
             errors += stat.n_errors
             total += stat.n_bits
-        p = errors / total
+        stat = BerStat(n_bits=total, n_errors=errors)
         rows.append(
             dict(
                 snr_db=snr_db,
                 trials=cfg.trials,
                 bit_errors=errors,
-                ber=p,
-                stderr=float(np.sqrt(p * (1 - p) / total)),
+                ber=stat.ber,
+                stderr=stat.stderr,
             )
         )
     return rows
@@ -262,12 +266,10 @@ def write_ber_csv(path, rows: list[dict]) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_simulation(cfg)
+    system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
+    rows = run_simulation(cfg, system)
     write_ber_csv(out_dir / "ber.csv", rows)
-    mcfg = cfg.modem_config()
-    window = cfg.build_window()
-    taps = build_doppler_taps(cfg.build_channel(), window.wr, mcfg)
-    dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(taps, window))
+    dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks))
     print(f"wrote {out_dir / 'ber.csv'} and {out_dir / 'ddresponse.csv'}")
     for row in rows:
         print(

@@ -1,196 +1,127 @@
-"""Linear detection over the delay-Doppler linear system.
+"""Linear detection, one OFDM symbol at a time.
 
-The receiver output grid X~ relates to the transmitted grid X through
-``vec(X~) = (I_N kron Wbar_c) H_BC vec(X) + vec(V~)`` where H_BC is the
-block-circulant matrix of Doppler taps. This module assembles that system
-(with the exact second-order statistics of the windowed noise), and solves
-it with zero-forcing, MMSE, or (in the block-fading regime) an FFT-based
-diagonalization that matches the dense zero-forcing solve.
+The receiver output grid X~ relates to the transmitted grid X through N
+independent per-symbol systems. With ``S = X F_N^H`` and ``Y = X~ F_N^H``
+(unitary IDFTs across the rows), column n obeys
+
+    y_n = G_n s_n + v_n,    G_n = Wbar_c wr[n] H_n,
+    Cov(v_n) = noise_var |wr[n]|^2 Qc,    Qc = Wbar_c Wbar_c^H,
+
+with the v_n mutually uncorrelated. This holds for any channel whose length
+is at most cp_len + 1, not only in the block-fading regime. ZF and MMSE
+detection therefore solve N systems of size M x M between a row IDFT and a
+row DFT; since ``F_N kron I_M`` is unitary and the symbols are white, both
+equal their MN x MN delay-Doppler counterparts exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .channel import build_doppler_taps
+from .channel import build_Hn
 from .grids import ModemConfig, SeparableWindow
-from .numerics import (
-    SingularMatrixError,
-    block_circulant_assemble,
-    lu_factor_checked,
-    unvec,
-    vec,
-)
-
-DENSE_SIZE_CAP = 4096
+from .numerics import SingularMatrixError, lu_factor_checked, unvec
 
 
 @dataclass(eq=False)
 class EffectiveSystem:
-    """The assembled linear system of one channel/window/config combination.
+    """The per-symbol model of one channel/window/config combination.
 
-    `h_eff` is the MN x MN effective matrix (None above the dense size cap),
-    `noise_cov` the covariance of the stacked windowed noise, and
-    `doppler_taps` the N per-Doppler channel blocks the system was built
-    from (kept for the structured fast solver). Detector factorizations are
-    cached on first use; the system is fixed per channel realization while
-    many frames are detected against it.
+    `blocks` holds the N effective channel blocks ``G_n`` (shape (N, M, M))
+    and `qc` the noise shape ``Wbar_c Wbar_c^H`` (the identity for a
+    rectangular frequency window); the noise level is ``cfg.noise_var``.
+    Detector factorizations are cached on first use; the system is fixed
+    per channel realization while many frames are detected against it.
     """
 
-    h_eff: np.ndarray | None
-    noise_cov: np.ndarray | None
-    doppler_taps: list[np.ndarray]
+    blocks: np.ndarray
+    qc: np.ndarray
     window: SeparableWindow
     cfg: ModemConfig
     _zf_lu: tuple | None = field(default=None, repr=False)
-    _mmse_lu: tuple | None = field(default=None, repr=False)
-    _fbs_eigvals: np.ndarray | None = field(default=None, repr=False)
+    _mmse_cho: tuple | None = field(default=None, repr=False)
+
+    def symbol_covariance(self) -> np.ndarray:
+        """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 Qc``."""
+        gain = self.cfg.noise_var * np.abs(self.window.wr) ** 2
+        return gain[:, None, None] * self.qc
+
+    def with_noise_var(self, noise_var: float) -> EffectiveSystem:
+        """The same channel at another noise level; the ZF factorization is shared."""
+        return replace(self, cfg=replace(self.cfg, noise_var=noise_var), _mmse_cho=None)
 
 
-def _noise_covariance(window: SeparableWindow, cfg: ModemConfig) -> np.ndarray:
-    """Exact covariance of vec(V~): sigma^2 * (C kron Qc).
+def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> EffectiveSystem:
+    """Build the per-symbol system for a channel, receive window, and config.
 
-    C is the N x N circulant whose first column is the DFT of |wr|^2 divided
-    by N; Qc = F_M^H diag(|wc|^2) F_M. Both reduce to the identity for
-    rectangular windows, giving white noise of the channel variance.
+    Refuses a channel longer than cp_len + 1: its inter-symbol interference
+    reaches the samples the receiver keeps, which the per-symbol model omits.
     """
-    mn = cfg.M * cfg.N
-    if window.is_rect:
-        return cfg.noise_var * np.eye(mn, dtype=np.complex128)
-    c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
-    row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
+    if ch.length > cfg.cp_len + 1:
+        raise ValueError(
+            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
+            "per-symbol model would ignore the inter-symbol interference it causes"
+        )
+    window.check_dims(cfg.M, cfg.N)
+    blocks = np.empty((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
+    for n in range(cfg.N):
+        blocks[n] = window.wr[n] * build_Hn(ch, n, cfg)
     if window.is_rect_freq:
         qc = np.eye(cfg.M, dtype=np.complex128)
     else:
         wbar = window.wbar_c()
+        blocks = wbar @ blocks
         qc = wbar @ wbar.conj().T
-    cov = cfg.noise_var * np.kron(row_cov, qc)
-    return (cov + cov.conj().T) / 2
+    return EffectiveSystem(blocks=blocks, qc=qc, window=window, cfg=cfg)
 
 
-def assemble_effective(
-    ch, window: SeparableWindow, cfg: ModemConfig, dense: bool = True
-) -> EffectiveSystem:
-    """Build the effective system for a channel, receive window, and config.
-
-    With ``dense=False`` (or above the dense size cap) only the Doppler-tap
-    blocks are kept; the dense detectors then refuse to run but the
-    structured solver still works.
-    """
-    taps = build_doppler_taps(ch, window.wr, cfg)
-    mn = cfg.M * cfg.N
-    h_eff = None
-    noise_cov = None
-    if dense:
-        if mn > DENSE_SIZE_CAP:
-            raise ValueError(
-                f"MN = {mn} exceeds the dense cap {DENSE_SIZE_CAP}; "
-                "assemble with dense=False and use fast_block_solve"
-            )
-        h_eff = block_circulant_assemble(taps)
-        if not window.is_rect_freq:
-            wbar = window.wbar_c()
-            slab = h_eff.reshape(cfg.N, cfg.M, mn)
-            h_eff = np.einsum("ab,nbk->nak", wbar, slab).reshape(mn, mn)
-        noise_cov = _noise_covariance(window, cfg)
-    return EffectiveSystem(
-        h_eff=h_eff, noise_cov=noise_cov, doppler_taps=taps, window=window, cfg=cfg
-    )
+def _symbol_columns(d_tilde, cfg: ModemConfig) -> np.ndarray:
+    """Row IDFT of the received grid, as an (N, M, 1) stack of columns y_n."""
+    d = np.asarray(d_tilde, dtype=np.complex128)
+    if d.ndim == 1:
+        if d.shape != (cfg.M * cfg.N,):
+            raise ValueError(f"vector must have length {cfg.M * cfg.N}")
+        d = unvec(d, cfg.M, cfg.N)
+    elif d.shape != (cfg.M, cfg.N):
+        raise ValueError(f"grid must be {cfg.M} x {cfg.N}")
+    return np.fft.ifft(d, axis=1, norm="ortho").T[:, :, None]
 
 
-def _as_vector(d, cfg: ModemConfig) -> np.ndarray:
-    d = np.asarray(d, dtype=np.complex128)
-    if d.ndim == 2:
-        if d.shape != (cfg.M, cfg.N):
-            raise ValueError(f"grid must be {cfg.M} x {cfg.N}")
-        return vec(d)
-    if d.shape != (cfg.M * cfg.N,):
-        raise ValueError(f"vector must have length {cfg.M * cfg.N}")
-    return d
-
-
-def _require_dense(sys: EffectiveSystem) -> np.ndarray:
-    if sys.h_eff is None:
-        raise ValueError("system was assembled without its dense matrix")
-    return sys.h_eff
+def _to_grid(s: np.ndarray) -> np.ndarray:
+    """Row DFT of the per-symbol estimates s_n back to the M x N grid."""
+    return np.fft.fft(s[:, :, 0].T, axis=1, norm="ortho")
 
 
 def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Zero-forcing: solve ``H_eff d = d_tilde``; returns the M x N grid."""
-    h_eff = _require_dense(sys)
-    d = _as_vector(d_tilde, sys.cfg)
+    """Zero-forcing: solve ``G_n s_n = y_n`` per symbol; returns the M x N grid."""
+    y = _symbol_columns(d_tilde, sys.cfg)
     if sys._zf_lu is None:
-        sys._zf_lu = lu_factor_checked(h_eff)
-    return unvec(scipy.linalg.lu_solve(sys._zf_lu, d), sys.cfg.M, sys.cfg.N)
-
-
-def _check_psd(cov: np.ndarray) -> None:
-    scale = np.max(np.abs(cov))
-    if not np.allclose(cov, cov.conj().T, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("noise covariance is not Hermitian")
-    if scale == 0:
-        return
-    jitter = 1e-10 * scale * np.eye(cov.shape[0])
-    try:
-        np.linalg.cholesky(cov + jitter)
-    except np.linalg.LinAlgError:
-        raise ValueError("noise covariance is not positive semi-definite") from None
+        sys._zf_lu = lu_factor_checked(sys.blocks)
+    return _to_grid(scipy.linalg.lu_solve(sys._zf_lu, y))
 
 
 def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
     """Linear MMSE for unit-energy symbols.
 
-    ``d_hat = H^H (H H^H + C_noise)^{-1} d_tilde``; reduces to zero-forcing
-    as the noise variance goes to zero.
+    ``s_n = G_n^H (G_n G_n^H + Cov(v_n))^{-1} y_n`` per symbol; reduces to
+    zero-forcing as the noise variance goes to zero.
     """
-    h_eff = _require_dense(sys)
-    if sys.noise_cov is None:
-        raise ValueError("system carries no noise covariance")
-    d = _as_vector(d_tilde, sys.cfg)
-    if sys._mmse_lu is None:
-        _check_psd(sys.noise_cov)
-        gram = h_eff @ h_eff.conj().T + sys.noise_cov
-        sys._mmse_lu = lu_factor_checked(gram)
-    d_hat = h_eff.conj().T @ scipy.linalg.lu_solve(sys._mmse_lu, d)
-    return unvec(d_hat, sys.cfg.M, sys.cfg.N)
-
-
-def _circulant_deviation(block: np.ndarray) -> float:
-    m = block.shape[0]
-    first_col = block[:, 0]
-    circulant = np.stack([np.roll(first_col, c) for c in range(m)], axis=1)
-    return float(np.max(np.abs(block - circulant)))
-
-
-def fast_block_solve(d_tilde, sys: EffectiveSystem, circ_tol: float = 1e-10) -> np.ndarray:
-    """Zero-forcing via 2-D FFT diagonalization of the block-circulant system.
-
-    Valid only in the block-fading regime (every Doppler tap circulant) with
-    a rectangular frequency window; refuses anything else. Runs in
-    O(MN log MN) and matches :func:`zf_detect` to solver precision.
-    """
-    if not sys.window.is_rect_freq:
-        raise ValueError("structured solver requires a rectangular frequency window")
-    cfg = sys.cfg
-    d = _as_vector(d_tilde, cfg)
-    if sys._fbs_eigvals is None:
-        for k, tap in enumerate(sys.doppler_taps):
-            dev = _circulant_deviation(tap)
-            if dev > circ_tol:
-                raise ValueError(
-                    f"Doppler tap {k} deviates from circulant by {dev:.3e} "
-                    f"(> {circ_tol:.0e}); channel is not block fading"
-                )
-        dd_first_cols = np.stack([tap[:, 0] for tap in sys.doppler_taps], axis=1)
-        eigvals = np.fft.fft2(dd_first_cols)
-        if np.min(np.abs(eigvals)) <= 1e-12 * np.max(np.abs(eigvals)):
-            raise SingularMatrixError("block-circulant system is singular")
-        sys._fbs_eigvals = eigvals
-    spectrum = np.fft.fft2(unvec(d, cfg.M, cfg.N))
-    return np.fft.ifft2(spectrum / sys._fbs_eigvals)
+    y = _symbol_columns(d_tilde, sys.cfg)
+    g = sys.blocks
+    if sys._mmse_cho is None:
+        gram = g @ g.conj().transpose(0, 2, 1) + sys.symbol_covariance()
+        try:
+            sys._mmse_cho = scipy.linalg.cho_factor(gram)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(
+                "MMSE matrix G_n G_n^H + Cov(v_n) is not positive definite"
+            ) from None
+    z = scipy.linalg.cho_solve(sys._mmse_cho, y)
+    # G_n^H z_n as (z_n^H G_n)^H: no conjugated copy of the blocks per frame
+    return _to_grid((z.conj().transpose(0, 2, 1) @ g).conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

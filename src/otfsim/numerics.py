@@ -5,9 +5,12 @@ arrays, matrices are 2-D. The only stateful object is :class:`CmCounter`,
 which tallies complex multiplications (CMs) per pipeline stage so that
 modem implementations can be audited against closed-form cost formulas.
 
-Counting convention: one P-point radix-2 FFT is charged exactly
-``(P/2)*log2(P)`` CMs (trivial twiddles included); a direct P-point DFT is
-charged ``P**2``. Additions, sign flips and data movement are free.
+Counting convention: one P-point transform is charged exactly
+``(P/2)*log2(P)`` CMs when P is a power of two (a radix-2 FFT, trivial
+twiddles included) and ``P**2`` otherwise (a direct DFT). Additions, sign
+flips and data movement are free. The charge counts the transforms invoked,
+not the butterflies executed: the transforms themselves run through
+``numpy.fft``, whose internal algorithm is not audited.
 """
 
 from __future__ import annotations
@@ -73,35 +76,6 @@ def dft_matrix(p: int, inverse: bool = False) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * grid / p) / np.sqrt(p)
 
 
-def _bit_reverse_indices(p: int) -> np.ndarray:
-    bits = p.bit_length() - 1
-    idx = np.arange(p)
-    rev = np.zeros(p, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey along axis 0 of a (P, B) array."""
-    p = x.shape[0]
-    if p == 1:
-        return x.astype(np.complex128, copy=True)
-    sign = 1.0 if inverse else -1.0
-    y = x[_bit_reverse_indices(p)].astype(np.complex128)
-    m = 2
-    while m <= p:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        blocks = y.reshape(p // m, m, -1)
-        upper = blocks[:, :half, :]
-        lower = blocks[:, half:, :] * tw[None, :, None]
-        blocks[:, :half, :], blocks[:, half:, :] = upper + lower, upper - lower
-        m *= 2
-    return y / np.sqrt(p)
-
-
 def dft(
     v: np.ndarray,
     inverse: bool = False,
@@ -109,11 +83,10 @@ def dft(
     counter: CmCounter | None = None,
     stage: str = "dft",
 ) -> np.ndarray:
-    """Unitary DFT (or IDFT) along one axis.
+    """Unitary DFT (or IDFT) along one axis, computed by ``numpy.fft``.
 
-    Power-of-two lengths run through the radix-2 FFT and are charged
-    ``(P/2)*log2(P)`` CMs per transformed vector; every other length falls
-    back to the direct matrix product and is charged ``P**2``.
+    Each transformed vector is charged :func:`fft_cm_cost` CMs:
+    ``(P/2)*log2(P)`` for power-of-two lengths, ``P**2`` otherwise.
 
     Parameters
     ----------
@@ -130,16 +103,10 @@ def dft(
     if v.ndim == 0 or v.shape[axis] < 1:
         raise ValueError("dft input must have length >= 1 along the transform axis")
     p = v.shape[axis]
-    n_vectors = v.size // p
-    moved = np.moveaxis(v, axis, 0)
-    flat = moved.reshape(p, -1)
-    if is_power_of_two(p):
-        out = _fft_pow2(flat, inverse)
-    else:
-        out = dft_matrix(p, inverse=inverse) @ flat
     if counter is not None:
-        counter.add(stage, n_vectors * fft_cm_cost(p))
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+        counter.add(stage, (v.size // p) * fft_cm_cost(p))
+    transform = np.fft.ifft if inverse else np.fft.fft
+    return transform(v, axis=axis, norm="ortho")
 
 
 def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,22 +140,32 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def lu_factor_checked(a: np.ndarray):
     """Partial-pivot LU factorization with an explicit singularity check.
 
-    Pivots below ``1e-12 * max|A|`` are treated as singular and reported
-    via :class:`SingularMatrixError` instead of producing garbage. The
-    returned factorization feeds ``scipy.linalg.lu_solve``.
+    `a` is one square matrix or a stack of them, shape (..., P, P), factored
+    one matrix at a time into preallocated output. Pivots below
+    ``1e-12 * max|A|`` of their own matrix are treated as singular and
+    reported via :class:`SingularMatrixError` instead of producing garbage.
+    The returned factorization feeds ``scipy.linalg.lu_solve``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError("expected a square matrix or a stack of them")
+    stack = a.reshape(-1, *a.shape[-2:])
+    # each factor column-major, the layout lu_solve hands LAPACK uncopied
+    lu = np.empty_like(stack).transpose(0, 2, 1)
+    piv = np.empty(stack.shape[:2], dtype=np.int32)
+    singular = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivot_floor = 1e-12 * np.max(np.abs(a))
-    if not np.all(np.abs(np.diag(lu)) > pivot_floor):
+        for k, block in enumerate(stack):
+            lu[k], piv[k] = scipy.linalg.lu_factor(block)
+            if not np.all(np.abs(np.diag(lu[k])) > 1e-12 * np.max(np.abs(block))):
+                singular.append(k)
+    if singular:
         raise SingularMatrixError(
-            f"matrix is singular or near-singular (pivot below {pivot_floor:.3e})"
+            f"matrix {singular[0]} of {len(stack)} is singular or near-singular "
+            "(pivot below 1e-12 * max|A|)"
         )
-    return lu, piv
+    return lu.reshape(a.shape), piv.reshape(a.shape[:-1])
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,24 +174,3 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != np.asarray(a).shape[0]:
         raise ValueError("right-hand side length does not match matrix size")
     return scipy.linalg.lu_solve(lu_factor_checked(a), b)
-
-
-def block_circulant_assemble(blocks: list[np.ndarray]) -> np.ndarray:
-    """Assemble the MN x MN block-circulant matrix from N blocks of size M x M.
-
-    Block (r, c) of the result is ``blocks[(r - c) mod N]``, i.e. the blocks
-    form the first block column and wrap circularly.
-    """
-    if len(blocks) < 1:
-        raise ValueError("need at least one block")
-    blocks = [np.asarray(blk, dtype=np.complex128) for blk in blocks]
-    m = blocks[0].shape[0]
-    for blk in blocks:
-        if blk.shape != (m, m):
-            raise ValueError("all blocks must be square with identical shape")
-    n = len(blocks)
-    out = np.empty((m * n, m * n), dtype=np.complex128)
-    for r in range(n):
-        for c in range(n):
-            out[r * m : (r + 1) * m, c * m : (c + 1) * m] = blocks[(r - c) % n]
-    return out

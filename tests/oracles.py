@@ -38,3 +38,103 @@ def qfunc(x):
     from scipy.special import erfc
 
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# Dense MN x MN reference for the per-symbol detectors
+#
+# This is the model the per-symbol detectors replace: the block-circulant
+# Doppler-tap system with its Kronecker noise covariance, solved densely.
+# It shares only build_Hn with the package; build_Hn is itself checked
+# against the explicit CP-matrix product in test_channel.
+# ---------------------------------------------------------------------------
+
+def build_doppler_taps(ch, wr, cfg):
+    """Doppler-domain channel taps: the DFT across symbols of the windowed H_n.
+
+    ``taps[k] = (1/N) * sum_i H_i * wr[i] * exp(-j*2*pi*k*i/N)``.
+    """
+    from otfsim.channel import build_Hn
+
+    wr = np.asarray(wr, dtype=np.complex128)
+    if wr.shape != (cfg.N,):
+        raise ValueError(f"time window must have length {cfg.N}")
+    h_stack = np.stack([build_Hn(ch, i, cfg) for i in range(cfg.N)])
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(cfg.N), np.arange(cfg.N)) / cfg.N)
+    weights = phases * wr[None, :] / cfg.N
+    taps = np.einsum("ki,imn->kmn", weights, h_stack)
+    return [taps[k] for k in range(cfg.N)]
+
+
+def block_circulant_assemble(blocks):
+    """Assemble the MN x MN block-circulant matrix from N blocks of size M x M.
+
+    Block (r, c) of the result is ``blocks[(r - c) mod N]``, i.e. the blocks
+    form the first block column and wrap circularly.
+    """
+    if len(blocks) < 1:
+        raise ValueError("need at least one block")
+    blocks = [np.asarray(blk, dtype=np.complex128) for blk in blocks]
+    m = blocks[0].shape[0]
+    for blk in blocks:
+        if blk.shape != (m, m):
+            raise ValueError("all blocks must be square with identical shape")
+    n = len(blocks)
+    out = np.empty((m * n, m * n), dtype=np.complex128)
+    for r in range(n):
+        for c in range(n):
+            out[r * m : (r + 1) * m, c * m : (c + 1) * m] = blocks[(r - c) % n]
+    return out
+
+
+def dense_effective(ch, window, cfg):
+    """The MN x MN effective matrix ``(I_N kron Wbar_c) H_BC``."""
+    h_bc = block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
+    return np.kron(np.eye(cfg.N), window.wbar_c()) @ h_bc
+
+
+def kron_noise_covariance(window, cfg):
+    """Exact covariance of vec(V~): sigma^2 * (C kron Qc).
+
+    C is the N x N circulant whose first column is the DFT of |wr|^2 divided
+    by N; Qc = F_M^H diag(|wc|^2) F_M.
+    """
+    c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
+    row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
+    wbar = window.wbar_c()
+    return cfg.noise_var * np.kron(row_cov, wbar @ wbar.conj().T)
+
+
+def dense_zf(h_eff, d, cfg):
+    """Dense zero-forcing solve of ``H_eff vec(X) = d``; returns the M x N grid."""
+    return np.linalg.solve(h_eff, d).reshape(cfg.M, cfg.N, order="F")
+
+
+def dense_mmse(h_eff, cov, d, cfg):
+    """Dense LMMSE ``H^H (H H^H + C)^{-1} d`` for unit-energy symbols."""
+    x = h_eff.conj().T @ np.linalg.solve(h_eff @ h_eff.conj().T + cov, d)
+    return x.reshape(cfg.M, cfg.N, order="F")
+
+
+def dd_response_from_taps(taps, window):
+    """Column l is the first column of ``Wbar_c @ taps[l]``."""
+    return np.stack([(window.wbar_c() @ tap)[:, 0] for tap in taps], axis=1)
+
+
+def fft2_block_fading_solve(d, ch, window, cfg):
+    """Zero-forcing by 2-D FFT diagonalization, valid only for block fading.
+
+    In the block-fading regime with a rectangular frequency window the
+    system is a 2-D circular convolution with the delay-Doppler response,
+    so ``X = ifft2(fft2(D) / fft2(response))``. Refuses any other regime.
+    """
+    if not window.is_rect_freq:
+        raise ValueError("2-D FFT solve requires a rectangular frequency window")
+    taps = build_doppler_taps(ch, window.wr, cfg)
+    for k, tap in enumerate(taps):
+        circulant = np.stack([np.roll(tap[:, 0], c) for c in range(cfg.M)], axis=1)
+        if np.max(np.abs(tap - circulant)) > 1e-10:
+            raise ValueError(f"Doppler tap {k} is not circulant; channel is not block fading")
+    response = np.stack([tap[:, 0] for tap in taps], axis=1)
+    grid = np.asarray(d, dtype=np.complex128).reshape(cfg.M, cfg.N, order="F")
+    return np.fft.ifft2(np.fft.fft2(grid) / np.fft.fft2(response))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import block_circulant_assemble, build_doppler_taps, dd_response_from_taps
+
 from otfsim.channel import (
     BlockFadingChannel,
     ChannelTap,
@@ -11,7 +13,6 @@ from otfsim.channel import (
     apply_channel,
     build_Hn,
     build_dd_response,
-    build_doppler_taps,
     channel_from_spec,
     doppler_cycles_per_sample,
     dump_dd_response,
@@ -21,10 +22,11 @@ from otfsim.channel import (
     random_ltv_channel,
     save_channel,
 )
+from otfsim.detect import assemble_effective
 from otfsim.grids import ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
-from otfsim.numerics import block_circulant_assemble, circ_conv2d, vec
+from otfsim.numerics import circ_conv2d, vec
 
 
 def ltv_oracle(s, ch):
@@ -211,8 +213,7 @@ class TestDdResponse:
     def test_identity_channel_is_delta(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         w = make_window("rectangular", 4, 4)
-        taps = build_doppler_taps(identity_channel(), w.wr, cfg)
-        response = build_dd_response(taps, w)
+        response = build_dd_response(assemble_effective(identity_channel(), w, cfg).blocks)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -221,7 +222,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=4, N=4, cp_len=2)
         ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
         w = make_window("rectangular", 4, 4)
-        response = build_dd_response(build_doppler_taps(ch, w.wr, cfg), w)
+        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
         expected = np.zeros((4, 4))
         expected[1, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -233,7 +234,7 @@ class TestDdResponse:
         w = make_window("rectangular", 8, 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
-        response = build_dd_response(build_doppler_taps(ch, w.wr, cfg), w)
+        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
         np.testing.assert_allclose(out, circ_conv2d(response, x), atol=1e-10)
 
     def test_pure_doppler_support_at_integer_bin(self):
@@ -243,9 +244,20 @@ class TestDdResponse:
         q = 3
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
         w = make_window("rectangular", 8, 8)
-        response = build_dd_response(build_doppler_taps(ch, w.wr, cfg), w)
+        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
         peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
         assert peak == (0, q)
+
+
+    def test_matches_doppler_tap_oracle(self):
+        # the per-symbol blocks give the Doppler-tap response up to rounding
+        rng = np.random.default_rng(54)
+        cfg = ModemConfig(M=6, N=5, cp_len=2)
+        ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
+        w = SeparableWindow(rng.uniform(0.5, 1.5, size=6), make_window("time-tapered", 6, 5).wr)
+        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg), w)
+        np.testing.assert_allclose(response, expected, atol=1e-12)
 
 
 class TestLinearSystemEquivalences:
@@ -286,7 +298,7 @@ class TestLinearSystemEquivalences:
             ch = random_block_fading_channel(rng, cfg, length=4)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-            response = build_dd_response(build_doppler_taps(ch, w.wr, cfg), w)
+            response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
             err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
             assert err <= 1e-10
 
@@ -304,7 +316,7 @@ class TestLinearSystemEquivalences:
         w = make_window("rectangular", 8, 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-        response = build_dd_response(build_doppler_taps(ch, w.wr, cfg), w)
+        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
         resid = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert resid > 1e-6
 

@@ -100,7 +100,7 @@ class TestSimulate:
         assert abs(rows[0]["ber"] - expected) <= 3 * np.sqrt(expected * (1 - expected) / n_bits)
 
     def test_fast_detector_end_to_end(self):
-        # static two-tap channel is block fading, so the structured solver applies
+        # "fast" is a synonym of the per-symbol ZF detector
         cfg = RunConfig(
             M=16,
             N=8,
@@ -118,6 +118,17 @@ class TestSimulate:
         )
         rows = run_simulation(cfg)
         assert rows[0]["bit_errors"] == 0
+
+    def test_fast_and_zf_write_identical_ber_csv(self, tmp_path):
+        # on the default Doppler channel, which is not block fading
+        outputs = []
+        for detector in ("fast", "zf"):
+            out = tmp_path / detector
+            argv = ["simulate", "--M", "16", "--N", "4", "--Mcp", "4", "--snr", "0,10",
+                    "--trials", "2", "--seed", "2", "--detector", detector, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append((out / "ber.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_byte_identical_outputs_for_same_seed(self, tmp_path):
         path = write_config(tmp_path, snr_db=[0.0, 4.0], trials=3)
@@ -235,13 +246,15 @@ class TestErrorPaths:
         assert record["status"] == "fail"
         assert "trials" in record["fields"]
 
-    def test_fast_detector_on_ltv_channel_rejected(self, tmp_path, capsys):
+    def test_channel_longer_than_cp_refused(self, tmp_path, capsys):
+        # its inter-symbol interference is simulated but not in the detector model
         path = write_config(
             tmp_path,
-            detector="fast",
-            channel={"taps": [{"delay": 0, "gain_re": 1.0, "doppler": 0.02}]},
+            Mcp=2,
+            channel={"taps": [{"delay": 0, "gain_re": 1.0}, {"delay": 6, "gain_re": 0.5}]},
         )
         rc = main(["simulate", "--config", str(path)])
         assert rc == 2
         record = json.loads(capsys.readouterr().err.strip())
-        assert "block fading" in record["error"]
+        assert record["status"] == "fail"
+        assert "channel" in record["error"]

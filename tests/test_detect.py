@@ -1,11 +1,22 @@
-"""Tests for system assembly, noise statistics, and the linear detectors."""
+"""Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import batched_noise_receiver, empirical_covariance
+from oracles import (
+    batched_noise_receiver,
+    dense_effective,
+    dense_mmse,
+    dense_zf,
+    empirical_covariance,
+    fft2_block_fading_solve,
+    kron_noise_covariance,
+)
 
 from otfsim.channel import (
+    BlockFadingChannel,
     ChannelTap,
     LtvChannel,
     apply_channel,
@@ -17,7 +28,6 @@ from otfsim.detect import (
     EffectiveSystem,
     assemble_effective,
     bit_error_rate,
-    fast_block_solve,
     mmse_detect,
     zf_detect,
 )
@@ -31,50 +41,79 @@ def tapered_window(m, n, rho=0.5):
     return make_window("time-tapered", m, n, rho=rho)
 
 
+def row_idft_noise(outputs, cfg):
+    """Noise-only receiver outputs (B, MN) -> their row IDFTs, (B, N, M)."""
+    grids = outputs.reshape(-1, cfg.N, cfg.M).transpose(0, 2, 1)
+    return np.fft.ifft(grids, axis=2, norm="ortho").transpose(0, 2, 1)
+
+
+def check_symbol_covariance(sys, outputs, atol):
+    """Per-symbol covariance matches the model; distinct symbols are uncorrelated."""
+    cfg = sys.cfg
+    cols = row_idft_noise(outputs, cfg).reshape(outputs.shape[0], -1)
+    emp = empirical_covariance(cols)
+    model = np.zeros_like(emp)
+    for n, cov in enumerate(sys.symbol_covariance()):
+        model[n * cfg.M : (n + 1) * cfg.M, n * cfg.M : (n + 1) * cfg.M] = cov
+    np.testing.assert_allclose(emp, model, atol=atol)
+
+
 class TestAssembleEffective:
     def test_rectangular_window_white_noise(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.7)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
-        np.testing.assert_array_equal(sys.noise_cov, 0.7 * np.eye(16))
+        np.testing.assert_array_equal(sys.symbol_covariance(), 0.7 * np.eye(4)[None].repeat(4, 0))
 
     def test_identity_channel_identity_system(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
-        np.testing.assert_allclose(sys.h_eff, np.eye(16), atol=1e-13)
+        np.testing.assert_allclose(sys.blocks, np.eye(4)[None].repeat(4, 0), atol=1e-13)
 
     def test_covariance_hermitian_psd_and_trace(self):
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=0.9)
         w = tapered_window(4, 8)
         sys = assemble_effective(identity_channel(), w, cfg)
-        cov = sys.noise_cov
-        np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
+        cov = sys.symbol_covariance()
+        np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
         expected_trace = 0.9 * 4 * np.sum(np.abs(w.wr) ** 2)
-        assert abs(np.trace(cov).real - expected_trace) <= 1e-10
+        assert abs(np.trace(cov, axis1=1, axis2=2).sum().real - expected_trace) <= 1e-10
 
     def test_covariance_matches_monte_carlo(self):
-        # reduced version of the acceptance check: tapered window, white
-        # channel noise, compare analytic kron form against sample covariance
+        # tapered window, white channel noise: the row IDFT of the receiver
+        # output has per-symbol covariance noise_var |wr[n]|^2 I and no
+        # correlation between symbols
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
         w = tapered_window(4, 8)
         sys = assemble_effective(identity_channel(), w, cfg)
         rng = np.random.default_rng(60)
         _, outputs = batched_noise_receiver(cfg, w, 40_000, 1.0, rng)
-        np.testing.assert_allclose(
-            empirical_covariance(outputs), sys.noise_cov, atol=0.05
-        )
+        check_symbol_covariance(sys, outputs, atol=0.05)
 
     def test_covariance_matches_monte_carlo_shaped_freq_window(self):
-        # the Qc factor of the Kronecker model only matters for a shaped
-        # frequency window, so exercise it explicitly
+        # the Qc factor only matters for a shaped frequency window, so
+        # exercise it explicitly
         cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=1.0)
         rng = np.random.default_rng(59)
         w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
         sys = assemble_effective(identity_channel(), w, cfg)
         _, outputs = batched_noise_receiver(cfg, w, 60_000, 1.0, rng)
-        np.testing.assert_allclose(
-            empirical_covariance(outputs), sys.noise_cov, atol=0.05
-        )
+        check_symbol_covariance(sys, outputs, atol=0.05)
+
+    def test_symbol_covariance_is_kronecker_model(self):
+        # the per-symbol covariance is the dense Kronecker covariance seen
+        # through the unitary row IDFT
+        cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=0.8)
+        rng = np.random.default_rng(58)
+        w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
+        sys = assemble_effective(identity_channel(), w, cfg)
+        basis = np.eye(cfg.M * cfg.N)
+        t = np.stack([row_idft_noise(col[None], cfg).reshape(-1) for col in basis], axis=1)
+        transformed = t @ kron_noise_covariance(w, cfg) @ t.conj().T
+        model = np.zeros_like(transformed)
+        for n, cov in enumerate(sys.symbol_covariance()):
+            model[n * 4 : (n + 1) * 4, n * 4 : (n + 1) * 4] = cov
+        np.testing.assert_allclose(transformed, model, atol=1e-12)
 
     def test_oracle_receiver_matches_pipeline(self):
         # ties the vectorized noise oracle to the real receive path
@@ -86,16 +125,19 @@ class TestAssembleEffective:
             expected = demodulate_reference(frames[b], w, cfg)
             np.testing.assert_allclose(outputs[b], vec(expected), atol=1e-12)
 
-    def test_dense_cap(self):
+    def test_zf_identity_recovery_at_128x64(self):
+        # MN = 8192: twice the size the dense detector used to refuse
         cfg = ModemConfig(M=128, N=64, cp_len=0)
-        with pytest.raises(ValueError, match="dense"):
-            assemble_effective(identity_channel(), make_window("rectangular", 128, 64), cfg)
-        sys = assemble_effective(
-            identity_channel(), make_window("rectangular", 128, 64), cfg, dense=False
-        )
-        assert sys.h_eff is None
-        with pytest.raises(ValueError):
-            zf_detect(np.zeros(128 * 64), sys)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 128, 64), cfg)
+        rng = np.random.default_rng(57)
+        d = rng.normal(size=(128, 64)) + 1j * rng.normal(size=(128, 64))
+        np.testing.assert_allclose(zf_detect(d, sys), d, atol=1e-12)
+
+    def test_refuses_channel_longer_than_cp(self):
+        cfg = ModemConfig(M=16, N=4, cp_len=2)
+        ch = LtvChannel((ChannelTap(delay=0, gain=1.0), ChannelTap(delay=6, gain=0.5)))
+        with pytest.raises(ValueError, match=r"channel length 7 exceeds Mcp \+ 1 = 3"):
+            assemble_effective(ch, make_window("rectangular", 16, 4), cfg)
 
 
 class TestZfDetect:
@@ -125,23 +167,20 @@ class TestZfDetect:
     def test_round_trip_random_system(self):
         rng = np.random.default_rng(64)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
+        w = tapered_window(8, 4)
         for _ in range(5):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=3, max_doppler=0.02)
-            sys = assemble_effective(ch, tapered_window(8, 4), cfg)
+            sys = assemble_effective(ch, w, cfg)
             d = rng.normal(size=32) + 1j * rng.normal(size=32)
             np.testing.assert_allclose(
-                vec(zf_detect(sys.h_eff @ d, sys)), d, atol=1e-8
+                vec(zf_detect(dense_effective(ch, w, cfg) @ d, sys)), d, atol=1e-8
             )
 
     def test_singular_system_reported(self):
         cfg = ModemConfig(M=2, N=2, cp_len=0)
         w = make_window("rectangular", 2, 2)
         sys = EffectiveSystem(
-            h_eff=np.zeros((4, 4), dtype=complex),
-            noise_cov=np.eye(4, dtype=complex),
-            doppler_taps=[np.zeros((2, 2))] * 2,
-            window=w,
-            cfg=cfg,
+            blocks=np.zeros((2, 2, 2), dtype=complex), qc=np.eye(2), window=w, cfg=cfg
         )
         with pytest.raises(SingularMatrixError):
             zf_detect(np.zeros(4), sys)
@@ -164,6 +203,7 @@ class TestMmseDetect:
         for _ in range(50):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.02)
             sys = assemble_effective(ch, w, cfg)
+            h_dense = dense_effective(ch, w, cfg)
             mse_mmse = mse_zf = 0.0
             for _ in range(100):
                 bits = rng.integers(0, 2, size=cfg.bits_per_frame)
@@ -171,26 +211,26 @@ class TestMmseDetect:
                 noise = np.sqrt(0.25) * (
                     rng.normal(size=32) + 1j * rng.normal(size=32)
                 )
-                d_tilde = sys.h_eff @ d + noise
+                d_tilde = h_dense @ d + noise
                 mse_mmse += np.mean(np.abs(vec(mmse_detect(d_tilde, sys)) - d) ** 2)
                 mse_zf += np.mean(np.abs(vec(zf_detect(d_tilde, sys)) - d) ** 2)
             assert mse_mmse <= mse_zf
 
     def test_rejects_bad_covariance(self):
-        cfg = ModemConfig(M=2, N=2, cp_len=0)
+        # a noise shape that is not PSD makes G G^H + Cov indefinite, which
+        # the Cholesky factorization reports
+        cfg = ModemConfig(M=2, N=2, cp_len=0, noise_var=1.0)
         w = make_window("rectangular", 2, 2)
         sys = EffectiveSystem(
-            h_eff=np.eye(4, dtype=complex),
-            noise_cov=-np.eye(4, dtype=complex),
-            doppler_taps=[np.eye(2)] * 2,
-            window=w,
-            cfg=cfg,
+            blocks=np.eye(2, dtype=complex)[None].repeat(2, 0), qc=-2 * np.eye(2), window=w, cfg=cfg
         )
-        with pytest.raises(ValueError, match="positive semi-definite"):
+        with pytest.raises(SingularMatrixError, match="positive definite"):
             mmse_detect(np.zeros(4), sys)
 
 
 class TestFastBlockSolve:
+    """The 2-D FFT block-fading solve, kept as a test oracle, against per-symbol ZF."""
+
     def test_matches_dense_zf(self):
         rng = np.random.default_rng(67)
         cfg = ModemConfig(M=16, N=8, cp_len=4)
@@ -199,41 +239,116 @@ class TestFastBlockSolve:
             ch = random_block_fading_channel(rng, cfg, length=4)
             sys = assemble_effective(ch, w, cfg)
             d = rng.normal(size=128) + 1j * rng.normal(size=128)
-            np.testing.assert_allclose(
-                fast_block_solve(d, sys), zf_detect(d, sys), atol=1e-9
-            )
+            expected = dense_zf(dense_effective(ch, w, cfg), d, cfg)
+            np.testing.assert_allclose(fft2_block_fading_solve(d, ch, w, cfg), expected, atol=1e-9)
+            np.testing.assert_allclose(zf_detect(d, sys), expected, atol=1e-9)
 
     def test_identity_solve(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
+        w = make_window("rectangular", 4, 4)
         rng = np.random.default_rng(68)
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
-        np.testing.assert_allclose(vec(fast_block_solve(d, sys)), d, atol=1e-12)
+        np.testing.assert_allclose(
+            vec(fft2_block_fading_solve(d, identity_channel(), w, cfg)), d, atol=1e-12
+        )
 
     def test_rejects_within_symbol_variation(self):
+        # the 2-D FFT solve needs block fading; the per-symbol solve does not
+        rng = np.random.default_rng(71)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.03),))
-        sys = assemble_effective(ch, make_window("rectangular", 8, 4), cfg)
+        w = make_window("rectangular", 8, 4)
+        d = rng.normal(size=32) + 1j * rng.normal(size=32)
         with pytest.raises(ValueError, match="not block fading"):
-            fast_block_solve(np.zeros(32), sys)
+            fft2_block_fading_solve(d, ch, w, cfg)
+        np.testing.assert_allclose(
+            zf_detect(d, assemble_effective(ch, w, cfg)),
+            dense_zf(dense_effective(ch, w, cfg), d, cfg),
+            atol=1e-10,
+        )
 
     def test_rejects_shaped_frequency_window(self):
+        rng = np.random.default_rng(72)
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         w = SeparableWindow(np.linspace(0.5, 1.5, 4), np.ones(4))
-        sys = assemble_effective(identity_channel(), w, cfg)
+        d = rng.normal(size=16) + 1j * rng.normal(size=16)
         with pytest.raises(ValueError, match="frequency window"):
-            fast_block_solve(np.zeros(16), sys)
+            fft2_block_fading_solve(d, identity_channel(), w, cfg)
+        np.testing.assert_allclose(
+            zf_detect(d, assemble_effective(identity_channel(), w, cfg)),
+            dense_zf(dense_effective(identity_channel(), w, cfg), d, cfg),
+            atol=1e-10,
+        )
 
     def test_works_without_dense_matrix(self):
+        # the per-symbol system holds O(N M^2) numbers, never an MN x MN matrix
         rng = np.random.default_rng(69)
         cfg = ModemConfig(M=16, N=8, cp_len=4)
         ch = random_block_fading_channel(rng, cfg, length=3)
         w = make_window("rectangular", 16, 8)
-        sparse_sys = assemble_effective(ch, w, cfg, dense=False)
-        dense_sys = assemble_effective(ch, w, cfg)
+        sys = assemble_effective(ch, w, cfg)
         d = rng.normal(size=128) + 1j * rng.normal(size=128)
         np.testing.assert_allclose(
-            fast_block_solve(d, sparse_sys), zf_detect(d, dense_sys), atol=1e-9
+            zf_detect(d, sys), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
+        )
+        arrays = [v for v in vars(sys).values() if isinstance(v, np.ndarray)]
+        arrays += [a for v in vars(sys).values() if isinstance(v, tuple) for a in v]
+        assert max(a.size for a in arrays) <= cfg.N * cfg.M**2
+
+
+@st.composite
+def per_symbol_cases(draw):
+    """A random geometry, window, and well-conditioned channel.
+
+    Sizes include non-powers of two; a unit line-of-sight tap outweighs
+    the others together, so every block is well conditioned and a 1e-10
+    agreement reflects the algebra, not the conditioning.
+    """
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(2, 6))
+    cp_len = draw(st.integers(0, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window_kind = draw(st.sampled_from(["rectangular", "time-tapered", "shaped"]))
+    if window_kind == "rectangular":
+        window = make_window("rectangular", m, n)
+    else:
+        window = make_window("time-tapered", m, n, rho=draw(st.floats(0.1, 1.0)))
+        if window_kind == "shaped":
+            window = SeparableWindow(rng.uniform(0.5, 1.5, size=m), window.wr)
+    length = draw(st.integers(1, cp_len + 1))
+    spread = 0.4 / max(length - 1, 1)
+    if draw(st.booleans()):
+        taps = [ChannelTap(delay=0, gain=1.0, doppler=float(rng.uniform(-0.02, 0.02)))]
+        taps += [
+            ChannelTap(
+                delay=d,
+                gain=complex(spread * np.exp(2j * np.pi * rng.uniform())),
+                doppler=float(rng.uniform(-0.02, 0.02)),
+            )
+            for d in range(1, length)
+        ]
+        ch = LtvChannel(tuple(taps))
+    else:
+        gains = spread * np.exp(2j * np.pi * rng.uniform(size=(n, length)))
+        gains[:, 0] = np.exp(2j * np.pi * rng.uniform(size=n))
+        ch = BlockFadingChannel(gains=gains, sym_len=m + cp_len)
+    noise_var = draw(st.floats(0.01, 1.0))
+    cfg = ModemConfig(M=m, N=n, cp_len=cp_len, noise_var=noise_var)
+    d = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+    return ch, window, cfg, d
+
+
+class TestPerSymbolMatchesDense:
+    @settings(max_examples=60, deadline=None)
+    @given(per_symbol_cases())
+    def test_zf_and_mmse_equal_dense_oracle(self, case):
+        ch, window, cfg, d = case
+        sys = assemble_effective(ch, window, cfg)
+        h_dense = dense_effective(ch, window, cfg)
+        cov = kron_noise_covariance(window, cfg)
+        np.testing.assert_allclose(zf_detect(d, sys), dense_zf(h_dense, d, cfg), atol=1e-10)
+        np.testing.assert_allclose(
+            mmse_detect(d, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
         )
 
 

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from oracles import block_circulant_assemble
+
 from otfsim.numerics import (
     CmCounter,
     SingularMatrixError,
-    block_circulant_assemble,
     circ_conv2d,
     dft,
     dft_matrix,
     fft_cm_cost,
+    lu_factor_checked,
     solve_dense,
     unvec,
     vec,
@@ -204,6 +206,20 @@ class TestSolveDense:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             solve_dense(np.zeros((2, 3)), np.zeros(2))
+
+    def test_stacked_factorization(self):
+        # a stack factors matrix by matrix, each pivot-checked on its own scale
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
+        a[1] *= 1e-20
+        lu, piv = lu_factor_checked(a)
+        for k in range(3):
+            lu_k, piv_k = lu_factor_checked(a[k])
+            np.testing.assert_array_equal(lu[k], lu_k)
+            np.testing.assert_array_equal(piv[k], piv_k)
+        a[2, :, 0] = 0.0
+        with pytest.raises(SingularMatrixError, match="matrix 2 of 3"):
+            lu_factor_checked(a)
 
 
 class TestBlockCirculant:
