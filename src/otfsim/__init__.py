@@ -14,14 +14,13 @@ from .channel import (
     LtvChannel,
     add_awgn,
     apply_channel,
-    build_Hn,
     build_dd_response,
+    channel_blocks,
     doppler_cycles_per_sample,
     identity_channel,
     load_channel,
     random_block_fading_channel,
     random_ltv_channel,
-    save_channel,
 )
 from .detect import (
     BerStat,
@@ -34,8 +33,6 @@ from .detect import (
 from .grids import (
     ModemConfig,
     SeparableWindow,
-    dump_grid,
-    load_grid,
     make_window,
     qam_demap,
     qam_map,
@@ -44,7 +41,6 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import (
-    cp_matrices,
     demodulate_ofdm,
     demodulate_reference,
     modulate_ofdm,
@@ -56,7 +52,6 @@ from .numerics import (
     circ_conv2d,
     dft,
     dft_matrix,
-    solve_dense,
     unvec,
     vec,
 )

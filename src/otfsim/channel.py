@@ -9,15 +9,14 @@ kappa and delay ell. Two parameterizations are provided:
   regime in which the per-symbol channel matrices are circulant and the
   end-to-end response is an exact 2-D circular convolution.
 
-From either, the per-symbol matrices ``H_n`` are constructed exactly; the
-windowed delay-Doppler response follows from the per-symbol blocks by one
-FFT across symbols.
+From either, :func:`channel_blocks` builds all N per-symbol matrices
+``H_n`` exactly, in one pass; the windowed delay-Doppler response follows
+from the per-symbol blocks by one FFT across symbols.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,36 +133,29 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     return signal + noise
 
 
-def build_Hn(ch, n: int, cfg: ModemConfig) -> np.ndarray:
-    """Per-symbol channel matrix ``H_n = R_cp @ H_breve_n @ A_cp`` (M x M).
+def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:
+    """Per-symbol channel matrices ``H_n = R_cp @ H_breve_n @ A_cp``, shape (N, M, M).
 
-    ``H_breve_n`` is the banded time-varying convolution matrix over symbol
-    n's absolute sample indices with zero state at the symbol start; energy
-    leaking in from the previous symbol is not modeled (it only touches
-    samples the CP removal discards when ``L <= cp_len + 1``).
+    ``H_breve_n`` is the time-varying convolution over symbol n's samples.
+    For a channel no longer than cp_len + 1, CP removal discards every
+    sample that the previous symbol leaks into and the CP makes the
+    convolution over the kept samples circular, so
+    ``H_n[i, (i - ell) mod M] = h(n*(M + cp_len) + cp_len + i, ell)``.
+    A longer channel is refused: its inter-symbol interference reaches the
+    kept samples, which the per-symbol model omits.
     """
-    if not 0 <= n < cfg.N:
-        raise ValueError(f"symbol index {n} out of range [0, {cfg.N})")
-    length = ch.length
-    if length > cfg.cp_len + 1:
-        warnings.warn(
-            f"channel length {length} exceeds cp_len + 1 = {cfg.cp_len + 1}; "
-            "symbols are no longer ISI-free and inter-symbol leakage is ignored",
-            stacklevel=2,
+    if ch.length > cfg.cp_len + 1:
+        raise ValueError(
+            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
+            "per-symbol model would ignore the inter-symbol interference it causes"
         )
-    sym_len = cfg.sym_len
-    kappa = n * sym_len + np.arange(sym_len)
-    h = ch.coeffs(kappa)
-    breve = np.zeros((sym_len, sym_len), dtype=np.complex128)
-    for ell in range(min(length, sym_len)):
-        rows = np.arange(ell, sym_len)
-        breve[rows, rows - ell] = h[rows, ell]
-    # R_cp @ breve @ A_cp without the matmuls: CP removal keeps the last M
-    # rows; CP addition folds the first cp_len input columns onto the tail
-    out = breve[cfg.cp_len :, cfg.cp_len :].copy()
-    if cfg.cp_len:
-        out[:, cfg.M - cfg.cp_len :] += breve[cfg.cp_len :, : cfg.cp_len]
-    return out
+    rows = np.arange(cfg.M)
+    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + rows
+    h = ch.coeffs(kappa.ravel()).reshape(cfg.N, cfg.M, ch.length)
+    blocks = np.zeros((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
+    for ell in range(ch.length):
+        blocks[:, rows, (rows - ell) % cfg.M] = h[:, :, ell]
+    return blocks
 
 
 def build_dd_response(blocks: np.ndarray) -> np.ndarray:
@@ -225,22 +217,6 @@ def random_block_fading_channel(
 # File formats
 # ---------------------------------------------------------------------------
 
-def save_channel(path, ch: LtvChannel) -> None:
-    """Write a tap list as JSON."""
-    taps = [
-        {
-            "delay": tap.delay,
-            "gain_re": tap.gain.real,
-            "gain_im": tap.gain.imag,
-            "doppler": tap.doppler,
-            "phase": tap.phase,
-        }
-        for tap in ch.taps
-    ]
-    with open(path, "w") as fh:
-        json.dump({"taps": taps}, fh, indent=2)
-
-
 def load_channel(path) -> LtvChannel:
     with open(path) as fh:
         spec = json.load(fh)
@@ -250,18 +226,19 @@ def load_channel(path) -> LtvChannel:
 def channel_from_spec(spec: dict) -> LtvChannel:
     """Build an LtvChannel from the JSON tap-list structure."""
     try:
-        raw_taps = spec["taps"]
-    except (TypeError, KeyError):
-        raise ValueError("channel spec must be a mapping with a 'taps' list") from None
-    taps = tuple(
-        ChannelTap(
-            delay=int(t["delay"]),
-            gain=complex(float(t.get("gain_re", 0.0)), float(t.get("gain_im", 0.0))),
-            doppler=float(t.get("doppler", 0.0)),
-            phase=float(t.get("phase", 0.0)),
+        taps = tuple(
+            ChannelTap(
+                delay=int(t["delay"]),
+                gain=complex(float(t.get("gain_re", 0.0)), float(t.get("gain_im", 0.0))),
+                doppler=float(t.get("doppler", 0.0)),
+                phase=float(t.get("phase", 0.0)),
+            )
+            for t in spec["taps"]
         )
-        for t in raw_taps
-    )
+    except (TypeError, KeyError):
+        raise ValueError(
+            "channel spec must be a mapping with a 'taps' list of objects with a 'delay'"
+        ) from None
     return LtvChannel(taps)
 
 

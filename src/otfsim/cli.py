@@ -83,7 +83,6 @@ class RunConfig:
     qam_order: int = 4
     window_kind: str = "rectangular"
     window_rho: float = 0.25
-    window_wc: list | None = None  # explicit frequency window (advanced)
     detector: str = "zf"
     snr_db: tuple = DEFAULT_SNR_DB
     trials: int = 10
@@ -95,11 +94,12 @@ class RunConfig:
     def validate(self) -> None:
         problems = {}
         for name, value in (("M", self.M), ("N", self.N)):
-            if not isinstance(value, int) or value < 2:
+            if not _is_int(value) or value < 2:
                 problems[name] = f"must be an integer >= 2, got {value!r}"
-        if self.cp_len is None and "M" not in problems:
-            self.cp_len = self.M // 4
-        if not isinstance(self.cp_len, int) or self.cp_len < 0:
+        if self.cp_len is None:
+            if "M" not in problems:
+                self.cp_len = self.M // 4
+        elif not _is_int(self.cp_len) or self.cp_len < 0:
             problems["Mcp"] = f"must be a non-negative integer, got {self.cp_len!r}"
         elif "M" not in problems and self.cp_len >= self.M:
             problems["Mcp"] = f"must satisfy Mcp < M, got {self.cp_len!r}"
@@ -107,18 +107,24 @@ class RunConfig:
             problems["qam"] = f"must be one of {QAM_ORDERS}, got {self.qam_order!r}"
         if self.window_kind not in WINDOW_KINDS:
             problems["window"] = f"must be one of {WINDOW_KINDS}, got {self.window_kind!r}"
-        if not 0.0 <= self.window_rho <= 1.0:
-            problems["rho"] = f"must be in [0, 1], got {self.window_rho!r}"
+        if not _is_real(self.window_rho) or not 0.0 <= self.window_rho <= 1.0:
+            problems["rho"] = f"must be a number in [0, 1], got {self.window_rho!r}"
         if self.detector not in DETECTORS:
             problems["detector"] = f"must be one of {DETECTORS}, got {self.detector!r}"
         elif self.detector == "fast":
             self.detector = "zf"
-        if len(self.snr_db) == 0:
-            problems["snr"] = "needs at least one SNR point"
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db or not all(
+            _is_real(v) and v == v for v in self.snr_db
+        ):
+            problems["snr"] = f"must be a non-empty list of dB values, got {self.snr_db!r}"
+        if not _is_int(self.trials) or self.trials < 1:
             problems["trials"] = f"must be an integer >= 1, got {self.trials!r}"
-        if not isinstance(self.grids, int) or self.grids < 1:
+        if not _is_int(self.grids) or self.grids < 1:
             problems["grids"] = f"must be an integer >= 1, got {self.grids!r}"
+        if not _is_int(self.seed) or self.seed < 0:
+            problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
+        if not isinstance(self.out_dir, str):
+            problems["out"] = f"must be a directory path, got {self.out_dir!r}"
         if isinstance(self.channel, str) and not Path(self.channel).exists():
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
@@ -131,10 +137,7 @@ class RunConfig:
         )
 
     def build_window(self) -> SeparableWindow:
-        window = make_window(self.window_kind, self.M, self.N, rho=self.window_rho)
-        if self.window_wc is not None:
-            window = SeparableWindow(np.asarray(self.window_wc, dtype=float), window.wr)
-        return window
+        return make_window(self.window_kind, self.M, self.N, rho=self.window_rho)
 
     def build_channel(self):
         if self.channel is None:
@@ -171,14 +174,26 @@ _FILE_KEYS = frozenset(
     ("M", "N", "Mcp", "qam", "window", "detector", "snr_db", "trials", "grids",
      "seed", "channel", "out")
 )
-_WINDOW_KEYS = frozenset(("kind", "rho", "wc"))
+_WINDOW_KEYS = frozenset(("kind", "rho"))
 
 
-def _apply_file(cfg: RunConfig, raw: dict) -> RunConfig:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _apply_file(cfg: RunConfig, raw) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError({"config": f"must be a JSON object, got {raw!r}"})
     unknown = {key: "unknown configuration key" for key in set(raw) - _FILE_KEYS}
     window = raw.get("window", {})
     if isinstance(window, str):
         window = {"kind": window}
+    elif not isinstance(window, dict):
+        raise ConfigError({"window": f"must be a kind name or an object, got {window!r}"})
     unknown.update(
         {f"window.{key}": "unknown configuration key" for key in set(window) - _WINDOW_KEYS}
     )
@@ -191,9 +206,8 @@ def _apply_file(cfg: RunConfig, raw: dict) -> RunConfig:
         qam_order=raw.get("qam"),
         window_kind=window.get("kind"),
         window_rho=window.get("rho"),
-        window_wc=window.get("wc"),
         detector=raw.get("detector"),
-        snr_db=tuple(raw["snr_db"]) if "snr_db" in raw else None,
+        snr_db=raw.get("snr_db"),
         trials=raw.get("trials"),
         grids=raw.get("grids"),
         seed=raw.get("seed"),
@@ -435,8 +449,6 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return cmd_audit(args.Ms, args.Ns, args.out_dir, args.seed)
         overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-        if overrides.get("snr_db") is not None:
-            overrides["snr_db"] = tuple(overrides["snr_db"])
         cfg = load_config(args.config, overrides)
         if args.command == "simulate":
             return cmd_simulate(cfg)

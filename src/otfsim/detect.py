@@ -8,10 +8,11 @@ independent per-symbol systems. With ``S = X F_N^H`` and ``Y = X~ F_N^H``
     Cov(v_n) = noise_var |wr[n]|^2 Qc,    Qc = Wbar_c Wbar_c^H,
 
 with the v_n mutually uncorrelated. This holds for any channel whose length
-is at most cp_len + 1, not only in the block-fading regime. ZF and MMSE
-detection therefore solve N systems of size M x M between a row IDFT and a
-row DFT; since ``F_N kron I_M`` is unitary and the symbols are white, both
-equal their MN x MN delay-Doppler counterparts exactly.
+is at most cp_len + 1, not only in the block-fading regime; the H_n come
+from ``otfsim.channel.channel_blocks``, which refuses a longer channel. ZF
+and MMSE detection therefore solve N systems of size M x M between a row
+IDFT and a row DFT; since ``F_N kron I_M`` is unitary and the symbols are
+white, both equal their MN x MN delay-Doppler counterparts exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .channel import build_Hn
+from .channel import channel_blocks
 from .grids import ModemConfig, SeparableWindow
 from .numerics import SingularMatrixError, lu_factor_checked, unvec
 
@@ -57,18 +58,11 @@ class EffectiveSystem:
 def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config.
 
-    Refuses a channel longer than cp_len + 1: its inter-symbol interference
-    reaches the samples the receiver keeps, which the per-symbol model omits.
+    Refuses a channel longer than cp_len + 1 (see ``channel_blocks``).
     """
-    if ch.length > cfg.cp_len + 1:
-        raise ValueError(
-            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
-            "per-symbol model would ignore the inter-symbol interference it causes"
-        )
     window.check_dims(cfg.M, cfg.N)
-    blocks = np.empty((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
-    for n in range(cfg.N):
-        blocks[n] = window.wr[n] * build_Hn(ch, n, cfg)
+    blocks = channel_blocks(ch, cfg)
+    blocks *= window.wr[:, None, None]
     if window.is_rect_freq:
         qc = np.eye(cfg.M, dtype=np.complex128)
     else:

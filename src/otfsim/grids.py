@@ -121,6 +121,8 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(symbols)):
+        raise ValueError("cannot demap non-finite symbols")
     bps = int(math.log2(order))
     half = bps // 2
     levels = 1 << half
@@ -133,14 +135,6 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
         for b in range(half):
             out[:, pos + b] = (codes >> (half - 1 - b)) & 1
     return out.reshape(-1)
-
-
-def qam_constellation(order: int) -> np.ndarray:
-    """All constellation points in bit-pattern order (index = bit word)."""
-    bps = int(math.log2(order))
-    words = np.arange(order)
-    bits = ((words[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
-    return qam_map(bits, order)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +207,6 @@ class SeparableWindow:
     def is_rect_freq(self) -> bool:
         return bool(np.all(self.wc == 1.0))
 
-    @property
-    def is_rect(self) -> bool:
-        return self.is_rect_freq and bool(np.all(self.wr == 1.0))
-
-    def outer(self) -> np.ndarray:
-        """Full M x N window matrix."""
-        return np.outer(self.wc, self.wr)
-
     def wbar_c(self) -> np.ndarray:
         """Delay-domain image of the frequency window, F_M^H diag(wc) F_M."""
         m = self.wc.size
@@ -253,32 +239,3 @@ def make_window(kind: str, m: int, n: int, rho: float = 0.25) -> SeparableWindow
         wr /= np.sqrt(np.mean(np.abs(wr) ** 2))
     return SeparableWindow(wc, wr, kind=kind)
 
-
-# ---------------------------------------------------------------------------
-# Grid dumps
-# ---------------------------------------------------------------------------
-
-_GRID_HEADERS = {"delay-doppler": "k,l,re,im", "time-frequency": "m,n,re,im"}
-
-
-def dump_grid(path, grid: np.ndarray, domain: str = "delay-doppler") -> None:
-    """Write a grid as CSV (row-major, 17 significant digits)."""
-    if domain not in _GRID_HEADERS:
-        raise ValueError(f"domain must be one of {sorted(_GRID_HEADERS)}")
-    grid = np.asarray(grid)
-    with open(path, "w") as fh:
-        fh.write(_GRID_HEADERS[domain] + "\n")
-        for r in range(grid.shape[0]):
-            for c in range(grid.shape[1]):
-                z = complex(grid[r, c])
-                fh.write(f"{r},{c},{z.real:.17g},{z.imag:.17g}\n")
-
-
-def load_grid(path) -> np.ndarray:
-    """Read a grid CSV written by :func:`dump_grid`."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    rows = int(raw[:, 0].max()) + 1
-    cols = int(raw[:, 1].max()) + 1
-    grid = np.zeros((rows, cols), dtype=np.complex128)
-    grid[raw[:, 0].astype(int), raw[:, 1].astype(int)] = raw[:, 2] + 1j * raw[:, 3]
-    return grid

@@ -12,29 +12,10 @@ here so the audit can measure all three modem structures from one codebase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import ModemConfig, SeparableWindow, sfft_inv, sfft_windowed
 from .numerics import CmCounter, dft
-
-
-@dataclass(frozen=True, eq=False)
-class CpMatrices:
-    """Explicit cyclic-prefix matrices (used by channel builders and oracles)."""
-
-    add: np.ndarray  # (M + cp_len, M), [G^T, I^T]^T
-    remove: np.ndarray  # (M, M + cp_len), [0, I]
-    tail: np.ndarray  # (cp_len, M), last cp_len rows of I_M
-
-
-def cp_matrices(cfg: ModemConfig) -> CpMatrices:
-    eye = np.eye(cfg.M)
-    tail = eye[cfg.M - cfg.cp_len :, :]
-    add = np.vstack([tail, eye])
-    remove = np.hstack([np.zeros((cfg.M, cfg.cp_len)), eye])
-    return CpMatrices(add=add, remove=remove, tail=tail)
 
 
 def _add_cp(body: np.ndarray, cp_len: int) -> np.ndarray:

@@ -167,10 +167,3 @@ def lu_factor_checked(a: np.ndarray):
         )
     return lu.reshape(a.shape), piv.reshape(a.shape[:-1])
 
-
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by partial-pivot LU elimination (checked pivots)."""
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape[0] != np.asarray(a).shape[0]:
-        raise ValueError("right-hand side length does not match matrix size")
-    return scipy.linalg.lu_solve(lu_factor_checked(a), b)

@@ -4,7 +4,24 @@ These deliberately re-derive receiver math through numpy's FFTs and explicit
 summations so they share no code path with the package under test.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class CpMatrices:
+    """Explicit cyclic-prefix matrices, the product form of CP handling."""
+
+    add: np.ndarray  # (M + cp_len, M), [G^T, I^T]^T
+    remove: np.ndarray  # (M, M + cp_len), [0, I]
+
+
+def cp_matrices(cfg):
+    eye = np.eye(cfg.M)
+    add = np.vstack([eye[cfg.M - cfg.cp_len :, :], eye])
+    remove = np.hstack([np.zeros((cfg.M, cfg.cp_len)), eye])
+    return CpMatrices(add=add, remove=remove)
 
 
 def batched_noise_receiver(cfg, window, n_frames, noise_var, rng):
@@ -45,8 +62,8 @@ def qfunc(x):
 #
 # This is the model the per-symbol detectors replace: the block-circulant
 # Doppler-tap system with its Kronecker noise covariance, solved densely.
-# It shares only build_Hn with the package; build_Hn is itself checked
-# against the explicit CP-matrix product in test_channel.
+# It shares only channel_blocks with the package; channel_blocks is itself
+# checked against the explicit CP-matrix product in test_channel.
 # ---------------------------------------------------------------------------
 
 def build_doppler_taps(ch, wr, cfg):
@@ -54,12 +71,12 @@ def build_doppler_taps(ch, wr, cfg):
 
     ``taps[k] = (1/N) * sum_i H_i * wr[i] * exp(-j*2*pi*k*i/N)``.
     """
-    from otfsim.channel import build_Hn
+    from otfsim.channel import channel_blocks
 
     wr = np.asarray(wr, dtype=np.complex128)
     if wr.shape != (cfg.N,):
         raise ValueError(f"time window must have length {cfg.N}")
-    h_stack = np.stack([build_Hn(ch, i, cfg) for i in range(cfg.N)])
+    h_stack = channel_blocks(ch, cfg)
     phases = np.exp(-2j * np.pi * np.outer(np.arange(cfg.N), np.arange(cfg.N)) / cfg.N)
     weights = phases * wr[None, :] / cfg.N
     taps = np.einsum("ki,imn->kmn", weights, h_stack)

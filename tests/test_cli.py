@@ -195,12 +195,6 @@ class TestEquivalence:
         )
         assert report["passed"]
 
-    def test_shaped_frequency_window_rejected(self):
-        # the fast path only exists for rectangular frequency windows
-        cfg_kwargs = dict(M=8, N=4, cp_len=2, window_wc=list(np.linspace(0.5, 1.5, 8)))
-        with pytest.raises(ValueError, match="rectangular frequency"):
-            run_equivalence(RunConfig(grids=2, **cfg_kwargs))
-
     def test_cli_exit_zero(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["equivalence", "--config", str(path), "--grids", "5"]) == 0
@@ -245,6 +239,27 @@ class TestErrorPaths:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["status"] == "fail"
         assert "trials" in record["fields"]
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("3", "config"),
+            ('{"window": 5}', "window"),
+            ('{"window": {"rho": "x"}}', "rho"),
+            ('{"snr_db": "ab"}', "snr"),
+            ('{"snr_db": ["x"]}', "snr"),
+            ('{"snr_db": 5}', "snr"),
+            ('{"trials": true}', "trials"),
+            ('{"M": 1}', "M"),  # and no second entry for the defaulted Mcp
+        ],
+    )
+    def test_malformed_config_names_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["status"] == "fail"
+        assert set(record["fields"]) == {field}
 
     def test_channel_longer_than_cp_refused(self, tmp_path, capsys):
         # its inter-symbol interference is simulated but not in the detector model

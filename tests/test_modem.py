@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import cp_matrices
+
 from otfsim.grids import ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import (
-    cp_matrices,
     demodulate_ofdm,
     demodulate_reference,
     modulate_ofdm,
