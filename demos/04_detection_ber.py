@@ -7,8 +7,9 @@ block-circulant system; noise-free ZF recovers every bit, and with noise
 MMSE degrades more gracefully than ZF.
 """
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 from otfsim.cli import RunConfig, run_simulation
 
@@ -16,7 +17,7 @@ SNRS = (0.0, 2.0, 4.0, 6.0, 8.0)
 
 
 def qfunc(x):
-    return 0.5 * erfc(x / np.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 # AWGN sanity: identity channel, MMSE detection

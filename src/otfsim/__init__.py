@@ -7,6 +7,13 @@ reconstruction, per-OFDM-symbol ZF/MMSE detection, and a
 complex-multiplication audit of all three modem structures.
 """
 
+import os as _os
+
+# One OpenBLAS thread unless the caller set a count; it is read when NumPy loads, below.
+# Helper threads busy-wait between BLAS calls, which slows a run whenever the other cores
+# are busy, and at M = 64 the per-frame products are no faster on two threads.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .audit import audit_report, measured_cm, predicted_cm, proposed_to_ofdm_ratio
 from .channel import (
     BlockFadingChannel,

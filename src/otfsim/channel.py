@@ -34,6 +34,8 @@ class ChannelTap:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("tap delay must be a non-negative sample count")
+        if not np.isfinite([self.gain, self.doppler, self.phase]).all():
+            raise ValueError(f"tap gain, doppler and phase must be finite, got {self!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +106,8 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     state (``s(kappa) = 0`` for kappa < 0).
     """
     signal = np.asarray(signal, dtype=np.complex128)
+    if not np.isfinite(signal).all():
+        raise ValueError("signal has non-finite samples")
     h = ch.coeffs(np.arange(signal.size))
     out = np.zeros_like(signal)
     for ell in range(min(h.shape[1], signal.size)):

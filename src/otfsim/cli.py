@@ -226,7 +226,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
 
     `system` is the effective system of `cfg`'s channel and window, built
     here when not given; every SNR point shares its blocks and its ZF
-    factorization.
+    filter.
     """
     cfg.validate()
     channel = cfg.build_channel()
@@ -391,6 +391,14 @@ def _emit_failure(command: str, record: dict) -> None:
     print(json.dumps({"status": "fail", "command": command, **record}), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a JSON failure record, exit 2."""
+
+    def error(self, message):
+        _emit_failure("argv", {"error": message})
+        self.exit(2)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -400,7 +408,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="otfs",
         description="OFDM-based OTFS modem simulator and complexity auditor",
     )

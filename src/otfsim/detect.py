@@ -10,9 +10,11 @@ independent per-symbol systems. With ``S = X F_N^H`` and ``Y = X~ F_N^H``
 with the v_n mutually uncorrelated. This holds for any channel whose length
 is at most cp_len + 1, not only in the block-fading regime; the H_n come
 from ``otfsim.channel.channel_blocks``, which refuses a longer channel. ZF
-and MMSE detection therefore solve N systems of size M x M between a row
-IDFT and a row DFT; since ``F_N kron I_M`` is unitary and the symbols are
-white, both equal their MN x MN delay-Doppler counterparts exactly.
+and MMSE detection are therefore one M x M filter per symbol between a row
+IDFT and a row DFT: ``G_n^{-1}``, computed once per channel, or
+``G_n^H (G_n G_n^H + Cov(v_n))^{-1}``, computed once per noise level. Since
+``F_N kron I_M`` is unitary and the symbols are white, both equal their
+MN x MN delay-Doppler counterparts exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .channel import channel_blocks
 from .grids import ModemConfig, SeparableWindow
-from .numerics import SingularMatrixError, lu_factor_checked, unvec
+from .numerics import SingularMatrixError, inv_checked, unvec
 
 
 @dataclass(eq=False)
@@ -34,16 +35,16 @@ class EffectiveSystem:
     `blocks` holds the N effective channel blocks ``G_n`` (shape (N, M, M))
     and `qc` the noise shape ``Wbar_c Wbar_c^H`` (the identity for a
     rectangular frequency window); the noise level is ``cfg.noise_var``.
-    Detector factorizations are cached on first use; the system is fixed
-    per channel realization while many frames are detected against it.
+    The detector filters are cached on first use; the system is fixed per
+    channel realization while many frames are detected against it.
     """
 
     blocks: np.ndarray
     qc: np.ndarray
     window: SeparableWindow
     cfg: ModemConfig
-    _zf_lu: tuple | None = field(default=None, repr=False)
-    _mmse_cho: tuple | None = field(default=None, repr=False)
+    _zf_filter: np.ndarray | None = field(default=None, repr=False)
+    _mmse_filter: np.ndarray | None = field(default=None, repr=False)
 
     def symbol_covariance(self) -> np.ndarray:
         """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 Qc``."""
@@ -51,14 +52,15 @@ class EffectiveSystem:
         return gain[:, None, None] * self.qc
 
     def with_noise_var(self, noise_var: float) -> EffectiveSystem:
-        """The same channel at another noise level; the ZF factorization is shared."""
-        return replace(self, cfg=replace(self.cfg, noise_var=noise_var), _mmse_cho=None)
+        """The same channel at another noise level; the ZF filter is shared."""
+        return replace(self, cfg=replace(self.cfg, noise_var=noise_var), _mmse_filter=None)
 
 
 def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config.
 
-    Refuses a channel longer than cp_len + 1 (see ``channel_blocks``).
+    Refuses a channel longer than cp_len + 1 (see ``channel_blocks``) and a
+    channel or window with non-finite values.
     """
     window.check_dims(cfg.M, cfg.N)
     blocks = channel_blocks(ch, cfg)
@@ -69,6 +71,8 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
         wbar = window.wbar_c()
         blocks = wbar @ blocks
         qc = wbar @ wbar.conj().T
+    if not np.isfinite(blocks).all():
+        raise ValueError("channel or window has non-finite values")
     return EffectiveSystem(blocks=blocks, qc=qc, window=window, cfg=cfg)
 
 
@@ -76,25 +80,25 @@ def _symbol_columns(d_tilde, cfg: ModemConfig) -> np.ndarray:
     """Row IDFT of the received grid, as an (N, M, 1) stack of columns y_n."""
     d = np.asarray(d_tilde, dtype=np.complex128)
     if d.ndim == 1:
-        if d.shape != (cfg.M * cfg.N,):
-            raise ValueError(f"vector must have length {cfg.M * cfg.N}")
         d = unvec(d, cfg.M, cfg.N)
     elif d.shape != (cfg.M, cfg.N):
         raise ValueError(f"grid must be {cfg.M} x {cfg.N}")
+    if not np.isfinite(d).all():
+        raise ValueError("received grid has non-finite entries")
     return np.fft.ifft(d, axis=1, norm="ortho").T[:, :, None]
 
 
-def _to_grid(s: np.ndarray) -> np.ndarray:
-    """Row DFT of the per-symbol estimates s_n back to the M x N grid."""
-    return np.fft.fft(s[:, :, 0].T, axis=1, norm="ortho")
+def _filter_grid(filters: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-symbol estimates ``s_n = F_n y_n``, row-DFT'd back to the M x N grid."""
+    return np.fft.fft((filters @ y)[:, :, 0].T, axis=1, norm="ortho")
 
 
 def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Zero-forcing: solve ``G_n s_n = y_n`` per symbol; returns the M x N grid."""
+    """Zero-forcing: ``s_n = G_n^{-1} y_n`` per symbol; returns the M x N grid."""
     y = _symbol_columns(d_tilde, sys.cfg)
-    if sys._zf_lu is None:
-        sys._zf_lu = lu_factor_checked(sys.blocks)
-    return _to_grid(scipy.linalg.lu_solve(sys._zf_lu, y))
+    if sys._zf_filter is None:
+        sys._zf_filter = inv_checked(sys.blocks)
+    return _filter_grid(sys._zf_filter, y)
 
 
 def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
@@ -104,18 +108,18 @@ def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
     zero-forcing as the noise variance goes to zero.
     """
     y = _symbol_columns(d_tilde, sys.cfg)
-    g = sys.blocks
-    if sys._mmse_cho is None:
+    if sys._mmse_filter is None:
+        g = sys.blocks
         gram = g @ g.conj().transpose(0, 2, 1) + sys.symbol_covariance()
         try:
-            sys._mmse_cho = scipy.linalg.cho_factor(gram)
+            np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise SingularMatrixError(
                 "MMSE matrix G_n G_n^H + Cov(v_n) is not positive definite"
             ) from None
-    z = scipy.linalg.cho_solve(sys._mmse_cho, y)
-    # G_n^H z_n as (z_n^H G_n)^H: no conjugated copy of the blocks per frame
-    return _to_grid((z.conj().transpose(0, 2, 1) @ g).conj().transpose(0, 2, 1))
+        # (gram^{-1} G_n)^H = G_n^H gram^{-1}, as gram is Hermitian
+        sys._mmse_filter = np.linalg.solve(gram, g).conj().transpose(0, 2, 1)
+    return _filter_grid(sys._mmse_filter, y)
 
 
 @dataclass(frozen=True)

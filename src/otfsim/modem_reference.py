@@ -27,6 +27,8 @@ def _frame_to_symbols(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.complex128)
     if frame.ndim != 1 or frame.size != cfg.frame_len:
         raise ValueError(f"frame must have length {cfg.frame_len}, got {frame.size}")
+    if not np.isfinite(frame).all():
+        raise ValueError("frame has non-finite samples")
     return frame.reshape(cfg.sym_len, cfg.N, order="F")
 
 
@@ -34,6 +36,8 @@ def _check_grid(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.shape != (cfg.M, cfg.N):
         raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid has non-finite entries")
     return grid
 
 

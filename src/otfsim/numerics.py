@@ -10,15 +10,13 @@ Counting convention: one P-point transform is charged exactly
 twiddles included) and ``P**2`` otherwise (a direct DFT). Additions, sign
 flips and data movement are free. The charge counts the transforms invoked,
 not the butterflies executed: the transforms themselves run through
-``numpy.fft``, whose internal algorithm is not audited.
+``numpy.fft``, whose internal algorithm is not audited. Matrix inverses run
+through ``numpy.linalg``, checked for singularity by :func:`inv_checked`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(ValueError):
@@ -137,33 +135,27 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols, order="F")
 
 
-def lu_factor_checked(a: np.ndarray):
-    """Partial-pivot LU factorization with an explicit singularity check.
+def inv_checked(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix, or of each matrix in a stack, shape (..., P, P).
 
-    `a` is one square matrix or a stack of them, shape (..., P, P), factored
-    one matrix at a time into preallocated output. Pivots below
-    ``1e-12 * max|A|`` of their own matrix are treated as singular and
-    reported via :class:`SingularMatrixError` instead of producing garbage.
-    The returned factorization feeds ``scipy.linalg.lu_solve``.
+    Inverted one matrix at a time, so no temporary outgrows one matrix. The
+    first matrix that is exactly singular, or whose reciprocal 1-norm
+    condition number ``1/(||A||_1 ||A^-1||_1)`` is below 1e-12 or NaN (a
+    scale-free test), is named in a :class:`SingularMatrixError`.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
     stack = a.reshape(-1, *a.shape[-2:])
-    # each factor column-major, the layout lu_solve hands LAPACK uncopied
-    lu = np.empty_like(stack).transpose(0, 2, 1)
-    piv = np.empty(stack.shape[:2], dtype=np.int32)
-    singular = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for k, block in enumerate(stack):
-            lu[k], piv[k] = scipy.linalg.lu_factor(block)
-            if not np.all(np.abs(np.diag(lu[k])) > 1e-12 * np.max(np.abs(block))):
-                singular.append(k)
-    if singular:
-        raise SingularMatrixError(
-            f"matrix {singular[0]} of {len(stack)} is singular or near-singular "
-            "(pivot below 1e-12 * max|A|)"
-        )
-    return lu.reshape(a.shape), piv.reshape(a.shape[:-1])
-
+    inv = np.empty_like(stack)
+    for k, block in enumerate(stack):
+        try:
+            inv[k] = np.linalg.inv(block)
+            rcond = 1.0 / (np.linalg.norm(block, 1) * np.linalg.norm(inv[k], 1))
+        except np.linalg.LinAlgError:
+            rcond = 0.0
+        if not rcond >= 1e-12:
+            raise SingularMatrixError(
+                f"matrix {k} of {len(stack)} is singular or near-singular (rcond < 1e-12)"
+            )
+    return inv.reshape(a.shape)

@@ -4,6 +4,7 @@ These deliberately re-derive receiver math through numpy's FFTs and explicit
 summations so they share no code path with the package under test.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,8 @@ def empirical_covariance(samples):
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x)."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) of a scalar."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

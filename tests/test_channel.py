@@ -99,6 +99,12 @@ class TestApplyChannel:
         expected[2:] += 0.3j * s[:-2]
         np.testing.assert_allclose(apply_channel(s, ch), expected, atol=1e-14)
 
+    def test_non_finite_signal_rejected(self):
+        s = np.ones(8, dtype=complex)
+        s[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_channel(s, identity_channel())
+
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
@@ -369,6 +375,13 @@ class TestHelpers:
     def test_channel_from_spec_rejects_malformed_taps(self, spec):
         with pytest.raises(ValueError, match="'taps' list"):
             channel_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "field", [{"gain": complex(np.nan, 0.0)}, {"doppler": np.inf}, {"phase": np.nan}]
+    )
+    def test_non_finite_tap_rejected(self, field):
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelTap(delay=0, **{"gain": 1.0, **field})
 
     def test_dd_response_dump(self, tmp_path):
         path = tmp_path / "dd.csv"

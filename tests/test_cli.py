@@ -1,6 +1,10 @@
 """Tests for the CLI harness: config handling, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +265,39 @@ class TestErrorPaths:
         assert record["status"] == "fail"
         assert set(record["fields"]) == {field}
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--snr", "abc"], "--snr"),
+            (["simulate", "--M", "x"], "--M"),
+            (["audit", "--Ms", "8,x"], "--Ms"),
+            (["simulate", "--bogus"], "--bogus"),
+        ],
+    )
+    def test_bad_argv_json_record(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record.keys() == {"status", "command", "error"}
+        assert (record["status"], record["command"]) == ("fail", "argv")
+        assert flag in record["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "usage: otfs simulate" in capsys.readouterr().out
+
+    def test_non_finite_channel_gain_refused(self, tmp_path, capsys):
+        channel = tmp_path / "channel.json"
+        channel.write_text('{"taps": [{"delay": 0, "gain_re": NaN}]}')
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--channel", str(channel)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["status"] == "fail"
+        assert "finite" in record["error"]
+
     def test_channel_longer_than_cp_refused(self, tmp_path, capsys):
         # its inter-symbol interference is simulated but not in the detector model
         path = write_config(
@@ -273,3 +310,31 @@ class TestErrorPaths:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["status"] == "fail"
         assert "channel" in record["error"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import alone costs a few tenths of a second of every otfs run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_openblas_to_one_thread(preset, expected):
+    # idle OpenBLAS helper threads busy-wait and slow runs on a loaded machine
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(root / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, otfsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

@@ -1,5 +1,7 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,10 @@ class TestZfDetect:
         )
         with pytest.raises(SingularMatrixError):
             zf_detect(np.zeros(4), sys)
+        blocks = np.diag([1.0, 1e-14]).astype(complex)[None].repeat(2, 0)
+        near_singular = replace(sys, blocks=blocks)
+        with pytest.raises(SingularMatrixError, match="matrix 0 of 2"):
+            zf_detect(np.zeros(4), near_singular)
 
 
 class TestMmseDetect:
@@ -226,6 +232,26 @@ class TestMmseDetect:
         )
         with pytest.raises(SingularMatrixError, match="positive definite"):
             mmse_detect(np.zeros(4), sys)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    def test_nan_received_grid_rejected(self, detect):
+        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
+        d = np.ones((4, 4), dtype=complex)
+        d[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            detect(d, sys)
+
+    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    def test_nan_channel_gain_rejected(self, detect):
+        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        gains = np.ones((4, 2), dtype=complex)
+        gains[2, 1] = np.nan
+        ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
+        with pytest.raises(ValueError, match="non-finite"):
+            detect(np.ones((4, 4)), assemble_effective(ch, make_window("rectangular", 4, 4), cfg))
 
 
 class TestFastBlockSolve:

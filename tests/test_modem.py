@@ -24,6 +24,34 @@ def ilog2(p):
     return int(np.log2(p))
 
 
+class TestNonFiniteInput:
+    """Every modem refuses a non-finite grid or frame at its boundary."""
+
+    @pytest.mark.parametrize("modulate", [modulate_fast, modulate_reference, modulate_ofdm])
+    def test_grid_rejected(self, modulate):
+        cfg = ModemConfig(M=4, N=2, cp_len=1)
+        grid = np.ones((4, 2), dtype=complex)
+        grid[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            modulate(grid, cfg)
+
+    @pytest.mark.parametrize(
+        "demodulate",
+        [
+            lambda frame, cfg: demodulate_fast(frame, make_window("rectangular", 4, 2), cfg),
+            lambda frame, cfg: demodulate_reference(frame, make_window("rectangular", 4, 2), cfg),
+            demodulate_ofdm,
+        ],
+        ids=["fast", "reference", "ofdm"],
+    )
+    def test_frame_rejected(self, demodulate):
+        cfg = ModemConfig(M=4, N=2, cp_len=1)
+        frame = np.ones(cfg.frame_len, dtype=complex)
+        frame[7] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            demodulate(frame, cfg)
+
+
 class TestCpMatrices:
     def test_remove_inverts_add(self):
         cfg = ModemConfig(M=8, N=4, cp_len=3)

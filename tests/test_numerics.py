@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from oracles import block_circulant_assemble
 
@@ -13,7 +12,7 @@ from otfsim.numerics import (
     dft,
     dft_matrix,
     fft_cm_cost,
-    lu_factor_checked,
+    inv_checked,
     unvec,
     vec,
 )
@@ -182,11 +181,11 @@ class TestVec:
 
 
 def solve_dense(a, b):
-    return scipy.linalg.lu_solve(lu_factor_checked(a), b)
+    return inv_checked(a) @ b
 
 
 class TestSolveDense:
-    """Dense solves through the pivot-checked LU and scipy's lu_solve."""
+    """Dense solves through the condition-checked inverse."""
 
     def test_identity(self):
         rng = np.random.default_rng(10)
@@ -206,25 +205,28 @@ class TestSolveDense:
 
     def test_singular_reported(self):
         with pytest.raises(SingularMatrixError):
-            lu_factor_checked(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            inv_checked(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            lu_factor_checked(np.zeros((2, 3)))
+            inv_checked(np.zeros((2, 3)))
 
     def test_stacked_factorization(self):
-        # a stack factors matrix by matrix, each pivot-checked on its own scale
+        # a stack inverts matrix by matrix, each condition-checked on its own scale
         rng = np.random.default_rng(13)
         a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
         a[1] *= 1e-20
-        lu, piv = lu_factor_checked(a)
+        inv = inv_checked(a)
         for k in range(3):
-            lu_k, piv_k = lu_factor_checked(a[k])
-            np.testing.assert_array_equal(lu[k], lu_k)
-            np.testing.assert_array_equal(piv[k], piv_k)
-        a[2, :, 0] = 0.0
+            np.testing.assert_array_equal(inv[k], inv_checked(a[k]))
+        singular = a.copy()
+        singular[2, :, 0] = 0.0
         with pytest.raises(SingularMatrixError, match="matrix 2 of 3"):
-            lu_factor_checked(a)
+            inv_checked(singular)
+        near_singular = a.copy()
+        near_singular[1] = np.diag([1.0, 1.0, 1.0, 1e-14])
+        with pytest.raises(SingularMatrixError, match="matrix 1 of 3"):
+            inv_checked(near_singular)
 
 
 class TestBlockCirculant:
