@@ -100,21 +100,20 @@ class BlockFadingChannel:
 
 
 def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
-    """Run a frame through the time-varying convolution (noise-free).
+    """Run a frame, or frames (..., L), through the time-varying convolution.
 
     ``r(kappa) = sum_ell h(kappa, ell) * s(kappa - ell)`` with zero initial
-    state (``s(kappa) = 0`` for kappa < 0).
+    state (``s(kappa) = 0`` for kappa < 0) and no noise. Each frame starts at
+    kappa = 0; the gains h are computed once for all of them.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     if not np.isfinite(signal).all():
         raise ValueError("signal has non-finite samples")
-    h = ch.coeffs(np.arange(signal.size))
+    size = signal.shape[-1]
+    h = ch.coeffs(np.arange(size))
     out = np.zeros_like(signal)
-    for ell in range(min(h.shape[1], signal.size)):
-        if ell == 0:
-            out += h[:, 0] * signal
-        else:
-            out[ell:] += h[ell:, ell] * signal[: signal.size - ell]
+    for ell in range(min(h.shape[1], size)):
+        out[..., ell:] += h[ell:, ell] * signal[..., : size - ell]
     return out
 
 
@@ -122,19 +121,27 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise of the given variance.
 
     `seed` may be an int, a SeedSequence, or a Generator; the output is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. For frames of shape (..., L), `seed` is
+    a sequence of them, one per frame in row-major order, and each frame's
+    noise is drawn from its own generator alone.
     """
     if noise_var < 0:
         raise ValueError("noise variance must be non-negative")
     signal = np.asarray(signal, dtype=np.complex128)
     if noise_var == 0:
         return signal.copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    seeds = [seed] if signal.ndim == 1 else seed
+    frames = signal.reshape(-1, signal.shape[-1])
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(frames):
+        raise ValueError(f"{len(frames)} frames need a sequence of {len(frames)} seeds")
     scale = np.sqrt(noise_var / 2)
-    noise = rng.normal(scale=scale, size=signal.shape) + 1j * rng.normal(
-        scale=scale, size=signal.shape
-    )
-    return signal + noise
+    noise = np.empty_like(frames)
+    for row, s in zip(noise, seeds):
+        rng = s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
+        row.real = rng.normal(scale=scale, size=row.size)
+        row.imag = rng.normal(scale=scale, size=row.size)
+    noise += frames
+    return noise.reshape(signal.shape)
 
 
 def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:

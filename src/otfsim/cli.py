@@ -52,7 +52,6 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import vec
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -61,6 +60,10 @@ DETECTORS = ("zf", "mmse", "fast")
 EQUIVALENCE_TOL = 1e-11
 
 DEFAULT_SNR_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+
+#: frame samples that `run_simulation` pushes through the pipeline at once:
+#: 1 MB per complex array, whatever the number of trials
+CHUNK_SAMPLES = 2**16
 
 #: two-tap desk-scale default: a line-of-sight tap and a delayed tap with
 #: one Doppler cycle per frame (doppler is filled in per frame length)
@@ -225,8 +228,12 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     """BER sweep over the configured channel; one result row per SNR point.
 
     `system` is the effective system of `cfg`'s channel and window, built
-    here when not given; every SNR point shares its blocks and its ZF
-    filter.
+    here when not given; every SNR point shares its blocks, and ZF, whose
+    filter ignores the noise level, shares the system itself. The trials of
+    an SNR point go through the pipeline together, in chunks of at most
+    CHUNK_SAMPLES frame samples. Trial t draws its bits and then its noise
+    from its own generator, the t-th child of the point's seed, so the rows
+    do not depend on how the trials are chunked.
     """
     cfg.validate()
     channel = cfg.build_channel()
@@ -235,26 +242,26 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     window = system.window
     detect = mmse_detect if cfg.detector == "mmse" else zf_detect
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
+    chunk = max(1, CHUNK_SAMPLES // system.cfg.frame_len)
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = 10.0 ** (-snr_db / 10.0)  # unit-energy symbols
-        system = system.with_noise_var(noise_var)
+        if cfg.detector == "mmse":
+            system = system.with_noise_var(noise_var)
         mcfg = system.cfg
         errors = 0
-        total = 0
-        for trial_seed in point_seed.spawn(cfg.trials):
-            rng = np.random.default_rng(trial_seed)
-            bits = rng.integers(0, 2, size=mcfg.bits_per_frame)
-            x = qam_map(bits, cfg.qam_order).reshape(cfg.M, cfg.N, order="F")
-            received = add_awgn(
-                apply_channel(modulate_fast(x, mcfg), channel), noise_var, rng
-            )
-            d_tilde = demodulate_fast(received, window, mcfg)
-            detected = detect(d_tilde, system)
-            stat = bit_error_rate(qam_demap(vec(detected), cfg.qam_order), bits)
-            errors += stat.n_errors
-            total += stat.n_bits
-        stat = BerStat(n_bits=total, n_errors=errors)
+        for start in range(0, cfg.trials, chunk):
+            # each spawn continues the point's sequence of children
+            seeds = point_seed.spawn(min(chunk, cfg.trials - start))
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            bits = np.stack([rng.integers(0, 2, size=mcfg.bits_per_frame) for rng in rngs])
+            x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
+            x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
+            received = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
+            detected = detect(demodulate_fast(received, window, mcfg), system)
+            demapped = qam_demap(detected.swapaxes(1, 2), cfg.qam_order)
+            errors += bit_error_rate(demapped, bits.ravel()).n_errors
+        stat = BerStat(n_bits=cfg.trials * mcfg.bits_per_frame, n_errors=errors)
         rows.append(
             dict(
                 snr_db=snr_db,

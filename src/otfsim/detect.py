@@ -15,6 +15,10 @@ IDFT and a row DFT: ``G_n^{-1}``, computed once per channel, or
 ``G_n^H (G_n G_n^H + Cov(v_n))^{-1}``, computed once per noise level. Since
 ``F_N kron I_M`` is unitary and the symbols are white, both equal their
 MN x MN delay-Doppler counterparts exactly.
+
+A batch of T received grids (..., M, N) is detected with one filter product
+per symbol that has T columns. Its rounding can differ from T one-column
+products in the last bits (a few 1e-14 at most at 64 x 8 and 256 x 16).
 """
 
 from __future__ import annotations
@@ -46,10 +50,13 @@ class EffectiveSystem:
     _zf_filter: np.ndarray | None = field(default=None, repr=False)
     _mmse_filter: np.ndarray | None = field(default=None, repr=False)
 
+    def symbol_noise_gains(self) -> np.ndarray:
+        """Each symbol's noise level ``noise_var |wr[n]|^2``; ``Cov(v_n)`` is it times Qc."""
+        return self.cfg.noise_var * np.abs(self.window.wr) ** 2
+
     def symbol_covariance(self) -> np.ndarray:
         """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 Qc``."""
-        gain = self.cfg.noise_var * np.abs(self.window.wr) ** 2
-        return gain[:, None, None] * self.qc
+        return self.symbol_noise_gains()[:, None, None] * self.qc
 
     def with_noise_var(self, noise_var: float) -> EffectiveSystem:
         """The same channel at another noise level; the ZF filter is shared."""
@@ -76,41 +83,51 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
     return EffectiveSystem(blocks=blocks, qc=qc, window=window, cfg=cfg)
 
 
-def _symbol_columns(d_tilde, cfg: ModemConfig) -> np.ndarray:
-    """Row IDFT of the received grid, as an (N, M, 1) stack of columns y_n."""
+def _received_grids(d_tilde, cfg: ModemConfig) -> np.ndarray:
+    """Received grids, shape (..., M, N), checked; a vec'd grid is unvec'd."""
     d = np.asarray(d_tilde, dtype=np.complex128)
     if d.ndim == 1:
         d = unvec(d, cfg.M, cfg.N)
-    elif d.shape != (cfg.M, cfg.N):
-        raise ValueError(f"grid must be {cfg.M} x {cfg.N}")
+    elif d.shape[-2:] != (cfg.M, cfg.N):
+        raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("received grid has non-finite entries")
-    return np.fft.ifft(d, axis=1, norm="ortho").T[:, :, None]
+    return d
 
 
-def _filter_grid(filters: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-symbol estimates ``s_n = F_n y_n``, row-DFT'd back to the M x N grid."""
-    return np.fft.fft((filters @ y)[:, :, 0].T, axis=1, norm="ortho")
+def _filter_grids(filters: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-symbol estimates ``s_n = F_n y_n`` of every grid in `d`.
+
+    The row IDFTs of the T grids are gathered into an (N, M, T) stack whose
+    column t of symbol n is y_n of grid t, so each symbol takes one product
+    with T columns; a row DFT maps the estimates back to grids.
+    """
+    y = np.fft.ifft(d.reshape(-1, *d.shape[-2:]), axis=-1, norm="ortho").T.copy()
+    return np.fft.fft((filters @ y).T, axis=-1, norm="ortho").reshape(d.shape)
 
 
 def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Zero-forcing: ``s_n = G_n^{-1} y_n`` per symbol; returns the M x N grid."""
-    y = _symbol_columns(d_tilde, sys.cfg)
+    """Zero-forcing: ``s_n = G_n^{-1} y_n`` per symbol; returns the M x N grid(s)."""
+    d = _received_grids(d_tilde, sys.cfg)
     if sys._zf_filter is None:
         sys._zf_filter = inv_checked(sys.blocks)
-    return _filter_grid(sys._zf_filter, y)
+    return _filter_grids(sys._zf_filter, d)
 
 
 def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
     """Linear MMSE for unit-energy symbols.
 
     ``s_n = G_n^H (G_n G_n^H + Cov(v_n))^{-1} y_n`` per symbol; reduces to
-    zero-forcing as the noise variance goes to zero.
+    zero-forcing as the noise variance goes to zero. Building the filters
+    holds one (N, M, M) stack beside the blocks and the filters: the noise
+    term is added to the Gram stack one symbol at a time.
     """
-    y = _symbol_columns(d_tilde, sys.cfg)
+    d = _received_grids(d_tilde, sys.cfg)
     if sys._mmse_filter is None:
         g = sys.blocks
-        gram = g @ g.conj().transpose(0, 2, 1) + sys.symbol_covariance()
+        gram = g @ g.conj().transpose(0, 2, 1)
+        for block, gain in zip(gram, sys.symbol_noise_gains()):
+            block += gain * sys.qc
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -118,8 +135,9 @@ def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
                 "MMSE matrix G_n G_n^H + Cov(v_n) is not positive definite"
             ) from None
         # (gram^{-1} G_n)^H = G_n^H gram^{-1}, as gram is Hermitian
-        sys._mmse_filter = np.linalg.solve(gram, g).conj().transpose(0, 2, 1)
-    return _filter_grid(sys._mmse_filter, y)
+        filters = np.linalg.solve(gram, g)
+        sys._mmse_filter = np.conjugate(filters, out=filters).transpose(0, 2, 1)
+    return _filter_grids(sys._mmse_filter, d)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ Grid conventions (all plain complex ndarrays):
   OFDM symbol n;
 * frame signal: 1-D vector of length ``(M + cp_len) * N``, the column-major
   serialization of the per-symbol sample matrix.
+
+The modems, the channel and the detectors also take a batch of frames:
+grids of shape (..., M, N) and frames of shape (..., L), one per leading
+index, each processed as it would be alone (by the detectors, up to
+rounding; see ``otfsim.detect``).
 """
 
 from __future__ import annotations
@@ -148,10 +153,10 @@ def sfft_inv(x_dd: np.ndarray, counter: CmCounter | None = None) -> np.ndarray:
     followed by N-point IDFTs across the rows (unitary throughout).
     """
     x_dd = np.asarray(x_dd, dtype=np.complex128)
-    if x_dd.ndim != 2:
+    if x_dd.ndim < 2:
         raise ValueError("expected an M x N delay-Doppler grid")
-    y = dft(x_dd, axis=0, counter=counter, stage="sfft_inv")
-    return dft(y, axis=1, inverse=True, counter=counter, stage="sfft_inv")
+    y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv")
+    return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv")
 
 
 def sfft_windowed(
@@ -166,13 +171,13 @@ def sfft_windowed(
     charged MN/2 CMs regardless of window content (audit convention).
     """
     z_tf = np.asarray(z_tf, dtype=np.complex128)
-    m, n = z_tf.shape
+    m, n = z_tf.shape[-2:]
     window.check_dims(m, n)
-    zw = window.wc[:, None] * z_tf * window.wr[None, :]
+    zw = window.wc[:, None] * z_tf * window.wr
     if counter is not None:
-        counter.add("window", (m * n) // 2)
-    x = dft(zw, axis=0, inverse=True, counter=counter, stage="sfft")
-    return dft(x, axis=1, counter=counter, stage="sfft")
+        counter.add("window", (zw.size // (m * n)) * ((m * n) // 2))
+    x = dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft")
+    return dft(x, axis=-1, counter=counter, stage="sfft")
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ def modulate_fast(
     """Low-complexity OTFS transmitter: N-point IDFTs on the rows of X, then CP.
 
     Sample-for-sample identical to the reference transmitter while charging
-    only ``(M*N/2)*log2(N)`` CMs.
+    only ``(M*N/2)*log2(N)`` CMs per frame. Grids (..., M, N) give frames
+    (..., L).
     """
     x_dd = _check_grid(x_dd, cfg)
-    body = dft(x_dd, axis=1, inverse=True, counter=counter, stage="mod_rows")
-    return _add_cp(body, cfg.cp_len).reshape(-1, order="F")
+    body = dft(x_dd, axis=-1, inverse=True, counter=counter, stage="mod_rows")
+    return _add_cp(body, cfg.cp_len)
 
 
 def _resolve_time_window(window, n: int) -> np.ndarray:
@@ -54,13 +55,14 @@ def demodulate_fast(
     """Low-complexity OTFS receiver for rectangular frequency windows.
 
     Per symbol: CP removal and scaling by the time-window coefficient, then
-    N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs.
-    `window` may be a SeparableWindow (frequency factor must be all-ones)
-    or a bare length-N time window.
+    N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs per
+    frame. `window` may be a SeparableWindow (frequency factor must be
+    all-ones) or a bare length-N time window. Frames (..., L) give grids
+    (..., M, N).
     """
     wr = _resolve_time_window(window, cfg.N)
     symbols = _frame_to_symbols(frame, cfg)
-    scaled = symbols[cfg.cp_len :, :] * wr[None, :]
+    scaled = symbols[..., cfg.cp_len :, :] * wr
     if counter is not None:
-        counter.add("window", (cfg.M * cfg.N) // 2)
-    return dft(scaled, axis=1, counter=counter, stage="demod_rows")
+        counter.add("window", (scaled.size // (cfg.M * cfg.N)) * ((cfg.M * cfg.N) // 2))
+    return dft(scaled, axis=-1, counter=counter, stage="demod_rows")

@@ -19,22 +19,32 @@ from .numerics import CmCounter, dft
 
 
 def _add_cp(body: np.ndarray, cp_len: int) -> np.ndarray:
-    """Prepend each column's last cp_len samples (body is (M, N))."""
-    return np.concatenate([body[body.shape[0] - cp_len :, :], body], axis=0)
+    """Serialize symbol columns with their cyclic prefixes: (..., M, N) -> (..., L).
+
+    Each column's samples go straight into the data part of its symbol, then
+    its last cp_len samples are copied in front of them.
+    """
+    *lead, m, n = body.shape
+    frame = np.empty((*lead, n, m + cp_len), dtype=body.dtype)
+    frame[..., cp_len:] = np.swapaxes(body, -1, -2)
+    frame[..., :cp_len] = frame[..., m:]
+    return frame.reshape(*lead, n * (m + cp_len))
 
 
 def _frame_to_symbols(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Frames (..., L) -> per-symbol sample columns (..., M + cp_len, N)."""
     frame = np.asarray(frame, dtype=np.complex128)
-    if frame.ndim != 1 or frame.size != cfg.frame_len:
-        raise ValueError(f"frame must have length {cfg.frame_len}, got {frame.size}")
+    if frame.ndim < 1 or frame.shape[-1] != cfg.frame_len:
+        raise ValueError(f"frame must have length {cfg.frame_len}, got shape {frame.shape}")
     if not np.isfinite(frame).all():
         raise ValueError("frame has non-finite samples")
-    return frame.reshape(cfg.sym_len, cfg.N, order="F")
+    symbols = frame.reshape(*frame.shape[:-1], cfg.N, cfg.sym_len)
+    return np.swapaxes(symbols, -1, -2)
 
 
 def _check_grid(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape != (cfg.M, cfg.N):
+    if grid.shape[-2:] != (cfg.M, cfg.N):
         raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {grid.shape}")
     if not np.isfinite(grid).all():
         raise ValueError("grid has non-finite entries")
@@ -46,8 +56,8 @@ def modulate_ofdm(
 ) -> np.ndarray:
     """Plain OFDM modulator: per-symbol M-point IDFT, CP insertion, serialize."""
     y_tf = _check_grid(y_tf, cfg)
-    body = dft(y_tf, axis=0, inverse=True, counter=counter, stage="ofdm_mod")
-    return _add_cp(body, cfg.cp_len).reshape(-1, order="F")
+    body = dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod")
+    return _add_cp(body, cfg.cp_len)
 
 
 def demodulate_ofdm(
@@ -55,7 +65,7 @@ def demodulate_ofdm(
 ) -> np.ndarray:
     """Plain OFDM demodulator: CP removal and per-symbol M-point DFT."""
     symbols = _frame_to_symbols(frame, cfg)
-    return dft(symbols[cfg.cp_len :, :], axis=0, counter=counter, stage="ofdm_demod")
+    return dft(symbols[..., cfg.cp_len :, :], axis=-2, counter=counter, stage="ofdm_demod")
 
 
 def modulate_reference(

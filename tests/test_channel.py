@@ -105,6 +105,25 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="non-finite"):
             apply_channel(s, identity_channel())
 
+    def test_batch_equals_each_frame(self):
+        # every frame of a batch starts at kappa = 0; the gains are computed once
+        rng = np.random.default_rng(46)
+        ch = random_ltv_channel(rng, n_taps=3, max_delay=4, max_doppler=0.02)
+        calls = []
+
+        class CountingChannel:
+            length = ch.length
+
+            def coeffs(self, kappa):
+                calls.append(len(kappa))
+                return ch.coeffs(kappa)
+
+        s = rng.normal(size=(2, 3, 30)) + 1j * rng.normal(size=(2, 3, 30))
+        out = apply_channel(s, CountingChannel())
+        assert calls == [30]
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[idx], apply_channel(s[idx], ch))
+
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
@@ -122,6 +141,22 @@ class TestAwgn:
     def test_negative_variance(self):
         with pytest.raises(ValueError):
             add_awgn(np.zeros(4, dtype=complex), -1.0, seed=0)
+
+    def test_batch_rows_use_their_own_seeds(self):
+        # row k draws its real and then its imaginary parts from seed k alone
+        s = np.arange(24, dtype=complex).reshape(2, 3, 4)
+        seeds = [np.random.default_rng(k) for k in range(3)] + [3, 4, 5]
+        out = add_awgn(s, 0.5, seeds)
+        for k, idx in enumerate(np.ndindex(2, 3)):
+            rng = np.random.default_rng(k)
+            noise = rng.normal(scale=0.5, size=4) + 1j * rng.normal(scale=0.5, size=4)
+            np.testing.assert_array_equal(out[idx], s[idx] + noise)
+            np.testing.assert_array_equal(out[idx], add_awgn(s[idx], 0.5, seed=k))
+
+    @pytest.mark.parametrize("seed", [0, [0, 1], [0, 1, 2, 3]], ids=["bare", "short", "long"])
+    def test_batch_needs_one_seed_per_frame(self, seed):
+        with pytest.raises(ValueError, match="3 frames need a sequence of 3 seeds"):
+            add_awgn(np.zeros((3, 4), dtype=complex), 1.0, seed)
 
 
 @st.composite

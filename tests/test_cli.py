@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import qfunc
 
+from otfsim import cli
 from otfsim.cli import (
     ConfigError,
     RunConfig,
@@ -19,6 +22,7 @@ from otfsim.cli import (
     run_equivalence,
     run_simulation,
 )
+from otfsim.grids import QAM_ORDERS, WINDOW_KINDS
 
 
 def write_config(tmp_path, **overrides):
@@ -185,6 +189,55 @@ class TestSimulate:
         )
         path = write_config(tmp_path, channel=str(channel_path), snr_db=[200.0])
         assert main(["simulate", "--config", str(path)]) == 0
+
+
+@st.composite
+def chunked_runs(draw):
+    """A small run and a chunk size that splits its trials into exactly three
+    chunks; the channel's delay-0 tap dominates, so no system is singular."""
+    chunk = draw(st.integers(1, 3))
+    m = draw(st.integers(4, 12))
+    cfg = RunConfig(
+        M=m,
+        N=draw(st.integers(2, 4)),
+        cp_len=draw(st.integers(2, m - 1)),
+        qam_order=draw(st.sampled_from(QAM_ORDERS)),
+        window_kind=draw(st.sampled_from(WINDOW_KINDS)),
+        detector=draw(st.sampled_from(["zf", "mmse"])),
+        snr_db=(0.0, 12.0, float("inf")),
+        trials=draw(st.integers(2 * chunk + 1, 3 * chunk)),
+        seed=draw(st.integers(0, 2**16)),
+        channel={
+            "taps": [
+                {"delay": 0, "gain_re": 1.0, "doppler": 0.01},
+                {"delay": 2, "gain_re": 0.3, "gain_im": 0.2, "doppler": -0.02},
+            ]
+        },
+    )
+    return cfg, chunk
+
+
+class TestChunking:
+    @settings(max_examples=25, deadline=None)
+    @given(chunked_runs())
+    def test_rows_do_not_depend_on_chunking(self, case):
+        cfg, chunk = case
+        whole = run_simulation(cfg)
+        frame_len = (cfg.M + cfg.cp_len) * cfg.N
+        batches = []
+        modulate_fast = cli.modulate_fast
+
+        def modulate(x, mcfg):
+            batches.append(len(x))
+            return modulate_fast(x, mcfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_SAMPLES", (chunk + 1) * frame_len - 1)
+            mp.setattr(cli, "modulate_fast", modulate)
+            chunked = run_simulation(cfg)
+        assert batches[:3] == [chunk, chunk, cfg.trials - 2 * chunk]
+        assert len(batches) == 3 * len(cfg.snr_db)
+        assert chunked == whole
 
 
 class TestEquivalence:

@@ -378,6 +378,29 @@ class TestPerSymbolMatchesDense:
         )
 
 
+class TestBatchMatchesFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(per_symbol_cases(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_pipeline_batch_equals_stacked_frames(self, case, trials, seed):
+        # a batch of T frames through modulate, channel, demodulate, ZF and
+        # MMSE equals the T single-frame runs; the filter products with T
+        # columns may round differently from T one-column products
+        ch, window, cfg, _ = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(trials, cfg.M, cfg.N)) + 1j * rng.normal(size=(trials, cfg.M, cfg.N))
+        demodulate = demodulate_fast if window.is_rect_freq else demodulate_reference
+        sys = assemble_effective(ch, window, cfg)
+
+        def pipeline(grids):
+            received = demodulate(apply_channel(modulate_fast(grids, cfg), ch), window, cfg)
+            return received, zf_detect(received, sys), mmse_detect(received, sys)
+
+        frames = [pipeline(grid) for grid in x]
+        for stage, batch in enumerate(pipeline(x)):
+            expected = np.stack([frame[stage] for frame in frames])
+            np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+
 class TestBer:
     def test_identical_streams(self):
         stat = bit_error_rate(np.ones(100, dtype=int), np.ones(100, dtype=int))

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cp_matrices
 
-from otfsim.grids import ModemConfig, SeparableWindow, make_window
+from otfsim.grids import WINDOW_KINDS, ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import (
     demodulate_ofdm,
@@ -257,8 +259,39 @@ class TestDemodulateFast:
             demodulate_fast(np.zeros(40), w, cfg)
 
 
+@st.composite
+def modem_cases(draw):
+    """Any M 2-40, N 2-12 and Mcp < M, powers of two or not, a rectangular
+    or time-tapered window, and zero to two leading batch axes."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 12))
+    cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), m, n, rho=draw(st.floats(0, 1)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return cfg, window, lead, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
 class TestStructuralEquivalence:
     """fast == reference over the whole configuration grid."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(modem_cases())
+    def test_fast_equals_reference_on_batches(self, case):
+        # each frame of a batched fast call equals the reference modem on
+        # that frame alone
+        cfg, window, lead, rng = case
+        x = rng.normal(size=(*lead, cfg.M, cfg.N)) + 1j * rng.normal(size=(*lead, cfg.M, cfg.N))
+        frames = rng.normal(size=(*lead, cfg.frame_len)) + 1j * rng.normal(
+            size=(*lead, cfg.frame_len)
+        )
+        tx = modulate_fast(x, cfg)
+        rx = demodulate_fast(frames, window, cfg)
+        assert tx.shape == frames.shape and rx.shape == x.shape
+        for idx in np.ndindex(*lead):
+            np.testing.assert_allclose(tx[idx], modulate_reference(x[idx], cfg), rtol=0, atol=1e-11)
+            np.testing.assert_allclose(
+                rx[idx], demodulate_reference(frames[idx], window, cfg), rtol=0, atol=1e-11
+            )
 
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
