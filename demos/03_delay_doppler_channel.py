@@ -19,6 +19,7 @@ from otfsim import (
     apply_channel,
     assemble_effective,
     build_dd_response,
+    channel_blocks,
     circ_conv2d,
     demodulate_reference,
     make_window,
@@ -39,7 +40,7 @@ ch = LtvChannel(
     )
 )
 
-response = build_dd_response(assemble_effective(ch, window, cfg).blocks)
+response = build_dd_response(channel_blocks(ch, cfg), window)
 
 print("dominant |response| entries (delay bin, Doppler bin) -> magnitude:")
 flat = np.argsort(np.abs(response).ravel())[::-1][:4]
@@ -55,14 +56,14 @@ bf = BlockFadingChannel(
 )
 x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), bf), window, cfg)
-kernel = build_dd_response(assemble_effective(bf, window, cfg).blocks)
+kernel = build_dd_response(channel_blocks(bf, cfg), window)
 err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
 print(f"\nblock-fading channel: |pipeline - kernel (*) X| / |pipeline| = {err:.2e}")
 
 # with fast within-symbol variation the kernel is only an approximation...
 fast_ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.02),))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), fast_ch), window, cfg)
-kernel = build_dd_response(assemble_effective(fast_ch, window, cfg).blocks)
+kernel = build_dd_response(channel_blocks(fast_ch, cfg), window)
 err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
 print(f"within-symbol Doppler:  residual {err:.2e} (2-D convolution no longer exact)")
 

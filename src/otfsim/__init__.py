@@ -23,10 +23,7 @@ from .channel import (
     apply_channel,
     build_dd_response,
     channel_blocks,
-    doppler_cycles_per_sample,
-    identity_channel,
     load_channel,
-    random_block_fading_channel,
     random_ltv_channel,
 )
 from .detect import (
@@ -58,9 +55,7 @@ from .numerics import (
     SingularMatrixError,
     circ_conv2d,
     dft,
-    dft_matrix,
     unvec,
-    vec,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

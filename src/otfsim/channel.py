@@ -11,7 +11,7 @@ kappa and delay ell. Two parameterizations are provided:
 
 From either, :func:`channel_blocks` builds all N per-symbol matrices
 ``H_n`` exactly, in one pass; the windowed delay-Doppler response follows
-from the per-symbol blocks by one FFT across symbols.
+from their first columns by one FFT across symbols.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModemConfig
+from .grids import ModemConfig, SeparableWindow
 
 
 @dataclass(frozen=True)
@@ -169,26 +169,16 @@ def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:
     return blocks
 
 
-def build_dd_response(blocks: np.ndarray) -> np.ndarray:
+def build_dd_response(blocks: np.ndarray, window: SeparableWindow) -> np.ndarray:
     """Windowed delay-Doppler channel impulse response (M x N).
 
-    `blocks` holds the per-symbol effective blocks ``G_n = Wbar_c wr[n] H_n``
-    (shape (N, M, M), see ``otfsim.detect.assemble_effective``). Column l is
-    the first column of the l-th Doppler tap ``(1/N) sum_n G_n
-    exp(-j*2*pi*l*n/N)``.
+    `blocks` holds the per-symbol channel blocks ``H_n`` (shape (N, M, M),
+    see ``channel_blocks``) and `window` the receive window. Column l is the
+    first column of the l-th windowed Doppler tap ``(1/N) sum_n Wbar_c wr[n]
+    H_n exp(-j*2*pi*l*n/N)``; only the first columns are windowed.
     """
-    return np.fft.fft(blocks[:, :, 0], axis=0).T / blocks.shape[0]
-
-
-def doppler_cycles_per_sample(
-    speed_mps: float, carrier_hz: float, sample_rate_hz: float, light_speed: float = 299792458.0
-) -> float:
-    """Convert a physical mobile speed to normalized Doppler (cycles/sample)."""
-    return (speed_mps / light_speed) * carrier_hz / sample_rate_hz
-
-
-def identity_channel() -> LtvChannel:
-    return LtvChannel((ChannelTap(delay=0, gain=1.0),))
+    first = window.apply(blocks[:, :, 0].T)
+    return np.fft.fft(first, axis=1) / blocks.shape[0]
 
 
 def random_ltv_channel(
@@ -213,15 +203,6 @@ def random_ltv_channel(
         for d, g in zip(delays, gains)
     )
     return LtvChannel(taps)
-
-
-def random_block_fading_channel(
-    rng: np.random.Generator, cfg: ModemConfig, length: int
-) -> BlockFadingChannel:
-    """Random per-symbol impulse responses (unit average power)."""
-    gains = rng.normal(size=(cfg.N, length)) + 1j * rng.normal(size=(cfg.N, length))
-    gains /= np.sqrt(2.0 * length)
-    return BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
     rows = run_simulation(cfg, system)
     write_ber_csv(out_dir / "ber.csv", rows)
-    dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks))
+    dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks, system.window))
     print(f"wrote {out_dir / 'ber.csv'} and {out_dir / 'ddresponse.csv'}")
     for row in rows:
         print(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CmCounter, dft, dft_matrix
+from .numerics import CmCounter, dft
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -212,11 +212,21 @@ class SeparableWindow:
     def is_rect_freq(self) -> bool:
         return bool(np.all(self.wc == 1.0))
 
-    def wbar_c(self) -> np.ndarray:
-        """Delay-domain image of the frequency window, F_M^H diag(wc) F_M."""
-        m = self.wc.size
-        f = dft_matrix(m)
-        return f.conj().T @ (self.wc[:, None] * f)
+    def apply(self, y: np.ndarray, power: int = 1) -> np.ndarray:
+        """Apply the window (`power` 1) or undo it (`power` -1) after the row IDFT.
+
+        `y` holds grids (..., M, N) whose column n belongs to OFDM symbol n,
+        as a demodulated grid is after its N-point row IDFT. There the window
+        acts as ``Wbar_c y diag(wr)``, with ``Wbar_c = F_M^H diag(wc) F_M``:
+        column n is scaled by ``wr[n]`` and, unless `wc` is all ones, filtered
+        by `wc` through an M-point FFT and IFFT.
+        """
+        if power not in (1, -1):
+            raise ValueError(f"power must be 1 or -1, got {power}")
+        w = np.outer(self.wc, self.wr) ** power
+        if self.is_rect_freq:
+            return y * w
+        return np.fft.ifft(np.fft.fft(y, axis=-2) * w, axis=-2)
 
 
 def make_window(kind: str, m: int, n: int, rho: float = 0.25) -> SeparableWindow:

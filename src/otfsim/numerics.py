@@ -65,15 +65,6 @@ def fft_cm_cost(p: int) -> int:
     return p * p
 
 
-def dft_matrix(p: int, inverse: bool = False) -> np.ndarray:
-    """Unitary P-point DFT matrix, [F]_pq = exp(-j*2*pi*p*q/P)/sqrt(P)."""
-    if p < 1:
-        raise ValueError("DFT size must be >= 1")
-    sign = 1.0 if inverse else -1.0
-    grid = np.outer(np.arange(p), np.arange(p))
-    return np.exp(sign * 2j * np.pi * grid / p) / np.sqrt(p)
-
-
 def dft(
     v: np.ndarray,
     inverse: bool = False,
@@ -119,16 +110,8 @@ def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of `a` into one vector (column-major)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("vec expects a matrix")
-    return a.reshape(-1, order="F")
-
-
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a vector into a (rows, cols) matrix."""
+    """Reshape a vector into a (rows, cols) matrix, filling it column by column."""
     v = np.asarray(v)
     if v.ndim != 1 or v.size != rows * cols:
         raise ValueError(f"cannot unvec length-{v.size} vector into {rows}x{cols}")

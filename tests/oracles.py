@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from otfsim.channel import BlockFadingChannel, ChannelTap, LtvChannel, channel_blocks
+
 
 @dataclass(frozen=True, eq=False)
 class CpMatrices:
@@ -16,6 +18,45 @@ class CpMatrices:
 
     add: np.ndarray  # (M + cp_len, M), [G^T, I^T]^T
     remove: np.ndarray  # (M, M + cp_len), [0, I]
+
+
+def vec(a):
+    """Stack the columns of a matrix into one vector (column-major)."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError("vec expects a matrix")
+    return a.reshape(-1, order="F")
+
+
+def dft_matrix(p, inverse=False):
+    """Unitary P-point DFT matrix, [F]_pq = exp(-j*2*pi*p*q/P)/sqrt(P)."""
+    if p < 1:
+        raise ValueError("DFT size must be >= 1")
+    sign = 1.0 if inverse else -1.0
+    grid = np.outer(np.arange(p), np.arange(p))
+    return np.exp(sign * 2j * np.pi * grid / p) / np.sqrt(p)
+
+
+def wbar_c(window):
+    """Delay-domain image of the frequency window, F_M^H diag(wc) F_M."""
+    f = dft_matrix(window.wc.size)
+    return f.conj().T @ (window.wc[:, None] * f)
+
+
+def doppler_cycles_per_sample(speed_mps, carrier_hz, sample_rate_hz, light_speed=299792458.0):
+    """Convert a physical mobile speed to normalized Doppler (cycles/sample)."""
+    return (speed_mps / light_speed) * carrier_hz / sample_rate_hz
+
+
+def identity_channel():
+    return LtvChannel((ChannelTap(delay=0, gain=1.0),))
+
+
+def random_block_fading_channel(rng, cfg, length):
+    """Random per-symbol impulse responses (unit average power)."""
+    gains = rng.normal(size=(cfg.N, length)) + 1j * rng.normal(size=(cfg.N, length))
+    gains /= np.sqrt(2.0 * length)
+    return BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
 
 
 def cp_matrices(cfg):
@@ -46,6 +87,18 @@ def batched_noise_receiver(cfg, window, n_frames, noise_var, rng):
     return frames, x.transpose(0, 2, 1).reshape(n_frames, -1)
 
 
+def windowed_blocks(ch, window, cfg):
+    """The windowed per-symbol blocks ``G_n = Wbar_c wr[n] H_n``, shape (N, M, M)."""
+    return wbar_c(window) @ (channel_blocks(ch, cfg) * window.wr[:, None, None])
+
+
+def symbol_covariance(window, cfg):
+    """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 Wbar_c Wbar_c^H``."""
+    wbar = wbar_c(window)
+    gains = cfg.noise_var * np.abs(window.wr) ** 2
+    return gains[:, None, None] * (wbar @ wbar.conj().T)
+
+
 def empirical_covariance(samples):
     """Sample covariance sum v v^H / B for row-stacked samples (B, D)."""
     return samples.T @ samples.conj() / samples.shape[0]
@@ -70,8 +123,6 @@ def build_doppler_taps(ch, wr, cfg):
 
     ``taps[k] = (1/N) * sum_i H_i * wr[i] * exp(-j*2*pi*k*i/N)``.
     """
-    from otfsim.channel import channel_blocks
-
     wr = np.asarray(wr, dtype=np.complex128)
     if wr.shape != (cfg.N,):
         raise ValueError(f"time window must have length {cfg.N}")
@@ -106,7 +157,7 @@ def block_circulant_assemble(blocks):
 def dense_effective(ch, window, cfg):
     """The MN x MN effective matrix ``(I_N kron Wbar_c) H_BC``."""
     h_bc = block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
-    return np.kron(np.eye(cfg.N), window.wbar_c()) @ h_bc
+    return np.kron(np.eye(cfg.N), wbar_c(window)) @ h_bc
 
 
 def kron_noise_covariance(window, cfg):
@@ -117,7 +168,7 @@ def kron_noise_covariance(window, cfg):
     """
     c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
     row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
-    wbar = window.wbar_c()
+    wbar = wbar_c(window)
     return cfg.noise_var * np.kron(row_cov, wbar @ wbar.conj().T)
 
 
@@ -134,7 +185,7 @@ def dense_mmse(h_eff, cov, d, cfg):
 
 def dd_response_from_taps(taps, window):
     """Column l is the first column of ``Wbar_c @ taps[l]``."""
-    return np.stack([(window.wbar_c() @ tap)[:, 0] for tap in taps], axis=1)
+    return np.stack([(wbar_c(window) @ tap)[:, 0] for tap in taps], axis=1)
 
 
 def fft2_block_fading_solve(d, ch, window, cfg):

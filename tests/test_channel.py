@@ -12,6 +12,11 @@ from oracles import (
     build_doppler_taps,
     cp_matrices,
     dd_response_from_taps,
+    doppler_cycles_per_sample,
+    identity_channel,
+    random_block_fading_channel,
+    vec,
+    wbar_c,
 )
 
 from otfsim.channel import (
@@ -23,18 +28,14 @@ from otfsim.channel import (
     build_dd_response,
     channel_blocks,
     channel_from_spec,
-    doppler_cycles_per_sample,
     dump_dd_response,
-    identity_channel,
     load_channel,
-    random_block_fading_channel,
     random_ltv_channel,
 )
-from otfsim.detect import assemble_effective
 from otfsim.grids import ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
-from otfsim.numerics import circ_conv2d, vec
+from otfsim.numerics import circ_conv2d
 
 
 def ltv_oracle(s, ch):
@@ -276,7 +277,7 @@ class TestDdResponse:
     def test_identity_channel_is_delta(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         w = make_window("rectangular", 4, 4)
-        response = build_dd_response(assemble_effective(identity_channel(), w, cfg).blocks)
+        response = build_dd_response(channel_blocks(identity_channel(), cfg), w)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -285,7 +286,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=4, N=4, cp_len=2)
         ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
         w = make_window("rectangular", 4, 4)
-        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        response = build_dd_response(channel_blocks(ch, cfg), w)
         expected = np.zeros((4, 4))
         expected[1, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -297,7 +298,7 @@ class TestDdResponse:
         w = make_window("rectangular", 8, 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
-        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        response = build_dd_response(channel_blocks(ch, cfg), w)
         np.testing.assert_allclose(out, circ_conv2d(response, x), atol=1e-10)
 
     def test_pure_doppler_support_at_integer_bin(self):
@@ -307,7 +308,7 @@ class TestDdResponse:
         q = 3
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
         w = make_window("rectangular", 8, 8)
-        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        response = build_dd_response(channel_blocks(ch, cfg), w)
         peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
         assert peak == (0, q)
 
@@ -318,7 +319,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=6, N=5, cp_len=2)
         ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
         w = SeparableWindow(rng.uniform(0.5, 1.5, size=6), make_window("time-tapered", 6, 5).wr)
-        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        response = build_dd_response(channel_blocks(ch, cfg), w)
         expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg), w)
         np.testing.assert_allclose(response, expected, atol=1e-12)
 
@@ -337,7 +338,7 @@ class TestLinearSystemEquivalences:
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
             h_bc = block_circulant_assemble(build_doppler_taps(ch, w.wr, cfg))
-            h_eff = np.kron(np.eye(4), w.wbar_c()) @ h_bc
+            h_eff = np.kron(np.eye(4), wbar_c(w)) @ h_bc
             resid = np.linalg.norm(vec(out) - h_eff @ vec(x)) / np.linalg.norm(vec(out))
             assert resid <= 1e-10
 
@@ -361,7 +362,7 @@ class TestLinearSystemEquivalences:
             ch = random_block_fading_channel(rng, cfg, length=4)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-            response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+            response = build_dd_response(channel_blocks(ch, cfg), w)
             err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
             assert err <= 1e-10
 
@@ -379,7 +380,7 @@ class TestLinearSystemEquivalences:
         w = make_window("rectangular", 8, 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-        response = build_dd_response(assemble_effective(ch, w, cfg).blocks)
+        response = build_dd_response(channel_blocks(ch, cfg), w)
         resid = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert resid > 1e-6
 

@@ -14,7 +14,11 @@ from oracles import (
     dense_zf,
     empirical_covariance,
     fft2_block_fading_solve,
+    identity_channel,
     kron_noise_covariance,
+    random_block_fading_channel,
+    symbol_covariance,
+    vec,
 )
 
 from otfsim.channel import (
@@ -22,10 +26,9 @@ from otfsim.channel import (
     ChannelTap,
     LtvChannel,
     apply_channel,
-    identity_channel,
-    random_block_fading_channel,
     random_ltv_channel,
 )
+from otfsim.cli import RunConfig, run_simulation
 from otfsim.detect import (
     EffectiveSystem,
     assemble_effective,
@@ -33,10 +36,17 @@ from otfsim.detect import (
     mmse_detect,
     zf_detect,
 )
-from otfsim.grids import ModemConfig, SeparableWindow, make_window, qam_demap, qam_map
+from otfsim.grids import (
+    WINDOW_KINDS,
+    ModemConfig,
+    SeparableWindow,
+    make_window,
+    qam_demap,
+    qam_map,
+)
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import demodulate_reference
-from otfsim.numerics import SingularMatrixError, vec
+from otfsim.numerics import SingularMatrixError
 
 
 def tapered_window(m, n, rho=0.5):
@@ -44,27 +54,43 @@ def tapered_window(m, n, rho=0.5):
 
 
 def row_idft_noise(outputs, cfg):
-    """Noise-only receiver outputs (B, MN) -> their row IDFTs, (B, N, M)."""
+    """Noise-only receiver outputs (B, MN) -> their row IDFTs, (B, M, N)."""
     grids = outputs.reshape(-1, cfg.N, cfg.M).transpose(0, 2, 1)
-    return np.fft.ifft(grids, axis=2, norm="ortho").transpose(0, 2, 1)
+    return np.fft.ifft(grids, axis=2, norm="ortho")
 
 
-def check_symbol_covariance(sys, outputs, atol):
-    """Per-symbol covariance matches the model; distinct symbols are uncorrelated."""
-    cfg = sys.cfg
-    cols = row_idft_noise(outputs, cfg).reshape(outputs.shape[0], -1)
-    emp = empirical_covariance(cols)
+def symbol_major(y):
+    """Grids (B, M, N) -> (B, MN), the columns of each grid one after another."""
+    return y.transpose(0, 2, 1).reshape(y.shape[0], -1)
+
+
+def check_symbol_covariance(y, covs, atol):
+    """The columns of the grids y (B, M, N) have covariances covs (N, M, M);
+    distinct columns are uncorrelated."""
+    m = y.shape[1]
+    emp = empirical_covariance(symbol_major(y))
     model = np.zeros_like(emp)
-    for n, cov in enumerate(sys.symbol_covariance()):
-        model[n * cfg.M : (n + 1) * cfg.M, n * cfg.M : (n + 1) * cfg.M] = cov
+    for n, cov in enumerate(covs):
+        model[n * m : (n + 1) * m, n * m : (n + 1) * m] = cov
     np.testing.assert_allclose(emp, model, atol=atol)
+
+
+def check_white_after_unwindowing(y, window, cfg, atol):
+    """With the window undone, as the detectors do, the noise is white."""
+    white = np.broadcast_to(cfg.noise_var * np.eye(cfg.M), (cfg.N, cfg.M, cfg.M))
+    check_symbol_covariance(window.apply(y, -1), white, atol=atol)
 
 
 class TestAssembleEffective:
     def test_rectangular_window_white_noise(self):
+        # the windowed model's covariance is white (up to the oracle's dense
+        # DFT rounding), and undoing the window leaves the grid bit for bit
         cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.7)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
-        np.testing.assert_array_equal(sys.symbol_covariance(), 0.7 * np.eye(4)[None].repeat(4, 0))
+        w = make_window("rectangular", 4, 4)
+        cov = symbol_covariance(w, cfg)
+        np.testing.assert_allclose(cov, 0.7 * np.eye(4)[None].repeat(4, 0), rtol=0, atol=1e-15)
+        y = np.random.default_rng(56).normal(size=(4, 4)) + 0j
+        np.testing.assert_array_equal(w.apply(y, -1), y)
 
     def test_identity_channel_identity_system(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
@@ -74,8 +100,7 @@ class TestAssembleEffective:
     def test_covariance_hermitian_psd_and_trace(self):
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=0.9)
         w = tapered_window(4, 8)
-        sys = assemble_effective(identity_channel(), w, cfg)
-        cov = sys.symbol_covariance()
+        cov = symbol_covariance(w, cfg)
         np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
         expected_trace = 0.9 * 4 * np.sum(np.abs(w.wr) ** 2)
@@ -87,10 +112,11 @@ class TestAssembleEffective:
         # correlation between symbols
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
         w = tapered_window(4, 8)
-        sys = assemble_effective(identity_channel(), w, cfg)
         rng = np.random.default_rng(60)
         _, outputs = batched_noise_receiver(cfg, w, 40_000, 1.0, rng)
-        check_symbol_covariance(sys, outputs, atol=0.05)
+        y = row_idft_noise(outputs, cfg)
+        check_symbol_covariance(y, symbol_covariance(w, cfg), atol=0.05)
+        check_white_after_unwindowing(y, w, cfg, atol=0.05)
 
     def test_covariance_matches_monte_carlo_shaped_freq_window(self):
         # the Qc factor only matters for a shaped frequency window, so
@@ -98,9 +124,10 @@ class TestAssembleEffective:
         cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=1.0)
         rng = np.random.default_rng(59)
         w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
-        sys = assemble_effective(identity_channel(), w, cfg)
         _, outputs = batched_noise_receiver(cfg, w, 60_000, 1.0, rng)
-        check_symbol_covariance(sys, outputs, atol=0.05)
+        y = row_idft_noise(outputs, cfg)
+        check_symbol_covariance(y, symbol_covariance(w, cfg), atol=0.05)
+        check_white_after_unwindowing(y, w, cfg, atol=0.05)
 
     def test_symbol_covariance_is_kronecker_model(self):
         # the per-symbol covariance is the dense Kronecker covariance seen
@@ -108,12 +135,11 @@ class TestAssembleEffective:
         cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=0.8)
         rng = np.random.default_rng(58)
         w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
-        sys = assemble_effective(identity_channel(), w, cfg)
         basis = np.eye(cfg.M * cfg.N)
-        t = np.stack([row_idft_noise(col[None], cfg).reshape(-1) for col in basis], axis=1)
+        t = np.stack([symbol_major(row_idft_noise(col[None], cfg))[0] for col in basis], axis=1)
         transformed = t @ kron_noise_covariance(w, cfg) @ t.conj().T
         model = np.zeros_like(transformed)
-        for n, cov in enumerate(sys.symbol_covariance()):
+        for n, cov in enumerate(symbol_covariance(w, cfg)):
             model[n * 4 : (n + 1) * 4, n * 4 : (n + 1) * 4] = cov
         np.testing.assert_allclose(transformed, model, atol=1e-12)
 
@@ -140,6 +166,18 @@ class TestAssembleEffective:
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0), ChannelTap(delay=6, gain=0.5)))
         with pytest.raises(ValueError, match=r"channel length 7 exceeds Mcp \+ 1 = 3"):
             assemble_effective(ch, make_window("rectangular", 16, 4), cfg)
+
+    @pytest.mark.parametrize("factor", ["wc", "wr"])
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_refuses_bad_window_coefficient(self, factor, value):
+        # the detectors divide by the window, so a zero or NaN coefficient
+        # is refused by name before any block is built
+        cfg = ModemConfig(M=4, N=6, cp_len=1)
+        coeffs = {"wc": np.ones(4), "wr": np.ones(6)}
+        coeffs[factor][2] = value
+        w = SeparableWindow(coeffs["wc"], coeffs["wr"])
+        with pytest.raises(ValueError, match=rf"window {factor}\[2\] is"):
+            assemble_effective(identity_channel(), w, cfg)
 
 
 class TestZfDetect:
@@ -181,9 +219,7 @@ class TestZfDetect:
     def test_singular_system_reported(self):
         cfg = ModemConfig(M=2, N=2, cp_len=0)
         w = make_window("rectangular", 2, 2)
-        sys = EffectiveSystem(
-            blocks=np.zeros((2, 2, 2), dtype=complex), qc=np.eye(2), window=w, cfg=cfg
-        )
+        sys = EffectiveSystem(blocks=np.zeros((2, 2, 2), dtype=complex), window=w, cfg=cfg)
         with pytest.raises(SingularMatrixError):
             zf_detect(np.zeros(4), sys)
         blocks = np.diag([1.0, 1e-14]).astype(complex)[None].repeat(2, 0)
@@ -223,13 +259,13 @@ class TestMmseDetect:
             assert mse_mmse <= mse_zf
 
     def test_rejects_bad_covariance(self):
-        # a noise shape that is not PSD makes G G^H + Cov indefinite, which
-        # the Cholesky factorization reports
-        cfg = ModemConfig(M=2, N=2, cp_len=0, noise_var=1.0)
+        # without noise a singular H_n leaves H_n H_n^H + noise_var I
+        # singular, which the Cholesky factorization reports
+        cfg = ModemConfig(M=2, N=2, cp_len=0, noise_var=0.0)
         w = make_window("rectangular", 2, 2)
-        sys = EffectiveSystem(
-            blocks=np.eye(2, dtype=complex)[None].repeat(2, 0), qc=-2 * np.eye(2), window=w, cfg=cfg
-        )
+        blocks = np.eye(2, dtype=complex)[None].repeat(2, 0)
+        blocks[1, 1, 1] = 0.0
+        sys = EffectiveSystem(blocks=blocks, window=w, cfg=cfg)
         with pytest.raises(SingularMatrixError, match="positive definite"):
             mmse_detect(np.zeros(4), sys)
 
@@ -399,6 +435,29 @@ class TestBatchMatchesFrames:
         for stage, batch in enumerate(pipeline(x)):
             expected = np.stack([frame[stage] for frame in frames])
             np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+
+class TestWindowIndependence:
+    """With linear detection an invertible receive window changes the
+    delay-Doppler response but not the detected bits."""
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    @pytest.mark.parametrize(
+        "geometry",
+        [dict(M=64, N=8, cp_len=16, qam_order=4), dict(M=32, N=16, cp_len=8, qam_order=16)],
+        ids=["64x8-qam4", "32x16-qam16"],
+    )
+    def test_ber_rows_equal_across_windows(self, geometry, detector):
+        snr_db = tuple(float(s) for s in range(0, 21, 2))
+        rows = [
+            run_simulation(
+                RunConfig(**geometry, window_kind=kind, detector=detector,
+                          snr_db=snr_db, trials=20, seed=3)
+            )
+            for kind in WINDOW_KINDS
+        ]
+        assert rows[0] == rows[1]
+        assert sum(row["bit_errors"] for row in rows[0]) > 0
 
 
 class TestBer:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import wbar_c
+
 from otfsim.grids import (
     ModemConfig,
     SeparableWindow,
@@ -222,5 +224,30 @@ class TestWindows:
 
     def test_wbar_c_identity_for_rect(self):
         w = make_window("rectangular", 8, 4)
-        np.testing.assert_allclose(w.wbar_c(), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(wbar_c(w), np.eye(8), atol=1e-12)
+
+
+class TestWindowApply:
+    """SeparableWindow.apply: Wbar_c y diag(wr) on row-IDFT grids, and its inverse."""
+
+    @pytest.mark.parametrize("shaped", [False, True], ids=["rect-freq", "shaped-freq"])
+    def test_matches_dense_window_and_inverts(self, shaped):
+        rng = np.random.default_rng(12)
+        m, n = 6, 5
+        wc = rng.uniform(0.5, 1.5, size=m) if shaped else np.ones(m)
+        w = SeparableWindow(wc, make_window("time-tapered", m, n, rho=0.5).wr)
+        y = rng.normal(size=(3, m, n)) + 1j * rng.normal(size=(3, m, n))
+        expected = wbar_c(w) @ y * w.wr
+        np.testing.assert_allclose(w.apply(y), expected, atol=1e-12)
+        np.testing.assert_allclose(w.apply(w.apply(y), -1), y, atol=1e-12)
+
+    def test_rect_freq_scales_columns_exactly(self):
+        w = make_window("time-tapered", 4, 8, rho=0.5)
+        y = np.arange(32, dtype=complex).reshape(4, 8) + 1j
+        np.testing.assert_array_equal(w.apply(y), y * w.wr)
+
+    def test_rejects_other_powers(self):
+        w = make_window("rectangular", 4, 4)
+        with pytest.raises(ValueError, match="power"):
+            w.apply(np.ones((4, 4)), 2)
 

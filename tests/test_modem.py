@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cp_matrices
+from oracles import cp_matrices, dft_matrix
 
 from otfsim.grids import WINDOW_KINDS, ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import demodulate_fast, modulate_fast
@@ -15,7 +15,7 @@ from otfsim.modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from otfsim.numerics import CmCounter, dft_matrix
+from otfsim.numerics import CmCounter
 
 
 def random_grid(rng, cfg):

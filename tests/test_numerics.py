@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import block_circulant_assemble
+from oracles import block_circulant_assemble, dft_matrix, vec
 
 from otfsim.numerics import (
     CmCounter,
     SingularMatrixError,
     circ_conv2d,
     dft,
-    dft_matrix,
     fft_cm_cost,
     inv_checked,
     unvec,
-    vec,
 )
 
 
