@@ -52,5 +52,6 @@ print(f"  reference demodulator: {ref_counter.total():6d} CMs")
 print(f"  fast demodulator:      {fast_counter.total():6d} CMs")
 
 # and the fast receiver undoes the fast transmitter exactly (no channel)
-loopback = demodulate_fast(modulate_fast(x, cfg), np.ones(cfg.N), cfg)
+rectangular = make_window("rectangular", cfg.M, cfg.N)
+loopback = demodulate_fast(modulate_fast(x, cfg), rectangular, cfg)
 print(f"\nback-to-back reconstruction error: {np.max(np.abs(loopback - x)):.3e}")

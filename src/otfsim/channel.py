@@ -17,6 +17,7 @@ from their first columns by one FFT across symbols.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,23 +216,53 @@ def load_channel(path) -> LtvChannel:
     return channel_from_spec(spec)
 
 
+#: keys of one tap in a channel spec and the type of their values; every
+#: one but "delay" defaults to 0
+_TAP_TYPES = {
+    "delay": numbers.Integral,
+    "gain_re": numbers.Real,
+    "gain_im": numbers.Real,
+    "doppler": numbers.Real,
+    "phase": numbers.Real,
+}
+
+
 def channel_from_spec(spec: dict) -> LtvChannel:
-    """Build an LtvChannel from the JSON tap-list structure."""
-    try:
-        taps = tuple(
+    """Build an LtvChannel from the JSON tap-list structure.
+
+    `spec` is ``{"taps": [...]}`` and each tap an object with an integer
+    ``delay`` and optional numbers ``gain_re``, ``gain_im``, ``doppler`` and
+    ``phase``. Any other key, in the spec or in a tap, and any value of the
+    wrong type is refused, naming the tap and key (``taps[0].delay``).
+    """
+    taps = spec.get("taps") if isinstance(spec, dict) else None
+    if not isinstance(taps, (list, tuple)) or not all(
+        isinstance(t, dict) and "delay" in t for t in taps
+    ):
+        raise ValueError(
+            "channel spec must be a mapping with a 'taps' list of objects with a 'delay'"
+        )
+    problems = [f"{key}: unknown key" for key in spec if key != "taps"]
+    for i, tap in enumerate(taps):
+        for key, value in tap.items():
+            if key not in _TAP_TYPES:
+                problems.append(f"taps[{i}].{key}: unknown key")
+            elif isinstance(value, bool) or not isinstance(value, _TAP_TYPES[key]):
+                need = "an integer" if key == "delay" else "a number"
+                problems.append(f"taps[{i}].{key}: must be {need}, got {value!r}")
+    if problems:
+        raise ValueError("channel spec " + "; ".join(problems))
+    return LtvChannel(
+        tuple(
             ChannelTap(
                 delay=int(t["delay"]),
-                gain=complex(float(t.get("gain_re", 0.0)), float(t.get("gain_im", 0.0))),
+                gain=complex(t.get("gain_re", 0.0), t.get("gain_im", 0.0)),
                 doppler=float(t.get("doppler", 0.0)),
                 phase=float(t.get("phase", 0.0)),
             )
-            for t in spec["taps"]
+            for t in taps
         )
-    except (TypeError, KeyError):
-        raise ValueError(
-            "channel spec must be a mapping with a 'taps' list of objects with a 'delay'"
-        ) from None
-    return LtvChannel(taps)
+    )
 
 
 def dump_dd_response(path, response: np.ndarray) -> None:

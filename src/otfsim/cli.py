@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .audit import audit_report, proposed_to_ofdm_ratio, write_report_csv
 from .channel import (
+    ChannelTap,
+    LtvChannel,
     apply_channel,
     add_awgn,
     build_dd_response,
@@ -65,10 +68,6 @@ DEFAULT_SNR_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 #: 1 MB per complex array, whatever the number of trials
 CHUNK_SAMPLES = 2**16
 
-#: two-tap desk-scale default: a line-of-sight tap and a delayed tap with
-#: one Doppler cycle per frame (doppler is filled in per frame length)
-DEFAULT_CHANNEL_TAPS = ((0, 1 / np.sqrt(2), 0.0), (3, 1 / np.sqrt(2), None))
-
 
 class ConfigError(ValueError):
     """Invalid run configuration; collects one message per offending field."""
@@ -95,10 +94,27 @@ class RunConfig:
     out_dir: str = "results"
 
     def validate(self) -> None:
-        problems = {}
-        for name, value in (("M", self.M), ("N", self.N)):
-            if not _is_int(value) or value < 2:
-                problems[name] = f"must be an integer >= 2, got {value!r}"
+        # one (error name, value, check, requirement) per setting, named as its flag
+        snr, rho, kind = self.snr_db, self.window_rho, self.window_kind
+        snr_ok = isinstance(snr, (list, tuple)) and len(snr) > 0 and all(
+            _is_real(v) and math.isfinite(_noise_var(v)) for v in snr
+        )
+        rules = (
+            ("M", self.M, _is_int(self.M) and self.M >= 2, "an integer >= 2"),
+            ("N", self.N, _is_int(self.N) and self.N >= 2, "an integer >= 2"),
+            ("qam", self.qam_order, self.qam_order in QAM_ORDERS, f"one of {QAM_ORDERS}"),
+            ("window", kind, kind in WINDOW_KINDS, f"one of {WINDOW_KINDS}"),
+            ("rho", rho, _is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
+            ("detector", self.detector, self.detector in DETECTORS, f"one of {DETECTORS}"),
+            ("snr", snr, snr_ok, "a non-empty list of dB values"),
+            ("trials", self.trials, _is_int(self.trials) and self.trials >= 1, "an integer >= 1"),
+            ("grids", self.grids, _is_int(self.grids) and self.grids >= 1, "an integer >= 1"),
+            ("seed", self.seed, _is_int(self.seed) and self.seed >= 0, "a non-negative integer"),
+            ("out", self.out_dir, isinstance(self.out_dir, str), "a directory path"),
+        )
+        problems = {
+            name: f"must be {need}, got {value!r}" for name, value, ok, need in rules if not ok
+        }
         if self.cp_len is None:
             if "M" not in problems:
                 self.cp_len = self.M // 4
@@ -106,50 +122,26 @@ class RunConfig:
             problems["Mcp"] = f"must be a non-negative integer, got {self.cp_len!r}"
         elif "M" not in problems and self.cp_len >= self.M:
             problems["Mcp"] = f"must satisfy Mcp < M, got {self.cp_len!r}"
-        if self.qam_order not in QAM_ORDERS:
-            problems["qam"] = f"must be one of {QAM_ORDERS}, got {self.qam_order!r}"
-        if self.window_kind not in WINDOW_KINDS:
-            problems["window"] = f"must be one of {WINDOW_KINDS}, got {self.window_kind!r}"
-        if not _is_real(self.window_rho) or not 0.0 <= self.window_rho <= 1.0:
-            problems["rho"] = f"must be a number in [0, 1], got {self.window_rho!r}"
-        if self.detector not in DETECTORS:
-            problems["detector"] = f"must be one of {DETECTORS}, got {self.detector!r}"
-        elif self.detector == "fast":
+        if self.detector == "fast":
             self.detector = "zf"
-        if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db or not all(
-            _is_real(v) and v == v for v in self.snr_db
-        ):
-            problems["snr"] = f"must be a non-empty list of dB values, got {self.snr_db!r}"
-        if not _is_int(self.trials) or self.trials < 1:
-            problems["trials"] = f"must be an integer >= 1, got {self.trials!r}"
-        if not _is_int(self.grids) or self.grids < 1:
-            problems["grids"] = f"must be an integer >= 1, got {self.grids!r}"
-        if not _is_int(self.seed) or self.seed < 0:
-            problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
-        if not isinstance(self.out_dir, str):
-            problems["out"] = f"must be a directory path, got {self.out_dir!r}"
         if isinstance(self.channel, str) and not Path(self.channel).exists():
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
             raise ConfigError(problems)
 
-    def modem_config(self, noise_var: float = 0.0) -> ModemConfig:
-        return ModemConfig(
-            M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order,
-            noise_var=noise_var,
-        )
+    def modem_config(self) -> ModemConfig:
+        return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
 
     def build_window(self) -> SeparableWindow:
         return make_window(self.window_kind, self.M, self.N, rho=self.window_rho)
 
     def build_channel(self):
         if self.channel is None:
+            # two-tap desk-scale default: a line-of-sight tap and a delayed tap
+            # with one Doppler cycle per frame
+            gain = complex(1 / np.sqrt(2))
             frame_len = (self.M + self.cp_len) * self.N
-            taps = [
-                {"delay": d, "gain_re": g, "doppler": (1.0 / frame_len if nu is None else nu)}
-                for d, g, nu in DEFAULT_CHANNEL_TAPS
-            ]
-            return channel_from_spec({"taps": taps})
+            return LtvChannel((ChannelTap(0, gain), ChannelTap(3, gain, doppler=1.0 / frame_len)))
         if isinstance(self.channel, str):
             return load_channel(self.channel)
         return channel_from_spec(self.channel)
@@ -160,8 +152,11 @@ def load_config(path: str | None, overrides: dict, env: dict | None = None) -> R
     env = os.environ if env is None else env
     cfg = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError({"config": f"must be a readable JSON file, got {path!r}: {exc}"})
         cfg = _apply_file(cfg, raw)
     if "OTFS_SEED" in env:
         try:
@@ -173,11 +168,13 @@ def load_config(path: str | None, overrides: dict, env: dict | None = None) -> R
     return cfg
 
 
-_FILE_KEYS = frozenset(
-    ("M", "N", "Mcp", "qam", "window", "detector", "snr_db", "trials", "grids",
-     "seed", "channel", "out")
-)
-_WINDOW_KEYS = frozenset(("kind", "rho"))
+#: config-file key -> RunConfig field; a "window" object's keys map through its table
+_FILE_FIELDS = {
+    "M": "M", "N": "N", "Mcp": "cp_len", "qam": "qam_order",
+    "window": {"kind": "window_kind", "rho": "window_rho"},
+    "detector": "detector", "snr_db": "snr_db", "trials": "trials", "grids": "grids",
+    "seed": "seed", "channel": "channel", "out": "out_dir",
+}
 
 
 def _is_int(value) -> bool:
@@ -188,36 +185,33 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _noise_var(snr_db: float) -> float:
+    """Noise variance of unit-energy symbols at `snr_db`; inf where it overflows."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _apply_file(cfg: RunConfig, raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError({"config": f"must be a JSON object, got {raw!r}"})
-    unknown = {key: "unknown configuration key" for key in set(raw) - _FILE_KEYS}
     window = raw.get("window", {})
     if isinstance(window, str):
         window = {"kind": window}
     elif not isinstance(window, dict):
         raise ConfigError({"window": f"must be a kind name or an object, got {window!r}"})
-    unknown.update(
-        {f"window.{key}": "unknown configuration key" for key in set(window) - _WINDOW_KEYS}
-    )
+    values, unknown = {}, {}
+    sections = (("", _FILE_FIELDS, raw), ("window.", _FILE_FIELDS["window"], window))
+    for prefix, table, section in sections:
+        for key, value in section.items():
+            if key not in table:
+                unknown[prefix + key] = "unknown configuration key"
+            elif isinstance(table[key], str) and value is not None:
+                values[table[key]] = value
     if unknown:
         raise ConfigError(unknown)
-    mapped = dict(
-        M=raw.get("M"),
-        N=raw.get("N"),
-        cp_len=raw.get("Mcp"),
-        qam_order=raw.get("qam"),
-        window_kind=window.get("kind"),
-        window_rho=window.get("rho"),
-        detector=raw.get("detector"),
-        snr_db=raw.get("snr_db"),
-        trials=raw.get("trials"),
-        grids=raw.get("grids"),
-        seed=raw.get("seed"),
-        channel=raw.get("channel"),
-        out_dir=raw.get("out"),
-    )
-    return replace(cfg, **{k: v for k, v in mapped.items() if v is not None})
+    return replace(cfg, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     chunk = max(1, CHUNK_SAMPLES // system.cfg.frame_len)
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
-        noise_var = 10.0 ** (-snr_db / 10.0)  # unit-energy symbols
+        noise_var = _noise_var(snr_db)
         if cfg.detector == "mmse":
             system = system.with_noise_var(noise_var)
         mcfg = system.cfg
@@ -314,22 +308,13 @@ def run_equivalence(cfg: RunConfig) -> dict:
     demod_dev = 0.0
     for _ in range(cfg.grids):
         x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
-        mod_dev = max(
-            mod_dev,
-            float(np.max(np.abs(modulate_fast(x, mcfg) - modulate_reference(x, mcfg)))),
-        )
+        dev = np.abs(modulate_fast(x, mcfg) - modulate_reference(x, mcfg)).max()
+        mod_dev = max(mod_dev, float(dev))
         frame = rng.normal(size=mcfg.frame_len) + 1j * rng.normal(size=mcfg.frame_len)
-        demod_dev = max(
-            demod_dev,
-            float(
-                np.max(
-                    np.abs(
-                        demodulate_fast(frame, window, mcfg)
-                        - demodulate_reference(frame, window, mcfg)
-                    )
-                )
-            ),
-        )
+        dev = np.abs(
+            demodulate_fast(frame, window, mcfg) - demodulate_reference(frame, window, mcfg)
+        ).max()
+        demod_dev = max(demod_dev, float(dev))
     return dict(
         grids=cfg.grids,
         modulator_max_dev=mod_dev,
@@ -373,18 +358,7 @@ def cmd_audit(m_list, n_list, out_dir: str, seed: int) -> int:
                 f"  (x{ratio:.3f} of OFDM)"
             )
     if mismatches:
-        _emit_failure(
-            "audit",
-            {
-                "mismatches": [
-                    dict(
-                        structure=r.structure, direction=r.direction, M=r.M, N=r.N,
-                        predicted=r.predicted, measured=r.measured,
-                    )
-                    for r in mismatches
-                ]
-            },
-        )
+        _emit_failure("audit", {"mismatches": [asdict(row) for row in mismatches]})
         return 1
     print("all predicted == measured")
     return 0
@@ -452,18 +426,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "M", "N", "cp_len", "qam_order", "window_kind", "window_rho", "detector",
-    "snr_db", "trials", "grids", "seed", "channel", "out_dir",
-)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "audit":
             return cmd_audit(args.Ms, args.Ns, args.out_dir, args.seed)
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+        # each flag's dest is the RunConfig field it sets
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = load_config(args.config, overrides)
         if args.command == "simulate":
             return cmd_simulate(cfg)
@@ -471,8 +440,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_failure("config", {"fields": exc.fields})
         return 2
-    except (ValueError, OSError) as exc:
-        _emit_failure(getattr(args, "command", "run"), {"error": str(exc)})
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        _emit_failure(getattr(args, "command", "run"), {"error": str(exc) or repr(exc)})
         return 2
 
 

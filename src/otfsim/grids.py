@@ -223,9 +223,9 @@ class SeparableWindow:
         """
         if power not in (1, -1):
             raise ValueError(f"power must be 1 or -1, got {power}")
-        w = np.outer(self.wc, self.wr) ** power
         if self.is_rect_freq:
-            return y * w
+            return y * self.wr ** power
+        w = np.outer(self.wc, self.wr) ** power
         return np.fft.ifft(np.fft.fft(y, axis=-2) * w, axis=-2)
 
 

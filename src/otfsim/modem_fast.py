@@ -31,24 +31,9 @@ def modulate_fast(
     return _add_cp(body, cfg.cp_len)
 
 
-def _resolve_time_window(window, n: int) -> np.ndarray:
-    if isinstance(window, SeparableWindow):
-        if not window.is_rect_freq:
-            raise ValueError(
-                "fast demodulator supports only rectangular frequency windows; "
-                "use demodulate_reference for a shaped frequency window"
-            )
-        wr = window.wr
-    else:
-        wr = np.asarray(window, dtype=np.complex128)
-    if wr.ndim != 1 or wr.size != n:
-        raise ValueError(f"time window must have length {n}")
-    return wr
-
-
 def demodulate_fast(
     frame: np.ndarray,
-    window,
+    window: SeparableWindow,
     cfg: ModemConfig,
     counter: CmCounter | None = None,
 ) -> np.ndarray:
@@ -56,13 +41,17 @@ def demodulate_fast(
 
     Per symbol: CP removal and scaling by the time-window coefficient, then
     N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs per
-    frame. `window` may be a SeparableWindow (frequency factor must be
-    all-ones) or a bare length-N time window. Frames (..., L) give grids
-    (..., M, N).
+    frame. `window`'s frequency factor must be all ones. Frames (..., L)
+    give grids (..., M, N).
     """
-    wr = _resolve_time_window(window, cfg.N)
+    window.check_dims(cfg.M, cfg.N)
+    if not window.is_rect_freq:
+        raise ValueError(
+            "fast demodulator supports only rectangular frequency windows; "
+            "use demodulate_reference for a shaped frequency window"
+        )
     symbols = _frame_to_symbols(frame, cfg)
-    scaled = symbols[..., cfg.cp_len :, :] * wr
+    scaled = window.apply(symbols[..., cfg.cp_len :, :])
     if counter is not None:
         counter.add("window", (scaled.size // (cfg.M * cfg.N)) * ((cfg.M * cfg.N) // 2))
     return dft(scaled, axis=-1, counter=counter, stage="demod_rows")

@@ -1,6 +1,7 @@
 """Tests for the LTV channel model and its delay-Doppler reconstruction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -410,6 +411,23 @@ class TestHelpers:
     @pytest.mark.parametrize("spec", [5, {"taps": 5}, {"taps": [5]}, {"taps": [{"gain_re": 1.0}]}])
     def test_channel_from_spec_rejects_malformed_taps(self, spec):
         with pytest.raises(ValueError, match="'taps' list"):
+            channel_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            ({"taps": [{"delay": 1.7}]}, "taps[0].delay"),
+            ({"taps": [{"delay": True}]}, "taps[0].delay"),
+            ({"taps": [{"delay": "3"}]}, "taps[0].delay"),
+            ({"taps": [{"delay": 0, "gain_re": "1"}]}, "taps[0].gain_re"),
+            ({"taps": [{"delay": 0}, {"delay": 2, "doppler": None}]}, "taps[1].doppler"),
+            ({"taps": [{"delay": 0, "gain": 1}]}, "taps[0].gain"),
+            ({"taps": [{"delay": 0, "gain_re": 1.0}], "rays": []}, "rays"),
+        ],
+    )
+    def test_channel_from_spec_names_bad_key(self, spec, where):
+        # a misspelt key would otherwise read as a silent zero, e.g. a zero-gain tap
+        with pytest.raises(ValueError, match=re.escape(f"channel spec {where}:")):
             channel_from_spec(spec)
 
     @pytest.mark.parametrize(

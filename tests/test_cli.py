@@ -1,10 +1,16 @@
 """Tests for the CLI harness: config handling, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +86,18 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path), {}, env={})
         assert set(err.value.fields) == {"trails", "window.rolloff"}
+
+    def test_readme_schema_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"Config file schema.*?```json\n(.*?)```", readme, re.S)
+        assert block, "README has no config file schema block"
+        path = tmp_path / "schema.json"
+        path.write_text(block.group(1))
+        cfg = load_config(str(path), {}, env={})
+        defaults = RunConfig()
+        defaults.validate()
+        assert replace(cfg, channel=None, snr_db=tuple(cfg.snr_db)) == defaults
+        cfg.build_channel()  # its example channel is a valid spec
 
 
 class TestSimulate:
@@ -308,6 +326,9 @@ class TestErrorPaths:
             ('{"snr_db": 5}', "snr"),
             ('{"trials": true}', "trials"),
             ('{"M": 1}', "M"),  # and no second entry for the defaulted Mcp
+            ('{"snr_db": [0, -4000]}', "snr"),  # noise variance 1e400 overflows
+            ("{", "config"),
+            ("", "config"),
         ],
     )
     def test_malformed_config_names_field(self, tmp_path, capsys, text, field):
@@ -317,6 +338,32 @@ class TestErrorPaths:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["status"] == "fail"
         assert set(record["fields"]) == {field}
+
+    def test_missing_config_file_names_config(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["status"], record["command"]) == ("fail", "config")
+        assert set(record["fields"]) == {"config"}
+
+    @pytest.mark.parametrize("snr", ["-4000", "-3083", "-inf", "0,-1e400", "nan"])
+    def test_snr_without_finite_noise_variance_refused(self, tmp_path, capsys, snr):
+        # +inf stays allowed: its noise variance is 0
+        argv = ["simulate", "--M", "8", "--N", "2", "--trials", "1", "--out", str(tmp_path)]
+        assert main([*argv, f"--snr={snr}"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["status"], record["command"]) == ("fail", "config")
+        assert set(record["fields"]) == {"snr"}
+
+    def test_allocation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # as at --M 200000 --N 2, whose (N, M, M) channel blocks cannot be allocated
+        def assemble_effective(*args):
+            raise MemoryError("Unable to allocate 1.19 TiB for an array")
+
+        monkeypatch.setattr(cli, "assemble_effective", assemble_effective)
+        assert main(["simulate", "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["status"], record["command"]) == ("fail", "simulate")
+        assert "allocate" in record["error"]
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -391,3 +438,182 @@ def test_import_defaults_openblas_to_one_thread(preset, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines and config files
+# ---------------------------------------------------------------------------
+
+#: JSON values of every type but int
+WILD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 4), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 4), max_size=1),
+)
+NUMBER = st.one_of(st.floats(), st.integers(), WILD)
+#: dB values around the noise variance 10**(-snr/10) overflowing a float,
+#: below about -3082.5 dB, and beyond
+SNR_POINTS = st.one_of(
+    st.floats(-10, 40), st.floats(-3100, -3000), st.floats(allow_nan=False), st.integers()
+)
+TAPS = st.fixed_dictionaries(
+    {"delay": st.integers(0, 3)},
+    optional={"gain_re": st.floats(-2, 2), "gain_im": st.floats(-2, 2),
+              "doppler": st.floats(-0.1, 0.1), "phase": st.floats(-7, 7)},
+)
+WILD_TAPS = st.fixed_dictionaries(
+    {"delay": st.one_of(st.integers(), WILD)},
+    optional={key: NUMBER for key in ("gain_re", "gain_im", "doppler", "phase", "gain")},
+)
+
+
+def small(low, high):
+    """Valid sizes, and wild ones that are refused before anything is allocated."""
+    return st.integers(low, high), st.one_of(st.integers(-2, low - 1), WILD)
+
+
+#: config key -> (plausible values, wild values); sizes stay small, so that no
+#: run allocates much, and out stays inside the sandbox. Plausible M and Mcp
+#: always hold a channel of delay 3, the largest plausible delay
+CONFIG_VALUES = {
+    "M": small(8, 12),
+    "N": small(2, 6),
+    "Mcp": small(3, 7),
+    "qam": (st.sampled_from(QAM_ORDERS), NUMBER),
+    "window": (
+        st.one_of(
+            st.sampled_from(WINDOW_KINDS),
+            st.fixed_dictionaries({"kind": st.sampled_from(WINDOW_KINDS), "rho": st.floats(0, 1)}),
+        ),
+        st.one_of(
+            WILD, st.fixed_dictionaries({}, optional={"kind": WILD, "rho": NUMBER, "x": WILD})
+        ),
+    ),
+    "detector": (st.sampled_from(cli.DETECTORS), WILD),
+    "snr_db": (st.lists(SNR_POINTS, min_size=1, max_size=3), st.one_of(st.lists(NUMBER), NUMBER)),
+    "trials": small(1, 3),
+    "grids": small(1, 3),
+    "seed": (st.integers(0), st.one_of(st.integers(max_value=-1), WILD)),
+    "channel": (
+        st.one_of(
+            st.none(), st.fixed_dictionaries({"taps": st.lists(TAPS, min_size=1, max_size=2)})
+        ),
+        st.one_of(
+            WILD,
+            st.fixed_dictionaries({"taps": st.lists(WILD_TAPS, max_size=2)}, optional={"x": WILD}),
+        ),
+    ),
+    "out": (st.just("out"), st.one_of(st.none(), st.integers(), st.lists(st.none()))),
+}
+
+
+def flag(values):
+    return values.map(str), st.text(alphabet="-x.e1,", max_size=2)
+
+
+#: flag -> (plausible text, wild text) for simulate and equivalence
+FLAG_VALUES = {
+    "--M": flag(st.integers(8, 12)),
+    "--N": flag(st.integers(2, 6)),
+    "--Mcp": flag(st.integers(3, 7)),
+    "--qam": (st.sampled_from(QAM_ORDERS).map(str), st.just("5")),
+    "--seed": flag(st.integers(0)),
+    "--window": (st.sampled_from(WINDOW_KINDS), st.just("hann")),
+    "--rho": (st.floats(0, 1).map(repr), st.floats().map(repr)),
+    "--snr": (
+        st.lists(SNR_POINTS.map(repr), min_size=1, max_size=3).map(",".join),
+        st.text(alphabet="-x.e1,", max_size=3),
+    ),
+    "--trials": flag(st.integers(1, 3)),
+    "--detector": (st.sampled_from(cli.DETECTORS), st.just("ml")),
+    "--channel": (st.just("chan.json"), st.sampled_from(["missing.json", "."])),
+    "--grids": flag(st.integers(1, 3)),
+}
+COMMON_FLAGS = ["--M", "--N", "--Mcp", "--qam", "--seed", "--window", "--rho"]
+OWN_FLAGS = {
+    "simulate": [*COMMON_FLAGS, "--snr", "--trials", "--detector", "--channel"],
+    "equivalence": [*COMMON_FLAGS, "--grids"],
+}
+AUDIT_SIZES = st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=2).map(
+    lambda sizes: ",".join(map(str, sizes))
+)
+AUDIT_VALUES = {
+    "--Ms": (AUDIT_SIZES, st.sampled_from(["", "0", "-4", "3", "1,x"])),
+    "--Ns": (AUDIT_SIZES, st.sampled_from(["", "0", "-4", "3", "1,x"])),
+    "--seed": flag(st.integers(0)),
+}
+
+
+#: true for one draw in six
+RARELY = st.sampled_from([False] * 5 + [True])
+
+
+def draw_wild(draw, keys):
+    """No key half the time, else one or two of `keys`."""
+    count = draw(st.sampled_from([0, 0, 1, 2]))
+    return set(draw(st.lists(st.sampled_from(list(keys)), min_size=count, max_size=count)))
+
+
+def draw_values(draw, table, keys, wild):
+    return {key: draw(table[key][key in wild]) for key in keys}
+
+
+@st.composite
+def invocations(draw):
+    """A command line, and the config file, channel file and OTFS_SEED it may
+    read. At most two settings take wild values, and few files or OTFS_SEED
+    values are unreadable, so that most inputs get past the first refusal."""
+    command = draw(st.sampled_from(["simulate", "simulate", "equivalence", "audit"]))
+    if command == "audit":
+        wild = draw_wild(draw, AUDIT_VALUES)
+        values = draw_values(draw, AUDIT_VALUES, list(AUDIT_VALUES), wild)
+        return [command, *(f"{k}={v}" for k, v in values.items())], {}, None
+    flags = draw(st.sets(st.sampled_from(OWN_FLAGS[command]), max_size=3))
+    if draw(RARELY):  # a flag of the other command, which argparse refuses
+        flags.add(draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(OWN_FLAGS[command])))))
+    wild = draw_wild(draw, [*FLAG_VALUES, *CONFIG_VALUES])
+    values = draw_values(draw, FLAG_VALUES, sorted(flags), wild)
+    config = draw_values(draw, CONFIG_VALUES, list(CONFIG_VALUES), wild)
+    if draw(RARELY):
+        config.setdefault(draw(st.text(max_size=3)), draw(WILD))
+    config_text = draw(st.sampled_from([json.dumps(config)] * 19 + ["", "{", "3"]))
+    config_path = draw(st.sampled_from(["run.json"] * 19 + ["missing.json"]))
+    files = {
+        "run.json": config_text,
+        "chan.json": json.dumps(draw(CONFIG_VALUES["channel"][draw(RARELY)])),
+    }
+    env_seed = draw(st.sampled_from([None] * 6 + ["7", " 5 ", "-3", "x"]))
+    argv = [command, f"--config={config_path}", *(f"{k}={v}" for k, v in values.items())]
+    return argv, files, env_seed
+
+
+def run_in_sandbox(argv, files, env_seed):
+    """Run `main` in a fresh working directory; return its exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, text in files.items():
+            Path(name).write_text(text)
+        with mock.patch.dict(os.environ):
+            os.environ.pop("OTFS_SEED", None)
+            if env_seed is not None:
+                os.environ["OTFS_SEED"] = env_seed
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse, on a bad command line
+                    code = exc.code
+    return code, err.getvalue()
+
+
+class TestCliBoundary:
+    @settings(max_examples=100, deadline=None)
+    @given(invocations())
+    def test_every_input_exits_with_a_record(self, invocation):
+        code, err = run_in_sandbox(*invocation)
+        assert code in (0, 1, 2)
+        if code != 0:
+            record = json.loads(err.strip().splitlines()[-1])
+            assert record["status"] == "fail"

@@ -238,18 +238,17 @@ class TestDemodulateFast:
         cfg = ModemConfig(M=16, N=8, cp_len=4)
         rng = np.random.default_rng(39)
         x = random_grid(rng, cfg)
-        out = demodulate_fast(modulate_fast(x, cfg), np.ones(8), cfg)
+        out = demodulate_fast(modulate_fast(x, cfg), make_window("rectangular", 16, 8), cfg)
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_cm_count_spot_values(self):
         cfg = ModemConfig(M=512, N=16, cp_len=0)
         counter = CmCounter()
-        demodulate_fast(np.zeros(512 * 16), np.ones(16), cfg, counter=counter)
+        window = make_window("rectangular", 512, 16)
+        demodulate_fast(np.zeros(512 * 16), window, cfg, counter=counter)
         assert counter.total() == 20480
         ref_counter = CmCounter()
-        demodulate_reference(
-            np.zeros(512 * 16), make_window("rectangular", 512, 16), cfg, counter=ref_counter
-        )
+        demodulate_reference(np.zeros(512 * 16), window, cfg, counter=ref_counter)
         assert ref_counter.total() == 94208
 
     def test_rejects_shaped_frequency_window(self):
