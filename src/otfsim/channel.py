@@ -64,10 +64,12 @@ class LtvChannel:
         """Tap gains h(kappa, ell) at absolute sample indices; shape (len(kappa), L)."""
         kappa = np.asarray(kappa, dtype=np.float64)
         h = np.zeros((kappa.size, self.length), dtype=np.complex128)
-        for tap in self.taps:
-            h[:, tap.delay] += tap.gain * np.exp(
-                1j * (2 * np.pi * tap.doppler * kappa + tap.phase)
-            )
+        # a phase that overflows gives NaN gains, which every caller refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tap in self.taps:
+                h[:, tap.delay] += tap.gain * np.exp(
+                    1j * (2 * np.pi * tap.doppler * kappa + tap.phase)
+                )
         return h
 
 
@@ -105,7 +107,8 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
 
     ``r(kappa) = sum_ell h(kappa, ell) * s(kappa - ell)`` with zero initial
     state (``s(kappa) = 0`` for kappa < 0) and no noise. Each frame starts at
-    kappa = 0; the gains h are computed once for all of them.
+    kappa = 0; the gains h are computed once for all of them, and only the
+    delays whose gains are not all zero are visited.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     if not np.isfinite(signal).all():
@@ -113,7 +116,7 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     size = signal.shape[-1]
     h = ch.coeffs(np.arange(size))
     out = np.zeros_like(signal)
-    for ell in range(min(h.shape[1], size)):
+    for ell in np.flatnonzero(h[:, :size].any(axis=0)):
         out[..., ell:] += h[ell:, ell] * signal[..., : size - ell]
     return out
 
@@ -165,7 +168,7 @@ def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:
     kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + rows
     h = ch.coeffs(kappa.ravel()).reshape(cfg.N, cfg.M, ch.length)
     blocks = np.zeros((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
-    for ell in range(ch.length):
+    for ell in np.flatnonzero(h.any(axis=(0, 1))):
         blocks[:, rows, (rows - ell) % cfg.M] = h[:, :, ell]
     return blocks
 

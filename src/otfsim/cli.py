@@ -279,9 +279,15 @@ def write_ber_csv(path, rows: list[dict]) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    window = cfg.build_window()
+    # a malformed, non-finite or too long channel is a bad setting: refused
+    # before anything is written
+    try:
+        system = assemble_effective(cfg.build_channel(), window, cfg.modem_config())
+    except (ValueError, OSError) as exc:
+        raise ConfigError({"channel": str(exc)}) from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
     rows = run_simulation(cfg, system)
     write_ber_csv(out_dir / "ber.csv", rows)
     dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks, system.window))
@@ -298,6 +304,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # equivalence
 # ---------------------------------------------------------------------------
 
+def draw_equivalence_inputs(rng: np.random.Generator, mcfg: ModemConfig):
+    """One random M x N grid and one random frame, from one draw.
+
+    Every real and imaginary part is uniform on [-sqrt(3), sqrt(3)], with
+    zero mean and unit variance (E|x|^2 = 2). Fast minus reference is
+    linear, so such a draw exposes any nonzero difference with probability
+    1, at a fraction of the cost of a Gaussian draw.
+    """
+    size = mcfg.M * mcfg.N
+    parts = rng.random(2 * (size + mcfg.frame_len))
+    parts *= 2 * math.sqrt(3)
+    parts -= math.sqrt(3)
+    values = parts.view(np.complex128)
+    return values[:size].reshape(mcfg.M, mcfg.N), values[size:]
+
+
 def run_equivalence(cfg: RunConfig) -> dict:
     """Max deviation between the fast and reference modems over random inputs."""
     cfg.validate()
@@ -307,14 +329,13 @@ def run_equivalence(cfg: RunConfig) -> dict:
     mod_dev = 0.0
     demod_dev = 0.0
     for _ in range(cfg.grids):
-        x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
-        dev = np.abs(modulate_fast(x, mcfg) - modulate_reference(x, mcfg)).max()
-        mod_dev = max(mod_dev, float(dev))
-        frame = rng.normal(size=mcfg.frame_len) + 1j * rng.normal(size=mcfg.frame_len)
-        dev = np.abs(
-            demodulate_fast(frame, window, mcfg) - demodulate_reference(frame, window, mcfg)
-        ).max()
-        demod_dev = max(demod_dev, float(dev))
+        x, frame = draw_equivalence_inputs(rng, mcfg)
+        dev = modulate_fast(x, mcfg)
+        dev -= modulate_reference(x, mcfg)
+        mod_dev = max(mod_dev, float(np.abs(dev).max()))
+        dev = demodulate_fast(frame, window, mcfg)
+        dev -= demodulate_reference(frame, window, mcfg)
+        demod_dev = max(demod_dev, float(np.abs(dev).max()))
     return dict(
         grids=cfg.grids,
         modulator_max_dev=mod_dev,

@@ -132,10 +132,11 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     half = bps // 2
     levels = 1 << half
     scale = qam_scale(order)
+    edge = (levels - 1) * scale  # outermost level: every symbol beyond it decides alike
     out = np.empty((symbols.size, bps), dtype=np.int64)
     for pos, axis in ((0, symbols.real), (half, symbols.imag)):
-        idx = np.rint(((levels - 1) - axis / scale) / 2).astype(np.int64)
-        idx = np.clip(idx, 0, levels - 1)
+        # clipped before the cast, so a huge finite symbol stays in range
+        idx = np.rint(((levels - 1) - np.clip(axis, -edge, edge) / scale) / 2).astype(np.int64)
         codes = _gray_encode(idx)
         for b in range(half):
             out[:, pos + b] = (codes >> (half - 1 - b)) & 1

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,7 @@ from otfsim.cli import (
     run_equivalence,
     run_simulation,
 )
-from otfsim.grids import QAM_ORDERS, WINDOW_KINDS
+from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -274,6 +275,34 @@ class TestEquivalence:
         path = write_config(tmp_path)
         assert main(["equivalence", "--config", str(path), "--grids", "5"]) == 0
 
+    @pytest.mark.parametrize("name", ["modulate_fast", "demodulate_fast"])
+    def test_one_deviating_sample_fails(self, tmp_path, capsys, monkeypatch, name):
+        fast = getattr(cli, name)
+
+        def deviating(*args):
+            out = fast(*args)
+            out.flat[0] += 1e-10
+            return out
+
+        monkeypatch.setattr(cli, name, deviating)
+        assert not run_equivalence(RunConfig(grids=2))["passed"]
+        path = write_config(tmp_path)
+        assert main(["equivalence", "--config", str(path), "--grids", "2"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["status"], record["command"], record["passed"]) == (
+            "fail", "equivalence", False
+        )
+
+    def test_inputs_have_zero_mean_unit_variance_parts(self):
+        mcfg = ModemConfig(M=1024, N=32, cp_len=256)
+        x, frame = cli.draw_equivalence_inputs(np.random.default_rng(0), mcfg)
+        assert x.shape == (1024, 32) and frame.shape == (mcfg.frame_len,)
+        values = np.concatenate([x.ravel(), frame])
+        for part in (values.real, values.imag):
+            assert abs(part.mean()) < 0.02
+            assert abs(part.var() - 1) < 0.02
+            assert np.abs(part).max() <= np.sqrt(3)
+
 
 class TestAudit:
     def test_default_rejects_non_power_of_two(self, tmp_path, capsys):
@@ -389,14 +418,38 @@ class TestErrorPaths:
         assert exc.value.code == 0
         assert "usage: otfs simulate" in capsys.readouterr().out
 
+    @staticmethod
+    def refused_channel(tmp_path, capsys, argv):
+        """The channel message of a run refused for its channel, which must
+        leave stderr one JSON line and create no output directory."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert (record["status"], record["command"]) == ("fail", "config")
+        assert set(record["fields"]) == {"channel"}
+        assert not (tmp_path / "results").exists()
+        return record["fields"]["channel"]
+
     def test_non_finite_channel_gain_refused(self, tmp_path, capsys):
         channel = tmp_path / "channel.json"
         channel.write_text('{"taps": [{"delay": 0, "gain_re": NaN}]}')
         path = write_config(tmp_path)
-        assert main(["simulate", "--config", str(path), "--channel", str(channel)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["status"] == "fail"
-        assert "finite" in record["error"]
+        argv = ["simulate", "--config", str(path), "--channel", str(channel)]
+        assert "finite" in self.refused_channel(tmp_path, capsys, argv)
+
+    def test_channel_doppler_overflow_refused(self, tmp_path, capsys):
+        # finite tap values whose phase 2*pi*doppler*kappa overflows
+        path = write_config(tmp_path, channel={"taps": [{"delay": 0, "doppler": 1e308}]})
+        argv = ["simulate", "--config", str(path)]
+        assert self.refused_channel(tmp_path, capsys, argv) == "channel has non-finite values"
+
+    def test_malformed_channel_spec_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, channel={"taps": [{"delay": 0, "gain": 1}]})
+        argv = ["simulate", "--config", str(path)]
+        assert "taps[0].gain: unknown key" in self.refused_channel(tmp_path, capsys, argv)
 
     def test_channel_longer_than_cp_refused(self, tmp_path, capsys):
         # its inter-symbol interference is simulated but not in the detector model
@@ -405,11 +458,8 @@ class TestErrorPaths:
             Mcp=2,
             channel={"taps": [{"delay": 0, "gain_re": 1.0}, {"delay": 6, "gain_re": 0.5}]},
         )
-        rc = main(["simulate", "--config", str(path)])
-        assert rc == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["status"] == "fail"
-        assert "channel" in record["error"]
+        argv = ["simulate", "--config", str(path)]
+        assert "exceeds Mcp + 1" in self.refused_channel(tmp_path, capsys, argv)
 
 
 def test_cli_import_loads_no_scipy():

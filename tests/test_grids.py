@@ -1,5 +1,7 @@
 """Tests for QAM mapping, the SFFT pair, and receive windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,20 @@ class TestQam:
             + 1j * rng.uniform(-1, 1, size=symbols.size)
         )
         np.testing.assert_array_equal(qam_demap(symbols + noise, order), bits)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_demap_huge_symbols_to_the_nearest_point(self, order):
+        # past the outermost level on the real axis, where imag 0 lies halfway
+        # between the two innermost levels, and past it on both axes
+        inner = np.sqrt(3.0 / (2 * (order - 1)))
+        edge = (np.sqrt(order) - 1) * inner
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = qam_demap(np.array([-1e300, 1e300, -1e10 - 1e10j]), order)
+        decided = qam_map(bits, order)
+        np.testing.assert_allclose(decided.real, [-edge, edge, -edge], rtol=1e-12)
+        np.testing.assert_allclose(np.abs(decided.imag[:2]), [inner, inner], rtol=1e-12)
+        np.testing.assert_allclose(decided.imag[2], -edge, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
     def test_demap_rejects_non_finite(self, bad):
