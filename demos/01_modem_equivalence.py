@@ -40,8 +40,8 @@ print(f"\ntransmitters: max |reference - fast| = {dev:.3e}")
 print(f"  reference modulator: {ref_counter.total():6d} CMs {ref_counter.breakdown()}")
 print(f"  fast modulator:      {fast_counter.total():6d} CMs {fast_counter.breakdown()}")
 
-# same story at the receiver (rectangular frequency window, tapered in time)
-window = make_window("time-tapered", cfg.M, cfg.N, rho=0.25)
+# same story at the receiver, whose window scales each OFDM symbol (here tapered in time)
+window = make_window("time-tapered", cfg.N, rho=0.25)
 ref_counter, fast_counter = CmCounter(), CmCounter()
 out_ref = demodulate_reference(frame_ref, window, cfg, counter=ref_counter)
 out_fast = demodulate_fast(frame_ref, window, cfg, counter=fast_counter)
@@ -52,6 +52,6 @@ print(f"  reference demodulator: {ref_counter.total():6d} CMs")
 print(f"  fast demodulator:      {fast_counter.total():6d} CMs")
 
 # and the fast receiver undoes the fast transmitter exactly (no channel)
-rectangular = make_window("rectangular", cfg.M, cfg.N)
+rectangular = make_window("rectangular", cfg.N)
 loopback = demodulate_fast(modulate_fast(x, cfg), rectangular, cfg)
 print(f"\nback-to-back reconstruction error: {np.max(np.abs(loopback - x)):.3e}")

@@ -28,7 +28,7 @@ from otfsim import (
 )
 
 cfg = ModemConfig(M=16, N=8, cp_len=4)
-window = make_window("rectangular", cfg.M, cfg.N)
+window = make_window("rectangular", cfg.N)
 rng = np.random.default_rng(7)
 
 # two paths: delay 0, and delay 3 with one Doppler cycle per frame

@@ -64,7 +64,7 @@ def measured_cm(structure: str, direction: str, m: int, n: int, seed: int = 0) -
     rng = np.random.default_rng(seed)
     grid = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
     frame = rng.normal(size=cfg.frame_len) + 1j * rng.normal(size=cfg.frame_len)
-    window = make_window("rectangular", m, n)
+    window = make_window("rectangular", n)
     counter = CmCounter()
     if structure == "reference":
         if direction == "mod":

@@ -129,8 +129,8 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     a sequence of them, one per frame in row-major order, and each frame's
     noise is drawn from its own generator alone.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance must be non-negative")
+    if not 0 <= noise_var < np.inf:
+        raise ValueError(f"noise variance must be finite and non-negative, got {noise_var}")
     signal = np.asarray(signal, dtype=np.complex128)
     if noise_var == 0:
         return signal.copy()
@@ -178,8 +178,8 @@ def build_dd_response(blocks: np.ndarray, window: SeparableWindow) -> np.ndarray
 
     `blocks` holds the per-symbol channel blocks ``H_n`` (shape (N, M, M),
     see ``channel_blocks``) and `window` the receive window. Column l is the
-    first column of the l-th windowed Doppler tap ``(1/N) sum_n Wbar_c wr[n]
-    H_n exp(-j*2*pi*l*n/N)``; only the first columns are windowed.
+    first column of the l-th windowed Doppler tap ``(1/N) sum_n wr[n] H_n
+    exp(-j*2*pi*l*n/N)``; only the first columns are windowed.
     """
     first = window.apply(blocks[:, :, 0].T)
     return np.fft.fft(first, axis=1) / blocks.shape[0]

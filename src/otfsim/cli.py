@@ -55,6 +55,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
+from .numerics import is_power_of_two
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -112,9 +113,7 @@ class RunConfig:
             ("seed", self.seed, _is_int(self.seed) and self.seed >= 0, "a non-negative integer"),
             ("out", self.out_dir, isinstance(self.out_dir, str), "a directory path"),
         )
-        problems = {
-            name: f"must be {need}, got {value!r}" for name, value, ok, need in rules if not ok
-        }
+        problems = _rule_problems(rules)
         if self.cp_len is None:
             if "M" not in problems:
                 self.cp_len = self.M // 4
@@ -133,7 +132,7 @@ class RunConfig:
         return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
 
     def build_window(self) -> SeparableWindow:
-        return make_window(self.window_kind, self.M, self.N, rho=self.window_rho)
+        return make_window(self.window_kind, self.N, rho=self.window_rho)
 
     def build_channel(self):
         if self.channel is None:
@@ -175,6 +174,11 @@ _FILE_FIELDS = {
     "detector": "detector", "snr_db": "snr_db", "trials": "trials", "grids": "grids",
     "seed": "seed", "channel": "channel", "out": "out_dir",
 }
+
+
+def _rule_problems(rules) -> dict[str, str]:
+    """One ``must be …, got …`` message per (name, value, ok, need) rule that fails."""
+    return {name: f"must be {need}, got {value!r}" for name, value, ok, need in rules if not ok}
 
 
 def _is_int(value) -> bool:
@@ -364,7 +368,20 @@ def cmd_equivalence(cfg: RunConfig) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
+def _audit_sizes_ok(sizes: list[int]) -> bool:
+    """The closed-form counts hold for power-of-two sizes, and a modem needs 2."""
+    return bool(sizes) and all(p >= 2 and is_power_of_two(p) for p in sizes)
+
+
 def cmd_audit(m_list, n_list, out_dir: str, seed: int) -> int:
+    sizes = "a non-empty list of powers of two >= 2"
+    problems = _rule_problems((
+        ("Ms", m_list, _audit_sizes_ok(m_list), sizes),
+        ("Ns", n_list, _audit_sizes_ok(n_list), sizes),
+        ("seed", seed, seed >= 0, "a non-negative integer"),
+    ))
+    if problems:
+        raise ConfigError(problems)
     rows = audit_report(m_list, n_list, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,19 +4,19 @@ The receiver output grid X~ relates to the transmitted grid X through N
 independent per-symbol systems. With ``S = X F_N^H`` and ``Y = X~ F_N^H``
 (unitary IDFTs across the rows), column n obeys
 
-    y_n = Wbar_c wr[n] (H_n s_n + v_n),    Cov(v_n) = noise_var I,
+    y_n = wr[n] (H_n s_n + v_n),    Cov(v_n) = noise_var I,
 
-with ``Wbar_c = F_M^H diag(wc) F_M`` and the v_n mutually uncorrelated. This
-holds for any channel whose length is at most cp_len + 1, not only in the
-block-fading regime; the H_n come from ``otfsim.channel.channel_blocks``,
-which refuses a longer channel. The detectors undo the receive window on Y
-(``SeparableWindow.apply`` with power -1), which leaves white noise, and
-then apply one M x M filter per symbol before a row DFT: ``H_n^{-1}``,
-computed once per channel, or ``H_n^H (H_n H_n^H + noise_var I)^{-1}``,
-computed once per noise level. Since ``F_N kron I_M`` is unitary and the
-symbols are white, both equal their MN x MN delay-Doppler counterparts for
-the windowed system exactly: an invertible receive window changes the
-delay-Doppler response but not what a linear detector decides.
+with the v_n mutually uncorrelated. This holds for any channel whose
+length is at most cp_len + 1, not only in the block-fading regime; the H_n
+come from ``otfsim.channel.channel_blocks``, which refuses a longer channel.
+The detectors undo the receive window on Y (``SeparableWindow.apply`` with
+power -1), which leaves white noise, and then apply one M x M filter per
+symbol before a row DFT: ``H_n^{-1}``, computed once per channel, or
+``H_n^H (H_n H_n^H + noise_var I)^{-1}``, computed once per noise level.
+Since ``F_N kron I_M`` is unitary and the symbols are white, both equal
+their MN x MN delay-Doppler counterparts for the windowed system exactly:
+an invertible receive window changes the delay-Doppler response but not
+what a linear detector decides.
 
 A batch of T received grids (..., M, N) is detected with one filter product
 per symbol that has T columns. Its rounding can differ from T one-column
@@ -63,14 +63,13 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
     channel with non-finite values, and a window with a zero or non-finite
     coefficient, which the detectors could not divide out.
     """
-    window.check_dims(cfg.M, cfg.N)
-    for name, factor in (("wc", window.wc), ("wr", window.wr)):
-        bad = np.flatnonzero(~np.isfinite(factor) | (factor == 0))
-        if bad.size:
-            raise ValueError(
-                f"window {name}[{bad[0]}] is {factor[bad[0]]}; the detectors divide by "
-                "the window, so every coefficient must be finite and nonzero"
-            )
+    window.check_dims(cfg.N)
+    bad = np.flatnonzero(~np.isfinite(window.wr) | (window.wr == 0))
+    if bad.size:
+        raise ValueError(
+            f"window wr[{bad[0]}] is {window.wr[bad[0]]}; the detectors divide by "
+            "the window, so every coefficient must be finite and nonzero"
+        )
     blocks = channel_blocks(ch, cfg)
     if not np.isfinite(blocks).all():
         raise ValueError("channel has non-finite values")

@@ -1,5 +1,5 @@
 """Signal-domain grids: modem configuration, QAM mapping, SFFT transforms,
-and separable receive windows.
+and receive windows.
 
 Grid conventions (all plain complex ndarrays):
 
@@ -54,8 +54,8 @@ class ModemConfig:
             raise ValueError(f"cp_len must satisfy 0 <= cp_len < M, got {self.cp_len}")
         if self.qam_order not in QAM_ORDERS:
             raise ValueError(f"qam_order must be one of {QAM_ORDERS}, got {self.qam_order}")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be non-negative")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and non-negative, got {self.noise_var}")
 
     @property
     def sym_len(self) -> int:
@@ -110,7 +110,11 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     """
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
+    not_bit = (bits != 0) & (bits != 1)
+    if not_bit.any():
+        raise ValueError(f"bits must be 0 or 1, got {bits[not_bit][0]}")
+    bits = bits.astype(np.int64, copy=False)
     bps = int(math.log2(order))
     if bits.ndim != 1 or bits.size % bps != 0:
         raise ValueError(f"bit count must be a multiple of {bps} for {order}-QAM")
@@ -167,14 +171,14 @@ def sfft_windowed(
 ) -> np.ndarray:
     """Windowed SFFT: time-frequency -> delay-Doppler.
 
-    Computes ``F_M^H @ (diag(wc) Z diag(wr)) @ F_N``. With the rectangular
-    window this inverts :func:`sfft_inv` exactly. The windowing stage is
-    charged MN/2 CMs regardless of window content (audit convention).
+    Computes ``F_M^H @ (Z diag(wr)) @ F_N``. With the rectangular window
+    this inverts :func:`sfft_inv` exactly. The windowing stage is charged
+    MN/2 CMs regardless of window content (audit convention).
     """
     z_tf = np.asarray(z_tf, dtype=np.complex128)
     m, n = z_tf.shape[-2:]
-    window.check_dims(m, n)
-    zw = window.wc[:, None] * z_tf * window.wr
+    window.check_dims(n)
+    zw = z_tf * window.wr
     if counter is not None:
         counter.add("window", (zw.size // (m * n)) * ((m * n) // 2))
     x = dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft")
@@ -187,63 +191,47 @@ def sfft_windowed(
 
 @dataclass(frozen=True, eq=False)
 class SeparableWindow:
-    """Separable receive window ``w[m, n] = wc[m] * wr[n]``.
+    """Receive window in time: OFDM symbol n is scaled by ``wr[n]``.
 
-    `wc` windows the frequency (column) direction, `wr` the time (row /
-    OFDM symbol) direction.
+    Every subcarrier of a symbol shares its coefficient, so the window is
+    ``w[m, n] = wr[n]`` on the time-frequency grid; a frequency taper would
+    smear the channel response along delay.
     """
 
-    wc: np.ndarray
     wr: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "wc", np.asarray(self.wc, dtype=np.complex128))
         object.__setattr__(self, "wr", np.asarray(self.wr, dtype=np.complex128))
-        if self.wc.ndim != 1 or self.wr.ndim != 1:
-            raise ValueError("window factors must be 1-D")
+        if self.wr.ndim != 1:
+            raise ValueError("window coefficients must be 1-D")
 
-    def check_dims(self, m: int, n: int) -> None:
-        if self.wc.size != m or self.wr.size != n:
-            raise ValueError(
-                f"window sized ({self.wc.size}, {self.wr.size}) does not match grid ({m}, {n})"
-            )
-
-    @property
-    def is_rect_freq(self) -> bool:
-        return bool(np.all(self.wc == 1.0))
+    def check_dims(self, n: int) -> None:
+        if self.wr.size != n:
+            raise ValueError(f"window of {self.wr.size} symbols does not match N = {n}")
 
     def apply(self, y: np.ndarray, power: int = 1) -> np.ndarray:
-        """Apply the window (`power` 1) or undo it (`power` -1) after the row IDFT.
+        """Apply the window (`power` 1) or undo it (`power` -1).
 
         `y` holds grids (..., M, N) whose column n belongs to OFDM symbol n,
-        as a demodulated grid is after its N-point row IDFT. There the window
-        acts as ``Wbar_c y diag(wr)``, with ``Wbar_c = F_M^H diag(wc) F_M``:
-        column n is scaled by ``wr[n]`` and, unless `wc` is all ones, filtered
-        by `wc` through an M-point FFT and IFFT.
+        in time or frequency alike: column n is scaled by ``wr[n] ** power``.
         """
         if power not in (1, -1):
             raise ValueError(f"power must be 1 or -1, got {power}")
-        if self.is_rect_freq:
-            return y * self.wr ** power
-        w = np.outer(self.wc, self.wr) ** power
-        return np.fft.ifft(np.fft.fft(y, axis=-2) * w, axis=-2)
+        return y * self.wr ** power
 
 
-def make_window(kind: str, m: int, n: int, rho: float = 0.25) -> SeparableWindow:
-    """Build a receive window: rectangular in frequency, optionally tapered in time.
+def make_window(kind: str, n: int, *, rho: float = 0.25) -> SeparableWindow:
+    """Build a receive window over N symbols: rectangular or time-tapered.
 
-    The frequency factor is always all-ones (a frequency taper would smear
-    the channel response along delay). The time factor is either rectangular
-    or a raised-cosine edge taper with roll-off ``rho``: the first and last
-    ``ceil(rho * N / 2)`` symbols ramp smoothly, the middle stays flat, and
-    the result is normalized so that ``sum(|wr|^2) / N == 1``.
+    The time-tapered window is a raised-cosine edge taper with roll-off
+    ``rho``: the first and last ``ceil(rho * N / 2)`` symbols ramp smoothly,
+    the middle stays flat, and the result is normalized so that
+    ``sum(|wr|^2) / N == 1``.
     """
     if kind not in WINDOW_KINDS:
         raise ValueError(f"window kind must be one of {WINDOW_KINDS}, got {kind!r}")
-    wc = np.ones(m)
     if kind == "rectangular":
-        return SeparableWindow(wc, np.ones(n), kind=kind)
+        return SeparableWindow(np.ones(n))
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"taper roll-off must be in [0, 1], got {rho}")
     wr = np.ones(n)
@@ -253,5 +241,4 @@ def make_window(kind: str, m: int, n: int, rho: float = 0.25) -> SeparableWindow
         wr[:taper_len] *= ramp
         wr[n - taper_len :] *= ramp[::-1]
         wr /= np.sqrt(np.mean(np.abs(wr) ** 2))
-    return SeparableWindow(wc, wr, kind=kind)
-
+    return SeparableWindow(wr)

@@ -2,9 +2,9 @@
 
 At the transmitter the M-point DFT inside the inverse SFFT cancels the OFDM
 modulator's M-point IDFT, leaving only N-point IDFTs across the rows of the
-data grid before CP insertion. At the receiver (with a rectangular frequency
-window) the mirror cancellation leaves per-symbol scaling by the time window
-plus N-point DFTs across the rows. Both produce bit-identical results to the
+data grid before CP insertion. At the receiver the mirror cancellation
+leaves per-symbol scaling by the time window plus N-point DFTs across the
+rows. Both produce bit-identical results to the
 reference cascade at a fraction of the complex multiplications.
 """
 
@@ -37,19 +37,13 @@ def demodulate_fast(
     cfg: ModemConfig,
     counter: CmCounter | None = None,
 ) -> np.ndarray:
-    """Low-complexity OTFS receiver for rectangular frequency windows.
+    """Low-complexity OTFS receiver.
 
     Per symbol: CP removal and scaling by the time-window coefficient, then
     N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs per
-    frame. `window`'s frequency factor must be all ones. Frames (..., L)
-    give grids (..., M, N).
+    frame. Frames (..., L) give grids (..., M, N).
     """
-    window.check_dims(cfg.M, cfg.N)
-    if not window.is_rect_freq:
-        raise ValueError(
-            "fast demodulator supports only rectangular frequency windows; "
-            "use demodulate_reference for a shaped frequency window"
-        )
+    window.check_dims(cfg.N)
     symbols = _frame_to_symbols(frame, cfg)
     scaled = window.apply(symbols[..., cfg.cp_len :, :])
     if counter is not None:

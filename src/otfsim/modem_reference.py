@@ -2,7 +2,7 @@
 
 Transmitter: inverse SFFT to time-frequency, per-symbol M-point IDFT,
 cyclic-prefix insertion, column-major serialization. Receiver: CP removal,
-per-symbol M-point DFT, separable windowing, forward SFFT. This is the
+per-symbol M-point DFT, time windowing, forward SFFT. This is the
 correctness oracle for the low-complexity modem and the cost baseline for
 the complexity audit.
 

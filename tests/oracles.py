@@ -37,12 +37,6 @@ def dft_matrix(p, inverse=False):
     return np.exp(sign * 2j * np.pi * grid / p) / np.sqrt(p)
 
 
-def wbar_c(window):
-    """Delay-domain image of the frequency window, F_M^H diag(wc) F_M."""
-    f = dft_matrix(window.wc.size)
-    return f.conj().T @ (window.wc[:, None] * f)
-
-
 def doppler_cycles_per_sample(speed_mps, carrier_hz, sample_rate_hz, light_speed=299792458.0):
     """Convert a physical mobile speed to normalized Doppler (cycles/sample)."""
     return (speed_mps / light_speed) * carrier_hz / sample_rate_hz
@@ -82,21 +76,20 @@ def batched_noise_receiver(cfg, window, n_frames, noise_var, rng):
     sym = noise.transpose(0, 2, 1)  # (B, sym_len, N), column-major frames
     body = sym[:, cfg.cp_len :, :]
     z = np.fft.fft(body, axis=1, norm="ortho")
-    zw = window.wc[None, :, None] * z * window.wr[None, None, :]
+    zw = z * window.wr[None, None, :]
     x = np.fft.fft(np.fft.ifft(zw, axis=1, norm="ortho"), axis=2, norm="ortho")
     return frames, x.transpose(0, 2, 1).reshape(n_frames, -1)
 
 
 def windowed_blocks(ch, window, cfg):
-    """The windowed per-symbol blocks ``G_n = Wbar_c wr[n] H_n``, shape (N, M, M)."""
-    return wbar_c(window) @ (channel_blocks(ch, cfg) * window.wr[:, None, None])
+    """The windowed per-symbol blocks ``G_n = wr[n] H_n``, shape (N, M, M)."""
+    return channel_blocks(ch, cfg) * window.wr[:, None, None]
 
 
 def symbol_covariance(window, cfg):
-    """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 Wbar_c Wbar_c^H``."""
-    wbar = wbar_c(window)
+    """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 I``."""
     gains = cfg.noise_var * np.abs(window.wr) ** 2
-    return gains[:, None, None] * (wbar @ wbar.conj().T)
+    return gains[:, None, None] * np.eye(cfg.M)
 
 
 def empirical_covariance(samples):
@@ -155,21 +148,19 @@ def block_circulant_assemble(blocks):
 
 
 def dense_effective(ch, window, cfg):
-    """The MN x MN effective matrix ``(I_N kron Wbar_c) H_BC``."""
-    h_bc = block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
-    return np.kron(np.eye(cfg.N), wbar_c(window)) @ h_bc
+    """The MN x MN effective matrix ``H_BC`` of the windowed Doppler taps."""
+    return block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
 
 
 def kron_noise_covariance(window, cfg):
-    """Exact covariance of vec(V~): sigma^2 * (C kron Qc).
+    """Exact covariance of vec(V~): sigma^2 * (C kron I_M).
 
     C is the N x N circulant whose first column is the DFT of |wr|^2 divided
-    by N; Qc = F_M^H diag(|wc|^2) F_M.
+    by N.
     """
     c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
     row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
-    wbar = wbar_c(window)
-    return cfg.noise_var * np.kron(row_cov, wbar @ wbar.conj().T)
+    return cfg.noise_var * np.kron(row_cov, np.eye(cfg.M))
 
 
 def dense_zf(h_eff, d, cfg):
@@ -183,20 +174,18 @@ def dense_mmse(h_eff, cov, d, cfg):
     return x.reshape(cfg.M, cfg.N, order="F")
 
 
-def dd_response_from_taps(taps, window):
-    """Column l is the first column of ``Wbar_c @ taps[l]``."""
-    return np.stack([(wbar_c(window) @ tap)[:, 0] for tap in taps], axis=1)
+def dd_response_from_taps(taps):
+    """Column l is the first column of ``taps[l]``."""
+    return np.stack([tap[:, 0] for tap in taps], axis=1)
 
 
 def fft2_block_fading_solve(d, ch, window, cfg):
     """Zero-forcing by 2-D FFT diagonalization, valid only for block fading.
 
-    In the block-fading regime with a rectangular frequency window the
-    system is a 2-D circular convolution with the delay-Doppler response,
-    so ``X = ifft2(fft2(D) / fft2(response))``. Refuses any other regime.
+    In the block-fading regime the system is a 2-D circular convolution
+    with the delay-Doppler response, so ``X = ifft2(fft2(D) / fft2(response))``.
+    Refuses any other regime.
     """
-    if not window.is_rect_freq:
-        raise ValueError("2-D FFT solve requires a rectangular frequency window")
     taps = build_doppler_taps(ch, window.wr, cfg)
     for k, tap in enumerate(taps):
         circulant = np.stack([np.roll(tap[:, 0], c) for c in range(cfg.M)], axis=1)

@@ -32,7 +32,7 @@ from otfsim.channel import (
 )
 from otfsim.cli import RunConfig, run_simulation
 from otfsim.detect import assemble_effective, bit_error_rate, zf_detect
-from otfsim.grids import ModemConfig, SeparableWindow, make_window, qam_demap, qam_map
+from otfsim.grids import ModemConfig, make_window, qam_demap, qam_map
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
 from otfsim.numerics import circ_conv2d
@@ -56,7 +56,7 @@ def test_criterion_1_structural_equivalence():
     worst_demod = 0.0
     for m in (8, 16, 32, 64):
         for n in (2, 4, 8, 16):
-            window = make_window("time-tapered", m, n, rho=0.5)
+            window = make_window("time-tapered", n, rho=0.5)
             for cp_len in (0, m // 8, m // 4):
                 cfg = ModemConfig(M=m, N=n, cp_len=cp_len)
                 rng = np.random.default_rng(1_000 * m + 10 * n + cp_len)
@@ -114,7 +114,7 @@ def test_criterion_3_circulant_regime_2d_convolution():
     for trial in range(20):
         ch = random_block_fading_channel(rng, cfg, length=4)
         for kind, rho in (("rectangular", 0.0), ("time-tapered", 0.5)):
-            window = make_window(kind, cfg.M, cfg.N, rho=rho)
+            window = make_window(kind, cfg.N, rho=rho)
             x, _ = random_qam_grid(rng, cfg)
             out = demodulate_reference(
                 apply_channel(modulate_fast(x, cfg), ch), window, cfg
@@ -133,18 +133,16 @@ def test_criterion_3_circulant_regime_2d_convolution():
 def test_criterion_4_linear_system_exactness():
     cfg = ModemConfig(M=16, N=8, cp_len=4)
     rng = np.random.default_rng(44)
+    window = make_window("time-tapered", cfg.N, rho=0.5)
     worst = 0.0
     for trial in range(20):
         ch = random_ltv_channel(rng, n_taps=3, max_delay=4, max_doppler=0.02)
-        wr = make_window("time-tapered", cfg.M, cfg.N, rho=0.5).wr
-        wc = rng.uniform(0.5, 1.5, size=cfg.M) if trial % 2 else np.ones(cfg.M)
-        window = SeparableWindow(wc, wr)
         x, _ = random_qam_grid(rng, cfg)
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
         h_eff = dense_effective(ch, window, cfg)
         err = np.linalg.norm(vec(out) - h_eff @ vec(x)) / np.linalg.norm(vec(out))
         # the per-symbol model: y_n = G_n s_n with S = X F_N^H, Y = out F_N^H,
-        # G_n = Wbar_c wr[n] H_n; with the window undone, y_n = H_n s_n
+        # G_n = wr[n] H_n; with the window undone, y_n = H_n s_n
         s = np.fft.ifft(x, axis=1, norm="ortho")
         y = np.fft.ifft(out, axis=1, norm="ortho")
         g = windowed_blocks(ch, window, cfg)
@@ -156,7 +154,7 @@ def test_criterion_4_linear_system_exactness():
     report(
         4,
         worst <= 1e-10,
-        f"20 genuinely-LTV channels, separable windows: pipeline vs effective "
+        f"20 genuinely-LTV channels, time-tapered window: pipeline vs effective "
         f"linear system (dense, per-symbol, and unwindowed), worst rel error {worst:.2e} (tol 1e-10)",
     )
 
@@ -169,7 +167,7 @@ def test_criterion_5_zero_forcing_recovery():
             ChannelTap(delay=3, gain=0.45 + 0.45j, doppler=-0.011, phase=1.9),
         )
     )
-    window = make_window("rectangular", cfg.M, cfg.N)
+    window = make_window("rectangular", cfg.N)
     system = assemble_effective(ch, window, cfg)
     rng = np.random.default_rng(55)
     symbols_needed = 10_000
@@ -194,7 +192,7 @@ def test_criterion_5_zero_forcing_recovery():
 def test_criterion_6_fast_solver_equivalence():
     cfg = ModemConfig(M=32, N=8, cp_len=8)
     rng = np.random.default_rng(66)
-    window = make_window("rectangular", cfg.M, cfg.N)
+    window = make_window("rectangular", cfg.N)
     worst = 0.0
     for _ in range(20):
         ch = random_block_fading_channel(rng, cfg, length=5)
@@ -244,7 +242,7 @@ def test_criterion_7_awgn_ber_sanity():
 
 def test_criterion_8_noise_covariance():
     cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
-    window = make_window("time-tapered", cfg.M, cfg.N, rho=0.5)
+    window = make_window("time-tapered", cfg.N, rho=0.5)
     rng = np.random.default_rng(88)
     _, outputs = batched_noise_receiver(cfg, window, 200_000, 1.0, rng)
     emp = empirical_covariance(outputs)

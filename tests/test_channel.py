@@ -17,7 +17,6 @@ from oracles import (
     identity_channel,
     random_block_fading_channel,
     vec,
-    wbar_c,
 )
 
 from otfsim.channel import (
@@ -33,7 +32,7 @@ from otfsim.channel import (
     load_channel,
     random_ltv_channel,
 )
-from otfsim.grids import ModemConfig, SeparableWindow, make_window
+from otfsim.grids import WINDOW_KINDS, ModemConfig, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
 from otfsim.numerics import circ_conv2d
@@ -143,6 +142,13 @@ class TestAwgn:
     def test_negative_variance(self):
         with pytest.raises(ValueError):
             add_awgn(np.zeros(4, dtype=complex), -1.0, seed=0)
+
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(4,), (2, 4)], ids=["frame", "batch"])
+    def test_non_finite_variance_named(self, noise_var, shape):
+        seed = 0 if len(shape) == 1 else [0, 1]
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {noise_var}"):
+            add_awgn(np.zeros(shape, dtype=complex), noise_var, seed)
 
     def test_batch_rows_use_their_own_seeds(self):
         # row k draws its real and then its imaginary parts from seed k alone
@@ -265,7 +271,7 @@ class TestDopplerTaps:
         rng = np.random.default_rng(46)
         cfg = ModemConfig(M=4, N=8, cp_len=2)
         ch = random_block_fading_channel(rng, cfg, length=3)
-        w = make_window("time-tapered", 4, 8, rho=0.5)
+        w = make_window("time-tapered", 8, rho=0.5)
         taps = build_doppler_taps(ch, w.wr, cfg)
         for n in range(cfg.N):
             resyn = sum(
@@ -277,7 +283,7 @@ class TestDopplerTaps:
 class TestDdResponse:
     def test_identity_channel_is_delta(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
-        w = make_window("rectangular", 4, 4)
+        w = make_window("rectangular", 4)
         response = build_dd_response(channel_blocks(identity_channel(), cfg), w)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -286,7 +292,7 @@ class TestDdResponse:
     def test_pure_delay_is_shifted_delta(self):
         cfg = ModemConfig(M=4, N=4, cp_len=2)
         ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
-        w = make_window("rectangular", 4, 4)
+        w = make_window("rectangular", 4)
         response = build_dd_response(channel_blocks(ch, cfg), w)
         expected = np.zeros((4, 4))
         expected[1, 0] = 1.0
@@ -296,7 +302,7 @@ class TestDdResponse:
         rng = np.random.default_rng(47)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
         ch = random_block_fading_channel(rng, cfg, length=3)
-        w = make_window("rectangular", 8, 4)
+        w = make_window("rectangular", 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
         response = build_dd_response(channel_blocks(ch, cfg), w)
@@ -308,7 +314,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=8, N=8, cp_len=2)
         q = 3
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
-        w = make_window("rectangular", 8, 8)
+        w = make_window("rectangular", 8)
         response = build_dd_response(channel_blocks(ch, cfg), w)
         peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
         assert peak == (0, q)
@@ -319,28 +325,54 @@ class TestDdResponse:
         rng = np.random.default_rng(54)
         cfg = ModemConfig(M=6, N=5, cp_len=2)
         ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
-        w = SeparableWindow(rng.uniform(0.5, 1.5, size=6), make_window("time-tapered", 6, 5).wr)
+        w = make_window("time-tapered", 5)
         response = build_dd_response(channel_blocks(ch, cfg), w)
-        expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg), w)
+        expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg))
         np.testing.assert_allclose(response, expected, atol=1e-12)
+
+
+@st.composite
+def linear_system_cases(draw):
+    """A geometry (non-powers of two included), a window of either kind, an
+    LTV channel no longer than Mcp + 1, and a random grid."""
+    m = draw(st.sampled_from([4, 6, 8, 12, 20]))
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = random_ltv_channel(
+        rng, n_taps=draw(st.integers(1, 4)), max_delay=cfg.cp_len, max_doppler=0.05
+    )
+    x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    return cfg, window, ch, x
 
 
 class TestLinearSystemEquivalences:
     """The two exact reconstructions of the receiver output."""
 
+    @settings(max_examples=60, deadline=None)
+    @given(linear_system_cases())
+    def test_per_symbol_identity(self, case):
+        # with S = X F_N^H and Y = out F_N^H, undoing the window leaves
+        # y_n = H_n s_n for every symbol, whatever the channel's Doppler
+        cfg, window, ch, x = case
+        out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
+        y = window.apply(np.fft.ifft(out, axis=1, norm="ortho"), -1)
+        s = np.fft.ifft(x, axis=1, norm="ortho")
+        expected = np.einsum("nij,jn->in", channel_blocks(ch, cfg), s)
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-10)
+
     def test_eq12_exact_for_ltv_channels(self):
-        # vec(pipeline) == (Wbar_c_block @ H_BC) vec(X), no circulant assumption
+        # vec(pipeline) == H_BC vec(X), no circulant assumption
         rng = np.random.default_rng(48)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
+        w = make_window("time-tapered", 4, rho=0.5)
         for trial in range(3):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=3, max_doppler=0.02)
-            wc = 1.0 + 0.3 * rng.normal(size=8)  # shaped frequency window
-            w = SeparableWindow(wc, make_window("time-tapered", 8, 4, rho=0.5).wr)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
             h_bc = block_circulant_assemble(build_doppler_taps(ch, w.wr, cfg))
-            h_eff = np.kron(np.eye(4), wbar_c(w)) @ h_bc
-            resid = np.linalg.norm(vec(out) - h_eff @ vec(x)) / np.linalg.norm(vec(out))
+            resid = np.linalg.norm(vec(out) - h_bc @ vec(x)) / np.linalg.norm(vec(out))
             assert resid <= 1e-10
 
     def test_eq12_exact_at_non_power_of_two_sizes(self):
@@ -348,7 +380,7 @@ class TestLinearSystemEquivalences:
         rng = np.random.default_rng(53)
         cfg = ModemConfig(M=6, N=5, cp_len=2)
         ch = random_ltv_channel(rng, n_taps=2, max_delay=2, max_doppler=0.03)
-        w = make_window("time-tapered", 6, 5, rho=0.5)
+        w = make_window("time-tapered", 5, rho=0.5)
         x = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
         h_bc = block_circulant_assemble(build_doppler_taps(ch, w.wr, cfg))
@@ -359,7 +391,7 @@ class TestLinearSystemEquivalences:
         rng = np.random.default_rng(49)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
         for kind, rho in [("rectangular", 0.0), ("time-tapered", 0.5)]:
-            w = make_window(kind, 8, 4, rho=rho)
+            w = make_window(kind, 4, rho=rho)
             ch = random_block_fading_channel(rng, cfg, length=4)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
@@ -378,7 +410,7 @@ class TestLinearSystemEquivalences:
                 ChannelTap(delay=2, gain=0.5, doppler=-0.03),
             )
         )
-        w = make_window("rectangular", 8, 4)
+        w = make_window("rectangular", 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
         response = build_dd_response(channel_blocks(ch, cfg), w)

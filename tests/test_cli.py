@@ -311,6 +311,26 @@ class TestAudit:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["status"] == "fail"
 
+    @pytest.mark.parametrize(
+        "args,field,got",
+        [
+            (["--Ms="], "Ms", "[]"),
+            (["--Ms", "3"], "Ms", "[3]"),
+            (["--Ms", "1"], "Ms", "[1]"),
+            (["--Ns", "1,4"], "Ns", "[1, 4]"),
+            (["--seed", "-1"], "seed", "-1"),
+        ],
+    )
+    def test_bad_setting_named_before_output(self, tmp_path, capsys, args, field, got):
+        out = tmp_path / "out"
+        assert main(["audit", *args, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["status"], record["command"]) == ("fail", "config")
+        assert set(record["fields"]) == {field}
+        message = record["fields"][field]
+        assert message.startswith("must be ") and message.endswith(f", got {got}")
+        assert not out.exists()
+
     def test_small_sweep_all_match(self, tmp_path):
         rc = main(["audit", "--Ms", "8,16", "--Ns", "2,4", "--out", str(tmp_path)])
         assert rc == 0

@@ -49,8 +49,8 @@ from otfsim.modem_reference import demodulate_reference
 from otfsim.numerics import SingularMatrixError
 
 
-def tapered_window(m, n, rho=0.5):
-    return make_window("time-tapered", m, n, rho=rho)
+def tapered_window(n, rho=0.5):
+    return make_window("time-tapered", n, rho=rho)
 
 
 def row_idft_noise(outputs, cfg):
@@ -83,10 +83,10 @@ def check_white_after_unwindowing(y, window, cfg, atol):
 
 class TestAssembleEffective:
     def test_rectangular_window_white_noise(self):
-        # the windowed model's covariance is white (up to the oracle's dense
-        # DFT rounding), and undoing the window leaves the grid bit for bit
+        # the windowed model's covariance is white, and undoing the window
+        # leaves the grid bit for bit
         cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.7)
-        w = make_window("rectangular", 4, 4)
+        w = make_window("rectangular", 4)
         cov = symbol_covariance(w, cfg)
         np.testing.assert_allclose(cov, 0.7 * np.eye(4)[None].repeat(4, 0), rtol=0, atol=1e-15)
         y = np.random.default_rng(56).normal(size=(4, 4)) + 0j
@@ -94,12 +94,12 @@ class TestAssembleEffective:
 
     def test_identity_channel_identity_system(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         np.testing.assert_allclose(sys.blocks, np.eye(4)[None].repeat(4, 0), atol=1e-13)
 
     def test_covariance_hermitian_psd_and_trace(self):
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=0.9)
-        w = tapered_window(4, 8)
+        w = tapered_window(8)
         cov = symbol_covariance(w, cfg)
         np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
@@ -111,20 +111,9 @@ class TestAssembleEffective:
         # output has per-symbol covariance noise_var |wr[n]|^2 I and no
         # correlation between symbols
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
-        w = tapered_window(4, 8)
+        w = tapered_window(8)
         rng = np.random.default_rng(60)
         _, outputs = batched_noise_receiver(cfg, w, 40_000, 1.0, rng)
-        y = row_idft_noise(outputs, cfg)
-        check_symbol_covariance(y, symbol_covariance(w, cfg), atol=0.05)
-        check_white_after_unwindowing(y, w, cfg, atol=0.05)
-
-    def test_covariance_matches_monte_carlo_shaped_freq_window(self):
-        # the Qc factor only matters for a shaped frequency window, so
-        # exercise it explicitly
-        cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=1.0)
-        rng = np.random.default_rng(59)
-        w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
-        _, outputs = batched_noise_receiver(cfg, w, 60_000, 1.0, rng)
         y = row_idft_noise(outputs, cfg)
         check_symbol_covariance(y, symbol_covariance(w, cfg), atol=0.05)
         check_white_after_unwindowing(y, w, cfg, atol=0.05)
@@ -133,8 +122,7 @@ class TestAssembleEffective:
         # the per-symbol covariance is the dense Kronecker covariance seen
         # through the unitary row IDFT
         cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=0.8)
-        rng = np.random.default_rng(58)
-        w = SeparableWindow(rng.uniform(0.4, 1.6, size=4), tapered_window(4, 6).wr)
+        w = tapered_window(6)
         basis = np.eye(cfg.M * cfg.N)
         t = np.stack([symbol_major(row_idft_noise(col[None], cfg))[0] for col in basis], axis=1)
         transformed = t @ kron_noise_covariance(w, cfg) @ t.conj().T
@@ -146,7 +134,7 @@ class TestAssembleEffective:
     def test_oracle_receiver_matches_pipeline(self):
         # ties the vectorized noise oracle to the real receive path
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
-        w = tapered_window(4, 8)
+        w = tapered_window(8)
         rng = np.random.default_rng(61)
         frames, outputs = batched_noise_receiver(cfg, w, 8, 1.0, rng)
         for b in range(8):
@@ -156,7 +144,7 @@ class TestAssembleEffective:
     def test_zf_identity_recovery_at_128x64(self):
         # MN = 8192: twice the size the dense detector used to refuse
         cfg = ModemConfig(M=128, N=64, cp_len=0)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 128, 64), cfg)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 64), cfg)
         rng = np.random.default_rng(57)
         d = rng.normal(size=(128, 64)) + 1j * rng.normal(size=(128, 64))
         np.testing.assert_allclose(zf_detect(d, sys), d, atol=1e-12)
@@ -165,25 +153,24 @@ class TestAssembleEffective:
         cfg = ModemConfig(M=16, N=4, cp_len=2)
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0), ChannelTap(delay=6, gain=0.5)))
         with pytest.raises(ValueError, match=r"channel length 7 exceeds Mcp \+ 1 = 3"):
-            assemble_effective(ch, make_window("rectangular", 16, 4), cfg)
+            assemble_effective(ch, make_window("rectangular", 4), cfg)
 
-    @pytest.mark.parametrize("factor", ["wc", "wr"])
     @pytest.mark.parametrize("value", [0.0, np.nan])
-    def test_refuses_bad_window_coefficient(self, factor, value):
+    def test_refuses_bad_window_coefficient(self, value):
         # the detectors divide by the window, so a zero or NaN coefficient
         # is refused by name before any block is built
         cfg = ModemConfig(M=4, N=6, cp_len=1)
-        coeffs = {"wc": np.ones(4), "wr": np.ones(6)}
-        coeffs[factor][2] = value
-        w = SeparableWindow(coeffs["wc"], coeffs["wr"])
-        with pytest.raises(ValueError, match=rf"window {factor}\[2\] is"):
+        wr = np.ones(6)
+        wr[2] = value
+        w = SeparableWindow(wr)
+        with pytest.raises(ValueError, match=r"window wr\[2\] is"):
             assemble_effective(identity_channel(), w, cfg)
 
 
 class TestZfDetect:
     def test_identity_system_passthrough(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         rng = np.random.default_rng(62)
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
         np.testing.assert_allclose(vec(zf_detect(d, sys)), d, atol=1e-12)
@@ -196,7 +183,7 @@ class TestZfDetect:
                 ChannelTap(delay=3, gain=0.5j, doppler=-0.008, phase=1.2),
             )
         )
-        w = make_window("rectangular", 16, 8)
+        w = make_window("rectangular", 8)
         rng = np.random.default_rng(63)
         bits = rng.integers(0, 2, size=cfg.bits_per_frame)
         x = qam_map(bits, 4).reshape(16, 8, order="F")
@@ -207,7 +194,7 @@ class TestZfDetect:
     def test_round_trip_random_system(self):
         rng = np.random.default_rng(64)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
-        w = tapered_window(8, 4)
+        w = tapered_window(4)
         for _ in range(5):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=3, max_doppler=0.02)
             sys = assemble_effective(ch, w, cfg)
@@ -218,7 +205,7 @@ class TestZfDetect:
 
     def test_singular_system_reported(self):
         cfg = ModemConfig(M=2, N=2, cp_len=0)
-        w = make_window("rectangular", 2, 2)
+        w = make_window("rectangular", 2)
         sys = EffectiveSystem(blocks=np.zeros((2, 2, 2), dtype=complex), window=w, cfg=cfg)
         with pytest.raises(SingularMatrixError):
             zf_detect(np.zeros(4), sys)
@@ -233,7 +220,7 @@ class TestMmseDetect:
         rng = np.random.default_rng(65)
         cfg = ModemConfig(M=8, N=4, cp_len=3, noise_var=1e-12)
         ch = random_ltv_channel(rng, n_taps=2, max_delay=2, max_doppler=0.01)
-        sys = assemble_effective(ch, make_window("rectangular", 8, 4), cfg)
+        sys = assemble_effective(ch, make_window("rectangular", 4), cfg)
         d = rng.normal(size=32) + 1j * rng.normal(size=32)
         diff = np.max(np.abs(mmse_detect(d, sys) - zf_detect(d, sys)))
         assert diff <= 1e-6
@@ -241,7 +228,7 @@ class TestMmseDetect:
     def test_mmse_beats_zf_in_noise(self):
         rng = np.random.default_rng(66)
         cfg = ModemConfig(M=4, N=8, cp_len=2, noise_var=0.5)
-        w = make_window("rectangular", 4, 8)
+        w = make_window("rectangular", 8)
         for _ in range(50):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.02)
             sys = assemble_effective(ch, w, cfg)
@@ -262,7 +249,7 @@ class TestMmseDetect:
         # without noise a singular H_n leaves H_n H_n^H + noise_var I
         # singular, which the Cholesky factorization reports
         cfg = ModemConfig(M=2, N=2, cp_len=0, noise_var=0.0)
-        w = make_window("rectangular", 2, 2)
+        w = make_window("rectangular", 2)
         blocks = np.eye(2, dtype=complex)[None].repeat(2, 0)
         blocks[1, 1, 1] = 0.0
         sys = EffectiveSystem(blocks=blocks, window=w, cfg=cfg)
@@ -274,7 +261,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
     def test_nan_received_grid_rejected(self, detect):
         cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
-        sys = assemble_effective(identity_channel(), make_window("rectangular", 4, 4), cfg)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         d = np.ones((4, 4), dtype=complex)
         d[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -287,7 +274,7 @@ class TestNonFiniteInput:
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         with pytest.raises(ValueError, match="non-finite"):
-            detect(np.ones((4, 4)), assemble_effective(ch, make_window("rectangular", 4, 4), cfg))
+            detect(np.ones((4, 4)), assemble_effective(ch, make_window("rectangular", 4), cfg))
 
 
 class TestFastBlockSolve:
@@ -296,7 +283,7 @@ class TestFastBlockSolve:
     def test_matches_dense_zf(self):
         rng = np.random.default_rng(67)
         cfg = ModemConfig(M=16, N=8, cp_len=4)
-        w = make_window("rectangular", 16, 8)
+        w = make_window("rectangular", 8)
         for _ in range(5):
             ch = random_block_fading_channel(rng, cfg, length=4)
             sys = assemble_effective(ch, w, cfg)
@@ -307,7 +294,7 @@ class TestFastBlockSolve:
 
     def test_identity_solve(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
-        w = make_window("rectangular", 4, 4)
+        w = make_window("rectangular", 4)
         rng = np.random.default_rng(68)
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
         np.testing.assert_allclose(
@@ -319,7 +306,7 @@ class TestFastBlockSolve:
         rng = np.random.default_rng(71)
         cfg = ModemConfig(M=8, N=4, cp_len=3)
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.03),))
-        w = make_window("rectangular", 8, 4)
+        w = make_window("rectangular", 4)
         d = rng.normal(size=32) + 1j * rng.normal(size=32)
         with pytest.raises(ValueError, match="not block fading"):
             fft2_block_fading_solve(d, ch, w, cfg)
@@ -329,25 +316,12 @@ class TestFastBlockSolve:
             atol=1e-10,
         )
 
-    def test_rejects_shaped_frequency_window(self):
-        rng = np.random.default_rng(72)
-        cfg = ModemConfig(M=4, N=4, cp_len=1)
-        w = SeparableWindow(np.linspace(0.5, 1.5, 4), np.ones(4))
-        d = rng.normal(size=16) + 1j * rng.normal(size=16)
-        with pytest.raises(ValueError, match="frequency window"):
-            fft2_block_fading_solve(d, identity_channel(), w, cfg)
-        np.testing.assert_allclose(
-            zf_detect(d, assemble_effective(identity_channel(), w, cfg)),
-            dense_zf(dense_effective(identity_channel(), w, cfg), d, cfg),
-            atol=1e-10,
-        )
-
     def test_works_without_dense_matrix(self):
         # the per-symbol system holds O(N M^2) numbers, never an MN x MN matrix
         rng = np.random.default_rng(69)
         cfg = ModemConfig(M=16, N=8, cp_len=4)
         ch = random_block_fading_channel(rng, cfg, length=3)
-        w = make_window("rectangular", 16, 8)
+        w = make_window("rectangular", 8)
         sys = assemble_effective(ch, w, cfg)
         d = rng.normal(size=128) + 1j * rng.normal(size=128)
         np.testing.assert_allclose(
@@ -370,13 +344,10 @@ def per_symbol_cases(draw):
     n = draw(st.integers(2, 6))
     cp_len = draw(st.integers(0, m - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    window_kind = draw(st.sampled_from(["rectangular", "time-tapered", "shaped"]))
-    if window_kind == "rectangular":
-        window = make_window("rectangular", m, n)
+    if draw(st.sampled_from(WINDOW_KINDS)) == "rectangular":
+        window = make_window("rectangular", n)
     else:
-        window = make_window("time-tapered", m, n, rho=draw(st.floats(0.1, 1.0)))
-        if window_kind == "shaped":
-            window = SeparableWindow(rng.uniform(0.5, 1.5, size=m), window.wr)
+        window = make_window("time-tapered", n, rho=draw(st.floats(0.1, 1.0)))
     length = draw(st.integers(1, cp_len + 1))
     spread = 0.4 / max(length - 1, 1)
     if draw(st.booleans()):
@@ -424,11 +395,10 @@ class TestBatchMatchesFrames:
         ch, window, cfg, _ = case
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(trials, cfg.M, cfg.N)) + 1j * rng.normal(size=(trials, cfg.M, cfg.N))
-        demodulate = demodulate_fast if window.is_rect_freq else demodulate_reference
         sys = assemble_effective(ch, window, cfg)
 
         def pipeline(grids):
-            received = demodulate(apply_channel(modulate_fast(grids, cfg), ch), window, cfg)
+            received = demodulate_fast(apply_channel(modulate_fast(grids, cfg), ch), window, cfg)
             return received, zf_detect(received, sys), mmse_detect(received, sys)
 
         frames = [pipeline(grid) for grid in x]

@@ -40,8 +40,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "demodulate",
         [
-            lambda frame, cfg: demodulate_fast(frame, make_window("rectangular", 4, 2), cfg),
-            lambda frame, cfg: demodulate_reference(frame, make_window("rectangular", 4, 2), cfg),
+            lambda frame, cfg: demodulate_fast(frame, make_window("rectangular", 2), cfg),
+            lambda frame, cfg: demodulate_reference(frame, make_window("rectangular", 2), cfg),
             demodulate_ofdm,
         ],
         ids=["fast", "reference", "ofdm"],
@@ -151,7 +151,7 @@ class TestDemodulateReference:
     @pytest.mark.parametrize("m,n", [(4, 2), (8, 4), (16, 8), (32, 2), (8, 16)])
     def test_perfect_reconstruction(self, m, n):
         rng = np.random.default_rng(34)
-        w = make_window("rectangular", m, n)
+        w = make_window("rectangular", n)
         for cp_len in (0, m // 4, m - 1):
             cfg = ModemConfig(M=m, N=n, cp_len=cp_len)
             x = random_grid(rng, cfg)
@@ -164,7 +164,7 @@ class TestDemodulateReference:
         cfg = ModemConfig(M=8, N=8, cp_len=2)
         rng = np.random.default_rng(35)
         x = random_grid(rng, cfg)
-        w = make_window("time-tapered", 8, 8, rho=0.5)
+        w = make_window("time-tapered", 8, rho=0.5)
         out = demodulate_reference(modulate_reference(x, cfg), w, cfg)
         kernel = np.fft.fft(w.wr) / cfg.N
         expected = np.zeros_like(x)
@@ -177,7 +177,7 @@ class TestDemodulateReference:
         cfg = ModemConfig(M=4, N=2, cp_len=1)
         rng = np.random.default_rng(36)
         frame = rng.normal(size=10) + 1j * rng.normal(size=10)
-        w = SeparableWindow(rng.normal(size=4), rng.normal(size=2))
+        w = SeparableWindow(rng.normal(size=2))
         z = demodulate_ofdm(frame, cfg)
         m, n = 4, 2
         expected = np.zeros((m, n), dtype=complex)
@@ -187,14 +187,14 @@ class TestDemodulateReference:
                     for nn in range(n):
                         basis = np.exp(-2j * np.pi * (mm * k / m - nn * l / n)) / np.sqrt(m * n)
                         expected[k, l] += (
-                            w.wc[mm] * w.wr[nn] * z[mm, nn] * np.conj(basis)
+                            w.wr[nn] * z[mm, nn] * np.conj(basis)
                         )
         np.testing.assert_allclose(demodulate_reference(frame, w, cfg), expected, atol=1e-12)
 
     def test_cm_count(self):
         cfg = ModemConfig(M=8, N=4, cp_len=2)
         counter = CmCounter()
-        demodulate_reference(np.zeros(40), make_window("rectangular", 8, 4), cfg, counter=counter)
+        demodulate_reference(np.zeros(40), make_window("rectangular", 4), cfg, counter=counter)
         m, n = 8, 4
         assert counter.total() == m * n * ilog2(m) + (m * n // 2) * (1 + ilog2(n))
 
@@ -229,7 +229,7 @@ class TestDemodulateFast:
         cfg = ModemConfig(M=8, N=4, cp_len=2)
         rng = np.random.default_rng(38)
         frame = rng.normal(size=cfg.frame_len) + 1j * rng.normal(size=cfg.frame_len)
-        w = make_window("time-tapered", 8, 4, rho=0.5)
+        w = make_window("time-tapered", 4, rho=0.5)
         fast = demodulate_fast(frame, w, cfg)
         ref = demodulate_reference(frame, w, cfg)
         assert np.max(np.abs(fast - ref)) <= 1e-12
@@ -238,24 +238,18 @@ class TestDemodulateFast:
         cfg = ModemConfig(M=16, N=8, cp_len=4)
         rng = np.random.default_rng(39)
         x = random_grid(rng, cfg)
-        out = demodulate_fast(modulate_fast(x, cfg), make_window("rectangular", 16, 8), cfg)
+        out = demodulate_fast(modulate_fast(x, cfg), make_window("rectangular", 8), cfg)
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_cm_count_spot_values(self):
         cfg = ModemConfig(M=512, N=16, cp_len=0)
         counter = CmCounter()
-        window = make_window("rectangular", 512, 16)
+        window = make_window("rectangular", 16)
         demodulate_fast(np.zeros(512 * 16), window, cfg, counter=counter)
         assert counter.total() == 20480
         ref_counter = CmCounter()
         demodulate_reference(np.zeros(512 * 16), window, cfg, counter=ref_counter)
         assert ref_counter.total() == 94208
-
-    def test_rejects_shaped_frequency_window(self):
-        cfg = ModemConfig(M=8, N=4, cp_len=2)
-        w = SeparableWindow(np.hanning(8), np.ones(4))
-        with pytest.raises(ValueError, match="rectangular frequency"):
-            demodulate_fast(np.zeros(40), w, cfg)
 
 
 @st.composite
@@ -265,7 +259,7 @@ def modem_cases(draw):
     m = draw(st.integers(2, 40))
     n = draw(st.integers(2, 12))
     cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
-    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), m, n, rho=draw(st.floats(0, 1)))
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0, 1)))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     return cfg, window, lead, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -296,7 +290,7 @@ class TestStructuralEquivalence:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_sweep(self, m, n):
         rng = np.random.default_rng(m * 100 + n)
-        w = make_window("time-tapered", m, n, rho=0.5)
+        w = make_window("time-tapered", n, rho=0.5)
         for cp_len in range(0, m // 4 + 1):
             cfg = ModemConfig(M=m, N=n, cp_len=cp_len)
             for _ in range(3):
@@ -314,7 +308,7 @@ class TestStructuralEquivalence:
         cfg = ModemConfig(M=6, N=3, cp_len=2)
         rng = np.random.default_rng(72)
         x = random_grid(rng, cfg)
-        w = make_window("rectangular", 6, 3)
+        w = make_window("rectangular", 3)
         np.testing.assert_allclose(
             demodulate_reference(modulate_reference(x, cfg), w, cfg), x, atol=1e-12
         )
@@ -327,7 +321,7 @@ class TestStructuralEquivalence:
         cfg = ModemConfig(M=2, N=2, cp_len=1)
         rng = np.random.default_rng(73)
         x = random_grid(rng, cfg)
-        w = make_window("rectangular", 2, 2)
+        w = make_window("rectangular", 2)
         np.testing.assert_allclose(
             demodulate_reference(modulate_reference(x, cfg), w, cfg), x, atol=1e-12
         )
