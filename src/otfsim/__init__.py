@@ -50,13 +50,7 @@ from .modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from .numerics import (
-    CmCounter,
-    SingularMatrixError,
-    circ_conv2d,
-    dft,
-    unvec,
-)
+from .numerics import CmCounter, SingularMatrixError, circ_conv2d, dft
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -181,6 +181,16 @@ def _rule_problems(rules) -> dict[str, str]:
     return {name: f"must be {need}, got {value!r}" for name, value, ok, need in rules if not ok}
 
 
+def _make_out_dir(path: str) -> Path:
+    """Create the output directory; a path that cannot be one is a bad `out` setting."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError({"out": f"must be a directory path, got {path!r} ({exc.strerror})"})
+    return out
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -226,18 +236,19 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     """BER sweep over the configured channel; one result row per SNR point.
 
     `system` is the effective system of `cfg`'s channel and window, built
-    here when not given; every SNR point shares its blocks, and ZF, whose
-    filter ignores the noise level, shares the system itself. The trials of
-    an SNR point go through the pipeline together, in chunks of at most
-    CHUNK_SAMPLES frame samples. Trial t draws its bits and then its noise
-    from its own generator, the t-th child of the point's seed, so the rows
-    do not depend on how the trials are chunked.
+    here when not given. Its channel is the one simulated, so the detector's
+    model and the simulated channel come from one build. Every SNR point
+    shares its blocks, and ZF, whose filter ignores the noise level, shares
+    the system itself. The trials of an SNR point go through the pipeline
+    together, in chunks of at most CHUNK_SAMPLES frame samples. Trial t
+    draws its bits and then its noise from its own generator, the t-th child
+    of the point's seed, so the rows do not depend on how the trials are
+    chunked.
     """
     cfg.validate()
-    channel = cfg.build_channel()
     if system is None:
-        system = assemble_effective(channel, cfg.build_window(), cfg.modem_config())
-    window = system.window
+        system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
+    channel, window = system.channel, system.window
     detect = mmse_detect if cfg.detector == "mmse" else zf_detect
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     chunk = max(1, CHUNK_SAMPLES // system.cfg.frame_len)
@@ -252,7 +263,11 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
             # each spawn continues the point's sequence of children
             seeds = point_seed.spawn(min(chunk, cfg.trials - start))
             rngs = [np.random.default_rng(seed) for seed in seeds]
-            bits = np.stack([rng.integers(0, 2, size=mcfg.bits_per_frame) for rng in rngs])
+            # an int32 draw continues each stream as the default int64 draw does
+            bits = np.array(
+                [rng.integers(0, 2, size=mcfg.bits_per_frame, dtype=np.int32) for rng in rngs],
+                dtype=np.uint8,
+            )
             x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
             x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
             received = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
@@ -290,8 +305,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         system = assemble_effective(cfg.build_channel(), window, cfg.modem_config())
     except (ValueError, OSError) as exc:
         raise ConfigError({"channel": str(exc)}) from exc
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.out_dir)
     rows = run_simulation(cfg, system)
     write_ber_csv(out_dir / "ber.csv", rows)
     dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks, system.window))
@@ -378,13 +392,12 @@ def cmd_audit(m_list, n_list, out_dir: str, seed: int) -> int:
     problems = _rule_problems((
         ("Ms", m_list, _audit_sizes_ok(m_list), sizes),
         ("Ns", n_list, _audit_sizes_ok(n_list), sizes),
-        ("seed", seed, seed >= 0, "a non-negative integer"),
+        ("seed", seed, _is_int(seed) and seed >= 0, "a non-negative integer"),
     ))
     if problems:
         raise ConfigError(problems)
+    out = _make_out_dir(out_dir)
     rows = audit_report(m_list, n_list, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_report_csv(out / "audit.csv", rows)
     mismatches = [row for row in rows if not row.match]
     print(f"wrote {out / 'audit.csv'} ({len(rows)} rows)")

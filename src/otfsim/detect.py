@@ -29,25 +29,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import channel_blocks
+from .channel import BlockFadingChannel, LtvChannel, channel_blocks
 from .grids import ModemConfig, SeparableWindow
-from .numerics import SingularMatrixError, inv_checked, unvec
+from .numerics import SingularMatrixError, inv_checked
 
 
 @dataclass(eq=False)
 class EffectiveSystem:
     """The per-symbol model of one channel/window/config combination.
 
-    `blocks` holds the N unwindowed channel blocks ``H_n`` (shape (N, M, M));
-    `window` is the receive window the detectors undo, and the noise level
-    is ``cfg.noise_var``. The detector filters are cached on first use; the
-    system is fixed per channel realization while many frames are detected
-    against it.
+    `blocks` holds the N unwindowed channel blocks ``H_n`` (shape (N, M, M))
+    of `channel`, the channel they were built from (None for blocks given
+    directly); `window` is the receive window the detectors undo, and the
+    noise level is ``cfg.noise_var``. The detector filters are cached on
+    first use; the system is fixed per channel realization while many frames
+    are detected against it.
     """
 
     blocks: np.ndarray
     window: SeparableWindow
     cfg: ModemConfig
+    channel: LtvChannel | BlockFadingChannel | None = None
     _zf_filter: np.ndarray | None = field(default=None, repr=False)
     _mmse_filter: np.ndarray | None = field(default=None, repr=False)
 
@@ -73,15 +75,13 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
     blocks = channel_blocks(ch, cfg)
     if not np.isfinite(blocks).all():
         raise ValueError("channel has non-finite values")
-    return EffectiveSystem(blocks=blocks, window=window, cfg=cfg)
+    return EffectiveSystem(blocks=blocks, window=window, cfg=cfg, channel=ch)
 
 
 def _received_grids(d_tilde, cfg: ModemConfig) -> np.ndarray:
-    """Received grids, shape (..., M, N), checked; a vec'd grid is unvec'd."""
+    """Received grids, shape (..., M, N), checked."""
     d = np.asarray(d_tilde, dtype=np.complex128)
-    if d.ndim == 1:
-        d = unvec(d, cfg.M, cfg.N)
-    elif d.shape[-2:] != (cfg.M, cfg.N):
+    if d.shape[-2:] != (cfg.M, cfg.N):
         raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("received grid has non-finite entries")

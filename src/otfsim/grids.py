@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -75,30 +76,23 @@ class ModemConfig:
 # QAM mapping
 # ---------------------------------------------------------------------------
 
-def _gray_encode(i: np.ndarray) -> np.ndarray:
-    return i ^ (i >> 1)
-
-
-def _gray_decode(g: np.ndarray, nbits: int) -> np.ndarray:
-    i = g.copy()
-    shift = 1
-    while shift < nbits:
-        i = i ^ (i >> shift)
-        shift *= 2
-    return i
-
-
 def qam_scale(order: int) -> float:
     """Per-axis amplitude scale giving unit average symbol energy."""
     return math.sqrt(3.0 / (2.0 * (order - 1)))
 
 
-def _axis_levels(bits: np.ndarray, nbits: int) -> np.ndarray:
-    """Map per-axis bit groups (MSB first) to Gray-coded PAM levels."""
-    weights = 1 << np.arange(nbits - 1, -1, -1)
-    codes = (bits * weights).sum(axis=-1)
-    idx = _gray_decode(codes, nbits)
-    return ((1 << nbits) - 1) - 2 * idx
+@cache
+def _pam_table(half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gray code of each level index of 2**half-PAM, and the level of each code.
+
+    Index i, at level ``2**half - 1 - 2i``, has code ``i ^ (i >> 1)``.
+    """
+    i = np.arange(1 << half)
+    codes = (i ^ (i >> 1)).astype(np.uint8)
+    levels = np.empty_like(i)
+    levels[codes] = i[-1] - 2 * i
+    codes.flags.writeable = levels.flags.writeable = False  # cached: shared by every call
+    return codes, levels
 
 
 def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
@@ -114,19 +108,20 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     not_bit = (bits != 0) & (bits != 1)
     if not_bit.any():
         raise ValueError(f"bits must be 0 or 1, got {bits[not_bit][0]}")
-    bits = bits.astype(np.int64, copy=False)
     bps = int(math.log2(order))
     if bits.ndim != 1 or bits.size % bps != 0:
         raise ValueError(f"bit count must be a multiple of {bps} for {order}-QAM")
-    groups = bits.reshape(-1, bps)
     half = bps // 2
-    re = _axis_levels(groups[:, :half], half)
-    im = _axis_levels(groups[:, half:], half)
-    return qam_scale(order) * (re + 1j * im)
+    groups = bits.astype(np.uint8, copy=False).reshape(-1, 2, half)  # (symbol, axis, bit)
+    codes = groups[..., 0].astype(np.intp)
+    for b in range(1, half):  # MSB first
+        codes = codes << 1 | groups[..., b]
+    levels = _pam_table(half)[1][codes]
+    return qam_scale(order) * (levels[:, 0] + 1j * levels[:, 1])
 
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest-neighbor hard decisions back to bits (inverse of qam_map)."""
+    """Nearest-neighbor hard decisions back to bits (inverse of qam_map), as uint8."""
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
@@ -137,11 +132,12 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     levels = 1 << half
     scale = qam_scale(order)
     edge = (levels - 1) * scale  # outermost level: every symbol beyond it decides alike
-    out = np.empty((symbols.size, bps), dtype=np.int64)
+    gray = _pam_table(half)[0]
+    out = np.empty((symbols.size, bps), dtype=np.uint8)
     for pos, axis in ((0, symbols.real), (half, symbols.imag)):
         # clipped before the cast, so a huge finite symbol stays in range
-        idx = np.rint(((levels - 1) - np.clip(axis, -edge, edge) / scale) / 2).astype(np.int64)
-        codes = _gray_encode(idx)
+        idx = np.rint(((levels - 1) - np.clip(axis, -edge, edge) / scale) / 2).astype(np.intp)
+        codes = gray[idx]
         for b in range(half):
             out[:, pos + b] = (codes >> (half - 1 - b)) & 1
     return out.reshape(-1)

@@ -110,14 +110,6 @@ def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Reshape a vector into a (rows, cols) matrix, filling it column by column."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size != rows * cols:
-        raise ValueError(f"cannot unvec length-{v.size} vector into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
-
-
 def inv_checked(a: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix in a stack, shape (..., P, P).
 

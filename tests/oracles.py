@@ -28,6 +28,14 @@ def vec(a):
     return a.reshape(-1, order="F")
 
 
+def unvec(v, rows, cols):
+    """Refill a (rows, cols) matrix column by column from a vector (inverse of vec)."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.size != rows * cols:
+        raise ValueError(f"cannot unvec length-{v.size} vector into {rows}x{cols}")
+    return v.reshape(rows, cols, order="F")
+
+
 def dft_matrix(p, inverse=False):
     """Unitary P-point DFT matrix, [F]_pq = exp(-j*2*pi*p*q/P)/sqrt(P)."""
     if p < 1:
@@ -51,6 +59,55 @@ def random_block_fading_channel(rng, cfg, length):
     gains = rng.normal(size=(cfg.N, length)) + 1j * rng.normal(size=(cfg.N, length))
     gains /= np.sqrt(2.0 * length)
     return BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
+
+
+# ---------------------------------------------------------------------------
+# Gray-coded QAM by bit arithmetic, the reference for the table-driven mapper
+# ---------------------------------------------------------------------------
+
+def _gray_encode(i):
+    return i ^ (i >> 1)
+
+
+def _gray_decode(g, nbits):
+    i = g.copy()
+    shift = 1
+    while shift < nbits:
+        i = i ^ (i >> shift)
+        shift *= 2
+    return i
+
+
+def _axis_levels(bits, nbits):
+    """Map per-axis bit groups (MSB first) to Gray-coded PAM levels."""
+    weights = 1 << np.arange(nbits - 1, -1, -1)
+    idx = _gray_decode((bits * weights).sum(axis=-1), nbits)
+    return ((1 << nbits) - 1) - 2 * idx
+
+
+def qam_map_reference(bits, order):
+    """Gray-coded square QAM: in-phase bits first, each axis decoded by arithmetic."""
+    half = int(math.log2(order)) // 2
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, 2 * half)
+    re = _axis_levels(groups[:, :half], half)
+    im = _axis_levels(groups[:, half:], half)
+    return math.sqrt(3.0 / (2.0 * (order - 1))) * (re + 1j * im)
+
+
+def qam_demap_reference(symbols, order):
+    """Nearest-level decision per axis, Gray-encoded bit by bit."""
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    half = int(math.log2(order)) // 2
+    levels = 1 << half
+    scale = math.sqrt(3.0 / (2.0 * (order - 1)))
+    edge = (levels - 1) * scale
+    out = np.empty((symbols.size, 2 * half), dtype=np.int64)
+    for pos, axis in ((0, symbols.real), (half, symbols.imag)):
+        idx = np.rint(((levels - 1) - np.clip(axis, -edge, edge) / scale) / 2).astype(np.int64)
+        codes = _gray_encode(idx)
+        for b in range(half):
+            out[:, pos + b] = (codes >> (half - 1 - b)) & 1
+    return out.reshape(-1)
 
 
 def cp_matrices(cfg):

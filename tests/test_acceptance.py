@@ -17,6 +17,7 @@ from oracles import (
     kron_noise_covariance,
     qfunc,
     random_block_fading_channel,
+    unvec,
     vec,
     windowed_blocks,
 )
@@ -197,7 +198,7 @@ def test_criterion_6_fast_solver_equivalence():
     for _ in range(20):
         ch = random_block_fading_channel(rng, cfg, length=5)
         system = assemble_effective(ch, window, cfg)
-        d = rng.normal(size=cfg.M * cfg.N) + 1j * rng.normal(size=cfg.M * cfg.N)
+        d = unvec(rng.normal(size=cfg.M * cfg.N) + 1j * rng.normal(size=cfg.M * cfg.N), cfg.M, cfg.N)
         dev = np.max(np.abs(fft2_block_fading_solve(d, ch, window, cfg) - zf_detect(d, system)))
         worst = max(worst, dev)
     report(

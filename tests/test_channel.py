@@ -331,20 +331,38 @@ class TestDdResponse:
         np.testing.assert_allclose(response, expected, atol=1e-12)
 
 
-@st.composite
-def linear_system_cases(draw):
-    """A geometry (non-powers of two included), a window of either kind, an
-    LTV channel no longer than Mcp + 1, and a random grid."""
+def draw_geometry(draw):
+    """A geometry (non-powers of two included), a window of either kind, and
+    a generator for the channel and grid."""
     m = draw(st.sampled_from([4, 6, 8, 12, 20]))
     n = draw(st.sampled_from([2, 3, 4, 5]))
     cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
     window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0, 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cfg, window, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def random_grid(rng, cfg):
+    return rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
+
+
+@st.composite
+def linear_system_cases(draw):
+    """A drawn geometry and window, an LTV channel no longer than Mcp + 1,
+    and a random grid."""
+    cfg, window, rng = draw_geometry(draw)
     ch = random_ltv_channel(
         rng, n_taps=draw(st.integers(1, 4)), max_delay=cfg.cp_len, max_doppler=0.05
     )
-    x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    return cfg, window, ch, x
+    return cfg, window, ch, random_grid(rng, cfg)
+
+
+@st.composite
+def block_fading_cases(draw):
+    """A drawn geometry and window, a block-fading channel of length 1 to
+    Mcp + 1, and a random grid."""
+    cfg, window, rng = draw_geometry(draw)
+    ch = random_block_fading_channel(rng, cfg, length=draw(st.integers(1, cfg.cp_len + 1)))
+    return cfg, window, ch, random_grid(rng, cfg)
 
 
 class TestLinearSystemEquivalences:
@@ -398,6 +416,17 @@ class TestLinearSystemEquivalences:
             response = build_dd_response(channel_blocks(ch, cfg), w)
             err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
             assert err <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_fading_cases())
+    def test_block_fading_is_2d_convolution(self, case):
+        # a channel constant within each symbol acts as a 2-D circular
+        # convolution with its delay-Doppler response, at any drawn size
+        cfg, window, ch, x = case
+        out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
+        response = build_dd_response(channel_blocks(ch, cfg), window)
+        err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
+        assert err <= 1e-10
 
     def test_noncirculant_regime_has_residual(self):
         # within-symbol Doppler breaks the circulant assumption; the 2D

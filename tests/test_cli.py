@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import qfunc
@@ -209,6 +209,21 @@ class TestSimulate:
         path = write_config(tmp_path, channel=str(channel_path), snr_db=[200.0])
         assert main(["simulate", "--config", str(path)]) == 0
 
+    def test_channel_file_read_once(self, tmp_path, monkeypatch):
+        # the detector's model and the simulated channel come from one read
+        channel_path = tmp_path / "chan.json"
+        channel_path.write_text(json.dumps({"taps": [{"delay": 0, "gain_re": 1.0}]}))
+        reads = []
+
+        def load_channel(path):
+            reads.append(path)
+            return cli.channel_from_spec(json.loads(Path(path).read_text()))
+
+        monkeypatch.setattr(cli, "load_channel", load_channel)
+        path = write_config(tmp_path, channel=str(channel_path), snr_db=[200.0])
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert reads == [str(channel_path)]
+
 
 @st.composite
 def chunked_runs(draw):
@@ -319,6 +334,7 @@ class TestAudit:
             (["--Ms", "1"], "Ms", "[1]"),
             (["--Ns", "1,4"], "Ns", "[1, 4]"),
             (["--seed", "-1"], "seed", "-1"),
+            (["--seed=--"], "seed", "[]"),  # argparse reads "--" as no values
         ],
     )
     def test_bad_setting_named_before_output(self, tmp_path, capsys, args, field, got):
@@ -480,6 +496,23 @@ class TestErrorPaths:
         )
         argv = ["simulate", "--config", str(path)]
         assert "exceeds Mcp + 1" in self.refused_channel(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--M", "16", "--N", "2", "--trials", "1"], ["audit", "--Ms", "2", "--Ns", "2"]],
+    ids=["simulate", "audit"],
+)
+def test_out_that_is_a_file_named(tmp_path, capsys, argv):
+    # an existing regular file cannot be the output directory; it is left as it was
+    out = tmp_path / "F"
+    out.write_text("kept")
+    assert main([*argv, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert (record["status"], record["command"]) == ("fail", "config")
+    assert set(record["fields"]) == {"out"}
+    assert record["fields"]["out"].startswith(f"must be a directory path, got {str(out)!r}")
+    assert out.read_text() == "kept"
 
 
 def test_cli_import_loads_no_scipy():
@@ -681,6 +714,7 @@ def run_in_sandbox(argv, files, env_seed):
 class TestCliBoundary:
     @settings(max_examples=100, deadline=None)
     @given(invocations())
+    @example((["audit", "--Ms=2", "--Ns=2", "--seed=--"], {}, None))
     def test_every_input_exits_with_a_record(self, invocation):
         code, err = run_in_sandbox(*invocation)
         assert code in (0, 1, 2)

@@ -18,6 +18,7 @@ from oracles import (
     kron_noise_covariance,
     random_block_fading_channel,
     symbol_covariance,
+    unvec,
     vec,
 )
 
@@ -173,7 +174,7 @@ class TestZfDetect:
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         rng = np.random.default_rng(62)
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
-        np.testing.assert_allclose(vec(zf_detect(d, sys)), d, atol=1e-12)
+        np.testing.assert_allclose(vec(zf_detect(unvec(d, 4, 4), sys)), d, atol=1e-12)
 
     def test_noise_free_recovery_over_ltv_channel(self):
         cfg = ModemConfig(M=16, N=8, cp_len=4, qam_order=4)
@@ -200,7 +201,7 @@ class TestZfDetect:
             sys = assemble_effective(ch, w, cfg)
             d = rng.normal(size=32) + 1j * rng.normal(size=32)
             np.testing.assert_allclose(
-                vec(zf_detect(dense_effective(ch, w, cfg) @ d, sys)), d, atol=1e-8
+                vec(zf_detect(unvec(dense_effective(ch, w, cfg) @ d, 8, 4), sys)), d, atol=1e-8
             )
 
     def test_singular_system_reported(self):
@@ -208,11 +209,11 @@ class TestZfDetect:
         w = make_window("rectangular", 2)
         sys = EffectiveSystem(blocks=np.zeros((2, 2, 2), dtype=complex), window=w, cfg=cfg)
         with pytest.raises(SingularMatrixError):
-            zf_detect(np.zeros(4), sys)
+            zf_detect(np.zeros((2, 2)), sys)
         blocks = np.diag([1.0, 1e-14]).astype(complex)[None].repeat(2, 0)
         near_singular = replace(sys, blocks=blocks)
         with pytest.raises(SingularMatrixError, match="matrix 0 of 2"):
-            zf_detect(np.zeros(4), near_singular)
+            zf_detect(np.zeros((2, 2)), near_singular)
 
 
 class TestMmseDetect:
@@ -221,7 +222,7 @@ class TestMmseDetect:
         cfg = ModemConfig(M=8, N=4, cp_len=3, noise_var=1e-12)
         ch = random_ltv_channel(rng, n_taps=2, max_delay=2, max_doppler=0.01)
         sys = assemble_effective(ch, make_window("rectangular", 4), cfg)
-        d = rng.normal(size=32) + 1j * rng.normal(size=32)
+        d = unvec(rng.normal(size=32) + 1j * rng.normal(size=32), 8, 4)
         diff = np.max(np.abs(mmse_detect(d, sys) - zf_detect(d, sys)))
         assert diff <= 1e-6
 
@@ -240,7 +241,7 @@ class TestMmseDetect:
                 noise = np.sqrt(0.25) * (
                     rng.normal(size=32) + 1j * rng.normal(size=32)
                 )
-                d_tilde = h_dense @ d + noise
+                d_tilde = unvec(h_dense @ d + noise, 4, 8)
                 mse_mmse += np.mean(np.abs(vec(mmse_detect(d_tilde, sys)) - d) ** 2)
                 mse_zf += np.mean(np.abs(vec(zf_detect(d_tilde, sys)) - d) ** 2)
             assert mse_mmse <= mse_zf
@@ -254,7 +255,7 @@ class TestMmseDetect:
         blocks[1, 1, 1] = 0.0
         sys = EffectiveSystem(blocks=blocks, window=w, cfg=cfg)
         with pytest.raises(SingularMatrixError, match="positive definite"):
-            mmse_detect(np.zeros(4), sys)
+            mmse_detect(np.zeros((2, 2)), sys)
 
 
 class TestNonFiniteInput:
@@ -277,6 +278,16 @@ class TestNonFiniteInput:
             detect(np.ones((4, 4)), assemble_effective(ch, make_window("rectangular", 4), cfg))
 
 
+class TestGridShape:
+    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    def test_vector_input_refused(self, detect):
+        # the detectors take (..., M, N) grids only; a column-stacked grid is refused
+        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        with pytest.raises(ValueError, match=r"grid must be 4 x 4, got \(16,\)"):
+            detect(np.ones(16), sys)
+
+
 class TestFastBlockSolve:
     """The 2-D FFT block-fading solve, kept as a test oracle, against per-symbol ZF."""
 
@@ -290,7 +301,7 @@ class TestFastBlockSolve:
             d = rng.normal(size=128) + 1j * rng.normal(size=128)
             expected = dense_zf(dense_effective(ch, w, cfg), d, cfg)
             np.testing.assert_allclose(fft2_block_fading_solve(d, ch, w, cfg), expected, atol=1e-9)
-            np.testing.assert_allclose(zf_detect(d, sys), expected, atol=1e-9)
+            np.testing.assert_allclose(zf_detect(unvec(d, 16, 8), sys), expected, atol=1e-9)
 
     def test_identity_solve(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
@@ -311,7 +322,7 @@ class TestFastBlockSolve:
         with pytest.raises(ValueError, match="not block fading"):
             fft2_block_fading_solve(d, ch, w, cfg)
         np.testing.assert_allclose(
-            zf_detect(d, assemble_effective(ch, w, cfg)),
+            zf_detect(unvec(d, 8, 4), assemble_effective(ch, w, cfg)),
             dense_zf(dense_effective(ch, w, cfg), d, cfg),
             atol=1e-10,
         )
@@ -325,7 +336,7 @@ class TestFastBlockSolve:
         sys = assemble_effective(ch, w, cfg)
         d = rng.normal(size=128) + 1j * rng.normal(size=128)
         np.testing.assert_allclose(
-            zf_detect(d, sys), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
+            zf_detect(unvec(d, 16, 8), sys), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
         )
         arrays = [v for v in vars(sys).values() if isinstance(v, np.ndarray)]
         arrays += [a for v in vars(sys).values() if isinstance(v, tuple) for a in v]
@@ -379,9 +390,10 @@ class TestPerSymbolMatchesDense:
         sys = assemble_effective(ch, window, cfg)
         h_dense = dense_effective(ch, window, cfg)
         cov = kron_noise_covariance(window, cfg)
-        np.testing.assert_allclose(zf_detect(d, sys), dense_zf(h_dense, d, cfg), atol=1e-10)
+        grid = unvec(d, cfg.M, cfg.N)
+        np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-10)
         np.testing.assert_allclose(
-            mmse_detect(d, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
+            mmse_detect(grid, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
         )
 
 

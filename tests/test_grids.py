@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import qam_demap_reference, qam_map_reference
+
 from otfsim.grids import (
     ModemConfig,
     SeparableWindow,
@@ -71,11 +73,15 @@ class TestModemConfig:
             ModemConfig(M=8, N=4, noise_var=noise_var)
 
 
+def bit_words(order):
+    """Every bit word of `order`-QAM in index order, MSB first, as one bit stream."""
+    bps = int(np.log2(order))
+    return ((np.arange(order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
+
+
 def constellation(order):
     """All constellation points, indexed by their bit word (MSB first)."""
-    bps = int(np.log2(order))
-    bits = (np.arange(order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
-    return qam_map(bits.reshape(-1), order)
+    return qam_map(bit_words(order), order)
 
 
 class TestQam:
@@ -133,6 +139,28 @@ class TestQam:
         np.testing.assert_allclose(decided.real, [-edge, edge, -edge], rtol=1e-12)
         np.testing.assert_allclose(np.abs(decided.imag[:2]), [inner, inner], rtol=1e-12)
         np.testing.assert_allclose(decided.imag[2], -edge, rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_map_equals_gray_arithmetic(self, order):
+        # every bit group maps, bit for bit, to the level that Gray decoding gives
+        bits = bit_words(order)
+        for dtype in (np.uint8, np.int64):
+            got = qam_map(bits.astype(dtype), order)
+            assert got.tobytes() == qam_map_reference(bits, order).tobytes()
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_demap_equals_gray_arithmetic(self, order):
+        # noisy symbols, huge ones, and symbols on every decision boundary and
+        # level decide as nearest-level rounding with Gray encoding does
+        rng = np.random.default_rng(order + 2)
+        noisy = 1.5 * (rng.normal(size=2000) + 1j * rng.normal(size=2000))
+        huge = np.array([1e300, -1e300, 1e300j, -1e300j, 1e300 - 1e300j, -1e300 + 1e300j])
+        axis = np.sqrt(3.0 / (2 * (order - 1))) * np.arange(-np.sqrt(order), np.sqrt(order) + 1)
+        on_grid = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+        symbols = np.concatenate([noisy, huge, on_grid])
+        got = qam_demap(symbols, order)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, qam_demap_reference(symbols, order))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
     def test_demap_rejects_non_finite(self, bad):

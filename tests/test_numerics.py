@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import block_circulant_assemble, dft_matrix, vec
+from oracles import block_circulant_assemble, dft_matrix, unvec, vec
 
 from otfsim.numerics import (
     CmCounter,
@@ -12,7 +12,6 @@ from otfsim.numerics import (
     dft,
     fft_cm_cost,
     inv_checked,
-    unvec,
 )
 
 
