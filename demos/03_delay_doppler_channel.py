@@ -4,7 +4,7 @@ A multipath channel whose taps drift slowly (constant within each OFDM
 symbol) acts on the delay-Doppler grid as a single 2-D circular convolution
 with a small, static kernel: delays show up along one axis, Doppler shifts
 along the other. This script builds that kernel from the per-symbol
-channel matrices, checks it against the end-to-end pipeline, and shows
+channel gains, checks it against the end-to-end pipeline, and shows
 where the picture breaks down once taps vary within a symbol -- and that
 per-symbol zero-forcing still recovers the data there.
 """
@@ -19,7 +19,6 @@ from otfsim import (
     apply_channel,
     assemble_effective,
     build_dd_response,
-    channel_blocks,
     circ_conv2d,
     demodulate_reference,
     make_window,
@@ -40,7 +39,7 @@ ch = LtvChannel(
     )
 )
 
-response = build_dd_response(channel_blocks(ch, cfg), window)
+response = build_dd_response(ch, window, cfg)
 
 print("dominant |response| entries (delay bin, Doppler bin) -> magnitude:")
 flat = np.argsort(np.abs(response).ravel())[::-1][:4]
@@ -56,14 +55,14 @@ bf = BlockFadingChannel(
 )
 x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), bf), window, cfg)
-kernel = build_dd_response(channel_blocks(bf, cfg), window)
+kernel = build_dd_response(bf, window, cfg)
 err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
 print(f"\nblock-fading channel: |pipeline - kernel (*) X| / |pipeline| = {err:.2e}")
 
 # with fast within-symbol variation the kernel is only an approximation...
 fast_ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.02),))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), fast_ch), window, cfg)
-kernel = build_dd_response(channel_blocks(fast_ch, cfg), window)
+kernel = build_dd_response(fast_ch, window, cfg)
 err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
 print(f"within-symbol Doppler:  residual {err:.2e} (2-D convolution no longer exact)")
 

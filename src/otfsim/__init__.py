@@ -22,9 +22,7 @@ from .channel import (
     add_awgn,
     apply_channel,
     build_dd_response,
-    channel_blocks,
     load_channel,
-    random_ltv_channel,
 )
 from .detect import (
     BerStat,

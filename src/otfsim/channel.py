@@ -9,9 +9,11 @@ kappa and delay ell. Two parameterizations are provided:
   regime in which the per-symbol channel matrices are circulant and the
   end-to-end response is an exact 2-D circular convolution.
 
-From either, :func:`channel_blocks` builds all N per-symbol matrices
-``H_n`` exactly, in one pass; the windowed delay-Doppler response follows
-from their first columns by one FFT across symbols.
+Either one gives its gains only at its tap delays. :func:`symbol_gains`
+reads them at the samples each OFDM symbol keeps after CP removal, which
+are the entries of the per-symbol channel matrices ``H_n`` (see
+``otfsim.detect``); the windowed delay-Doppler response follows from the
+first columns of the ``H_n`` by one FFT across symbols.
 """
 
 from __future__ import annotations
@@ -60,17 +62,20 @@ class LtvChannel:
         """Channel length L = 1 + max delay."""
         return 1 + max(tap.delay for tap in self.taps)
 
-    def coeffs(self, kappa: np.ndarray) -> np.ndarray:
-        """Tap gains h(kappa, ell) at absolute sample indices; shape (len(kappa), L)."""
+    def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tap delays, ascending, and their gains h(kappa, delay) at absolute
+        sample indices, shape (len(kappa), number of delays); taps that share a
+        delay are summed."""
         kappa = np.asarray(kappa, dtype=np.float64)
-        h = np.zeros((kappa.size, self.length), dtype=np.complex128)
+        delays = sorted({tap.delay for tap in self.taps})
+        h = np.zeros((kappa.size, len(delays)), dtype=np.complex128)
         # a phase that overflows gives NaN gains, which every caller refuses
         with np.errstate(over="ignore", invalid="ignore"):
             for tap in self.taps:
-                h[:, tap.delay] += tap.gain * np.exp(
+                h[:, delays.index(tap.delay)] += tap.gain * np.exp(
                     1j * (2 * np.pi * tap.doppler * kappa + tap.phase)
                 )
-        return h
+        return np.array(delays), h
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +101,13 @@ class BlockFadingChannel:
     def length(self) -> int:
         return self.gains.shape[1]
 
-    def coeffs(self, kappa: np.ndarray) -> np.ndarray:
+    def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The delays whose gains are not all zero, and those gains at absolute
+        sample indices, shape (len(kappa), number of delays)."""
         kappa = np.asarray(kappa)
         idx = np.clip(kappa.astype(np.int64) // self.sym_len, 0, self.gains.shape[0] - 1)
-        return self.gains[idx]
+        delays = np.flatnonzero(self.gains.any(axis=0))
+        return delays, self.gains[idx[:, None], delays]
 
 
 def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
@@ -108,16 +116,16 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     ``r(kappa) = sum_ell h(kappa, ell) * s(kappa - ell)`` with zero initial
     state (``s(kappa) = 0`` for kappa < 0) and no noise. Each frame starts at
     kappa = 0; the gains h are computed once for all of them, and only the
-    delays whose gains are not all zero are visited.
+    tap delays are visited.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     if not np.isfinite(signal).all():
         raise ValueError("signal has non-finite samples")
     size = signal.shape[-1]
-    h = ch.coeffs(np.arange(size))
+    delays, h = ch.coeffs(np.arange(size))
     out = np.zeros_like(signal)
-    for ell in np.flatnonzero(h[:, :size].any(axis=0)):
-        out[..., ell:] += h[ell:, ell] * signal[..., : size - ell]
+    for j, ell in enumerate(delays[delays < size]):
+        out[..., ell:] += h[ell:, j] * signal[..., : size - ell]
     return out
 
 
@@ -148,15 +156,14 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     return noise.reshape(signal.shape)
 
 
-def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:
-    """Per-symbol channel matrices ``H_n = R_cp @ H_breve_n @ A_cp``, shape (N, M, M).
+def symbol_gains(ch, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The tap delays and their gains ``gains[n, i, j] = h(n*(M + cp_len) +
+    cp_len + i, delays[j])`` at the samples symbol n keeps, shape (N, M, D).
 
-    ``H_breve_n`` is the time-varying convolution over symbol n's samples.
-    For a channel no longer than cp_len + 1, CP removal discards every
-    sample that the previous symbol leaks into and the CP makes the
-    convolution over the kept samples circular, so
-    ``H_n[i, (i - ell) mod M] = h(n*(M + cp_len) + cp_len + i, ell)``.
-    A longer channel is refused: its inter-symbol interference reaches the
+    For a channel no longer than cp_len + 1, CP removal discards every sample
+    that the previous symbol leaks into and the CP makes the convolution over
+    the kept samples circular: ``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``.
+    A longer channel is refused, as its inter-symbol interference reaches the
     kept samples, which the per-symbol model omits.
     """
     if ch.length > cfg.cp_len + 1:
@@ -164,49 +171,23 @@ def channel_blocks(ch, cfg: ModemConfig) -> np.ndarray:
             f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
             "per-symbol model would ignore the inter-symbol interference it causes"
         )
-    rows = np.arange(cfg.M)
-    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + rows
-    h = ch.coeffs(kappa.ravel()).reshape(cfg.N, cfg.M, ch.length)
-    blocks = np.zeros((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
-    for ell in np.flatnonzero(h.any(axis=(0, 1))):
-        blocks[:, rows, (rows - ell) % cfg.M] = h[:, :, ell]
-    return blocks
+    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + np.arange(cfg.M)
+    delays, gains = ch.coeffs(kappa.ravel())
+    return delays, gains.reshape(cfg.N, cfg.M, -1)
 
 
-def build_dd_response(blocks: np.ndarray, window: SeparableWindow) -> np.ndarray:
+def build_dd_response(ch, window: SeparableWindow, cfg: ModemConfig) -> np.ndarray:
     """Windowed delay-Doppler channel impulse response (M x N).
 
-    `blocks` holds the per-symbol channel blocks ``H_n`` (shape (N, M, M),
-    see ``channel_blocks``) and `window` the receive window. Column l is the
-    first column of the l-th windowed Doppler tap ``(1/N) sum_n wr[n] H_n
-    exp(-j*2*pi*l*n/N)``; only the first columns are windowed.
+    Column l is the first column of the l-th windowed Doppler tap ``(1/N)
+    sum_n wr[n] H_n exp(-j*2*pi*l*n/N)``. The first column of ``H_n`` holds
+    ``h(n*(M + cp_len) + cp_len + ell, ell)`` at row ell (see
+    :func:`symbol_gains`), so it is read from the tap gains directly.
     """
-    first = window.apply(blocks[:, :, 0].T)
-    return np.fft.fft(first, axis=1) / blocks.shape[0]
-
-
-def random_ltv_channel(
-    rng: np.random.Generator,
-    n_taps: int,
-    max_delay: int,
-    max_doppler: float,
-) -> LtvChannel:
-    """Random unit-power LTV channel with distinct delays in [0, max_delay]."""
-    delays = rng.choice(max_delay + 1, size=min(n_taps, max_delay + 1), replace=False)
-    if 0 not in delays:
-        delays[0] = 0  # keep a line-of-sight tap so the gain normalization is meaningful
-    gains = rng.normal(size=delays.size) + 1j * rng.normal(size=delays.size)
-    gains /= np.linalg.norm(gains)
-    taps = tuple(
-        ChannelTap(
-            delay=int(d),
-            gain=complex(g),
-            doppler=float(rng.uniform(-max_doppler, max_doppler)),
-            phase=float(rng.uniform(0, 2 * np.pi)),
-        )
-        for d, g in zip(delays, gains)
-    )
-    return LtvChannel(taps)
+    delays, gains = symbol_gains(ch, cfg)
+    first = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
+    first[delays] = gains[:, delays, np.arange(delays.size)].T
+    return np.fft.fft(window.apply(first), axis=1) / cfg.N
 
 
 # ---------------------------------------------------------------------------

@@ -238,25 +238,21 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     `system` is the effective system of `cfg`'s channel and window, built
     here when not given. Its channel is the one simulated, so the detector's
     model and the simulated channel come from one build. Every SNR point
-    shares its blocks, and ZF, whose filter ignores the noise level, shares
-    the system itself. The trials of an SNR point go through the pipeline
-    together, in chunks of at most CHUNK_SAMPLES frame samples. Trial t
-    draws its bits and then its noise from its own generator, the t-th child
-    of the point's seed, so the rows do not depend on how the trials are
-    chunked.
+    shares the system, which MMSE factors once per noise level and ZF once.
+    The trials of an SNR point go through the pipeline together, in chunks
+    of at most CHUNK_SAMPLES frame samples. Trial t draws its bits and then
+    its noise from its own generator, the t-th child of the point's seed, so
+    the rows do not depend on how the trials are chunked.
     """
     cfg.validate()
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
-    channel, window = system.channel, system.window
-    detect = mmse_detect if cfg.detector == "mmse" else zf_detect
+    channel, window, mmse = system.channel, system.window, cfg.detector == "mmse"
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     chunk = max(1, CHUNK_SAMPLES // system.cfg.frame_len)
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = _noise_var(snr_db)
-        if cfg.detector == "mmse":
-            system = system.with_noise_var(noise_var)
         mcfg = system.cfg
         errors = 0
         for start in range(0, cfg.trials, chunk):
@@ -271,7 +267,8 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
             x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
             x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
             received = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
-            detected = detect(demodulate_fast(received, window, mcfg), system)
+            d = demodulate_fast(received, window, mcfg)
+            detected = mmse_detect(d, system, noise_var) if mmse else zf_detect(d, system)
             demapped = qam_demap(detected.swapaxes(1, 2), cfg.qam_order)
             errors += bit_error_rate(demapped, bits.ravel()).n_errors
         stat = BerStat(n_bits=cfg.trials * mcfg.bits_per_frame, n_errors=errors)
@@ -308,7 +305,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out_dir = _make_out_dir(cfg.out_dir)
     rows = run_simulation(cfg, system)
     write_ber_csv(out_dir / "ber.csv", rows)
-    dump_dd_response(out_dir / "ddresponse.csv", build_dd_response(system.blocks, system.window))
+    response = build_dd_response(system.channel, system.window, system.cfg)
+    dump_dd_response(out_dir / "ddresponse.csv", response)
     print(f"wrote {out_dir / 'ber.csv'} and {out_dir / 'ddresponse.csv'}")
     for row in rows:
         print(

@@ -1,69 +1,74 @@
-"""Linear detection, one OFDM symbol at a time.
+"""Linear detection, one OFDM symbol at a time, by a banded Cholesky solve.
 
-The receiver output grid X~ relates to the transmitted grid X through N
-independent per-symbol systems. With ``S = X F_N^H`` and ``Y = X~ F_N^H``
-(unitary IDFTs across the rows), column n obeys
+With ``S = X F_N^H`` and ``Y = X~ F_N^H`` (unitary row IDFTs of the sent and
+received grids), column n obeys ``y_n = wr[n] (H_n s_n + v_n)``, the v_n
+white with variance noise_var and mutually uncorrelated, for any channel of
+length L <= cp_len + 1; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
+h(n*(M + cp_len) + cp_len + i, ell)`` (see ``otfsim.channel.symbol_gains``).
+The detectors undo the window and estimate ``s_n = H_n^H A_n^{-1} y_n`` with
+``A_n = H_n H_n^H + noise_var I``: MMSE for unit-energy symbols, and
+zero-forcing at noise_var = 0. As ``F_N kron I_M`` is unitary, both equal
+their MN x MN counterparts for the windowed system: an invertible receive
+window changes the delay-Doppler response, not a linear detector's output.
 
-    y_n = wr[n] (H_n s_n + v_n),    Cov(v_n) = noise_var I,
-
-with the v_n mutually uncorrelated. This holds for any channel whose
-length is at most cp_len + 1, not only in the block-fading regime; the H_n
-come from ``otfsim.channel.channel_blocks``, which refuses a longer channel.
-The detectors undo the receive window on Y (``SeparableWindow.apply`` with
-power -1), which leaves white noise, and then apply one M x M filter per
-symbol before a row DFT: ``H_n^{-1}``, computed once per channel, or
-``H_n^H (H_n H_n^H + noise_var I)^{-1}``, computed once per noise level.
-Since ``F_N kron I_M`` is unitary and the symbols are white, both equal
-their MN x MN delay-Doppler counterparts for the windowed system exactly:
-an invertible receive window changes the delay-Doppler response but not
-what a linear detector decides.
-
-A batch of T received grids (..., M, N) is detected with one filter product
-per symbol that has T columns. Its rounding can differ from T one-column
-products in the last bits (a few 1e-14 at most at 64 x 8 and 256 x 16).
+In the zig-zag order 0, M-1, 1, M-2, ... the cyclic band becomes a plain
+band of half-width at most 2(L-1). H_n is kept in row blocks of B >= 2(L-1)
+rows, each with the at most three column blocks its band reaches, the last
+padded with identity rows, so A_n is block tridiagonal. Its block Cholesky
+factor, diagonal blocks inverted, is cached per noise level, so a frame
+costs batched matrix products only: O(N M B) work and memory. ZF solves
+these normal equations, so its error grows as cond(H_n)^2; a symbol whose
+estimated rcond(A_n) is below 1e-12 (for ZF, cond(H_n) > 1e6) is refused by
+name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BlockFadingChannel, LtvChannel, channel_blocks
+from .channel import BlockFadingChannel, LtvChannel, symbol_gains
 from .grids import ModemConfig, SeparableWindow
-from .numerics import SingularMatrixError, inv_checked
+from .modem_reference import _check_grid
+from .numerics import SingularMatrixError
+
+#: smallest estimated reciprocal condition number of A_n the detectors accept
+RCOND_MIN = 1e-12
 
 
 @dataclass(eq=False)
 class EffectiveSystem:
     """The per-symbol model of one channel/window/config combination.
 
-    `blocks` holds the N unwindowed channel blocks ``H_n`` (shape (N, M, M))
-    of `channel`, the channel they were built from (None for blocks given
-    directly); `window` is the receive window the detectors undo, and the
-    noise level is ``cfg.noise_var``. The detector filters are cached on
-    first use; the system is fixed per channel realization while many frames
-    are detected against it.
+    Block (k, c), |k - c| <= 1, of the zig-zag-ordered, unwindowed H_n of
+    `channel` is ``bands[n, 2k + c]``, shape (N, 3K - 2, B, B). `window` is
+    undone by the detectors, ``cfg.noise_var`` is the default noise level of
+    ``mmse_detect``, and the factors of the latest noise level are cached.
     """
 
-    blocks: np.ndarray
+    bands: np.ndarray
     window: SeparableWindow
     cfg: ModemConfig
-    channel: LtvChannel | BlockFadingChannel | None = None
-    _zf_filter: np.ndarray | None = field(default=None, repr=False)
-    _mmse_filter: np.ndarray | None = field(default=None, repr=False)
+    channel: LtvChannel | BlockFadingChannel
+    _factor: tuple | None = field(default=None, repr=False)
 
-    def with_noise_var(self, noise_var: float) -> EffectiveSystem:
-        """The same channel at another noise level; the ZF filter is shared."""
-        return replace(self, cfg=replace(self.cfg, noise_var=noise_var), _mmse_filter=None)
+
+def _zigzag(m: int) -> np.ndarray:
+    """The position of each of m indices in the zig-zag order 0, m-1, 1, m-2, ..."""
+    i = np.arange(m)
+    return np.where(2 * i < m, 2 * i, 2 * (m - i) - 1)
 
 
 def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config.
 
-    Refuses a channel longer than cp_len + 1 (see ``channel_blocks``), a
-    channel with non-finite values, and a window with a zero or non-finite
-    coefficient, which the detectors could not divide out.
+    Each tap's gains are scattered into the row blocks of every H_n: B =
+    ceil(M / K0) for the most blocks K0 of at least max(2(L - 1), 8) rows
+    that M splits into, and K = ceil(M / B), so fewer than B rows pad the
+    last block. Refuses a channel longer than cp_len + 1, a channel with
+    non-finite values, and a window with a zero or non-finite coefficient,
+    which the detectors could not divide out.
     """
     window.check_dims(cfg.N)
     bad = np.flatnonzero(~np.isfinite(window.wr) | (window.wr == 0))
@@ -72,66 +77,140 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
             f"window wr[{bad[0]}] is {window.wr[bad[0]]}; the detectors divide by "
             "the window, so every coefficient must be finite and nonzero"
         )
-    blocks = channel_blocks(ch, cfg)
-    if not np.isfinite(blocks).all():
+    delays, gains = symbol_gains(ch, cfg)
+    if not np.isfinite(gains).all():
         raise ValueError("channel has non-finite values")
-    return EffectiveSystem(blocks=blocks, window=window, cfg=cfg, channel=ch)
+    m = cfg.M
+    b = -(-m // max(m // max(2 * (ch.length - 1), 8), 1))
+    k = -(-m // b)
+    pos = _zigzag(m)
+    bands = np.zeros((cfg.N, 3 * k - 2, b, b), dtype=np.complex128)
+    for j, ell in enumerate(delays):
+        q = pos[(np.arange(m) - ell) % m]
+        bands[:, 2 * (pos // b) + q // b, pos % b, q % b] = gains[:, :, j]
+    pad = np.arange(m, k * b) % b
+    bands[:, -1, pad, pad] = 1.0
+    return EffectiveSystem(bands=bands, window=window, cfg=cfg, channel=ch)
 
 
-def _received_grids(d_tilde, cfg: ModemConfig) -> np.ndarray:
-    """Received grids, shape (..., M, N), checked."""
-    d = np.asarray(d_tilde, dtype=np.complex128)
-    if d.shape[-2:] != (cfg.M, cfg.N):
-        raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("received grid has non-finite entries")
-    return d
+def _herm(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
-def _filter_grids(filters: np.ndarray, d: np.ndarray, window: SeparableWindow) -> np.ndarray:
-    """Per-symbol estimates ``s_n = F_n y_n`` of every grid in `d`.
+def _tril_inv(low: np.ndarray) -> np.ndarray:
+    """Inverses of lower-triangular matrices by halves, a third of the work
+    of a general inverse: ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``."""
+    h = low.shape[-1] // 2
+    if h < 32:
+        return np.linalg.inv(low)
+    out = np.zeros_like(low)
+    out[..., :h, :h] = a = _tril_inv(low[..., :h, :h])
+    out[..., h:, h:] = d = _tril_inv(low[..., h:, h:])
+    out[..., h:, :h] = -(d @ low[..., h:, :h] @ a)
+    return out
 
-    The row IDFTs of the T grids, with the window undone, are gathered into
-    an (N, M, T) stack whose column t of symbol n is y_n of grid t, so each
-    symbol takes one product with T columns; a row DFT maps the estimates
-    back to grids.
+
+def _factorize(bands: np.ndarray, m: int, noise_var: float):
+    """Block Cholesky factor L_n of each A_n: ``inv[n, k]`` inverts its diagonal
+    block k, ``low[n, k - 1]`` is its block (k, k - 1). Refuses, by name, the
+    first symbol whose A_n is not positive definite or whose rcond, estimated
+    by two inverse-iteration steps against the largest row sum of |A_n|, is
+    below ``RCOND_MIN``."""
+    n_sym, n_blocks, b, _ = bands.shape
+    k_count = (n_blocks + 2) // 3
+    # A_n's blocks (k, k) and (k, k - 1) are built here, then factored in place
+    inv = np.empty((n_sym, k_count, b, b), dtype=np.complex128)
+    low = np.empty((n_sym, k_count - 1, b, b), dtype=np.complex128)
+    norm = np.empty(n_sym)  # the largest absolute row sum of A_n, padding rows left out
+    step = max(2**19 // (n_blocks * b * b), 1)  # symbols per chunk: temporaries of 8 MB
+    for first in range(0, n_sym, step):
+        h, d, c = bands[first : first + step], inv[first : first + step], low[first : first + step]
+        # block (k, k) of A_n sums the Gram blocks of block row k: 3k - 1 ... 3k + 1
+        np.matmul(h[:, 0::3], _herm(h[:, 0::3]), out=d)
+        d[:, 1:] += h[:, 2::3] @ _herm(h[:, 2::3])
+        d[:, :-1] += h[:, 1::3] @ _herm(h[:, 1::3])
+        d += noise_var * np.eye(b)
+        c[:] = h[:, 2::3] @ _herm(h[:, 0:-2:3]) + h[:, 3::3] @ _herm(h[:, 1::3])
+        sums = np.abs(d).sum(axis=-1)
+        sums[:, 1:] += np.abs(c).sum(axis=-1)
+        sums[:, :-1] += np.abs(c).sum(axis=-2)
+        norm[first : first + step] = sums.reshape(len(d), -1)[:, :m].max(axis=1)
+        for k in range(k_count):
+            if k:
+                c[:, k - 1] = e = c[:, k - 1] @ _herm(d[:, k - 1])
+                d[:, k] -= e @ _herm(e)
+            try:
+                d[:, k] = _tril_inv(np.linalg.cholesky(d[:, k]))
+            except np.linalg.LinAlgError:
+                w = np.linalg.eigvalsh(d[:, k])
+                n = first + int(np.argmax(w[:, 0] <= RCOND_MIN * w[:, -1]))
+                raise SingularMatrixError(f"symbol {n} of {n_sym} is singular: H_n H_n^H + "
+                                          "noise_var I is not positive definite") from None
+    u = np.pad(np.cos(np.arange(m)) + 0j, (0, k_count * b - m)).reshape(k_count, b, 1)
+    u = np.repeat(u[None], n_sym, axis=0)
+    with np.errstate(all="ignore"):  # an overflow is a refusal too
+        for _ in range(2):
+            u = np.conj(_solve(inv, low, u)) * norm[:, None, None, None]
+            size = np.linalg.norm(u.reshape(n_sym, -1), axis=1)  # -> 1 / rcond
+            u /= size[:, None, None, None]
+    bad = np.flatnonzero(~(size <= 1 / RCOND_MIN))
+    if bad.size:
+        raise SingularMatrixError(f"symbol {bad[0]} of {n_sym} is singular: H_n H_n^H + noise_var"
+                                  f" I has estimated rcond {1 / size[bad[0]]:.1e} < {RCOND_MIN:g}")
+    return inv, low
+
+
+def _solve(inv: np.ndarray, low: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``conj(A_n^{-1} y_n)`` for block columns y (N, K, B, T), by block forward
+    and back substitution with the factors of :func:`_factorize`; overwrites y.
+    The back substitution runs on conj(y), where each L^H is a transpose."""
+    y[:, 0] = inv[:, 0] @ y[:, 0]
+    for k in range(1, inv.shape[1]):
+        y[:, k] = inv[:, k] @ (y[:, k] - low[:, k - 1] @ y[:, k - 1])
+    y = np.conj(y, out=y)
+    inv, low = inv.swapaxes(-1, -2), low.swapaxes(-1, -2)
+    y[:, -1] = inv[:, -1] @ y[:, -1]
+    for k in reversed(range(inv.shape[1] - 1)):
+        y[:, k] = inv[:, k] @ (y[:, k] - low[:, k] @ y[:, k + 1])
+    return y
+
+
+def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
+    """``s_n = H_n^H A_n^{-1} y_n`` for the grids (..., M, N) in `d_tilde`.
+
+    The row IDFTs of the T grids, window undone, are gathered into zig-zag
+    block columns (N, K, B, T), so each block product has T columns and can
+    round differently from T one-grid solves in the last bits.
     """
-    y = np.fft.ifft(d.reshape(-1, *d.shape[-2:]), axis=-1, norm="ortho")
-    y = window.apply(y, -1).T.copy()
-    return np.fft.fft((filters @ y).T, axis=-1, norm="ortho").reshape(d.shape)
+    m, n_sym, d = sys.cfg.M, sys.cfg.N, _check_grid(d_tilde, sys.cfg)
+    if sys._factor is None or sys._factor[0] != noise_var:
+        sys._factor = None  # the old factors go before the new ones are built
+        sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))
+    _, inv, low = sys._factor
+    k_count, b, pos = inv.shape[1], inv.shape[2], _zigzag(m)
+    y = sys.window.apply(np.fft.ifft(d.reshape(-1, m, n_sym), axis=-1, norm="ortho"), -1)
+    u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
+    u[:, pos] = y.T
+    u = _solve(inv, low, u.reshape(n_sym, k_count, b, -1))  # conjugated
+    h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
+    s = h[:, 0::3] @ u  # blocks (k, k)
+    s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
+    s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
+    out = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
+    return np.fft.fft(out, axis=-1, norm="ortho").reshape(d.shape)
 
 
 def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Zero-forcing: ``s_n = H_n^{-1} y_n`` per symbol; returns the M x N grid(s)."""
-    d = _received_grids(d_tilde, sys.cfg)
-    if sys._zf_filter is None:
-        sys._zf_filter = inv_checked(sys.blocks)
-    return _filter_grids(sys._zf_filter, d, sys.window)
+    """Zero-forcing, ``s_n = H_n^{-1} y_n`` per symbol, through the normal
+    equations (error as cond(H_n)^2); returns the M x N grid(s)."""
+    return _detect(d_tilde, sys, 0.0)
 
 
-def mmse_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Linear MMSE for unit-energy symbols.
-
-    ``s_n = H_n^H (H_n H_n^H + noise_var I)^{-1} y_n`` per symbol; reduces
-    to zero-forcing as the noise variance goes to zero. The noise term is
-    added to the diagonal of the Gram stack in place.
-    """
-    d = _received_grids(d_tilde, sys.cfg)
-    if sys._mmse_filter is None:
-        h = sys.blocks
-        gram = h @ h.conj().transpose(0, 2, 1)
-        diag = np.arange(sys.cfg.M)
-        gram[:, diag, diag] += sys.cfg.noise_var
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "MMSE matrix H_n H_n^H + noise_var I is not positive definite"
-            ) from None
-        # (gram^{-1} H_n)^H = H_n^H gram^{-1}, as gram is Hermitian
-        filters = np.linalg.solve(gram, h)
-        sys._mmse_filter = np.conjugate(filters, out=filters).transpose(0, 2, 1)
-    return _filter_grids(sys._mmse_filter, d, sys.window)
+def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float | None = None) -> np.ndarray:
+    """Linear MMSE for unit-energy symbols, ``s_n = H_n^H (H_n H_n^H +
+    noise_var I)^{-1} y_n`` per symbol, at `noise_var` (default
+    ``sys.cfg.noise_var``); it tends to zero-forcing as noise_var goes to 0."""
+    return _detect(d_tilde, sys, sys.cfg.noise_var if noise_var is None else noise_var)
 
 
 @dataclass(frozen=True)

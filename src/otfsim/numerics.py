@@ -10,8 +10,7 @@ Counting convention: one P-point transform is charged exactly
 twiddles included) and ``P**2`` otherwise (a direct DFT). Additions, sign
 flips and data movement are free. The charge counts the transforms invoked,
 not the butterflies executed: the transforms themselves run through
-``numpy.fft``, whose internal algorithm is not audited. Matrix inverses run
-through ``numpy.linalg``, checked for singularity by :func:`inv_checked`.
+``numpy.fft``, whose internal algorithm is not audited.
 """
 
 from __future__ import annotations
@@ -108,29 +107,3 @@ def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"shape mismatch for 2D circular convolution: {a.shape} vs {b.shape}")
     return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
-
-
-def inv_checked(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix, or of each matrix in a stack, shape (..., P, P).
-
-    Inverted one matrix at a time, so no temporary outgrows one matrix. The
-    first matrix that is exactly singular, or whose reciprocal 1-norm
-    condition number ``1/(||A||_1 ||A^-1||_1)`` is below 1e-12 or NaN (a
-    scale-free test), is named in a :class:`SingularMatrixError`.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("expected a square matrix or a stack of them")
-    stack = a.reshape(-1, *a.shape[-2:])
-    inv = np.empty_like(stack)
-    for k, block in enumerate(stack):
-        try:
-            inv[k] = np.linalg.inv(block)
-            rcond = 1.0 / (np.linalg.norm(block, 1) * np.linalg.norm(inv[k], 1))
-        except np.linalg.LinAlgError:
-            rcond = 0.0
-        if not rcond >= 1e-12:
-            raise SingularMatrixError(
-                f"matrix {k} of {len(stack)} is singular or near-singular (rcond < 1e-12)"
-            )
-    return inv.reshape(a.shape)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otfsim.channel import BlockFadingChannel, ChannelTap, LtvChannel, channel_blocks
+from otfsim.channel import BlockFadingChannel, ChannelTap, LtvChannel
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +52,25 @@ def doppler_cycles_per_sample(speed_mps, carrier_hz, sample_rate_hz, light_speed
 
 def identity_channel():
     return LtvChannel((ChannelTap(delay=0, gain=1.0),))
+
+
+def random_ltv_channel(rng, n_taps, max_delay, max_doppler):
+    """Random unit-power LTV channel with distinct delays in [0, max_delay]."""
+    delays = rng.choice(max_delay + 1, size=min(n_taps, max_delay + 1), replace=False)
+    if 0 not in delays:
+        delays[0] = 0  # keep a line-of-sight tap so the gain normalization is meaningful
+    gains = rng.normal(size=delays.size) + 1j * rng.normal(size=delays.size)
+    gains /= np.linalg.norm(gains)
+    taps = tuple(
+        ChannelTap(
+            delay=int(d),
+            gain=complex(g),
+            doppler=float(rng.uniform(-max_doppler, max_doppler)),
+            phase=float(rng.uniform(0, 2 * np.pi)),
+        )
+        for d, g in zip(delays, gains)
+    )
+    return LtvChannel(taps)
 
 
 def random_block_fading_channel(rng, cfg, length):
@@ -138,6 +157,45 @@ def batched_noise_receiver(cfg, window, n_frames, noise_var, rng):
     return frames, x.transpose(0, 2, 1).reshape(n_frames, -1)
 
 
+def channel_blocks(ch, cfg):
+    """Dense per-symbol channel matrices, shape (N, M, M):
+    ``H_n[i, (i - ell) mod M] = h(n*(M + cp_len) + cp_len + i, ell)``.
+
+    The dense model the banded detectors replace; test_channel checks it
+    against the explicit CP-matrix product ``R_cp @ H_breve_n @ A_cp``.
+    """
+    rows = np.arange(cfg.M)
+    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + rows
+    delays, h = ch.coeffs(kappa.ravel())
+    h = h.reshape(cfg.N, cfg.M, -1)
+    blocks = np.zeros((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
+    for j, ell in enumerate(delays):
+        blocks[:, rows, (rows - ell) % cfg.M] = h[:, :, j]
+    return blocks
+
+
+def bands_to_blocks(sys):
+    """The dense H_n held by an EffectiveSystem's zig-zag row blocks, shape (N, M, M).
+
+    Block (k, c) of the zig-zag-ordered H_n is ``sys.bands[:, 2k + c]``; the
+    rows past M, which pad the last block, must be identity rows.
+    """
+    n, n_blocks, b, _ = sys.bands.shape
+    k_count = (n_blocks + 2) // 3
+    full = np.zeros((n, k_count * b, k_count * b), dtype=np.complex128)
+    for k in range(k_count):
+        for c in range(max(k - 1, 0), min(k + 2, k_count)):
+            full[:, k * b : (k + 1) * b, c * b : (c + 1) * b] = sys.bands[:, 2 * k + c]
+    m, eye = sys.cfg.M, np.eye(k_count * b)
+    np.testing.assert_array_equal(full[:, m:], np.broadcast_to(eye[m:], full[:, m:].shape))
+    pad_columns = full[:, :, m:]
+    np.testing.assert_array_equal(pad_columns, np.broadcast_to(eye[:, m:], pad_columns.shape))
+    order = [i // 2 if i % 2 == 0 else m - 1 - i // 2 for i in range(m)]
+    blocks = np.empty((n, m, m), dtype=np.complex128)
+    blocks[:, np.array(order)[:, None], np.array(order)] = full[:, :m, :m]
+    return blocks
+
+
 def windowed_blocks(ch, window, cfg):
     """The windowed per-symbol blocks ``G_n = wr[n] H_n``, shape (N, M, M)."""
     return channel_blocks(ch, cfg) * window.wr[:, None, None]
@@ -164,8 +222,9 @@ def qfunc(x):
 #
 # This is the model the per-symbol detectors replace: the block-circulant
 # Doppler-tap system with its Kronecker noise covariance, solved densely.
-# It shares only channel_blocks with the package; channel_blocks is itself
-# checked against the explicit CP-matrix product in test_channel.
+# It shares only the channel's coeffs with the package, through
+# channel_blocks, which test_channel checks against the explicit CP-matrix
+# product.
 # ---------------------------------------------------------------------------
 
 def build_doppler_taps(ch, wr, cfg):

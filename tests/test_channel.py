@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from oracles import (
     block_circulant_assemble,
     build_doppler_taps,
+    channel_blocks,
     cp_matrices,
     dd_response_from_taps,
     doppler_cycles_per_sample,
     identity_channel,
     random_block_fading_channel,
+    random_ltv_channel,
     vec,
 )
 
@@ -26,11 +28,9 @@ from otfsim.channel import (
     add_awgn,
     apply_channel,
     build_dd_response,
-    channel_blocks,
     channel_from_spec,
     dump_dd_response,
     load_channel,
-    random_ltv_channel,
 )
 from otfsim.grids import WINDOW_KINDS, ModemConfig, make_window
 from otfsim.modem_fast import modulate_fast
@@ -41,11 +41,11 @@ from otfsim.numerics import circ_conv2d
 def ltv_oracle(s, ch):
     """Direct double-loop evaluation of the time-varying convolution."""
     out = np.zeros(len(s), dtype=complex)
-    h = ch.coeffs(np.arange(len(s)))
+    delays, h = ch.coeffs(np.arange(len(s)))
     for kappa in range(len(s)):
-        for ell in range(h.shape[1]):
+        for j, ell in enumerate(delays):
             if kappa - ell >= 0:
-                out[kappa] += h[kappa, ell] * s[kappa - ell]
+                out[kappa] += h[kappa, j] * s[kappa - ell]
     return out
 
 
@@ -90,6 +90,20 @@ class TestApplyChannel:
         s = rng.normal(size=4) + 1j * rng.normal(size=4)
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0), ChannelTap(delay=9, gain=5.0)))
         np.testing.assert_allclose(apply_channel(s, ch), s, atol=1e-15)
+
+    def test_coeffs_hold_only_tap_delays(self):
+        # a tap at delay 256 gives two gain columns, not 257; taps sharing a
+        # delay are summed, and an all-zero block-fading column is left out
+        kappa = np.arange(5)
+        taps = (ChannelTap(256, 0.5, doppler=3e-5), ChannelTap(0, 1.0), ChannelTap(0, 0.25j))
+        delays, h = LtvChannel(taps).coeffs(kappa)
+        np.testing.assert_array_equal(delays, [0, 256])
+        np.testing.assert_allclose(h[:, 0], 1.0 + 0.25j, rtol=0, atol=0)
+        np.testing.assert_allclose(h[:, 1], 0.5 * np.exp(2j * np.pi * 3e-5 * kappa), rtol=1e-15)
+        gains = np.array([[0.9, 0.0, 0.3j], [0.1, 0.0, 0.2]])
+        delays, h = BlockFadingChannel(gains=gains, sym_len=3).coeffs(kappa)
+        np.testing.assert_array_equal(delays, [0, 2])
+        np.testing.assert_array_equal(h, gains[[0, 0, 0, 1, 1]][:, [0, 2]])
 
     def test_single_row_block_fading_is_static(self):
         # one gain row acts as a time-invariant filter over the whole frame
@@ -183,7 +197,7 @@ def block_cases(draw):
 
 
 class TestBuildHn:
-    """The per-symbol channel matrices H_n, as built by channel_blocks."""
+    """The per-symbol channel matrices H_n of the dense oracle channel_blocks."""
 
     def test_identity_channel(self):
         cfg = ModemConfig(M=8, N=4, cp_len=2)
@@ -231,20 +245,22 @@ class TestBuildHn:
         cp = cp_matrices(cfg)
         blocks = channel_blocks(ch, cfg)
         for n in range(cfg.N):
-            h = ch.coeffs(n * cfg.sym_len + np.arange(cfg.sym_len))
+            delays, h = ch.coeffs(n * cfg.sym_len + np.arange(cfg.sym_len))
             breve = np.zeros((cfg.sym_len, cfg.sym_len), dtype=complex)
-            for ell in range(ch.length):
+            for j, ell in enumerate(delays):
                 rows = np.arange(ell, cfg.sym_len)
-                breve[rows, rows - ell] = h[rows, ell]
+                breve[rows, rows - ell] = h[rows, j]
             np.testing.assert_allclose(
                 blocks[n], cp.remove @ breve @ cp.add, rtol=0, atol=1e-14
             )
 
     def test_isi_refused(self):
+        # the per-symbol gains, which the detectors and the delay-Doppler
+        # response are built from, refuse a channel longer than Mcp + 1
         cfg = ModemConfig(M=8, N=4, cp_len=1)
         ch = LtvChannel((ChannelTap(delay=3, gain=1.0), ChannelTap(delay=0, gain=1.0)))
         with pytest.raises(ValueError, match=r"channel length 4 exceeds Mcp \+ 1 = 2"):
-            channel_blocks(ch, cfg)
+            build_dd_response(ch, make_window("rectangular", 4), cfg)
 
 
 class TestDopplerTaps:
@@ -284,7 +300,7 @@ class TestDdResponse:
     def test_identity_channel_is_delta(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         w = make_window("rectangular", 4)
-        response = build_dd_response(channel_blocks(identity_channel(), cfg), w)
+        response = build_dd_response(identity_channel(), w, cfg)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -293,7 +309,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=4, N=4, cp_len=2)
         ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
         w = make_window("rectangular", 4)
-        response = build_dd_response(channel_blocks(ch, cfg), w)
+        response = build_dd_response(ch, w, cfg)
         expected = np.zeros((4, 4))
         expected[1, 0] = 1.0
         np.testing.assert_allclose(response, expected, atol=1e-14)
@@ -305,7 +321,7 @@ class TestDdResponse:
         w = make_window("rectangular", 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
-        response = build_dd_response(channel_blocks(ch, cfg), w)
+        response = build_dd_response(ch, w, cfg)
         np.testing.assert_allclose(out, circ_conv2d(response, x), atol=1e-10)
 
     def test_pure_doppler_support_at_integer_bin(self):
@@ -315,7 +331,7 @@ class TestDdResponse:
         q = 3
         ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
         w = make_window("rectangular", 8)
-        response = build_dd_response(channel_blocks(ch, cfg), w)
+        response = build_dd_response(ch, w, cfg)
         peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
         assert peak == (0, q)
 
@@ -326,7 +342,7 @@ class TestDdResponse:
         cfg = ModemConfig(M=6, N=5, cp_len=2)
         ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
         w = make_window("time-tapered", 5)
-        response = build_dd_response(channel_blocks(ch, cfg), w)
+        response = build_dd_response(ch, w, cfg)
         expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg))
         np.testing.assert_allclose(response, expected, atol=1e-12)
 
@@ -413,7 +429,7 @@ class TestLinearSystemEquivalences:
             ch = random_block_fading_channel(rng, cfg, length=4)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-            response = build_dd_response(channel_blocks(ch, cfg), w)
+            response = build_dd_response(ch, w, cfg)
             err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
             assert err <= 1e-10
 
@@ -424,7 +440,7 @@ class TestLinearSystemEquivalences:
         # convolution with its delay-Doppler response, at any drawn size
         cfg, window, ch, x = case
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
-        response = build_dd_response(channel_blocks(ch, cfg), window)
+        response = build_dd_response(ch, window, cfg)
         err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert err <= 1e-10
 
@@ -442,7 +458,7 @@ class TestLinearSystemEquivalences:
         w = make_window("rectangular", 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-        response = build_dd_response(channel_blocks(ch, cfg), w)
+        response = build_dd_response(ch, w, cfg)
         resid = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert resid > 1e-6
 

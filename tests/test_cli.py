@@ -420,7 +420,7 @@ class TestErrorPaths:
         assert set(record["fields"]) == {"snr"}
 
     def test_allocation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
-        # as at --M 200000 --N 2, whose (N, M, M) channel blocks cannot be allocated
+        # as when the per-symbol system of a huge grid cannot be allocated
         def assemble_effective(*args):
             raise MemoryError("Unable to allocate 1.19 TiB for an array")
 
@@ -429,6 +429,18 @@ class TestErrorPaths:
         record = json.loads(capsys.readouterr().err.strip())
         assert (record["status"], record["command"]) == ("fail", "simulate")
         assert "allocate" in record["error"]
+
+    def test_singular_symbol_named(self, tmp_path, capsys):
+        # two equal taps, the second at delay M/2 with 1/126 cycles per sample:
+        # the phases of H_2 close a cycle, so H_2 of 4 is singular and ZF
+        # refuses it by name; MMSE at 10 dB still runs
+        taps = [{"delay": 0, "gain_re": 1.0}, {"delay": 8, "gain_re": 1.0, "doppler": 1 / 126}]
+        path = write_config(tmp_path, M=16, Mcp=8, trials=1, channel={"taps": taps})
+        assert main(["simulate", "--config", str(path), "--detector", "zf"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["status"], record["command"]) == ("fail", "simulate")
+        assert record["error"].startswith("symbol 2 of 4 is singular")
+        assert main(["simulate", "--config", str(path), "--detector", "mmse"]) == 0
 
     @pytest.mark.parametrize(
         "argv, flag",

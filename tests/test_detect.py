@@ -1,14 +1,14 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bands_to_blocks,
     batched_noise_receiver,
+    channel_blocks,
     dense_effective,
     dense_mmse,
     dense_zf,
@@ -17,6 +17,7 @@ from oracles import (
     identity_channel,
     kron_noise_covariance,
     random_block_fading_channel,
+    random_ltv_channel,
     symbol_covariance,
     unvec,
     vec,
@@ -27,11 +28,9 @@ from otfsim.channel import (
     ChannelTap,
     LtvChannel,
     apply_channel,
-    random_ltv_channel,
 )
 from otfsim.cli import RunConfig, run_simulation
 from otfsim.detect import (
-    EffectiveSystem,
     assemble_effective,
     bit_error_rate,
     mmse_detect,
@@ -82,6 +81,13 @@ def check_white_after_unwindowing(y, window, cfg, atol):
     check_symbol_covariance(window.apply(y, -1), white, atol=atol)
 
 
+def held_arrays(sys):
+    """The arrays an EffectiveSystem holds, its cached factors included."""
+    values = list(vars(sys).values())
+    values += [v for value in values if isinstance(value, tuple) for v in value]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
 class TestAssembleEffective:
     def test_rectangular_window_white_noise(self):
         # the windowed model's covariance is white, and undoing the window
@@ -96,7 +102,7 @@ class TestAssembleEffective:
     def test_identity_channel_identity_system(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
-        np.testing.assert_allclose(sys.blocks, np.eye(4)[None].repeat(4, 0), atol=1e-13)
+        np.testing.assert_array_equal(bands_to_blocks(sys), np.eye(4)[None].repeat(4, 0))
 
     def test_covariance_hermitian_psd_and_trace(self):
         cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=0.9)
@@ -205,15 +211,32 @@ class TestZfDetect:
             )
 
     def test_singular_system_reported(self):
-        cfg = ModemConfig(M=2, N=2, cp_len=0)
-        w = make_window("rectangular", 2)
-        sys = EffectiveSystem(blocks=np.zeros((2, 2, 2), dtype=complex), window=w, cfg=cfg)
-        with pytest.raises(SingularMatrixError):
-            zf_detect(np.zeros((2, 2)), sys)
-        blocks = np.diag([1.0, 1e-14]).astype(complex)[None].repeat(2, 0)
-        near_singular = replace(sys, blocks=blocks)
-        with pytest.raises(SingularMatrixError, match="matrix 0 of 2"):
-            zf_detect(np.zeros((2, 2)), near_singular)
+        # symbol 1 of a block-fading channel has a spectral null at frequency
+        # M/2: its H_n is singular, or, with one gain a hair off, has
+        # cond(H_n) ~ 2e8; zero-forcing refuses it by name either way
+        cfg = ModemConfig(M=4, N=3, cp_len=1)
+        w = make_window("rectangular", 3)
+        for second in (1.0, 1.0 - 1e-8):
+            gains = np.array([[1.0, 0.3], [1.0, second], [1.0, -0.3j]])
+            sys = assemble_effective(BlockFadingChannel(gains, cfg.sym_len), w, cfg)
+            with pytest.raises(SingularMatrixError, match="symbol 1 of 3"):
+                zf_detect(np.zeros((4, 3)), sys)
+
+    @pytest.mark.parametrize("offset, refused", [(1e-4, False), (1e-7, True)])
+    def test_refusal_by_estimated_condition(self, offset, refused):
+        # ZF solves H_n H_n^H, so cond(H_n) > 1e6 puts rcond(H_n H_n^H) below
+        # 1e-12: cond(H_1) ~ 2e4 passes, cond(H_1) ~ 2e7 is refused
+        cfg = ModemConfig(M=4, N=2, cp_len=1)
+        gains = np.array([[1.0, 0.3], [1.0, 1.0 - offset]])
+        ch = BlockFadingChannel(gains, cfg.sym_len)
+        sys = assemble_effective(ch, make_window("rectangular", 2), cfg)
+        d = np.random.default_rng(72).normal(size=(4, 2)) + 0j
+        if refused:
+            with pytest.raises(SingularMatrixError, match="symbol 1 of 2 .* rcond"):
+                zf_detect(d, sys)
+        else:
+            h = dense_effective(ch, make_window("rectangular", 2), cfg)
+            np.testing.assert_allclose(zf_detect(d, sys), dense_zf(h, vec(d), cfg), rtol=1e-6)
 
 
 class TestMmseDetect:
@@ -247,15 +270,16 @@ class TestMmseDetect:
             assert mse_mmse <= mse_zf
 
     def test_rejects_bad_covariance(self):
-        # without noise a singular H_n leaves H_n H_n^H + noise_var I
-        # singular, which the Cholesky factorization reports
-        cfg = ModemConfig(M=2, N=2, cp_len=0, noise_var=0.0)
-        w = make_window("rectangular", 2)
-        blocks = np.eye(2, dtype=complex)[None].repeat(2, 0)
-        blocks[1, 1, 1] = 0.0
-        sys = EffectiveSystem(blocks=blocks, window=w, cfg=cfg)
-        with pytest.raises(SingularMatrixError, match="positive definite"):
-            mmse_detect(np.zeros((2, 2)), sys)
+        # without noise, a symbol in a complete fade leaves
+        # H_n H_n^H + noise_var I = 0, which is not positive definite and is
+        # refused by name; any noise makes it definite
+        cfg = ModemConfig(M=4, N=3, cp_len=1, noise_var=0.0)
+        gains = np.array([[1.0, 0.3], [0.0, 0.0], [1.0, -0.3j]])
+        ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
+        sys = assemble_effective(ch, make_window("rectangular", 3), cfg)
+        with pytest.raises(SingularMatrixError, match="symbol 1 of 3 .* not positive definite"):
+            mmse_detect(np.zeros((4, 3)), sys)
+        assert np.isfinite(mmse_detect(np.ones((4, 3)), sys, noise_var=0.1)).all()
 
 
 class TestNonFiniteInput:
@@ -338,9 +362,7 @@ class TestFastBlockSolve:
         np.testing.assert_allclose(
             zf_detect(unvec(d, 16, 8), sys), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
         )
-        arrays = [v for v in vars(sys).values() if isinstance(v, np.ndarray)]
-        arrays += [a for v in vars(sys).values() if isinstance(v, tuple) for a in v]
-        assert max(a.size for a in arrays) <= cfg.N * cfg.M**2
+        assert max(a.size for a in held_arrays(sys)) <= cfg.N * cfg.M**2
 
 
 @st.composite
@@ -395,6 +417,109 @@ class TestPerSymbolMatchesDense:
         np.testing.assert_allclose(
             mmse_detect(grid, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
         )
+
+
+#: (M, Mcp) -> K, the number of row blocks of a channel of length Mcp + 1:
+#: one block (M < 8, or M < 2L), two, and three or more, at odd and prime M,
+#: and more blocks than rows in a block (M = 89 and 256), where the padding
+#: is shorter than a block only if K is derived from B
+BANDED_GEOMETRIES = {
+    (5, 4): 1, (7, 2): 1, (13, 12): 1, (17, 3): 2, (29, 4): 3, (37, 4): 4, (40, 6): 3,
+    (89, 4): 10, (256, 5): 24,
+}
+
+
+@st.composite
+def banded_cases(draw):
+    """A geometry of BANDED_GEOMETRIES, a window of either kind, a
+    well-conditioned channel of length Mcp + 1 whose every lag, or a drawn
+    subset of them, carries a tap, and a noise level that may be 0."""
+    (m, cp_len), n = draw(st.sampled_from(sorted(BANDED_GEOMETRIES))), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0.1, 1.0)))
+    delays = np.arange(cp_len + 1)
+    if not draw(st.booleans()):
+        delays = delays[(rng.uniform(size=delays.size) < 0.5) | (delays % cp_len == 0)]
+    # a unit line-of-sight tap outweighs the others together
+    spread = 0.4 / max(delays.size - 1, 1)
+    gains = np.zeros((n, cp_len + 1), dtype=complex)
+    gains[:, delays] = spread * np.exp(2j * np.pi * rng.uniform(size=(n, delays.size)))
+    gains[:, 0] = np.exp(2j * np.pi * rng.uniform(size=n))
+    if draw(st.booleans()):
+        ch = BlockFadingChannel(gains=gains, sym_len=m + cp_len)
+    else:
+        ch = LtvChannel(tuple(
+            ChannelTap(int(d), complex(gains[0, d]), doppler=float(rng.uniform(-0.02, 0.02)))
+            for d in delays
+        ))
+    noise_var = draw(st.sampled_from([0.0, 0.05, 0.7]))
+    cfg = ModemConfig(M=m, N=n, cp_len=cp_len, noise_var=noise_var)
+    return ch, window, cfg, rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+
+
+class TestBandedMatchesDense:
+    """The zig-zag banded solve against the dense MN x MN oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(banded_cases())
+    def test_zf_and_mmse_equal_dense_oracle(self, case):
+        ch, window, cfg, d = case
+        sys = assemble_effective(ch, window, cfg)
+        h_dense = dense_effective(ch, window, cfg)
+        cov = kron_noise_covariance(window, cfg)
+        grid = unvec(d, cfg.M, cfg.N)
+        np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-9)
+        np.testing.assert_allclose(
+            mmse_detect(grid, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-9
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_cases())
+    def test_bands_hold_the_channel_matrices(self, case):
+        # the scattered row blocks are the dense H_n, entry for entry, and the
+        # padding rows of the last block are identity rows
+        ch, window, cfg, _ = case
+        sys = assemble_effective(ch, window, cfg)
+        np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
+
+    @pytest.mark.parametrize("geometry", sorted(BANDED_GEOMETRIES), ids=lambda g: "M%d-Mcp%d" % g)
+    def test_block_counts(self, geometry):
+        m, cp_len = geometry
+        cfg = ModemConfig(M=m, N=2, cp_len=cp_len)
+        ch = LtvChannel((ChannelTap(0, 1.0), ChannelTap(cp_len, 0.5)))
+        sys = assemble_effective(ch, make_window("rectangular", 2), cfg)
+        assert sys.bands.shape[1] == 3 * BANDED_GEOMETRIES[geometry] - 2
+        np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
+
+    def test_chunked_factorization(self):
+        # with one 400-row block per symbol, symbols are factored three at a
+        # time: the second chunk solves as the first, and a complete fade in
+        # it is named by its own index
+        rng = np.random.default_rng(73)
+        cfg = ModemConfig(M=400, N=4, cp_len=181)
+        gains = 0.01 * (rng.normal(size=(4, 182)) + 1j * rng.normal(size=(4, 182)))
+        gains[:, 0] += 3.0
+        window = make_window("rectangular", 4)
+        ch = BlockFadingChannel(gains, cfg.sym_len)
+        sys = assemble_effective(ch, window, cfg)
+        assert sys.bands.shape == (4, 1, 400, 400)
+        y = rng.normal(size=(400, 4)) + 1j * rng.normal(size=(400, 4))
+        s = np.fft.ifft(zf_detect(np.fft.fft(y, axis=1, norm="ortho"), sys), axis=1, norm="ortho")
+        for n, h in enumerate(channel_blocks(ch, cfg)):
+            np.testing.assert_allclose(s[:, n], np.linalg.solve(h, y[:, n]), rtol=0, atol=1e-9)
+        gains[3] = 0.0
+        faded = assemble_effective(BlockFadingChannel(gains, cfg.sym_len), window, cfg)
+        with pytest.raises(SingularMatrixError, match="symbol 3 of 4"):
+            zf_detect(np.zeros((400, 4)), faded)
+
+    def test_default_channel_state_at_1024x32(self):
+        # the default two-tap channel at 1024 x 32: the system and its cached
+        # factors hold under 32 MB; the dense H_n alone would take 512 MiB
+        run = RunConfig(M=1024, N=32)
+        run.validate()
+        sys = assemble_effective(run.build_channel(), run.build_window(), run.modem_config())
+        zf_detect(np.ones((1024, 32)), sys)
+        assert sum(a.nbytes for a in held_arrays(sys)) < 32 * 2**20
 
 
 class TestBatchMatchesFrames:

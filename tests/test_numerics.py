@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from oracles import block_circulant_assemble, dft_matrix, unvec, vec
-
-from otfsim.numerics import (
-    CmCounter,
-    SingularMatrixError,
-    circ_conv2d,
-    dft,
-    fft_cm_cost,
-    inv_checked,
+from oracles import (
+    block_circulant_assemble,
+    channel_blocks,
+    dft_matrix,
+    identity_channel,
+    unvec,
+    vec,
 )
+
+from otfsim.channel import BlockFadingChannel
+from otfsim.detect import assemble_effective, zf_detect
+from otfsim.grids import ModemConfig, make_window
+from otfsim.numerics import CmCounter, SingularMatrixError, circ_conv2d, dft, fft_cm_cost
 
 
 def direct_dft(v, inverse=False):
@@ -177,53 +180,79 @@ class TestVec:
             unvec(np.zeros(7), 2, 3)
 
 
-def solve_dense(a, b):
-    return inv_checked(a) @ b
+def solve_one_block(ch, cfg, y):
+    """Per-symbol zero-forcing ``s_n = H_n^{-1} y_n`` of the M x N array y,
+    through zf_detect, for a channel whose every H_n is one dense block."""
+    sys = assemble_effective(ch, make_window("rectangular", cfg.N), cfg)
+    assert sys.bands.shape[1] == 1
+    grid = np.fft.fft(y, axis=1, norm="ortho")
+    return np.fft.ifft(zf_detect(grid, sys), axis=1, norm="ortho")
+
+
+def every_lag_channel(gains, cfg):
+    """Block fading with L = M = Mcp + 1: one circulant block per symbol."""
+    return BlockFadingChannel(gains=np.asarray(gains, dtype=complex), sym_len=cfg.sym_len)
 
 
 class TestSolveDense:
-    """Dense solves through the condition-checked inverse."""
+    """Dense per-symbol solves: the banded solver with one block (K = 1)."""
 
     def test_identity(self):
+        cfg = ModemConfig(M=6, N=2, cp_len=1)
         rng = np.random.default_rng(10)
-        b = rng.normal(size=6) + 1j * rng.normal(size=6)
-        np.testing.assert_allclose(solve_dense(np.eye(6), b), b, atol=1e-14)
+        y = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        np.testing.assert_allclose(solve_one_block(identity_channel(), cfg, y), y, atol=1e-14)
 
     def test_diagonal(self):
-        a = np.diag([2.0, 4.0])
-        np.testing.assert_allclose(solve_dense(a, np.array([2.0, 8.0])), [1.0, 2.0], atol=1e-14)
+        cfg = ModemConfig(M=2, N=2, cp_len=0)
+        ch = every_lag_channel([[2.0], [4.0]], cfg)
+        y = np.array([[2.0, 8.0], [2.0, 8.0]])
+        expected = [[1.0, 2.0], [1.0, 2.0]]
+        np.testing.assert_allclose(solve_one_block(ch, cfg, y), expected, atol=1e-14)
 
     def test_residual_on_random_system(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) + 4 * np.eye(16)
-        b = rng.normal(size=16) + 1j * rng.normal(size=16)
-        x = solve_dense(a, b)
-        assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-9
+        cfg = ModemConfig(M=16, N=3, cp_len=15)
+        gains = 0.1 * (rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16)))
+        gains[:, 0] += 2.0
+        ch = every_lag_channel(gains, cfg)
+        y = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        s = solve_one_block(ch, cfg, y)
+        resid = np.einsum("nij,jn->in", channel_blocks(ch, cfg), s) - y
+        assert np.linalg.norm(resid) / np.linalg.norm(y) <= 1e-9
 
     def test_singular_reported(self):
+        # 1 + z^-2 vanishes at frequencies M/4 and 3M/4
+        cfg = ModemConfig(M=4, N=2, cp_len=3)
+        ch = every_lag_channel([[1.0, 0.0, 1.0, 0.0]] * 2, cfg)
         with pytest.raises(SingularMatrixError):
-            inv_checked(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            inv_checked(np.zeros((2, 3)))
+            solve_one_block(ch, cfg, np.ones((4, 2)))
 
     def test_stacked_factorization(self):
-        # a stack inverts matrix by matrix, each condition-checked on its own scale
+        # the symbols are factored together, the condition check is free of
+        # scale, and the first bad symbol is named
         rng = np.random.default_rng(13)
-        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
-        a[1] *= 1e-20
-        inv = inv_checked(a)
-        for k in range(3):
-            np.testing.assert_array_equal(inv[k], inv_checked(a[k]))
-        singular = a.copy()
-        singular[2, :, 0] = 0.0
-        with pytest.raises(SingularMatrixError, match="matrix 2 of 3"):
-            inv_checked(singular)
-        near_singular = a.copy()
-        near_singular[1] = np.diag([1.0, 1.0, 1.0, 1e-14])
-        with pytest.raises(SingularMatrixError, match="matrix 1 of 3"):
-            inv_checked(near_singular)
+        cfg = ModemConfig(M=4, N=3, cp_len=3)
+        gains = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        gains[:, 0] += 4.0
+        y = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        ch = every_lag_channel(gains, cfg)
+        s = solve_one_block(ch, cfg, y)
+        for n, h in enumerate(channel_blocks(ch, cfg)):
+            np.testing.assert_allclose(s[:, n], np.linalg.solve(h, y[:, n]), rtol=0, atol=1e-12)
+        tiny = solve_one_block(every_lag_channel(gains * 1e-20, cfg), cfg, y * 1e-20)
+        np.testing.assert_allclose(tiny, s, rtol=0, atol=1e-12)
+        # each symbol is checked on its own scale: a symbol 1e-20 weaker passes
+        one_faint = gains * np.array([[1.0], [1e-20], [1.0]])
+        assert np.isfinite(solve_one_block(every_lag_channel(one_faint, cfg), cfg, y)).all()
+        singular = gains.copy()
+        singular[2] = [1.0, 0.0, 1.0, 0.0]
+        with pytest.raises(SingularMatrixError, match="symbol 2 of 3"):
+            solve_one_block(every_lag_channel(singular, cfg), cfg, y)
+        near_singular = gains.copy()
+        near_singular[1] = [1.0, 0.0, 1.0 - 1e-8, 0.0]
+        with pytest.raises(SingularMatrixError, match="symbol 1 of 3"):
+            solve_one_block(every_lag_channel(near_singular, cfg), cfg, y)
 
 
 class TestBlockCirculant:
