@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -320,38 +321,63 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # equivalence
 # ---------------------------------------------------------------------------
 
-def draw_equivalence_inputs(rng: np.random.Generator, mcfg: ModemConfig):
-    """One random M x N grid and one random frame, from one draw.
-
-    Every real and imaginary part is uniform on [-sqrt(3), sqrt(3)], with
-    zero mean and unit variance (E|x|^2 = 2). Fast minus reference is
-    linear, so such a draw exposes any nonzero difference with probability
-    1, at a fraction of the cost of a Gaussian draw.
+def uniform_draws(seed: int, grids: int, shape: tuple, offset: int, stride: int):
+    """Per grid g, one buffer refilled from words [g * stride + offset, ...) of the
+    seed's float64 stream, parts uniform on [-sqrt(3), sqrt(3)]: zero mean, unit
+    variance, cheaper than Gaussian and as sure to show that fast - reference != 0.
     """
-    size = mcfg.M * mcfg.N
-    parts = rng.random(2 * (size + mcfg.frame_len))
-    parts *= 2 * math.sqrt(3)
-    parts -= math.sqrt(3)
-    values = parts.view(np.complex128)
-    return values[:size].reshape(mcfg.M, mcfg.N), values[size:]
+    rng = np.random.default_rng(seed)
+    values = np.empty(shape, dtype=np.complex128)
+    parts = values.view(np.float64)
+    rng.bit_generator.advance(offset)
+    for _ in range(grids):
+        rng.random(out=parts)
+        parts *= 2 * math.sqrt(3)
+        parts -= math.sqrt(3)
+        yield values
+        rng.bit_generator.advance(stride - parts.size)
+
+
+def _max_deviation(inputs, reference, fast, *args) -> float:
+    """Largest |fast - reference| over `inputs`, each deviation freed before the next."""
+    top = 0.0
+    for x in inputs:
+        dev = reference(x, *args)
+        dev -= fast(x, *args)
+        top = max(top, float(np.abs(dev).max()))
+        del dev
+    return top
 
 
 def run_equivalence(cfg: RunConfig) -> dict:
-    """Max deviation between the fast and reference modems over random inputs."""
+    """Max deviation between the fast and reference modems over random inputs.
+
+    The modulator check runs on a second thread. Each check reads only its own
+    words of the seed's stream, so thread timing cannot change the report.
+    """
     cfg.validate()
     mcfg = cfg.modem_config()
     window = cfg.build_window()
-    rng = np.random.default_rng(cfg.seed)
-    mod_dev = 0.0
-    demod_dev = 0.0
-    for _ in range(cfg.grids):
-        x, frame = draw_equivalence_inputs(rng, mcfg)
-        dev = modulate_fast(x, mcfg)
-        dev -= modulate_reference(x, mcfg)
-        mod_dev = max(mod_dev, float(np.abs(dev).max()))
-        dev = demodulate_fast(frame, window, mcfg)
-        dev -= demodulate_reference(frame, window, mcfg)
-        demod_dev = max(demod_dev, float(np.abs(dev).max()))
+    stride = 2 * (mcfg.M * mcfg.N + mcfg.frame_len)
+    grids = uniform_draws(cfg.seed, cfg.grids, (mcfg.M, mcfg.N), 0, stride)
+    frames = uniform_draws(cfg.seed, cfg.grids, (mcfg.frame_len,), 2 * mcfg.M * mcfg.N, stride)
+    modulator = {}
+
+    def check_modulator():
+        try:
+            modulator["dev"] = _max_deviation(grids, modulate_reference, modulate_fast, mcfg)
+        except BaseException as exc:  # raised again on the calling thread
+            modulator["error"] = exc
+
+    worker = threading.Thread(target=check_modulator)
+    worker.start()
+    try:
+        demod_dev = _max_deviation(frames, demodulate_reference, demodulate_fast, window, mcfg)
+    finally:
+        worker.join()
+    if "error" in modulator:
+        raise modulator["error"]
+    mod_dev = modulator["dev"]
     return dict(
         grids=cfg.grids,
         modulator_max_dev=mod_dev,

@@ -157,7 +157,7 @@ def sfft_inv(x_dd: np.ndarray, counter: CmCounter | None = None) -> np.ndarray:
     if x_dd.ndim < 2:
         raise ValueError("expected an M x N delay-Doppler grid")
     y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv")
-    return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv")
+    return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv", out=y)
 
 
 def sfft_windowed(
@@ -177,8 +177,8 @@ def sfft_windowed(
     zw = z_tf * window.wr
     if counter is not None:
         counter.add("window", (zw.size // (m * n)) * ((m * n) // 2))
-    x = dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft")
-    return dft(x, axis=-1, counter=counter, stage="sfft")
+    dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft", out=zw)
+    return dft(zw, axis=-1, counter=counter, stage="sfft", out=zw)
 
 
 # ---------------------------------------------------------------------------

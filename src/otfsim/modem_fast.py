@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, SeparableWindow
-from .modem_reference import _add_cp, _check_grid, _frame_to_symbols
+from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame
 from .numerics import CmCounter, dft
 
 
@@ -27,8 +27,7 @@ def modulate_fast(
     (..., L).
     """
     x_dd = _check_grid(x_dd, cfg)
-    body = dft(x_dd, axis=-1, inverse=True, counter=counter, stage="mod_rows")
-    return _add_cp(body, cfg.cp_len)
+    return _idft_to_frame(x_dd, cfg, -1, counter, "mod_rows")
 
 
 def demodulate_fast(
@@ -48,4 +47,4 @@ def demodulate_fast(
     scaled = window.apply(symbols[..., cfg.cp_len :, :])
     if counter is not None:
         counter.add("window", (scaled.size // (cfg.M * cfg.N)) * ((cfg.M * cfg.N) // 2))
-    return dft(scaled, axis=-1, counter=counter, stage="demod_rows")
+    return dft(scaled, axis=-1, counter=counter, stage="demod_rows", out=scaled)

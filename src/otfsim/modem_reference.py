@@ -18,17 +18,15 @@ from .grids import ModemConfig, SeparableWindow, sfft_inv, sfft_windowed
 from .numerics import CmCounter, dft
 
 
-def _add_cp(body: np.ndarray, cp_len: int) -> np.ndarray:
-    """Serialize symbol columns with their cyclic prefixes: (..., M, N) -> (..., L).
-
-    Each column's samples go straight into the data part of its symbol, then
-    its last cp_len samples are copied in front of them.
-    """
-    *lead, m, n = body.shape
-    frame = np.empty((*lead, n, m + cp_len), dtype=body.dtype)
-    frame[..., cp_len:] = np.swapaxes(body, -1, -2)
-    frame[..., :cp_len] = frame[..., m:]
-    return frame.reshape(*lead, n * (m + cp_len))
+def _idft_to_frame(grid: np.ndarray, cfg: ModemConfig, axis: int, counter, stage: str):
+    """Inverse DFT of grids (..., M, N) along `axis`, written straight into the
+    data samples of frames (..., L); each symbol's CP is then copied in front."""
+    *lead, m, n = grid.shape
+    symbols = np.empty((*lead, n, cfg.sym_len), dtype=np.complex128)
+    body = np.swapaxes(symbols[..., cfg.cp_len :], -1, -2)
+    dft(grid, axis=axis, inverse=True, counter=counter, stage=stage, out=body)
+    symbols[..., : cfg.cp_len] = symbols[..., m:]
+    return symbols.reshape(*lead, n * cfg.sym_len)
 
 
 def _frame_to_symbols(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -56,8 +54,7 @@ def modulate_ofdm(
 ) -> np.ndarray:
     """Plain OFDM modulator: per-symbol M-point IDFT, CP insertion, serialize."""
     y_tf = _check_grid(y_tf, cfg)
-    body = dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod")
-    return _add_cp(body, cfg.cp_len)
+    return _idft_to_frame(y_tf, cfg, -2, counter, "ofdm_mod")
 
 
 def demodulate_ofdm(

@@ -1,9 +1,9 @@
-"""Complex linear-algebra kernels with complex-multiplication accounting.
+"""Unitary DFTs with complex-multiplication accounting.
 
-Everything here works on plain ``numpy`` arrays: vectors are 1-D complex
-arrays, matrices are 2-D. The only stateful object is :class:`CmCounter`,
-which tallies complex multiplications (CMs) per pipeline stage so that
-modem implementations can be audited against closed-form cost formulas.
+:func:`dft` transforms a complex array of any shape along one axis, into a
+fresh array or into ``out`` (the input itself or a strided view); a
+:class:`CmCounter` tallies its CMs per stage for the audit. Also here: the
+power-of-two helpers, :func:`circ_conv2d` and :class:`SingularMatrixError`.
 
 Counting convention: one P-point transform is charged exactly
 ``(P/2)*log2(P)`` CMs when P is a power of two (a radix-2 FFT, trivial
@@ -70,6 +70,7 @@ def dft(
     axis: int = 0,
     counter: CmCounter | None = None,
     stage: str = "dft",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unitary DFT (or IDFT) along one axis, computed by ``numpy.fft``.
 
@@ -86,6 +87,8 @@ def dft(
         Axis along which to transform.
     counter : CmCounter, optional
         Charged with the conventional CM cost under `stage`.
+    out : ndarray, optional
+        Receives and returns the result; may be `v` itself or a strided view.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 0 or v.shape[axis] < 1:
@@ -94,7 +97,7 @@ def dft(
     if counter is not None:
         counter.add(stage, (v.size // p) * fft_cm_cost(p))
     transform = np.fft.ifft if inverse else np.fft.fft
-    return transform(v, axis=axis, norm="ortho")
+    return transform(v, axis=axis, norm="ortho", out=out)
 
 
 def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from otfsim.channel import BlockFadingChannel, ChannelTap, LtvChannel
+from otfsim.cli import EQUIVALENCE_TOL
+from otfsim.modem_fast import demodulate_fast, modulate_fast
+from otfsim.modem_reference import demodulate_reference, modulate_reference
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,3 +313,56 @@ def fft2_block_fading_solve(d, ch, window, cfg):
     response = np.stack([tap[:, 0] for tap in taps], axis=1)
     grid = np.asarray(d, dtype=np.complex128).reshape(cfg.M, cfg.N, order="F")
     return np.fft.ifft2(np.fft.fft2(grid) / np.fft.fft2(response))
+
+
+def add_cp(body, cp_len):
+    """Serialize symbol columns with their cyclic prefixes: (..., M, N) -> (..., L)."""
+    *lead, m, n = body.shape
+    frame = np.empty((*lead, n, m + cp_len), dtype=body.dtype)
+    frame[..., cp_len:] = np.swapaxes(body, -1, -2)
+    frame[..., :cp_len] = frame[..., m:]
+    return frame.reshape(*lead, n * (m + cp_len))
+
+
+def modulate_fast_copying(x_dd, cfg):
+    """The fast transmitter as a fresh row IDFT, then a copy into the frame."""
+    return add_cp(np.fft.ifft(x_dd, axis=-1, norm="ortho"), cfg.cp_len)
+
+
+def modulate_ofdm_copying(y_tf, cfg):
+    """The OFDM modulator as a fresh column IDFT, then a copy into the frame."""
+    return add_cp(np.fft.ifft(y_tf, axis=-2, norm="ortho"), cfg.cp_len)
+
+
+def draw_equivalence_inputs(rng, mcfg):
+    """One M x N grid and one frame from one draw, parts uniform on [-sqrt(3), sqrt(3)]."""
+    size = mcfg.M * mcfg.N
+    parts = rng.random(2 * (size + mcfg.frame_len))
+    parts *= 2 * math.sqrt(3)
+    parts -= math.sqrt(3)
+    values = parts.view(np.complex128)
+    return values[:size].reshape(mcfg.M, mcfg.N), values[size:]
+
+
+def sequential_equivalence(cfg):
+    """The equivalence report from one loop on one thread: each grid draws its
+    grid and frame in turn from one stream, then runs both modem checks. The
+    modems are the package's; the draw, the loop and the order are the oracle."""
+    cfg.validate()
+    mcfg = cfg.modem_config()
+    window = cfg.build_window()
+    rng = np.random.default_rng(cfg.seed)
+    mod_dev = demod_dev = 0.0
+    for _ in range(cfg.grids):
+        x, frame = draw_equivalence_inputs(rng, mcfg)
+        dev = modulate_fast(x, mcfg) - modulate_reference(x, mcfg)
+        mod_dev = max(mod_dev, float(np.abs(dev).max()))
+        dev = demodulate_fast(frame, window, mcfg) - demodulate_reference(frame, window, mcfg)
+        demod_dev = max(demod_dev, float(np.abs(dev).max()))
+    return dict(
+        grids=cfg.grids,
+        modulator_max_dev=mod_dev,
+        demodulator_max_dev=demod_dev,
+        tolerance=EQUIVALENCE_TOL,
+        passed=mod_dev <= EQUIVALENCE_TOL and demod_dev <= EQUIVALENCE_TOL,
+    )

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import qfunc
+from oracles import qfunc, sequential_equivalence
 
 from otfsim import cli
 from otfsim.cli import (
@@ -310,13 +311,81 @@ class TestEquivalence:
 
     def test_inputs_have_zero_mean_unit_variance_parts(self):
         mcfg = ModemConfig(M=1024, N=32, cp_len=256)
-        x, frame = cli.draw_equivalence_inputs(np.random.default_rng(0), mcfg)
+        grid_words = 2 * mcfg.M * mcfg.N
+        stride = grid_words + 2 * mcfg.frame_len
+        x = next(cli.uniform_draws(0, 1, (mcfg.M, mcfg.N), 0, stride))
+        frame = next(cli.uniform_draws(0, 1, (mcfg.frame_len,), grid_words, stride))
         assert x.shape == (1024, 32) and frame.shape == (mcfg.frame_len,)
         values = np.concatenate([x.ravel(), frame])
         for part in (values.real, values.imag):
             assert abs(part.mean()) < 0.02
             assert abs(part.var() - 1) < 0.02
             assert np.abs(part).max() <= np.sqrt(3)
+
+    def test_each_loop_reads_its_slices_of_one_stream(self):
+        mcfg, grids, seed = ModemConfig(M=6, N=3, cp_len=2), 4, 9
+        size = mcfg.M * mcfg.N
+        stride = 2 * (size + mcfg.frame_len)
+        words = np.random.default_rng(seed).random(grids * stride)
+        values = (words * (2 * np.sqrt(3)) - np.sqrt(3)).view(np.complex128)
+        draws = zip(
+            cli.uniform_draws(seed, grids, (mcfg.M, mcfg.N), 0, stride),
+            cli.uniform_draws(seed, grids, (mcfg.frame_len,), 2 * size, stride),
+        )
+        count = 0
+        for g, (x, frame) in enumerate(draws):
+            start = g * stride // 2
+            assert np.array_equal(x, values[start : start + size].reshape(mcfg.M, mcfg.N))
+            assert np.array_equal(frame, values[start + size : start + stride // 2])
+            count += 1
+        assert count == grids
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 24).flatmap(lambda m: st.tuples(
+            st.just(m), st.integers(2, 7), st.integers(0, m - 1),
+            st.integers(1, 5), st.sampled_from(WINDOW_KINDS), st.integers(0, 2**32),
+        ))
+    )
+    def test_report_equals_sequential_loop(self, case):
+        m, n, cp_len, grids, kind, seed = case
+        cfg = RunConfig(M=m, N=n, cp_len=cp_len, window_kind=kind, grids=grids, seed=seed)
+        assert run_equivalence(replace(cfg)) == sequential_equivalence(replace(cfg))
+
+    def test_reports_hold_under_thread_contention(self):
+        # four runs at once put eight threads on the cores, switching every microsecond
+        cfg = RunConfig(M=12, N=5, cp_len=3, window_kind="time-tapered", grids=4, seed=3)
+        expected = sequential_equivalence(replace(cfg))
+        reports = []
+        runs = [
+            threading.Thread(target=lambda: reports.append(run_equivalence(replace(cfg))))
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=60)
+                assert not run.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [expected] * 4
+
+    def test_worker_error_is_a_json_record(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise ValueError("modulator failed")
+
+        monkeypatch.setattr(cli, "modulate_reference", failing)
+        path = write_config(tmp_path)
+        assert main(["equivalence", "--config", str(path), "--grids", "3"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert (record["status"], record["command"], record["error"]) == (
+            "fail", "equivalence", "modulator failed"
+        )
 
 
 class TestAudit:
@@ -532,6 +601,21 @@ def test_cli_import_loads_no_scipy():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_logging():
+    # concurrent.futures imports logging, a few ms and most of a MB on every otfs run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import otfsim.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cp_matrices, dft_matrix
+from oracles import cp_matrices, dft_matrix, modulate_fast_copying, modulate_ofdm_copying
 
 from otfsim.grids import WINDOW_KINDS, ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import demodulate_fast, modulate_fast
@@ -222,6 +222,26 @@ class TestModulateFast:
         ofdm_counter = CmCounter()
         modulate_ofdm(np.zeros((512, 16)), cfg, counter=ofdm_counter)
         assert ofdm_counter.total() == 36864
+
+
+class TestModulatorsWriteIntoFrame:
+    """The last transform writes straight into the frame, as a fresh
+    transform copied in behind each cyclic prefix would, bit for bit."""
+
+    @pytest.mark.parametrize("cp_len", [0, 3])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize(
+        "modulate, copying",
+        [(modulate_fast, modulate_fast_copying), (modulate_ofdm, modulate_ofdm_copying)],
+        ids=["fast", "ofdm"],
+    )
+    def test_matches_copying_path(self, modulate, copying, lead, cp_len):
+        cfg = ModemConfig(M=12, N=5, cp_len=cp_len)
+        rng = np.random.default_rng(cp_len + len(lead))
+        x = rng.normal(size=(*lead, 12, 5)) + 1j * rng.normal(size=(*lead, 12, 5))
+        frame = modulate(x, cfg)
+        assert frame.shape == (*lead, cfg.frame_len)
+        assert np.array_equal(frame, copying(x, cfg))
 
 
 class TestDemodulateFast:
