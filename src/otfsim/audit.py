@@ -4,7 +4,7 @@ Three modem structures are audited in both directions: the reference OTFS
 cascade, the bare OFDM modem (SFFT stages bypassed, time-frequency grid
 treated as data), and the proposed low-complexity structure. Predicted
 counts come from the closed-form rows; measured counts come from running
-the instrumented pipelines on a random grid and reading the CM counter.
+the instrumented pipelines on an all-ones grid and reading the CM counter.
 Both count the number and size of the transforms each structure invokes,
 charged by the convention in :mod:`otfsim.numerics`, not the butterflies
 ``numpy.fft`` executes.
@@ -57,13 +57,13 @@ def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
     return (mn // 2) * (1 + log_n)
 
 
-def measured_cm(structure: str, direction: str, m: int, n: int, seed: int = 0) -> int:
-    """Run the instrumented pipeline on a random grid and read its counter."""
+def measured_cm(structure: str, direction: str, m: int, n: int) -> int:
+    """Run the instrumented pipeline on an all-ones grid or frame and read its
+    counter; the count depends on the sizes alone."""
     _check_sizes(m, n)
     cfg = ModemConfig(M=m, N=n, cp_len=m // 4)
-    rng = np.random.default_rng(seed)
-    grid = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    frame = rng.normal(size=cfg.frame_len) + 1j * rng.normal(size=cfg.frame_len)
+    grid = np.ones((m, n), dtype=np.complex128)
+    frame = np.ones(cfg.frame_len, dtype=np.complex128)
     window = make_window("rectangular", n)
     counter = CmCounter()
     if structure == "reference":
@@ -106,7 +106,7 @@ class AuditRow:
         return self.predicted == self.measured
 
 
-def audit_report(m_list, n_list, seed: int = 0) -> list[AuditRow]:
+def audit_report(m_list, n_list) -> list[AuditRow]:
     """Cross-product audit over size sweeps, all structures and directions."""
     rows = []
     for m in m_list:
@@ -120,7 +120,7 @@ def audit_report(m_list, n_list, seed: int = 0) -> list[AuditRow]:
                             M=m,
                             N=n,
                             predicted=predicted_cm(structure, direction, m, n),
-                            measured=measured_cm(structure, direction, m, n, seed=seed),
+                            measured=measured_cm(structure, direction, m, n),
                         )
                     )
     return rows

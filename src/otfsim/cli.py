@@ -321,21 +321,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # equivalence
 # ---------------------------------------------------------------------------
 
-def uniform_draws(seed: int, grids: int, shape: tuple, offset: int, stride: int):
-    """Per grid g, one buffer refilled from words [g * stride + offset, ...) of the
-    seed's float64 stream, parts uniform on [-sqrt(3), sqrt(3)]: zero mean, unit
-    variance, cheaper than Gaussian and as sure to show that fast - reference != 0.
+def uniform_draws(seed, grids: int, shape: tuple):
+    """`grids` draws of one reused buffer from `seed`'s generator, parts uniform
+    on [-sqrt(3), sqrt(3)]: zero mean, unit variance, cheaper than Gaussian and
+    as sure to show that fast - reference != 0.
     """
     rng = np.random.default_rng(seed)
     values = np.empty(shape, dtype=np.complex128)
     parts = values.view(np.float64)
-    rng.bit_generator.advance(offset)
     for _ in range(grids):
         rng.random(out=parts)
         parts *= 2 * math.sqrt(3)
         parts -= math.sqrt(3)
         yield values
-        rng.bit_generator.advance(stride - parts.size)
 
 
 def _max_deviation(inputs, reference, fast, *args) -> float:
@@ -352,15 +350,15 @@ def _max_deviation(inputs, reference, fast, *args) -> float:
 def run_equivalence(cfg: RunConfig) -> dict:
     """Max deviation between the fast and reference modems over random inputs.
 
-    The modulator check runs on a second thread. Each check reads only its own
-    words of the seed's stream, so thread timing cannot change the report.
+    The modulator check runs on a second thread. Each check draws from its own
+    child of the seed, so thread timing cannot change the report.
     """
     cfg.validate()
     mcfg = cfg.modem_config()
     window = cfg.build_window()
-    stride = 2 * (mcfg.M * mcfg.N + mcfg.frame_len)
-    grids = uniform_draws(cfg.seed, cfg.grids, (mcfg.M, mcfg.N), 0, stride)
-    frames = uniform_draws(cfg.seed, cfg.grids, (mcfg.frame_len,), 2 * mcfg.M * mcfg.N, stride)
+    grid_seed, frame_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    grids = uniform_draws(grid_seed, cfg.grids, (mcfg.M, mcfg.N))
+    frames = uniform_draws(frame_seed, cfg.grids, (mcfg.frame_len,))
     modulator = {}
 
     def check_modulator():
@@ -411,17 +409,16 @@ def _audit_sizes_ok(sizes: list[int]) -> bool:
     return bool(sizes) and all(p >= 2 and is_power_of_two(p) for p in sizes)
 
 
-def cmd_audit(m_list, n_list, out_dir: str, seed: int) -> int:
+def cmd_audit(m_list, n_list, out_dir: str) -> int:
     sizes = "a non-empty list of powers of two >= 2"
     problems = _rule_problems((
         ("Ms", m_list, _audit_sizes_ok(m_list), sizes),
         ("Ns", n_list, _audit_sizes_ok(n_list), sizes),
-        ("seed", seed, _is_int(seed) and seed >= 0, "a non-negative integer"),
     ))
     if problems:
         raise ConfigError(problems)
     out = _make_out_dir(out_dir)
-    rows = audit_report(m_list, n_list, seed=seed)
+    rows = audit_report(m_list, n_list)
     write_report_csv(out / "audit.csv", rows)
     mismatches = [row for row in rows if not row.match]
     print(f"wrote {out / 'audit.csv'} ({len(rows)} rows)")
@@ -495,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="complexity audit vs closed forms")
     aud.add_argument("--Ms", type=_int_list, default=[8, 16, 32, 64, 128, 256, 512])
     aud.add_argument("--Ns", type=_int_list, default=[2, 4, 8, 16, 32])
-    aud.add_argument("--seed", type=int, default=0)
     aud.add_argument("--out", dest="out_dir", default="results")
 
     return parser
@@ -505,7 +501,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "audit":
-            return cmd_audit(args.Ms, args.Ns, args.out_dir, args.seed)
+            return cmd_audit(args.Ms, args.Ns, args.out_dir)
         # each flag's dest is the RunConfig field it sets
         overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = load_config(args.config, overrides)

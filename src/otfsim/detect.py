@@ -43,8 +43,8 @@ class EffectiveSystem:
 
     Block (k, c), |k - c| <= 1, of the zig-zag-ordered, unwindowed H_n of
     `channel` is ``bands[n, 2k + c]``, shape (N, 3K - 2, B, B). `window` is
-    undone by the detectors, ``cfg.noise_var`` is the default noise level of
-    ``mmse_detect``, and the factors of the latest noise level are cached.
+    undone by the detectors, and the factors of the latest noise level are
+    cached.
     """
 
     bands: np.ndarray
@@ -206,11 +206,11 @@ def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
     return _detect(d_tilde, sys, 0.0)
 
 
-def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float | None = None) -> np.ndarray:
+def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     """Linear MMSE for unit-energy symbols, ``s_n = H_n^H (H_n H_n^H +
-    noise_var I)^{-1} y_n`` per symbol, at `noise_var` (default
-    ``sys.cfg.noise_var``); it tends to zero-forcing as noise_var goes to 0."""
-    return _detect(d_tilde, sys, sys.cfg.noise_var if noise_var is None else noise_var)
+    noise_var I)^{-1} y_n`` per symbol; it tends to zero-forcing as noise_var
+    goes to 0."""
+    return _detect(d_tilde, sys, noise_var)
 
 
 @dataclass(frozen=True)

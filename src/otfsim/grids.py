@@ -33,18 +33,16 @@ WINDOW_KINDS = ("rectangular", "time-tapered")
 
 @dataclass(frozen=True)
 class ModemConfig:
-    """Frame geometry and noise level shared by every pipeline stage.
+    """Frame geometry shared by every pipeline stage.
 
     M : subcarriers / delay bins, N : OFDM symbols / Doppler bins,
-    cp_len : cyclic-prefix length in samples, noise_var : linear noise
-    variance at the channel output.
+    cp_len : cyclic-prefix length in samples.
     """
 
     M: int
     N: int
     cp_len: int = 0
     qam_order: int = 4
-    noise_var: float = 0.0
 
     def __post_init__(self):
         if self.M < 2:
@@ -55,8 +53,6 @@ class ModemConfig:
             raise ValueError(f"cp_len must satisfy 0 <= cp_len < M, got {self.cp_len}")
         if self.qam_order not in QAM_ORDERS:
             raise ValueError(f"qam_order must be one of {QAM_ORDERS}, got {self.qam_order}")
-        if not 0 <= self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be finite and non-negative, got {self.noise_var}")
 
     @property
     def sym_len(self) -> int:

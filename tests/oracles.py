@@ -204,9 +204,9 @@ def windowed_blocks(ch, window, cfg):
     return channel_blocks(ch, cfg) * window.wr[:, None, None]
 
 
-def symbol_covariance(window, cfg):
+def symbol_covariance(window, cfg, noise_var):
     """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 I``."""
-    gains = cfg.noise_var * np.abs(window.wr) ** 2
+    gains = noise_var * np.abs(window.wr) ** 2
     return gains[:, None, None] * np.eye(cfg.M)
 
 
@@ -271,15 +271,15 @@ def dense_effective(ch, window, cfg):
     return block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
 
 
-def kron_noise_covariance(window, cfg):
-    """Exact covariance of vec(V~): sigma^2 * (C kron I_M).
+def kron_noise_covariance(window, cfg, noise_var):
+    """Exact covariance of vec(V~): noise_var * (C kron I_M).
 
     C is the N x N circulant whose first column is the DFT of |wr|^2 divided
     by N.
     """
     c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
     row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
-    return cfg.noise_var * np.kron(row_cov, np.eye(cfg.M))
+    return noise_var * np.kron(row_cov, np.eye(cfg.M))
 
 
 def dense_zf(h_eff, d, cfg):
@@ -334,27 +334,27 @@ def modulate_ofdm_copying(y_tf, cfg):
     return add_cp(np.fft.ifft(y_tf, axis=-2, norm="ortho"), cfg.cp_len)
 
 
-def draw_equivalence_inputs(rng, mcfg):
-    """One M x N grid and one frame from one draw, parts uniform on [-sqrt(3), sqrt(3)]."""
-    size = mcfg.M * mcfg.N
-    parts = rng.random(2 * (size + mcfg.frame_len))
-    parts *= 2 * math.sqrt(3)
-    parts -= math.sqrt(3)
-    values = parts.view(np.complex128)
-    return values[:size].reshape(mcfg.M, mcfg.N), values[size:]
+def uniform_complex(rng, shape):
+    """Fresh complex values of `shape`, real then imaginary part drawn in turn,
+    each uniform on [-sqrt(3), sqrt(3)]."""
+    parts = rng.random(shape + (2,)) * (2 * math.sqrt(3)) - math.sqrt(3)
+    return parts.view(np.complex128)[..., 0]
 
 
 def sequential_equivalence(cfg):
-    """The equivalence report from one loop on one thread: each grid draws its
-    grid and frame in turn from one stream, then runs both modem checks. The
-    modems are the package's; the draw, the loop and the order are the oracle."""
+    """The equivalence report from one loop on one thread: grid g and frame g
+    are the g-th draws from the first and second child of the seed, and each
+    grid runs both modem checks in turn. The modems are the package's; the
+    draw, the loop and the order are the oracle."""
     cfg.validate()
     mcfg = cfg.modem_config()
     window = cfg.build_window()
-    rng = np.random.default_rng(cfg.seed)
+    grid_seed, frame_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    grid_rng, frame_rng = np.random.default_rng(grid_seed), np.random.default_rng(frame_seed)
     mod_dev = demod_dev = 0.0
     for _ in range(cfg.grids):
-        x, frame = draw_equivalence_inputs(rng, mcfg)
+        x = uniform_complex(grid_rng, (mcfg.M, mcfg.N))
+        frame = uniform_complex(frame_rng, (mcfg.frame_len,))
         dev = modulate_fast(x, mcfg) - modulate_reference(x, mcfg)
         mod_dev = max(mod_dev, float(np.abs(dev).max()))
         dev = demodulate_fast(frame, window, mcfg) - demodulate_reference(frame, window, mcfg)

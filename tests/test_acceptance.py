@@ -242,12 +242,12 @@ def test_criterion_7_awgn_ber_sanity():
 
 
 def test_criterion_8_noise_covariance():
-    cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
+    cfg = ModemConfig(M=4, N=8, cp_len=1)
     window = make_window("time-tapered", cfg.N, rho=0.5)
     rng = np.random.default_rng(88)
     _, outputs = batched_noise_receiver(cfg, window, 200_000, 1.0, rng)
     emp = empirical_covariance(outputs)
-    worst = np.max(np.abs(emp - kron_noise_covariance(window, cfg)))
+    worst = np.max(np.abs(emp - kron_noise_covariance(window, cfg, 1.0)))
     report(
         8,
         worst <= 0.02,

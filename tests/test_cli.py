@@ -311,34 +311,15 @@ class TestEquivalence:
 
     def test_inputs_have_zero_mean_unit_variance_parts(self):
         mcfg = ModemConfig(M=1024, N=32, cp_len=256)
-        grid_words = 2 * mcfg.M * mcfg.N
-        stride = grid_words + 2 * mcfg.frame_len
-        x = next(cli.uniform_draws(0, 1, (mcfg.M, mcfg.N), 0, stride))
-        frame = next(cli.uniform_draws(0, 1, (mcfg.frame_len,), grid_words, stride))
+        grid_seed, frame_seed = np.random.SeedSequence(0).spawn(2)
+        x = next(cli.uniform_draws(grid_seed, 1, (mcfg.M, mcfg.N)))
+        frame = next(cli.uniform_draws(frame_seed, 1, (mcfg.frame_len,)))
         assert x.shape == (1024, 32) and frame.shape == (mcfg.frame_len,)
         values = np.concatenate([x.ravel(), frame])
         for part in (values.real, values.imag):
             assert abs(part.mean()) < 0.02
             assert abs(part.var() - 1) < 0.02
             assert np.abs(part).max() <= np.sqrt(3)
-
-    def test_each_loop_reads_its_slices_of_one_stream(self):
-        mcfg, grids, seed = ModemConfig(M=6, N=3, cp_len=2), 4, 9
-        size = mcfg.M * mcfg.N
-        stride = 2 * (size + mcfg.frame_len)
-        words = np.random.default_rng(seed).random(grids * stride)
-        values = (words * (2 * np.sqrt(3)) - np.sqrt(3)).view(np.complex128)
-        draws = zip(
-            cli.uniform_draws(seed, grids, (mcfg.M, mcfg.N), 0, stride),
-            cli.uniform_draws(seed, grids, (mcfg.frame_len,), 2 * size, stride),
-        )
-        count = 0
-        for g, (x, frame) in enumerate(draws):
-            start = g * stride // 2
-            assert np.array_equal(x, values[start : start + size].reshape(mcfg.M, mcfg.N))
-            assert np.array_equal(frame, values[start + size : start + stride // 2])
-            count += 1
-        assert count == grids
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -402,8 +383,6 @@ class TestAudit:
             (["--Ms", "3"], "Ms", "[3]"),
             (["--Ms", "1"], "Ms", "[1]"),
             (["--Ns", "1,4"], "Ns", "[1, 4]"),
-            (["--seed", "-1"], "seed", "-1"),
-            (["--seed=--"], "seed", "[]"),  # argparse reads "--" as no values
         ],
     )
     def test_bad_setting_named_before_output(self, tmp_path, capsys, args, field, got):
@@ -414,6 +393,19 @@ class TestAudit:
         assert set(record["fields"]) == {field}
         message = record["fields"][field]
         assert message.startswith("must be ") and message.endswith(f", got {got}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "3"], ["--seed=--"]])
+    def test_seed_is_not_an_audit_flag(self, tmp_path, capsys, args):
+        # CM counts depend on the sizes alone, so the audit draws nothing
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", *args, "--out", str(out)])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["status"], record["command"]) == ("fail", "argv")
+        assert "--seed" in record["error"]
         assert not out.exists()
 
     def test_small_sweep_all_match(self, tmp_path):
@@ -742,7 +734,6 @@ AUDIT_SIZES = st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=2).map(
 AUDIT_VALUES = {
     "--Ms": (AUDIT_SIZES, st.sampled_from(["", "0", "-4", "3", "1,x"])),
     "--Ns": (AUDIT_SIZES, st.sampled_from(["", "0", "-4", "3", "1,x"])),
-    "--seed": flag(st.integers(0)),
 }
 
 
@@ -810,7 +801,7 @@ def run_in_sandbox(argv, files, env_seed):
 class TestCliBoundary:
     @settings(max_examples=100, deadline=None)
     @given(invocations())
-    @example((["audit", "--Ms=2", "--Ns=2", "--seed=--"], {}, None))
+    @example((["audit", "--Ms=2", "--Ns=2", "--seed=--"], {}, None))  # argv: no audit seed
     def test_every_input_exits_with_a_record(self, invocation):
         code, err = run_in_sandbox(*invocation)
         assert code in (0, 1, 2)

@@ -1,5 +1,7 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,9 +77,9 @@ def check_symbol_covariance(y, covs, atol):
     np.testing.assert_allclose(emp, model, atol=atol)
 
 
-def check_white_after_unwindowing(y, window, cfg, atol):
+def check_white_after_unwindowing(y, window, cfg, noise_var, atol):
     """With the window undone, as the detectors do, the noise is white."""
-    white = np.broadcast_to(cfg.noise_var * np.eye(cfg.M), (cfg.N, cfg.M, cfg.M))
+    white = np.broadcast_to(noise_var * np.eye(cfg.M), (cfg.N, cfg.M, cfg.M))
     check_symbol_covariance(window.apply(y, -1), white, atol=atol)
 
 
@@ -92,9 +94,9 @@ class TestAssembleEffective:
     def test_rectangular_window_white_noise(self):
         # the windowed model's covariance is white, and undoing the window
         # leaves the grid bit for bit
-        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.7)
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
         w = make_window("rectangular", 4)
-        cov = symbol_covariance(w, cfg)
+        cov = symbol_covariance(w, cfg, 0.7)
         np.testing.assert_allclose(cov, 0.7 * np.eye(4)[None].repeat(4, 0), rtol=0, atol=1e-15)
         y = np.random.default_rng(56).normal(size=(4, 4)) + 0j
         np.testing.assert_array_equal(w.apply(y, -1), y)
@@ -105,9 +107,9 @@ class TestAssembleEffective:
         np.testing.assert_array_equal(bands_to_blocks(sys), np.eye(4)[None].repeat(4, 0))
 
     def test_covariance_hermitian_psd_and_trace(self):
-        cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=0.9)
+        cfg = ModemConfig(M=4, N=8, cp_len=1)
         w = tapered_window(8)
-        cov = symbol_covariance(w, cfg)
+        cov = symbol_covariance(w, cfg, 0.9)
         np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
         expected_trace = 0.9 * 4 * np.sum(np.abs(w.wr) ** 2)
@@ -117,30 +119,30 @@ class TestAssembleEffective:
         # tapered window, white channel noise: the row IDFT of the receiver
         # output has per-symbol covariance noise_var |wr[n]|^2 I and no
         # correlation between symbols
-        cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
+        cfg = ModemConfig(M=4, N=8, cp_len=1)
         w = tapered_window(8)
         rng = np.random.default_rng(60)
         _, outputs = batched_noise_receiver(cfg, w, 40_000, 1.0, rng)
         y = row_idft_noise(outputs, cfg)
-        check_symbol_covariance(y, symbol_covariance(w, cfg), atol=0.05)
-        check_white_after_unwindowing(y, w, cfg, atol=0.05)
+        check_symbol_covariance(y, symbol_covariance(w, cfg, 1.0), atol=0.05)
+        check_white_after_unwindowing(y, w, cfg, 1.0, atol=0.05)
 
     def test_symbol_covariance_is_kronecker_model(self):
         # the per-symbol covariance is the dense Kronecker covariance seen
         # through the unitary row IDFT
-        cfg = ModemConfig(M=4, N=6, cp_len=1, noise_var=0.8)
+        cfg = ModemConfig(M=4, N=6, cp_len=1)
         w = tapered_window(6)
         basis = np.eye(cfg.M * cfg.N)
         t = np.stack([symbol_major(row_idft_noise(col[None], cfg))[0] for col in basis], axis=1)
-        transformed = t @ kron_noise_covariance(w, cfg) @ t.conj().T
+        transformed = t @ kron_noise_covariance(w, cfg, 0.8) @ t.conj().T
         model = np.zeros_like(transformed)
-        for n, cov in enumerate(symbol_covariance(w, cfg)):
+        for n, cov in enumerate(symbol_covariance(w, cfg, 0.8)):
             model[n * 4 : (n + 1) * 4, n * 4 : (n + 1) * 4] = cov
         np.testing.assert_allclose(transformed, model, atol=1e-12)
 
     def test_oracle_receiver_matches_pipeline(self):
         # ties the vectorized noise oracle to the real receive path
-        cfg = ModemConfig(M=4, N=8, cp_len=1, noise_var=1.0)
+        cfg = ModemConfig(M=4, N=8, cp_len=1)
         w = tapered_window(8)
         rng = np.random.default_rng(61)
         frames, outputs = batched_noise_receiver(cfg, w, 8, 1.0, rng)
@@ -242,16 +244,16 @@ class TestZfDetect:
 class TestMmseDetect:
     def test_matches_zf_in_vanishing_noise(self):
         rng = np.random.default_rng(65)
-        cfg = ModemConfig(M=8, N=4, cp_len=3, noise_var=1e-12)
+        cfg = ModemConfig(M=8, N=4, cp_len=3)
         ch = random_ltv_channel(rng, n_taps=2, max_delay=2, max_doppler=0.01)
         sys = assemble_effective(ch, make_window("rectangular", 4), cfg)
         d = unvec(rng.normal(size=32) + 1j * rng.normal(size=32), 8, 4)
-        diff = np.max(np.abs(mmse_detect(d, sys) - zf_detect(d, sys)))
+        diff = np.max(np.abs(mmse_detect(d, sys, 1e-12) - zf_detect(d, sys)))
         assert diff <= 1e-6
 
     def test_mmse_beats_zf_in_noise(self):
         rng = np.random.default_rng(66)
-        cfg = ModemConfig(M=4, N=8, cp_len=2, noise_var=0.5)
+        cfg = ModemConfig(M=4, N=8, cp_len=2)
         w = make_window("rectangular", 8)
         for _ in range(50):
             ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.02)
@@ -265,7 +267,7 @@ class TestMmseDetect:
                     rng.normal(size=32) + 1j * rng.normal(size=32)
                 )
                 d_tilde = unvec(h_dense @ d + noise, 4, 8)
-                mse_mmse += np.mean(np.abs(vec(mmse_detect(d_tilde, sys)) - d) ** 2)
+                mse_mmse += np.mean(np.abs(vec(mmse_detect(d_tilde, sys, 0.5)) - d) ** 2)
                 mse_zf += np.mean(np.abs(vec(zf_detect(d_tilde, sys)) - d) ** 2)
             assert mse_mmse <= mse_zf
 
@@ -273,28 +275,35 @@ class TestMmseDetect:
         # without noise, a symbol in a complete fade leaves
         # H_n H_n^H + noise_var I = 0, which is not positive definite and is
         # refused by name; any noise makes it definite
-        cfg = ModemConfig(M=4, N=3, cp_len=1, noise_var=0.0)
+        cfg = ModemConfig(M=4, N=3, cp_len=1)
         gains = np.array([[1.0, 0.3], [0.0, 0.0], [1.0, -0.3j]])
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         sys = assemble_effective(ch, make_window("rectangular", 3), cfg)
         with pytest.raises(SingularMatrixError, match="symbol 1 of 3 .* not positive definite"):
-            mmse_detect(np.zeros((4, 3)), sys)
-        assert np.isfinite(mmse_detect(np.ones((4, 3)), sys, noise_var=0.1)).all()
+            mmse_detect(np.zeros((4, 3)), sys, 0.0)
+        assert np.isfinite(mmse_detect(np.ones((4, 3)), sys, 0.1)).all()
+
+
+#: both detectors, each called as detect(grid, system)
+DETECTORS = [
+    pytest.param(zf_detect, id="zf_detect"),
+    pytest.param(partial(mmse_detect, noise_var=0.1), id="mmse_detect"),
+]
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    @pytest.mark.parametrize("detect", DETECTORS)
     def test_nan_received_grid_rejected(self, detect):
-        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         d = np.ones((4, 4), dtype=complex)
         d[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             detect(d, sys)
 
-    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    @pytest.mark.parametrize("detect", DETECTORS)
     def test_nan_channel_gain_rejected(self, detect):
-        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
         gains = np.ones((4, 2), dtype=complex)
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
@@ -303,10 +312,10 @@ class TestNonFiniteInput:
 
 
 class TestGridShape:
-    @pytest.mark.parametrize("detect", [zf_detect, mmse_detect])
+    @pytest.mark.parametrize("detect", DETECTORS)
     def test_vector_input_refused(self, detect):
         # the detectors take (..., M, N) grids only; a column-stacked grid is refused
-        cfg = ModemConfig(M=4, N=4, cp_len=1, noise_var=0.1)
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         with pytest.raises(ValueError, match=r"grid must be 4 x 4, got \(16,\)"):
             detect(np.ones(16), sys)
@@ -399,23 +408,23 @@ def per_symbol_cases(draw):
         gains[:, 0] = np.exp(2j * np.pi * rng.uniform(size=n))
         ch = BlockFadingChannel(gains=gains, sym_len=m + cp_len)
     noise_var = draw(st.floats(0.01, 1.0))
-    cfg = ModemConfig(M=m, N=n, cp_len=cp_len, noise_var=noise_var)
+    cfg = ModemConfig(M=m, N=n, cp_len=cp_len)
     d = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
-    return ch, window, cfg, d
+    return ch, window, cfg, noise_var, d
 
 
 class TestPerSymbolMatchesDense:
     @settings(max_examples=60, deadline=None)
     @given(per_symbol_cases())
     def test_zf_and_mmse_equal_dense_oracle(self, case):
-        ch, window, cfg, d = case
+        ch, window, cfg, noise_var, d = case
         sys = assemble_effective(ch, window, cfg)
         h_dense = dense_effective(ch, window, cfg)
-        cov = kron_noise_covariance(window, cfg)
+        cov = kron_noise_covariance(window, cfg, noise_var)
         grid = unvec(d, cfg.M, cfg.N)
         np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-10)
         np.testing.assert_allclose(
-            mmse_detect(grid, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
+            mmse_detect(grid, sys, noise_var), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
         )
 
 
@@ -453,8 +462,8 @@ def banded_cases(draw):
             for d in delays
         ))
     noise_var = draw(st.sampled_from([0.0, 0.05, 0.7]))
-    cfg = ModemConfig(M=m, N=n, cp_len=cp_len, noise_var=noise_var)
-    return ch, window, cfg, rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+    cfg = ModemConfig(M=m, N=n, cp_len=cp_len)
+    return ch, window, cfg, noise_var, rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
 
 
 class TestBandedMatchesDense:
@@ -463,14 +472,14 @@ class TestBandedMatchesDense:
     @settings(max_examples=80, deadline=None)
     @given(banded_cases())
     def test_zf_and_mmse_equal_dense_oracle(self, case):
-        ch, window, cfg, d = case
+        ch, window, cfg, noise_var, d = case
         sys = assemble_effective(ch, window, cfg)
         h_dense = dense_effective(ch, window, cfg)
-        cov = kron_noise_covariance(window, cfg)
+        cov = kron_noise_covariance(window, cfg, noise_var)
         grid = unvec(d, cfg.M, cfg.N)
         np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-9)
         np.testing.assert_allclose(
-            mmse_detect(grid, sys), dense_mmse(h_dense, cov, d, cfg), atol=1e-9
+            mmse_detect(grid, sys, noise_var), dense_mmse(h_dense, cov, d, cfg), atol=1e-9
         )
 
     @settings(max_examples=40, deadline=None)
@@ -478,7 +487,7 @@ class TestBandedMatchesDense:
     def test_bands_hold_the_channel_matrices(self, case):
         # the scattered row blocks are the dense H_n, entry for entry, and the
         # padding rows of the last block are identity rows
-        ch, window, cfg, _ = case
+        ch, window, cfg, _, _ = case
         sys = assemble_effective(ch, window, cfg)
         np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
 
@@ -529,14 +538,14 @@ class TestBatchMatchesFrames:
         # a batch of T frames through modulate, channel, demodulate, ZF and
         # MMSE equals the T single-frame runs; the filter products with T
         # columns may round differently from T one-column products
-        ch, window, cfg, _ = case
+        ch, window, cfg, noise_var, _ = case
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(trials, cfg.M, cfg.N)) + 1j * rng.normal(size=(trials, cfg.M, cfg.N))
         sys = assemble_effective(ch, window, cfg)
 
         def pipeline(grids):
             received = demodulate_fast(apply_channel(modulate_fast(grids, cfg), ch), window, cfg)
-            return received, zf_detect(received, sys), mmse_detect(received, sys)
+            return received, zf_detect(received, sys), mmse_detect(received, sys, noise_var)
 
         frames = [pipeline(grid) for grid in x]
         for stage, batch in enumerate(pipeline(x)):
