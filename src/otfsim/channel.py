@@ -19,12 +19,22 @@ first columns of the ``H_n`` by one FFT across symbols.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import ModemConfig, SeparableWindow
+from .numerics import is_integer
+
+
+def _is_sample_count(value) -> bool:
+    return is_integer(value) and value >= 0
+
+
+def _is_finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,8 @@ class ChannelTap:
     phase: float = 0.0  # radians
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("tap delay must be a non-negative sample count")
+        if not _is_sample_count(self.delay):
+            raise ValueError(f"tap delay must be a non-negative integer, got {self.delay!r}")
         if not np.isfinite([self.gain, self.doppler, self.phase]).all():
             raise ValueError(f"tap gain, doppler and phase must be finite, got {self!r}")
 
@@ -200,24 +210,24 @@ def load_channel(path) -> LtvChannel:
     return channel_from_spec(spec)
 
 
-#: keys of one tap in a channel spec and the type of their values; every
-#: one but "delay" defaults to 0
-_TAP_TYPES = {
-    "delay": numbers.Integral,
-    "gain_re": numbers.Real,
-    "gain_im": numbers.Real,
-    "doppler": numbers.Real,
-    "phase": numbers.Real,
+#: keys of one tap in a channel spec, the test of their values and what it
+#: asks for; every one but "delay" defaults to 0
+_TAP_RULES = {
+    "delay": (_is_sample_count, "a non-negative integer"),
+    **dict.fromkeys(
+        ("gain_re", "gain_im", "doppler", "phase"), (_is_finite_real, "a finite number")
+    ),
 }
 
 
 def channel_from_spec(spec: dict) -> LtvChannel:
     """Build an LtvChannel from the JSON tap-list structure.
 
-    `spec` is ``{"taps": [...]}`` and each tap an object with an integer
-    ``delay`` and optional numbers ``gain_re``, ``gain_im``, ``doppler`` and
-    ``phase``. Any other key, in the spec or in a tap, and any value of the
-    wrong type is refused, naming the tap and key (``taps[0].delay``).
+    `spec` is ``{"taps": [...]}`` and each tap an object with a non-negative
+    integer ``delay`` and optional finite numbers ``gain_re``, ``gain_im``,
+    ``doppler`` and ``phase``. Any other key, in the spec or in a tap, and
+    any other value is refused, naming the tap, key and value
+    (``taps[0].delay: must be a non-negative integer, got -1``).
     """
     taps = spec.get("taps") if isinstance(spec, dict) else None
     if not isinstance(taps, (list, tuple)) or not all(
@@ -229,11 +239,10 @@ def channel_from_spec(spec: dict) -> LtvChannel:
     problems = [f"{key}: unknown key" for key in spec if key != "taps"]
     for i, tap in enumerate(taps):
         for key, value in tap.items():
-            if key not in _TAP_TYPES:
+            if key not in _TAP_RULES:
                 problems.append(f"taps[{i}].{key}: unknown key")
-            elif isinstance(value, bool) or not isinstance(value, _TAP_TYPES[key]):
-                need = "an integer" if key == "delay" else "a number"
-                problems.append(f"taps[{i}].{key}: must be {need}, got {value!r}")
+            elif not _TAP_RULES[key][0](value):
+                problems.append(f"taps[{i}].{key}: must be {_TAP_RULES[key][1]}, got {value!r}")
     if problems:
         raise ValueError("channel spec " + "; ".join(problems))
     return LtvChannel(

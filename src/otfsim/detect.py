@@ -210,6 +210,8 @@ def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     """Linear MMSE for unit-energy symbols, ``s_n = H_n^H (H_n H_n^H +
     noise_var I)^{-1} y_n`` per symbol; it tends to zero-forcing as noise_var
     goes to 0."""
+    if not 0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
     return _detect(d_tilde, sys, noise_var)
 
 

@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .numerics import CmCounter, dft
+from .numerics import CmCounter, dft, is_integer
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -45,6 +45,9 @@ class ModemConfig:
     qam_order: int = 4
 
     def __post_init__(self):
+        for name in ("M", "N", "cp_len"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if self.N < 2:

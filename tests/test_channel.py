@@ -508,6 +508,30 @@ class TestHelpers:
             channel_from_spec(spec)
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"taps": [{"delay": -1}]}, "taps[0].delay: must be a non-negative integer, got -1"),
+            (
+                {"taps": [{"delay": 0}, {"delay": 1, "gain_re": np.nan}]},
+                "taps[1].gain_re: must be a finite number, got nan",
+            ),
+            ({"taps": [{"delay": 0, "doppler": -np.inf}]}, "taps[0].doppler: must be a finite"),
+        ],
+        ids=["negative-delay", "nan-gain", "inf-doppler"],
+    )
+    def test_channel_from_spec_names_bad_value(self, spec, message):
+        # json.load reads NaN and Infinity, so a channel file can hold them
+        with pytest.raises(ValueError, match=re.escape(f"channel spec {message}")):
+            channel_from_spec(spec)
+
+    @pytest.mark.parametrize("delay", [1.5, True, -1, np.float64(2.0)])
+    def test_tap_delay_must_be_a_sample_count(self, delay):
+        # a float delay failed later inside apply_channel, and True read as 1
+        assert ChannelTap(np.int64(2), 1.0).delay == 2
+        with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {delay!r}")):
+            ChannelTap(delay, 1.0)
+
+    @pytest.mark.parametrize(
         "field", [{"gain": complex(np.nan, 0.0)}, {"doppler": np.inf}, {"phase": np.nan}]
     )
     def test_non_finite_tap_rejected(self, field):

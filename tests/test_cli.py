@@ -291,6 +291,17 @@ class TestEquivalence:
         path = write_config(tmp_path)
         assert main(["equivalence", "--config", str(path), "--grids", "5"]) == 0
 
+    def test_qam_and_out_are_accepted_and_ignored(self, tmp_path, capsys):
+        # one command line serves every command; equivalence maps no bits and writes nothing
+        argv = ["equivalence", "--M", "16", "--N", "4", "--Mcp", "4", "--grids", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        out = tmp_path / "DIR"
+        assert main([*argv, "--qam", "64", "--out", str(out)]) == 0
+        assert capsys.readouterr() == plain
+        assert plain.out.startswith("PASS: over 3 random grids") and plain.err == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["modulate_fast", "demodulate_fast"])
     def test_one_deviating_sample_fails(self, tmp_path, capsys, monkeypatch, name):
         fast = getattr(cli, name)

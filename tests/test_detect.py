@@ -283,6 +283,17 @@ class TestMmseDetect:
             mmse_detect(np.zeros((4, 3)), sys, 0.0)
         assert np.isfinite(mmse_detect(np.ones((4, 3)), sys, 0.1)).all()
 
+    @pytest.mark.parametrize("noise_var", [-1e-3, -1.0, np.nan, np.inf])
+    def test_bad_noise_var_named(self, noise_var):
+        # refused before any factor is built: a small negative level would
+        # otherwise pass the Cholesky, and NaN read as a singular symbol
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        message = f"noise_var must be finite and non-negative, got {noise_var}"
+        with pytest.raises(ValueError, match=message):
+            mmse_detect(np.ones((4, 4)), sys, noise_var)
+        assert sys._factor is None
+
 
 #: both detectors, each called as detect(grid, system)
 DETECTORS = [

@@ -1,5 +1,6 @@
 """Tests for QAM mapping, the SFFT pair, and receive windows."""
 
+import re
 import warnings
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestModemConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ModemConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, bad", [("M", 8.0), ("N", True), ("cp_len", 1.5)])
+    def test_non_integer_size_named(self, name, bad):
+        # numpy integers pass; a float failed later inside the modems, and
+        # True read as 1
+        sizes = dict(M=np.int64(8), N=np.int32(4), cp_len=np.uint8(2))
+        assert ModemConfig(**sizes).frame_len == 40
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            ModemConfig(**{**sizes, name: bad})
 
 
 def bit_words(order):
