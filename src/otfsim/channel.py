@@ -47,6 +47,12 @@ class ChannelTap:
     def __post_init__(self):
         if not _is_sample_count(self.delay):
             raise ValueError(f"tap delay must be a non-negative integer, got {self.delay!r}")
+        kinds = {"gain": numbers.Complex, "doppler": numbers.Real, "phase": numbers.Real}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                noun = kind.__name__.lower()
+                raise ValueError(f"tap {name} must be a {noun} number, got {value!r}")
         if not np.isfinite([self.gain, self.doppler, self.phase]).all():
             raise ValueError(f"tap gain, doppler and phase must be finite, got {self!r}")
 

@@ -56,7 +56,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import is_power_of_two
+from .numerics import is_integer, is_power_of_two
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -102,23 +102,23 @@ class RunConfig:
             _is_real(v) and math.isfinite(_noise_var(v)) for v in snr
         )
         rules = (
-            ("M", self.M, _is_int(self.M) and self.M >= 2, "an integer >= 2"),
-            ("N", self.N, _is_int(self.N) and self.N >= 2, "an integer >= 2"),
+            ("M", self.M, is_integer(self.M) and self.M >= 2, "an integer >= 2"),
+            ("N", self.N, is_integer(self.N) and self.N >= 2, "an integer >= 2"),
             ("qam", self.qam_order, self.qam_order in QAM_ORDERS, f"one of {QAM_ORDERS}"),
             ("window", kind, kind in WINDOW_KINDS, f"one of {WINDOW_KINDS}"),
             ("rho", rho, _is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
             ("detector", self.detector, self.detector in DETECTORS, f"one of {DETECTORS}"),
             ("snr", snr, snr_ok, "a non-empty list of dB values"),
-            ("trials", self.trials, _is_int(self.trials) and self.trials >= 1, "an integer >= 1"),
-            ("grids", self.grids, _is_int(self.grids) and self.grids >= 1, "an integer >= 1"),
-            ("seed", self.seed, _is_int(self.seed) and self.seed >= 0, "a non-negative integer"),
+            ("trials", self.trials, is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
+            ("grids", self.grids, is_integer(self.grids) and self.grids >= 1, "an integer >= 1"),
+            ("seed", self.seed, is_integer(self.seed) and self.seed >= 0, "a non-negative integer"),
             ("out", self.out_dir, isinstance(self.out_dir, str), "a directory path"),
         )
         problems = _rule_problems(rules)
         if self.cp_len is None:
             if "M" not in problems:
                 self.cp_len = self.M // 4
-        elif not _is_int(self.cp_len) or self.cp_len < 0:
+        elif not is_integer(self.cp_len) or self.cp_len < 0:
             problems["Mcp"] = f"must be a non-negative integer, got {self.cp_len!r}"
         elif "M" not in problems and self.cp_len >= self.M:
             problems["Mcp"] = f"must satisfy Mcp < M, got {self.cp_len!r}"
@@ -128,6 +128,9 @@ class RunConfig:
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
             raise ConfigError(problems)
+        # NumPy integers pass as Python ints, so no size product can wrap
+        for name in ("M", "N", "cp_len", "trials", "grids", "seed"):
+            setattr(self, name, int(getattr(self, name)))
 
     def modem_config(self) -> ModemConfig:
         return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
@@ -190,10 +193,6 @@ def _make_out_dir(path: str) -> Path:
     except OSError as exc:
         raise ConfigError({"out": f"must be a directory path, got {path!r} ({exc.strerror})"})
     return out
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -337,13 +336,16 @@ def uniform_draws(seed, grids: int, shape: tuple):
 
 
 def _max_deviation(inputs, reference, fast, *args) -> float:
-    """Largest |fast - reference| over `inputs`, each deviation freed before the next."""
+    """Largest |fast - reference| over `inputs`. Every input after the first is
+    written into the first one's result buffers, so no grid allocates one."""
     top = 0.0
+    ref = fst = mag = None
     for x in inputs:
-        dev = reference(x, *args)
-        dev -= fast(x, *args)
-        top = max(top, float(np.abs(dev).max()))
-        del dev
+        ref = reference(x, *args, out=ref)
+        fst = fast(x, *args, out=fst)
+        ref -= fst
+        mag = np.abs(ref, out=mag)
+        top = max(top, float(mag.max()))
     return top
 
 

@@ -146,16 +146,19 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
 # SFFT pair
 # ---------------------------------------------------------------------------
 
-def sfft_inv(x_dd: np.ndarray, counter: CmCounter | None = None) -> np.ndarray:
+def sfft_inv(
+    x_dd: np.ndarray, counter: CmCounter | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse SFFT: delay-Doppler -> time-frequency.
 
     Computes ``Y = F_M @ X @ F_N^H`` as M-point DFTs down the columns
-    followed by N-point IDFTs across the rows (unitary throughout).
+    followed by N-point IDFTs across the rows (unitary throughout), into
+    `out` (any strided view, as for :func:`~otfsim.numerics.dft`) when given.
     """
     x_dd = np.asarray(x_dd, dtype=np.complex128)
     if x_dd.ndim < 2:
         raise ValueError("expected an M x N delay-Doppler grid")
-    y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv")
+    y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv", out=out)
     return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv", out=y)
 
 
@@ -163,17 +166,19 @@ def sfft_windowed(
     z_tf: np.ndarray,
     window: "SeparableWindow",
     counter: CmCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windowed SFFT: time-frequency -> delay-Doppler.
 
     Computes ``F_M^H @ (Z diag(wr)) @ F_N``. With the rectangular window
     this inverts :func:`sfft_inv` exactly. The windowing stage is charged
-    MN/2 CMs regardless of window content (audit convention).
+    MN/2 CMs regardless of window content (audit convention). The result
+    goes into `out` when given, which may be `z_tf` itself.
     """
     z_tf = np.asarray(z_tf, dtype=np.complex128)
     m, n = z_tf.shape[-2:]
     window.check_dims(n)
-    zw = z_tf * window.wr
+    zw = window.apply(z_tf, out=out)
     if counter is not None:
         counter.add("window", (zw.size // (m * n)) * ((m * n) // 2))
     dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft", out=zw)
@@ -204,15 +209,16 @@ class SeparableWindow:
         if self.wr.size != n:
             raise ValueError(f"window of {self.wr.size} symbols does not match N = {n}")
 
-    def apply(self, y: np.ndarray, power: int = 1) -> np.ndarray:
+    def apply(self, y: np.ndarray, power: int = 1, out: np.ndarray | None = None) -> np.ndarray:
         """Apply the window (`power` 1) or undo it (`power` -1).
 
         `y` holds grids (..., M, N) whose column n belongs to OFDM symbol n,
         in time or frequency alike: column n is scaled by ``wr[n] ** power``.
+        The result goes into `out` when given, which may be `y` itself.
         """
         if power not in (1, -1):
             raise ValueError(f"power must be 1 or -1, got {power}")
-        return y * self.wr ** power
+        return np.multiply(y, self.wr ** power, out=out)
 
 
 def make_window(kind: str, n: int, *, rho: float = 0.25) -> SeparableWindow:

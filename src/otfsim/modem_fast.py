@@ -13,21 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, SeparableWindow
-from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame
+from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame, _out_array
 from .numerics import CmCounter, dft
 
 
 def modulate_fast(
-    x_dd: np.ndarray, cfg: ModemConfig, counter: CmCounter | None = None
+    x_dd: np.ndarray,
+    cfg: ModemConfig,
+    counter: CmCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Low-complexity OTFS transmitter: N-point IDFTs on the rows of X, then CP.
 
     Sample-for-sample identical to the reference transmitter while charging
     only ``(M*N/2)*log2(N)`` CMs per frame. Grids (..., M, N) give frames
-    (..., L).
+    (..., L), written into `out` when given (a C-contiguous complex128 array
+    of that shape), which is then returned.
     """
     x_dd = _check_grid(x_dd, cfg)
-    return _idft_to_frame(x_dd, cfg, -1, counter, "mod_rows")
+    return _idft_to_frame(x_dd, cfg, -1, counter, "mod_rows", out)
 
 
 def demodulate_fast(
@@ -35,16 +39,20 @@ def demodulate_fast(
     window: SeparableWindow,
     cfg: ModemConfig,
     counter: CmCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Low-complexity OTFS receiver.
 
     Per symbol: CP removal and scaling by the time-window coefficient, then
     N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs per
-    frame. Frames (..., L) give grids (..., M, N).
+    frame. Frames (..., L) give grids (..., M, N), written into `out` when
+    given (a C-contiguous complex128 array of that shape), which is then
+    returned.
     """
     window.check_dims(cfg.N)
     symbols = _frame_to_symbols(frame, cfg)
-    scaled = window.apply(symbols[..., cfg.cp_len :, :])
+    out = _out_array(out, (*symbols.shape[:-2], cfg.M, cfg.N))
+    scaled = window.apply(symbols[..., cfg.cp_len :, :], out=out)
     if counter is not None:
         counter.add("window", (scaled.size // (cfg.M * cfg.N)) * ((cfg.M * cfg.N) // 2))
     return dft(scaled, axis=-1, counter=counter, stage="demod_rows", out=scaled)

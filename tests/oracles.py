@@ -334,6 +334,21 @@ def modulate_ofdm_copying(y_tf, cfg):
     return add_cp(np.fft.ifft(y_tf, axis=-2, norm="ortho"), cfg.cp_len)
 
 
+def modulate_reference_copying(x_dd, cfg):
+    """The reference transmitter with a fresh array per stage: column DFT, row
+    IDFT, then the OFDM modulator's column IDFT copied into the frame."""
+    y_tf = np.fft.ifft(np.fft.fft(x_dd, axis=-2, norm="ortho"), axis=-1, norm="ortho")
+    return modulate_ofdm_copying(y_tf, cfg)
+
+
+def demodulate_reference_copying(frame, window, cfg):
+    """The reference receiver with a fresh array per stage: column DFT of each
+    symbol's data samples, window, column IDFT, row DFT."""
+    symbols = np.swapaxes(frame.reshape(*frame.shape[:-1], cfg.N, cfg.sym_len), -1, -2)
+    z_tf = np.fft.fft(symbols[..., cfg.cp_len :, :], axis=-2, norm="ortho") * window.wr
+    return np.fft.fft(np.fft.ifft(z_tf, axis=-2, norm="ortho"), axis=-1, norm="ortho")
+
+
 def uniform_complex(rng, shape):
     """Fresh complex values of `shape`, real then imaginary part drawn in turn,
     each uniform on [-sqrt(3), sqrt(3)]."""

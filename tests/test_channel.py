@@ -538,6 +538,21 @@ class TestHelpers:
         with pytest.raises(ValueError, match="must be finite"):
             ChannelTap(delay=0, **{"gain": 1.0, **field})
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("gain", "a", "complex"), ("gain", None, "complex"), ("gain", [1.0], "complex"),
+            ("gain", True, "complex"), ("doppler", "a", "real"), ("doppler", 0.01j, "real"),
+            ("phase", None, "real"), ("phase", [0.1], "real"),
+        ],
+    )
+    def test_non_numeric_tap_refused_by_name(self, field, value, kind):
+        message = f"tap {field} must be a {kind} number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelTap(delay=0, **{"gain": 1.0, field: value})
+        tap = ChannelTap(0, np.complex128(0.5j), doppler=np.float32(0.01), phase=np.int64(1))
+        assert LtvChannel((tap,)).coeffs(np.arange(3))[1].shape == (3, 1)
+
     def test_dd_response_dump(self, tmp_path):
         path = tmp_path / "dd.csv"
         dump_dd_response(path, np.array([[1 + 2j, 0], [0, 3j]]))

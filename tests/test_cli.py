@@ -54,6 +54,30 @@ class TestConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
 
+    def test_numpy_integers_validate_as_python_ints(self):
+        # uint8 sizes would wrap in M + Mcp; validation hands on Python ints
+        cfg = RunConfig(
+            M=np.uint8(200), N=np.int32(4), cp_len=np.uint8(100), trials=np.int16(2),
+            grids=np.uint64(2), seed=np.int64(7),
+        )
+        cfg.validate()
+        assert cfg == RunConfig(M=200, N=4, cp_len=100, trials=2, grids=2, seed=7)
+        sizes = ("M", "N", "cp_len", "trials", "grids", "seed")
+        assert {type(getattr(cfg, name)) for name in sizes} == {int}
+        assert run_equivalence(cfg)["passed"]
+
+    @pytest.mark.parametrize("value", [True, 2.0])
+    @pytest.mark.parametrize(
+        "field, key",
+        [("M", "M"), ("N", "N"), ("cp_len", "Mcp"), ("trials", "trials"), ("grids", "grids"),
+         ("seed", "seed")],
+    )
+    def test_bool_and_float_sizes_refused_by_name(self, field, key, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{field: value}).validate()
+        assert set(exc.value.fields) == {key}
+        assert exc.value.fields[key].endswith(f", got {value!r}")
+
     def test_file_and_flag_precedence(self, tmp_path):
         path = write_config(tmp_path, M=32)
         cfg = load_config(str(path), {"M": 64}, env={})
@@ -306,8 +330,8 @@ class TestEquivalence:
     def test_one_deviating_sample_fails(self, tmp_path, capsys, monkeypatch, name):
         fast = getattr(cli, name)
 
-        def deviating(*args):
-            out = fast(*args)
+        def deviating(*args, **kwargs):
+            out = fast(*args, **kwargs)
             out.flat[0] += 1e-10
             return out
 
@@ -365,8 +389,32 @@ class TestEquivalence:
             sys.setswitchinterval(interval)
         assert reports == [expected] * 4
 
+    def test_every_grid_after_the_first_reuses_the_first_buffers(self, monkeypatch):
+        seen = {}
+
+        def spy(name):
+            modem = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                result = modem(*args, **kwargs)
+                seen.setdefault(name, []).append((kwargs["out"], result))
+                return result
+
+            return call
+
+        names = ["modulate_reference", "modulate_fast", "demodulate_reference", "demodulate_fast"]
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name))
+        assert run_equivalence(RunConfig(M=16, N=4, cp_len=4, grids=4))["passed"]
+        assert sorted(seen) == sorted(names)
+        for calls in seen.values():
+            assert len(calls) == 4
+            (first_out, first), *later = calls
+            assert first_out is None
+            assert all(out is first and result is first for out, result in later)
+
     def test_worker_error_is_a_json_record(self, tmp_path, capsys, monkeypatch):
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise ValueError("modulator failed")
 
         monkeypatch.setattr(cli, "modulate_reference", failing)

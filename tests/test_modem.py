@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cp_matrices, dft_matrix, modulate_fast_copying, modulate_ofdm_copying
+from oracles import (
+    cp_matrices,
+    demodulate_reference_copying,
+    dft_matrix,
+    modulate_fast_copying,
+    modulate_ofdm_copying,
+    modulate_reference_copying,
+)
 
 from otfsim.grids import WINDOW_KINDS, ModemConfig, SeparableWindow, make_window
 from otfsim.modem_fast import demodulate_fast, modulate_fast
@@ -225,15 +232,19 @@ class TestModulateFast:
 
 
 class TestModulatorsWriteIntoFrame:
-    """The last transform writes straight into the frame, as a fresh
-    transform copied in behind each cyclic prefix would, bit for bit."""
+    """The transforms run in place in the frame (or grid) they return, and
+    give what a fresh array per stage would, bit for bit."""
 
     @pytest.mark.parametrize("cp_len", [0, 3])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
     @pytest.mark.parametrize(
         "modulate, copying",
-        [(modulate_fast, modulate_fast_copying), (modulate_ofdm, modulate_ofdm_copying)],
-        ids=["fast", "ofdm"],
+        [
+            (modulate_fast, modulate_fast_copying),
+            (modulate_ofdm, modulate_ofdm_copying),
+            (modulate_reference, modulate_reference_copying),
+        ],
+        ids=["fast", "ofdm", "reference"],
     )
     def test_matches_copying_path(self, modulate, copying, lead, cp_len):
         cfg = ModemConfig(M=12, N=5, cp_len=cp_len)
@@ -242,6 +253,18 @@ class TestModulatorsWriteIntoFrame:
         frame = modulate(x, cfg)
         assert frame.shape == (*lead, cfg.frame_len)
         assert np.array_equal(frame, copying(x, cfg))
+
+    @pytest.mark.parametrize("cp_len", [0, 3])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_reference_receiver_matches_copying_path(self, lead, cp_len):
+        cfg = ModemConfig(M=12, N=5, cp_len=cp_len)
+        window = make_window("time-tapered", 5, rho=0.5)
+        rng = np.random.default_rng(cp_len + len(lead))
+        shape = (*lead, cfg.frame_len)
+        frame = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        grid = demodulate_reference(frame, window, cfg)
+        assert grid.shape == (*lead, 12, 5)
+        assert np.array_equal(grid, demodulate_reference_copying(frame, window, cfg))
 
 
 class TestDemodulateFast:
@@ -273,15 +296,72 @@ class TestDemodulateFast:
 
 
 @st.composite
-def modem_cases(draw):
-    """Any M 2-40, N 2-12 and Mcp < M, powers of two or not, a rectangular
-    or time-tapered window, and zero to two leading batch axes."""
-    m = draw(st.integers(2, 40))
-    n = draw(st.integers(2, 12))
+def modem_cases(draw, max_m=40, max_n=12):
+    """Any M 2-`max_m`, N 2-`max_n` and Mcp < M, powers of two or not, a
+    rectangular or time-tapered window, and zero to two leading batch axes."""
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(2, max_n))
     cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
     window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0, 1)))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     return cfg, window, lead, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+#: each modem as (name, call(input, window, cfg, **kwargs), kind of input)
+MODEMS = [
+    ("modulate_fast", lambda v, w, cfg, **kw: modulate_fast(v, cfg, **kw), "grid"),
+    ("modulate_reference", lambda v, w, cfg, **kw: modulate_reference(v, cfg, **kw), "grid"),
+    ("demodulate_fast", demodulate_fast, "frame"),
+    ("demodulate_reference", demodulate_reference, "frame"),
+]
+
+
+def modem_io_shapes(kind, lead, cfg):
+    """Input and result shapes of a modem taking grids or frames."""
+    grid, frame = (*lead, cfg.M, cfg.N), (*lead, cfg.frame_len)
+    return (grid, frame) if kind == "grid" else (frame, grid)
+
+
+class TestOutBuffer:
+    """With `out=`, each modem writes its whole result into `out` and returns
+    it; an `out` that cannot take the result as it is gets refused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(modem_cases(max_m=24, max_n=7), st.sampled_from(MODEMS))
+    def test_out_is_overwritten_and_returned(self, case, modem):
+        cfg, window, lead, rng = case
+        _, run, kind = modem
+        shape, result_shape = modem_io_shapes(kind, lead, cfg)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = np.full(result_shape, complex(np.nan, np.nan))
+        assert run(v, window, cfg, out=out) is out
+        assert out.tobytes() == run(v, window, cfg).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda shape: np.zeros((*shape[:-1], shape[-1] + 1), dtype=complex),
+            lambda shape: np.zeros((2, *shape), dtype=complex),
+            lambda shape: np.zeros((int(np.prod(shape)), 1), dtype=complex),
+            lambda shape: np.zeros(shape, dtype=np.complex64),
+            lambda shape: np.zeros(shape, dtype=np.float64),
+            lambda shape: np.zeros((*shape, 2), dtype=complex)[..., 0],
+            lambda shape: np.zeros(shape, dtype=complex)[..., ::-1],
+            lambda shape: np.zeros(shape, dtype=complex).tolist(),
+        ],
+        ids=["shape", "lead", "flat", "complex64", "float64", "strided", "reversed", "list"],
+    )
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("modem", MODEMS, ids=[name for name, _, _ in MODEMS])
+    def test_unfit_out_refused_by_name(self, modem, lead, bad):
+        cfg = ModemConfig(M=6, N=4, cp_len=2)
+        _, run, kind = modem
+        shape, result_shape = modem_io_shapes(kind, lead, cfg)
+        out = bad(result_shape)
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous complex128 array"):
+            run(np.ones(shape, dtype=complex), make_window("rectangular", 4), cfg, out=out)
+        if isinstance(out, np.ndarray):
+            assert not out.any()
 
 
 class TestStructuralEquivalence:
