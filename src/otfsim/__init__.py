@@ -34,7 +34,7 @@ from .detect import (
 )
 from .grids import (
     ModemConfig,
-    SeparableWindow,
+    apply_window,
     make_window,
     qam_demap,
     qam_map,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModemConfig, SeparableWindow
+from .grids import ModemConfig, apply_window
 from .numerics import is_integer
 
 
@@ -192,18 +192,18 @@ def symbol_gains(ch, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     return delays, gains.reshape(cfg.N, cfg.M, -1)
 
 
-def build_dd_response(ch, window: SeparableWindow, cfg: ModemConfig) -> np.ndarray:
+def build_dd_response(ch, window: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Windowed delay-Doppler channel impulse response (M x N).
 
     Column l is the first column of the l-th windowed Doppler tap ``(1/N)
-    sum_n wr[n] H_n exp(-j*2*pi*l*n/N)``. The first column of ``H_n`` holds
+    sum_n window[n] H_n exp(-j*2*pi*l*n/N)``. The first column of ``H_n`` holds
     ``h(n*(M + cp_len) + cp_len + ell, ell)`` at row ell (see
     :func:`symbol_gains`), so it is read from the tap gains directly.
     """
     delays, gains = symbol_gains(ch, cfg)
     first = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
     first[delays] = gains[:, delays, np.arange(delays.size)].T
-    return np.fft.fft(window.apply(first), axis=1) / cfg.N
+    return np.fft.fft(apply_window(first, window, out=first), axis=1) / cfg.N
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .grids import (
     WINDOW_KINDS,
     ModemConfig,
     QAM_ORDERS,
-    SeparableWindow,
     make_window,
     qam_demap,
     qam_map,
@@ -135,7 +134,7 @@ class RunConfig:
     def modem_config(self) -> ModemConfig:
         return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
 
-    def build_window(self) -> SeparableWindow:
+    def build_window(self) -> np.ndarray:
         return make_window(self.window_kind, self.N, rho=self.window_rho)
 
     def build_channel(self):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import BlockFadingChannel, LtvChannel, symbol_gains
-from .grids import ModemConfig, SeparableWindow
+from .grids import ModemConfig, apply_window
 from .modem_reference import _check_grid
 from .numerics import SingularMatrixError
 
@@ -48,7 +48,7 @@ class EffectiveSystem:
     """
 
     bands: np.ndarray
-    window: SeparableWindow
+    window: np.ndarray
     cfg: ModemConfig
     channel: LtvChannel | BlockFadingChannel
     _factor: tuple | None = field(default=None, repr=False)
@@ -60,7 +60,7 @@ def _zigzag(m: int) -> np.ndarray:
     return np.where(2 * i < m, 2 * i, 2 * (m - i) - 1)
 
 
-def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> EffectiveSystem:
+def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config.
 
     Each tap's gains are scattered into the row blocks of every H_n: B =
@@ -70,11 +70,13 @@ def assemble_effective(ch, window: SeparableWindow, cfg: ModemConfig) -> Effecti
     non-finite values, and a window with a zero or non-finite coefficient,
     which the detectors could not divide out.
     """
-    window.check_dims(cfg.N)
-    bad = np.flatnonzero(~np.isfinite(window.wr) | (window.wr == 0))
+    window = np.asarray(window)
+    if window.shape != (cfg.N,):
+        raise ValueError(f"window of shape {window.shape} does not match N = {cfg.N}")
+    bad = np.flatnonzero(~np.isfinite(window) | (window == 0))
     if bad.size:
         raise ValueError(
-            f"window wr[{bad[0]}] is {window.wr[bad[0]]}; the detectors divide by "
+            f"window wr[{bad[0]}] is {window[bad[0]]}; the detectors divide by "
             "the window, so every coefficient must be finite and nonzero"
         )
     delays, gains = symbol_gains(ch, cfg)
@@ -188,7 +190,7 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
         sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))
     _, inv, low = sys._factor
     k_count, b, pos = inv.shape[1], inv.shape[2], _zigzag(m)
-    y = sys.window.apply(np.fft.ifft(d.reshape(-1, m, n_sym), axis=-1, norm="ortho"), -1)
+    y = apply_window(np.fft.ifft(d.reshape(-1, m, n_sym), axis=-1, norm="ortho"), 1 / sys.window)
     u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
     u[:, pos] = y.T
     u = _solve(inv, low, u.reshape(n_sym, k_count, b, -1))  # conjugated

@@ -164,23 +164,17 @@ def sfft_inv(
 
 def sfft_windowed(
     z_tf: np.ndarray,
-    window: "SeparableWindow",
+    window: np.ndarray,
     counter: CmCounter | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windowed SFFT: time-frequency -> delay-Doppler.
 
-    Computes ``F_M^H @ (Z diag(wr)) @ F_N``. With the rectangular window
-    this inverts :func:`sfft_inv` exactly. The windowing stage is charged
-    MN/2 CMs regardless of window content (audit convention). The result
-    goes into `out` when given, which may be `z_tf` itself.
+    Computes ``F_M^H @ (Z diag(window)) @ F_N``. With the rectangular window
+    this inverts :func:`sfft_inv` exactly. The result goes into `out` when
+    given, which may be `z_tf` itself.
     """
-    z_tf = np.asarray(z_tf, dtype=np.complex128)
-    m, n = z_tf.shape[-2:]
-    window.check_dims(n)
-    zw = window.apply(z_tf, out=out)
-    if counter is not None:
-        counter.add("window", (zw.size // (m * n)) * ((m * n) // 2))
+    zw = apply_window(np.asarray(z_tf, dtype=np.complex128), window, counter, out)
     dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft", out=zw)
     return dft(zw, axis=-1, counter=counter, stage="sfft", out=zw)
 
@@ -189,40 +183,28 @@ def sfft_windowed(
 # Receive windows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SeparableWindow:
-    """Receive window in time: OFDM symbol n is scaled by ``wr[n]``.
-
-    Every subcarrier of a symbol shares its coefficient, so the window is
-    ``w[m, n] = wr[n]`` on the time-frequency grid; a frequency taper would
-    smear the channel response along delay.
+def apply_window(
+    y: np.ndarray,
+    window: np.ndarray,
+    counter: CmCounter | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scale column n of the grids `y` (..., M, N), OFDM symbol n, by the
+    receive window's coefficient ``window[n]``; ``apply_window(y, 1 / window)``
+    undoes it. Refuses a window whose shape is not (N,). The `window` stage is
+    charged MN/2 CMs per grid whatever the coefficients (audit convention).
+    The result goes into `out` when given, which may be `y` itself.
     """
-
-    wr: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "wr", np.asarray(self.wr, dtype=np.complex128))
-        if self.wr.ndim != 1:
-            raise ValueError("window coefficients must be 1-D")
-
-    def check_dims(self, n: int) -> None:
-        if self.wr.size != n:
-            raise ValueError(f"window of {self.wr.size} symbols does not match N = {n}")
-
-    def apply(self, y: np.ndarray, power: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply the window (`power` 1) or undo it (`power` -1).
-
-        `y` holds grids (..., M, N) whose column n belongs to OFDM symbol n,
-        in time or frequency alike: column n is scaled by ``wr[n] ** power``.
-        The result goes into `out` when given, which may be `y` itself.
-        """
-        if power not in (1, -1):
-            raise ValueError(f"power must be 1 or -1, got {power}")
-        return np.multiply(y, self.wr ** power, out=out)
+    m, n = y.shape[-2:]
+    if np.shape(window) != (n,):
+        raise ValueError(f"window of shape {np.shape(window)} does not match N = {n}")
+    if counter is not None:
+        counter.add("window", (y.size // (m * n)) * ((m * n) // 2))
+    return np.multiply(y, window, out=out)
 
 
-def make_window(kind: str, n: int, *, rho: float = 0.25) -> SeparableWindow:
-    """Build a receive window over N symbols: rectangular or time-tapered.
+def make_window(kind: str, n: int, *, rho: float = 0.25) -> np.ndarray:
+    """The N coefficients of a receive window: rectangular or time-tapered.
 
     The time-tapered window is a raised-cosine edge taper with roll-off
     ``rho``: the first and last ``ceil(rho * N / 2)`` symbols ramp smoothly,
@@ -232,7 +214,7 @@ def make_window(kind: str, n: int, *, rho: float = 0.25) -> SeparableWindow:
     if kind not in WINDOW_KINDS:
         raise ValueError(f"window kind must be one of {WINDOW_KINDS}, got {kind!r}")
     if kind == "rectangular":
-        return SeparableWindow(np.ones(n))
+        return np.ones(n)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"taper roll-off must be in [0, 1], got {rho}")
     wr = np.ones(n)
@@ -242,4 +224,4 @@ def make_window(kind: str, n: int, *, rho: float = 0.25) -> SeparableWindow:
         wr[:taper_len] *= ramp
         wr[n - taper_len :] *= ramp[::-1]
         wr /= np.sqrt(np.mean(np.abs(wr) ** 2))
-    return SeparableWindow(wr)
+    return wr

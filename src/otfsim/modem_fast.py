@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import ModemConfig, SeparableWindow
+from .grids import ModemConfig, apply_window
 from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame, _out_array
 from .numerics import CmCounter, dft
 
@@ -36,7 +36,7 @@ def modulate_fast(
 
 def demodulate_fast(
     frame: np.ndarray,
-    window: SeparableWindow,
+    window: np.ndarray,
     cfg: ModemConfig,
     counter: CmCounter | None = None,
     out: np.ndarray | None = None,
@@ -49,10 +49,7 @@ def demodulate_fast(
     given (a C-contiguous complex128 array of that shape), which is then
     returned.
     """
-    window.check_dims(cfg.N)
     symbols = _frame_to_symbols(frame, cfg)
     out = _out_array(out, (*symbols.shape[:-2], cfg.M, cfg.N))
-    scaled = window.apply(symbols[..., cfg.cp_len :, :], out=out)
-    if counter is not None:
-        counter.add("window", (scaled.size // (cfg.M * cfg.N)) * ((cfg.M * cfg.N) // 2))
-    return dft(scaled, axis=-1, counter=counter, stage="demod_rows", out=scaled)
+    apply_window(symbols[..., cfg.cp_len :, :], window, counter, out)
+    return dft(out, axis=-1, counter=counter, stage="demod_rows", out=out)

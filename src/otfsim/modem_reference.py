@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import ModemConfig, SeparableWindow, sfft_inv, sfft_windowed
+from .grids import ModemConfig, sfft_inv, sfft_windowed
 from .numerics import CmCounter, dft
 
 
@@ -124,7 +124,7 @@ def modulate_reference(
 
 def demodulate_reference(
     frame: np.ndarray,
-    window: SeparableWindow,
+    window: np.ndarray,
     cfg: ModemConfig,
     counter: CmCounter | None = None,
     out: np.ndarray | None = None,

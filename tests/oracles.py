@@ -155,7 +155,7 @@ def batched_noise_receiver(cfg, window, n_frames, noise_var, rng):
     sym = noise.transpose(0, 2, 1)  # (B, sym_len, N), column-major frames
     body = sym[:, cfg.cp_len :, :]
     z = np.fft.fft(body, axis=1, norm="ortho")
-    zw = z * window.wr[None, None, :]
+    zw = z * window[None, None, :]
     x = np.fft.fft(np.fft.ifft(zw, axis=1, norm="ortho"), axis=2, norm="ortho")
     return frames, x.transpose(0, 2, 1).reshape(n_frames, -1)
 
@@ -201,12 +201,12 @@ def bands_to_blocks(sys):
 
 def windowed_blocks(ch, window, cfg):
     """The windowed per-symbol blocks ``G_n = wr[n] H_n``, shape (N, M, M)."""
-    return channel_blocks(ch, cfg) * window.wr[:, None, None]
+    return channel_blocks(ch, cfg) * window[:, None, None]
 
 
 def symbol_covariance(window, cfg, noise_var):
     """Covariance of each symbol's windowed noise, ``noise_var |wr[n]|^2 I``."""
-    gains = noise_var * np.abs(window.wr) ** 2
+    gains = noise_var * np.abs(window) ** 2
     return gains[:, None, None] * np.eye(cfg.M)
 
 
@@ -268,7 +268,7 @@ def block_circulant_assemble(blocks):
 
 def dense_effective(ch, window, cfg):
     """The MN x MN effective matrix ``H_BC`` of the windowed Doppler taps."""
-    return block_circulant_assemble(build_doppler_taps(ch, window.wr, cfg))
+    return block_circulant_assemble(build_doppler_taps(ch, window, cfg))
 
 
 def kron_noise_covariance(window, cfg, noise_var):
@@ -277,7 +277,7 @@ def kron_noise_covariance(window, cfg, noise_var):
     C is the N x N circulant whose first column is the DFT of |wr|^2 divided
     by N.
     """
-    c = np.fft.fft(np.abs(window.wr) ** 2) / cfg.N
+    c = np.fft.fft(np.abs(window) ** 2) / cfg.N
     row_cov = np.stack([np.roll(c, shift) for shift in range(cfg.N)], axis=1)
     return noise_var * np.kron(row_cov, np.eye(cfg.M))
 
@@ -305,7 +305,7 @@ def fft2_block_fading_solve(d, ch, window, cfg):
     with the delay-Doppler response, so ``X = ifft2(fft2(D) / fft2(response))``.
     Refuses any other regime.
     """
-    taps = build_doppler_taps(ch, window.wr, cfg)
+    taps = build_doppler_taps(ch, window, cfg)
     for k, tap in enumerate(taps):
         circulant = np.stack([np.roll(tap[:, 0], c) for c in range(cfg.M)], axis=1)
         if np.max(np.abs(tap - circulant)) > 1e-10:
@@ -345,7 +345,7 @@ def demodulate_reference_copying(frame, window, cfg):
     """The reference receiver with a fresh array per stage: column DFT of each
     symbol's data samples, window, column IDFT, row DFT."""
     symbols = np.swapaxes(frame.reshape(*frame.shape[:-1], cfg.N, cfg.sym_len), -1, -2)
-    z_tf = np.fft.fft(symbols[..., cfg.cp_len :, :], axis=-2, norm="ortho") * window.wr
+    z_tf = np.fft.fft(symbols[..., cfg.cp_len :, :], axis=-2, norm="ortho") * window
     return np.fft.fft(np.fft.ifft(z_tf, axis=-2, norm="ortho"), axis=-1, norm="ortho")
 
 

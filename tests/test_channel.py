@@ -32,7 +32,7 @@ from otfsim.channel import (
     dump_dd_response,
     load_channel,
 )
-from otfsim.grids import WINDOW_KINDS, ModemConfig, make_window
+from otfsim.grids import WINDOW_KINDS, ModemConfig, apply_window, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
 from otfsim.numerics import circ_conv2d
@@ -288,12 +288,12 @@ class TestDopplerTaps:
         cfg = ModemConfig(M=4, N=8, cp_len=2)
         ch = random_block_fading_channel(rng, cfg, length=3)
         w = make_window("time-tapered", 8, rho=0.5)
-        taps = build_doppler_taps(ch, w.wr, cfg)
+        taps = build_doppler_taps(ch, w, cfg)
         for n in range(cfg.N):
             resyn = sum(
                 taps[k] * np.exp(2j * np.pi * k * n / cfg.N) for k in range(cfg.N)
             )
-            np.testing.assert_allclose(resyn, channel_blocks(ch, cfg)[n] * w.wr[n], atol=1e-12)
+            np.testing.assert_allclose(resyn, channel_blocks(ch, cfg)[n] * w[n], atol=1e-12)
 
 
 class TestDdResponse:
@@ -343,7 +343,7 @@ class TestDdResponse:
         ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
         w = make_window("time-tapered", 5)
         response = build_dd_response(ch, w, cfg)
-        expected = dd_response_from_taps(build_doppler_taps(ch, w.wr, cfg))
+        expected = dd_response_from_taps(build_doppler_taps(ch, w, cfg))
         np.testing.assert_allclose(response, expected, atol=1e-12)
 
 
@@ -391,7 +391,7 @@ class TestLinearSystemEquivalences:
         # y_n = H_n s_n for every symbol, whatever the channel's Doppler
         cfg, window, ch, x = case
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
-        y = window.apply(np.fft.ifft(out, axis=1, norm="ortho"), -1)
+        y = apply_window(np.fft.ifft(out, axis=1, norm="ortho"), 1 / window)
         s = np.fft.ifft(x, axis=1, norm="ortho")
         expected = np.einsum("nij,jn->in", channel_blocks(ch, cfg), s)
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-10)
@@ -405,7 +405,7 @@ class TestLinearSystemEquivalences:
             ch = random_ltv_channel(rng, n_taps=3, max_delay=3, max_doppler=0.02)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-            h_bc = block_circulant_assemble(build_doppler_taps(ch, w.wr, cfg))
+            h_bc = block_circulant_assemble(build_doppler_taps(ch, w, cfg))
             resid = np.linalg.norm(vec(out) - h_bc @ vec(x)) / np.linalg.norm(vec(out))
             assert resid <= 1e-10
 
@@ -417,7 +417,7 @@ class TestLinearSystemEquivalences:
         w = make_window("time-tapered", 5, rho=0.5)
         x = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-        h_bc = block_circulant_assemble(build_doppler_taps(ch, w.wr, cfg))
+        h_bc = block_circulant_assemble(build_doppler_taps(ch, w, cfg))
         resid = np.linalg.norm(vec(out) - h_bc @ vec(x)) / np.linalg.norm(vec(out))
         assert resid <= 1e-10
 
