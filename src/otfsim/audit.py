@@ -30,20 +30,21 @@ STRUCTURES = ("reference", "ofdm", "proposed")
 DIRECTIONS = ("mod", "demod")
 
 
-def _check_sizes(m: int, n: int) -> None:
+def _check_case(structure: str, direction: str, m: int, n: int) -> None:
+    """Refuse, by name, a size, structure or direction the audit has no count for."""
     if not (is_power_of_two(m) and is_power_of_two(n)):
         raise ValueError(
             f"complexity audit requires power-of-two M and N, got M={m}, N={n}"
         )
+    if structure not in STRUCTURES:
+        raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
     """Closed-form complex-multiplication count for one structure/direction."""
-    _check_sizes(m, n)
-    if structure not in STRUCTURES:
-        raise ValueError(f"structure must be one of {STRUCTURES}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    _check_case(structure, direction, m, n)
     mn = m * n
     log_m, log_n = ilog2(m), ilog2(n)
     if structure == "reference":
@@ -60,7 +61,7 @@ def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
 def measured_cm(structure: str, direction: str, m: int, n: int) -> int:
     """Run the instrumented pipeline on an all-ones grid or frame and read its
     counter; the count depends on the sizes alone."""
-    _check_sizes(m, n)
+    _check_case(structure, direction, m, n)
     cfg = ModemConfig(M=m, N=n, cp_len=m // 4)
     grid = np.ones((m, n), dtype=np.complex128)
     frame = np.ones(cfg.frame_len, dtype=np.complex128)
@@ -76,20 +77,16 @@ def measured_cm(structure: str, direction: str, m: int, n: int) -> int:
             modulate_ofdm(grid, cfg, counter=counter)
         else:
             demodulate_ofdm(frame, cfg, counter=counter)
-    elif structure == "proposed":
-        if direction == "mod":
-            modulate_fast(grid, cfg, counter=counter)
-        else:
-            demodulate_fast(frame, window, cfg, counter=counter)
+    elif direction == "mod":
+        modulate_fast(grid, cfg, counter=counter)
     else:
-        raise ValueError(f"structure must be one of {STRUCTURES}")
+        demodulate_fast(frame, window, cfg, counter=counter)
     return counter.total()
 
 
 def proposed_to_ofdm_ratio(m: int, n: int) -> float:
     """Modulator cost ratio proposed/OFDM = log2(N) / log2(M)."""
-    _check_sizes(m, n)
-    return ilog2(n) / ilog2(m)
+    return predicted_cm("proposed", "mod", m, n) / predicted_cm("ofdm", "mod", m, n)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import is_integer
+from .numerics import is_integer, is_real
 
 
 def _is_sample_count(value) -> bool:
@@ -34,7 +34,7 @@ def _is_sample_count(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return is_real(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import is_integer, is_power_of_two
+from .numerics import is_integer, is_power_of_two, is_real
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -98,14 +98,14 @@ class RunConfig:
         # one (error name, value, check, requirement) per setting, named as its flag
         snr, rho, kind = self.snr_db, self.window_rho, self.window_kind
         snr_ok = isinstance(snr, (list, tuple)) and len(snr) > 0 and all(
-            _is_real(v) and math.isfinite(_noise_var(v)) for v in snr
+            is_real(v) and math.isfinite(_noise_var(v)) for v in snr
         )
         rules = (
             ("M", self.M, is_integer(self.M) and self.M >= 2, "an integer >= 2"),
             ("N", self.N, is_integer(self.N) and self.N >= 2, "an integer >= 2"),
             ("qam", self.qam_order, self.qam_order in QAM_ORDERS, f"one of {QAM_ORDERS}"),
             ("window", kind, kind in WINDOW_KINDS, f"one of {WINDOW_KINDS}"),
-            ("rho", rho, _is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
+            ("rho", rho, is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
             ("detector", self.detector, self.detector in DETECTORS, f"one of {DETECTORS}"),
             ("snr", snr, snr_ok, "a non-empty list of dB values"),
             ("trials", self.trials, is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
@@ -127,9 +127,10 @@ class RunConfig:
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
             raise ConfigError(problems)
-        # NumPy integers pass as Python ints, so no size product can wrap
+        # NumPy numbers pass as Python ones, so no size product can wrap
         for name in ("M", "N", "cp_len", "trials", "grids", "seed"):
             setattr(self, name, int(getattr(self, name)))
+        self.window_rho, self.snr_db = float(rho), tuple(float(v) for v in snr)
 
     def modem_config(self) -> ModemConfig:
         return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
@@ -194,14 +195,10 @@ def _make_out_dir(path: str) -> Path:
     return out
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _noise_var(snr_db: float) -> float:
     """Noise variance of unit-energy symbols at `snr_db`; inf where it overflows."""
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        return 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         return math.inf
 

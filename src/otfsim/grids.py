@@ -48,6 +48,8 @@ class ModemConfig:
         for name in ("M", "N", "cp_len"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            # a narrow NumPy integer would wrap in M + cp_len
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if self.N < 2:

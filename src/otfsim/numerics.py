@@ -3,7 +3,7 @@
 :func:`dft` transforms a complex array of any shape along one axis, into a
 fresh array or into ``out`` (the input itself or a strided view); a
 :class:`CmCounter` tallies its CMs per stage for the audit. Also here: the
-integer and power-of-two helpers, :func:`circ_conv2d` and :class:`SingularMatrixError`.
+number and power-of-two helpers, :func:`circ_conv2d` and :class:`SingularMatrixError`.
 
 Counting convention: one P-point transform is charged exactly
 ``(P/2)*log2(P)`` CMs when P is a power of two (a radix-2 FFT, trivial
@@ -51,6 +51,11 @@ class CmCounter:
 def is_integer(value) -> bool:
     """A Python or NumPy integer; bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or NumPy real number, integers included; bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_power_of_two(p: int) -> bool:

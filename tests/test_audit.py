@@ -1,5 +1,7 @@
 """Tests for the complexity audit against the closed-form cost table."""
 
+import re
+
 import pytest
 
 from otfsim.audit import (
@@ -47,6 +49,20 @@ class TestMeasured:
 
     def test_ofdm_mod_8_4(self):
         assert measured_cm("ofdm", "mod", 8, 4) == 48
+
+    @pytest.mark.parametrize("count", [predicted_cm, measured_cm])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (("reference", "foo", 8, 4), "direction must be one of ('mod', 'demod'), got 'foo'"),
+            (("simd", "mod", 8, 4), "structure must be one of"),
+            (("proposed", "demod", 12, 4), "power-of-two M and N, got M=12, N=4"),
+        ],
+    )
+    def test_both_counts_refuse_the_same_cases(self, count, case, message):
+        # neither count runs a case that the other refuses
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count(*case)
 
 
 class TestReport:

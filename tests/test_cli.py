@@ -66,6 +66,21 @@ class TestConfig:
         assert {type(getattr(cfg, name)) for name in sizes} == {int}
         assert run_equivalence(cfg)["passed"]
 
+    def test_numpy_floats_validate_as_python_floats(self):
+        cfg = RunConfig(window_rho=np.float32(0.5), snr_db=(np.float32(3), np.int8(6)))
+        cfg.validate()
+        assert (cfg.window_rho, cfg.snr_db) == (0.5, (3.0, 6.0))
+        assert {type(v) for v in (cfg.window_rho, *cfg.snr_db)} == {float}
+
+    @pytest.mark.parametrize("snr", [np.float32(-4000), -(10**400)])
+    def test_overflowing_numpy_and_huge_int_snr_refused_by_name(self, snr):
+        # the noise variance 10**400 overflows as a Python float, warning-free
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                RunConfig(snr_db=(snr,)).validate()
+        assert set(exc.value.fields) == {"snr"}
+
     @pytest.mark.parametrize("value", [True, 2.0])
     @pytest.mark.parametrize(
         "field, key",

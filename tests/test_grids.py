@@ -17,6 +17,7 @@ from otfsim.grids import (
     sfft_inv,
     sfft_windowed,
 )
+from otfsim.numerics import CmCounter
 
 
 def sfft_inv_oracle(x):
@@ -74,6 +75,12 @@ class TestModemConfig:
         assert ModemConfig(**sizes).frame_len == 40
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
             ModemConfig(**{**sizes, name: bad})
+
+    def test_narrow_numpy_sizes_kept_as_python_ints(self):
+        # uint8 200 + 100 would wrap to 44
+        cfg = ModemConfig(M=np.uint8(200), N=np.uint8(4), cp_len=np.uint8(100))
+        assert (cfg.sym_len, cfg.frame_len) == (300, 1200)
+        assert {type(cfg.M), type(cfg.N), type(cfg.cp_len)} == {int}
 
 
 def bit_words(order):
@@ -289,4 +296,12 @@ class TestWindowApply:
         w = make_window("time-tapered", 8, rho=0.5)
         y = np.arange(32, dtype=complex).reshape(4, 8) + 1j
         np.testing.assert_array_equal(apply_window(y, w), y * w)
+
+    def test_charges_half_a_cm_per_sample_and_writes_into_out(self):
+        y = np.ones((3, 4, 8), dtype=complex)
+        out = np.empty_like(y)
+        counter = CmCounter()
+        assert apply_window(y, np.full(8, 2.0), counter, out) is out
+        np.testing.assert_array_equal(out, 2 * y)
+        assert counter.breakdown() == {"window": 3 * 16}
 

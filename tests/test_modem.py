@@ -1,5 +1,7 @@
 """Tests for the reference and low-complexity modems."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from oracles import (
     modulate_reference_copying,
 )
 
-from otfsim.grids import WINDOW_KINDS, ModemConfig, make_window
+from otfsim.channel import ChannelTap, LtvChannel, build_dd_response
+from otfsim.detect import assemble_effective
+from otfsim.grids import WINDOW_KINDS, ModemConfig, apply_window, make_window, sfft_windowed
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import (
     demodulate_ofdm,
@@ -433,3 +437,30 @@ class TestStructuralEquivalence:
             modulate_fast(np.zeros((m, n)), cfg, counter=fast_counter)
             modulate_ofdm(np.zeros((m, n)), cfg, counter=ofdm_counter)
             assert (fast_counter.total() < ofdm_counter.total()) == (n < m)
+
+
+SHAPE_CFG = ModemConfig(M=8, N=4, cp_len=2)
+SHAPE_CHANNEL = LtvChannel((ChannelTap(0, 1.0), ChannelTap(2, 0.5, doppler=0.01)))
+
+#: every function that takes a receive window, called with the window given
+WINDOW_CONSUMERS = {
+    "apply_window": lambda w: apply_window(np.ones((8, 4)), w),
+    "demodulate_fast": lambda w: demodulate_fast(np.ones(SHAPE_CFG.frame_len), w, SHAPE_CFG),
+    "demodulate_reference": lambda w: demodulate_reference(
+        np.ones(SHAPE_CFG.frame_len), w, SHAPE_CFG
+    ),
+    "sfft_windowed": lambda w: sfft_windowed(np.ones((8, 4)), w),
+    "build_dd_response": lambda w: build_dd_response(SHAPE_CHANNEL, w, SHAPE_CFG),
+    "assemble_effective": lambda w: assemble_effective(SHAPE_CHANNEL, w, SHAPE_CFG),
+}
+
+
+class TestWindowShape:
+    """A window is N coefficients: no consumer broadcasts any other shape."""
+
+    @pytest.mark.parametrize("consumer", WINDOW_CONSUMERS)
+    @pytest.mark.parametrize("shape", [(1,), (3,), (5,), (8, 4), (1, 4)])
+    def test_refuses_window_not_of_length_n(self, consumer, shape):
+        WINDOW_CONSUMERS[consumer](np.ones(4))
+        with pytest.raises(ValueError, match=re.escape(f"window of shape {shape} does not match N = 4")):
+            WINDOW_CONSUMERS[consumer](np.ones(shape))
