@@ -197,11 +197,11 @@ def apply_window(
     charged MN/2 CMs per grid whatever the coefficients (audit convention).
     The result goes into `out` when given, which may be `y` itself.
     """
-    m, n = y.shape[-2:]
+    m, n = np.shape(y)[-2:]
     if np.shape(window) != (n,):
         raise ValueError(f"window of shape {np.shape(window)} does not match N = {n}")
     if counter is not None:
-        counter.add("window", (y.size // (m * n)) * ((m * n) // 2))
+        counter.add("window", (np.size(y) // (m * n)) * ((m * n) // 2))
     return np.multiply(y, window, out=out)
 
 
