@@ -24,22 +24,23 @@ from .modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from .numerics import CmCounter, ilog2, is_power_of_two
+from .numerics import CmCounter, check_choice, ilog2, is_integer, is_power_of_two, require
 
 STRUCTURES = ("reference", "ofdm", "proposed")
 DIRECTIONS = ("mod", "demod")
 
 
+def is_audit_size(p) -> bool:
+    """The closed-form counts hold for power-of-two sizes, and a modem needs 2."""
+    return is_integer(p) and p >= 2 and is_power_of_two(p)
+
+
 def _check_case(structure: str, direction: str, m: int, n: int) -> None:
     """Refuse, by name, a size, structure or direction the audit has no count for."""
-    if not (is_power_of_two(m) and is_power_of_two(n)):
-        raise ValueError(
-            f"complexity audit requires power-of-two M and N, got M={m}, N={n}"
-        )
-    if structure not in STRUCTURES:
-        raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    for name, p in (("m", m), ("n", n)):
+        require(is_audit_size(p), name, "a power of two >= 2", p)
+    check_choice("structure", structure, STRUCTURES)
+    check_choice("direction", direction, DIRECTIONS)
 
 
 def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
@@ -105,6 +106,9 @@ class AuditRow:
 
 def audit_report(m_list, n_list) -> list[AuditRow]:
     """Cross-product audit over size sweeps, all structures and directions."""
+    for name, sizes in (("m_list", m_list), ("n_list", n_list)):
+        ok = isinstance(sizes, (list, tuple)) and all(map(is_audit_size, sizes))
+        require(ok, name, "a list of powers of two >= 2", sizes)
     rows = []
     for m in m_list:
         for n in n_list:

@@ -18,6 +18,7 @@ first columns of the ``H_n`` by one FFT across symbols.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -26,15 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import is_integer, is_real
-
-
-def _is_sample_count(value) -> bool:
-    return is_integer(value) and value >= 0
-
-
-def _is_finite_real(value) -> bool:
-    return is_real(value) and math.isfinite(value)
+from .numerics import as_array, check_int, check_noise_var, is_integer, is_real, require
 
 
 @dataclass(frozen=True)
@@ -45,16 +38,12 @@ class ChannelTap:
     phase: float = 0.0  # radians
 
     def __post_init__(self):
-        if not _is_sample_count(self.delay):
-            raise ValueError(f"tap delay must be a non-negative integer, got {self.delay!r}")
-        kinds = {"gain": numbers.Complex, "doppler": numbers.Real, "phase": numbers.Real}
-        for name, kind in kinds.items():
+        object.__setattr__(self, "delay", check_int("tap delay", self.delay))
+        kinds = (("gain", numbers.Complex), ("doppler", numbers.Real), ("phase", numbers.Real))
+        for name, kind in kinds:
             value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                noun = kind.__name__.lower()
-                raise ValueError(f"tap {name} must be a {noun} number, got {value!r}")
-        if not np.isfinite([self.gain, self.doppler, self.phase]).all():
-            raise ValueError(f"tap gain, doppler and phase must be finite, got {self!r}")
+            ok = isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+            require(ok, f"tap {name}", f"a finite {kind.__name__.lower()} number", value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +57,9 @@ class LtvChannel:
     taps: tuple[ChannelTap, ...]
 
     def __post_init__(self):
-        taps = tuple(self.taps)
-        if not taps:
-            raise ValueError("channel needs at least one tap")
+        taps = tuple(self.taps) if isinstance(self.taps, (list, tuple)) else ()
+        ok = taps and all(isinstance(tap, ChannelTap) for tap in taps)
+        require(ok, "taps", "a non-empty sequence of ChannelTap", self.taps)
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -106,12 +95,10 @@ class BlockFadingChannel:
     sym_len: int
 
     def __post_init__(self):
-        gains = np.atleast_2d(np.asarray(self.gains, dtype=np.complex128))
-        if gains.size == 0:
-            raise ValueError("channel needs at least one tap")
-        if self.sym_len < 1:
-            raise ValueError("sym_len must be positive")
+        gains = np.atleast_2d(as_array("gains", self.gains))
+        require(gains.ndim == 2 and gains.size, "gains", "a non-empty (N, L) array", gains)
         object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "sym_len", check_int("sym_len", self.sym_len, 1))
 
     @property
     def length(self) -> int:
@@ -134,9 +121,7 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     kappa = 0; the gains h are computed once for all of them, and only the
     tap delays are visited.
     """
-    signal = np.asarray(signal, dtype=np.complex128)
-    if not np.isfinite(signal).all():
-        raise ValueError("signal has non-finite samples")
+    signal = as_array("signal", signal, ndim=1, finite=True)
     size = signal.shape[-1]
     delays, h = ch.coeffs(np.arange(size))
     out = np.zeros_like(signal)
@@ -153,19 +138,23 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     a sequence of them, one per frame in row-major order, and each frame's
     noise is drawn from its own generator alone.
     """
-    if not 0 <= noise_var < np.inf:
-        raise ValueError(f"noise variance must be finite and non-negative, got {noise_var}")
-    signal = np.asarray(signal, dtype=np.complex128)
+    noise_var = check_noise_var(noise_var)
+    signal = as_array("signal", signal, ndim=1)
     if noise_var == 0:
         return signal.copy()
-    seeds = [seed] if signal.ndim == 1 else seed
-    frames = signal.reshape(-1, signal.shape[-1])
-    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(frames):
-        raise ValueError(f"{len(frames)} frames need a sequence of {len(frames)} seeds")
+    seeds = [seed] if signal.ndim == 1 else seed if isinstance(seed, (list, tuple)) else []
+    frames = signal.reshape(math.prod(signal.shape[:-1]), signal.shape[-1])
+    try:
+        rngs = [np.random.default_rng(s) for s in seeds]  # a Generator is kept as it is
+    except (TypeError, ValueError):
+        rngs = []
+    need = "an int, SeedSequence or Generator"
+    if signal.ndim > 1:
+        need = f"a sequence of {len(frames)} seeds, one per frame of signal, each {need}"
+    require(len(rngs) == len(frames), "seed", need, seed)
     scale = np.sqrt(noise_var / 2)
     noise = np.empty_like(frames)
-    for row, s in zip(noise, seeds):
-        rng = s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
+    for row, rng in zip(noise, rngs):
         row.real = rng.normal(scale=scale, size=row.size)
         row.imag = rng.normal(scale=scale, size=row.size)
     noise += frames
@@ -219,9 +208,10 @@ def load_channel(path) -> LtvChannel:
 #: keys of one tap in a channel spec, the test of their values and what it
 #: asks for; every one but "delay" defaults to 0
 _TAP_RULES = {
-    "delay": (_is_sample_count, "a non-negative integer"),
+    "delay": (lambda v: is_integer(v) and v >= 0, "a non-negative integer"),
     **dict.fromkeys(
-        ("gain_re", "gain_im", "doppler", "phase"), (_is_finite_real, "a finite number")
+        ("gain_re", "gain_im", "doppler", "phase"),
+        (lambda v: is_real(v) and math.isfinite(v), "a finite number"),
     ),
 }
 
@@ -251,6 +241,8 @@ def channel_from_spec(spec: dict) -> LtvChannel:
                 problems.append(f"taps[{i}].{key}: must be {_TAP_RULES[key][1]}, got {value!r}")
     if problems:
         raise ValueError("channel spec " + "; ".join(problems))
+    if not taps:
+        raise ValueError("channel needs at least one tap")
     return LtvChannel(
         tuple(
             ChannelTap(

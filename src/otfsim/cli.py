@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_report, proposed_to_ofdm_ratio, write_report_csv
+from .audit import audit_report, is_audit_size, proposed_to_ofdm_ratio, write_report_csv
 from .channel import (
     ChannelTap,
     LtvChannel,
@@ -55,7 +55,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import is_integer, is_power_of_two, is_real
+from .numerics import is_choice, is_integer, is_real
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -103,10 +103,10 @@ class RunConfig:
         rules = (
             ("M", self.M, is_integer(self.M) and self.M >= 2, "an integer >= 2"),
             ("N", self.N, is_integer(self.N) and self.N >= 2, "an integer >= 2"),
-            ("qam", self.qam_order, self.qam_order in QAM_ORDERS, f"one of {QAM_ORDERS}"),
-            ("window", kind, kind in WINDOW_KINDS, f"one of {WINDOW_KINDS}"),
+            ("qam", self.qam_order, is_choice(self.qam_order, QAM_ORDERS), f"one of {QAM_ORDERS}"),
+            ("window", kind, is_choice(kind, WINDOW_KINDS), f"one of {WINDOW_KINDS}"),
             ("rho", rho, is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
-            ("detector", self.detector, self.detector in DETECTORS, f"one of {DETECTORS}"),
+            ("detector", self.detector, is_choice(self.detector, DETECTORS), f"one of {DETECTORS}"),
             ("snr", snr, snr_ok, "a non-empty list of dB values"),
             ("trials", self.trials, is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
             ("grids", self.grids, is_integer(self.grids) and self.grids >= 1, "an integer >= 1"),
@@ -128,7 +128,7 @@ class RunConfig:
         if problems:
             raise ConfigError(problems)
         # NumPy numbers pass as Python ones, so no size product can wrap
-        for name in ("M", "N", "cp_len", "trials", "grids", "seed"):
+        for name in ("M", "N", "cp_len", "qam_order", "trials", "grids", "seed"):
             setattr(self, name, int(getattr(self, name)))
         self.window_rho, self.snr_db = float(rho), tuple(float(v) for v in snr)
 
@@ -402,16 +402,11 @@ def cmd_equivalence(cfg: RunConfig) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _audit_sizes_ok(sizes: list[int]) -> bool:
-    """The closed-form counts hold for power-of-two sizes, and a modem needs 2."""
-    return bool(sizes) and all(p >= 2 and is_power_of_two(p) for p in sizes)
-
-
 def cmd_audit(m_list, n_list, out_dir: str) -> int:
     sizes = "a non-empty list of powers of two >= 2"
     problems = _rule_problems((
-        ("Ms", m_list, _audit_sizes_ok(m_list), sizes),
-        ("Ns", n_list, _audit_sizes_ok(n_list), sizes),
+        ("Ms", m_list, bool(m_list) and all(map(is_audit_size, m_list)), sizes),
+        ("Ns", n_list, bool(n_list) and all(map(is_audit_size, n_list)), sizes),
     ))
     if problems:
         raise ConfigError(problems)

@@ -31,7 +31,9 @@ import numpy as np
 from .channel import BlockFadingChannel, LtvChannel, symbol_gains
 from .grids import ModemConfig, apply_window
 from .modem_reference import _check_grid
-from .numerics import SingularMatrixError
+from .numerics import (
+    SingularMatrixError, all_finite, as_array, check_int, check_noise_var, check_window, require
+)
 
 #: smallest estimated reciprocal condition number of A_n the detectors accept
 RCOND_MIN = 1e-12
@@ -70,9 +72,7 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
     non-finite values, and a window with a zero or non-finite coefficient,
     which the detectors could not divide out.
     """
-    window = np.asarray(window)
-    if window.shape != (cfg.N,):
-        raise ValueError(f"window of shape {window.shape} does not match N = {cfg.N}")
+    window = check_window(window, cfg.N)
     bad = np.flatnonzero(~np.isfinite(window) | (window == 0))
     if bad.size:
         raise ValueError(
@@ -80,7 +80,7 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
             "the window, so every coefficient must be finite and nonzero"
         )
     delays, gains = symbol_gains(ch, cfg)
-    if not np.isfinite(gains).all():
+    if not all_finite(gains):
         raise ValueError("channel has non-finite values")
     m = cfg.M
     b = -(-m // max(m // max(2 * (ch.length - 1), 8), 1))
@@ -184,7 +184,7 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     block columns (N, K, B, T), so each block product has T columns and can
     round differently from T one-grid solves in the last bits.
     """
-    m, n_sym, d = sys.cfg.M, sys.cfg.N, _check_grid(d_tilde, sys.cfg)
+    m, n_sym, d = sys.cfg.M, sys.cfg.N, _check_grid(d_tilde, sys.cfg, "d_tilde")
     if sys._factor is None or sys._factor[0] != noise_var:
         sys._factor = None  # the old factors go before the new ones are built
         sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))
@@ -212,9 +212,7 @@ def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     """Linear MMSE for unit-energy symbols, ``s_n = H_n^H (H_n H_n^H +
     noise_var I)^{-1} y_n`` per symbol; it tends to zero-forcing as noise_var
     goes to 0."""
-    if not 0 <= noise_var < np.inf:
-        raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
-    return _detect(d_tilde, sys, noise_var)
+    return _detect(d_tilde, sys, check_noise_var(noise_var))
 
 
 @dataclass(frozen=True)
@@ -223,6 +221,11 @@ class BerStat:
 
     n_bits: int
     n_errors: int
+
+    def __post_init__(self):
+        n_bits = check_int("n_bits", self.n_bits, 1)  # a BER over no bits is 0 / 0
+        n_errors = check_int("n_errors", self.n_errors)
+        require(n_errors <= n_bits, "n_errors", f"at most n_bits = {n_bits}", n_errors)
 
     @property
     def ber(self) -> float:
@@ -236,10 +239,11 @@ class BerStat:
 
 def bit_error_rate(detected_bits: np.ndarray, reference_bits: np.ndarray) -> BerStat:
     """Hamming distance over length, as a BerStat."""
-    detected_bits = np.asarray(detected_bits)
-    reference_bits = np.asarray(reference_bits)
-    if detected_bits.shape != reference_bits.shape:
-        raise ValueError("bit streams must have equal length")
+    detected_bits = as_array("detected_bits", detected_bits, dtype=None)
+    reference_bits = as_array("reference_bits", reference_bits, dtype=None)
+    shapes = detected_bits.shape, reference_bits.shape
+    ok = shapes[0] == shapes[1] and detected_bits.size > 0
+    require(ok, "detected_bits and reference_bits", "non-empty arrays of one shape", shapes)
     return BerStat(
         n_bits=detected_bits.size,
         n_errors=int(np.count_nonzero(detected_bits != reference_bits)),

@@ -24,7 +24,9 @@ from functools import cache
 
 import numpy as np
 
-from .numerics import CmCounter, dft, is_integer
+from .numerics import (
+    CmCounter, as_array, check_choice, check_int, check_out, check_window, dft, is_real, require,
+)
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -45,19 +47,11 @@ class ModemConfig:
     qam_order: int = 4
 
     def __post_init__(self):
-        for name in ("M", "N", "cp_len"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            # a narrow NumPy integer would wrap in M + cp_len
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.M < 2:
-            raise ValueError(f"M must be >= 2, got {self.M}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if not 0 <= self.cp_len < self.M:
-            raise ValueError(f"cp_len must satisfy 0 <= cp_len < M, got {self.cp_len}")
-        if self.qam_order not in QAM_ORDERS:
-            raise ValueError(f"qam_order must be one of {QAM_ORDERS}, got {self.qam_order}")
+        for name, low in (("M", 2), ("N", 2), ("cp_len", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        require(self.cp_len < self.M, "cp_len", f"< M = {self.M}", self.cp_len)
+        qam_order = check_choice("qam_order", self.qam_order, QAM_ORDERS)
+        object.__setattr__(self, "qam_order", int(qam_order))
 
     @property
     def sym_len(self) -> int:
@@ -103,15 +97,13 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     each symbol takes its first half of bits on the in-phase axis and the
     second half on the quadrature axis. Returns a 1-D complex symbol vector.
     """
-    if order not in QAM_ORDERS:
-        raise ValueError(f"unsupported QAM order {order}")
-    bits = np.asarray(bits)
-    not_bit = (bits != 0) & (bits != 1)
-    if not_bit.any():
-        raise ValueError(f"bits must be 0 or 1, got {bits[not_bit][0]}")
-    bps = int(math.log2(order))
-    if bits.ndim != 1 or bits.size % bps != 0:
-        raise ValueError(f"bit count must be a multiple of {bps} for {order}-QAM")
+    bps = int(math.log2(check_choice("order", order, QAM_ORDERS)))
+    bits = as_array("bits", bits, dtype=None)
+    need = f"a flat array of {bps}-bit groups for order = {order}"
+    require(bits.ndim == 1 and bits.size % bps == 0, "bits", need, bits)
+    not_bit = bits[(bits != 0) & (bits != 1) | (bits.dtype.kind == "c")]
+    if not_bit.size:
+        require(False, "bits", "0 or 1", not_bit[0].item())
     half = bps // 2
     groups = bits.astype(np.uint8, copy=False).reshape(-1, 2, half)  # (symbol, axis, bit)
     codes = groups[..., 0].astype(np.intp)
@@ -123,12 +115,8 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest-neighbor hard decisions back to bits (inverse of qam_map), as uint8."""
-    if order not in QAM_ORDERS:
-        raise ValueError(f"unsupported QAM order {order}")
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(symbols)):
-        raise ValueError("cannot demap non-finite symbols")
-    bps = int(math.log2(order))
+    bps = int(math.log2(check_choice("order", order, QAM_ORDERS)))
+    symbols = as_array("symbols", symbols, finite=True).ravel()
     half = bps // 2
     levels = 1 << half
     scale = qam_scale(order)
@@ -157,9 +145,7 @@ def sfft_inv(
     followed by N-point IDFTs across the rows (unitary throughout), into
     `out` (any strided view, as for :func:`~otfsim.numerics.dft`) when given.
     """
-    x_dd = np.asarray(x_dd, dtype=np.complex128)
-    if x_dd.ndim < 2:
-        raise ValueError("expected an M x N delay-Doppler grid")
+    x_dd = as_array("x_dd", x_dd, ndim=2)
     y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv", out=out)
     return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv", out=y)
 
@@ -176,7 +162,7 @@ def sfft_windowed(
     this inverts :func:`sfft_inv` exactly. The result goes into `out` when
     given, which may be `z_tf` itself.
     """
-    zw = apply_window(np.asarray(z_tf, dtype=np.complex128), window, counter, out)
+    zw = apply_window(as_array("z_tf", z_tf, ndim=2), window, counter, out)
     dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft", out=zw)
     return dft(zw, axis=-1, counter=counter, stage="sfft", out=zw)
 
@@ -197,9 +183,11 @@ def apply_window(
     charged MN/2 CMs per grid whatever the coefficients (audit convention).
     The result goes into `out` when given, which may be `y` itself.
     """
-    m, n = np.shape(y)[-2:]
-    if np.shape(window) != (n,):
-        raise ValueError(f"window of shape {np.shape(window)} does not match N = {n}")
+    y = as_array("y", y, dtype=None, ndim=2)
+    m, n = y.shape[-2:]
+    window = check_window(window, n)
+    if out is not None:
+        check_out(out, y.shape, contiguous=False)
     if counter is not None:
         counter.add("window", (np.size(y) // (m * n)) * ((m * n) // 2))
     return np.multiply(y, window, out=out)
@@ -213,13 +201,10 @@ def make_window(kind: str, n: int, *, rho: float = 0.25) -> np.ndarray:
     the middle stays flat, and the result is normalized so that
     ``sum(|wr|^2) / N == 1``.
     """
-    if kind not in WINDOW_KINDS:
-        raise ValueError(f"window kind must be one of {WINDOW_KINDS}, got {kind!r}")
-    if kind == "rectangular":
-        return np.ones(n)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"taper roll-off must be in [0, 1], got {rho}")
-    wr = np.ones(n)
+    wr = np.ones(check_int("n", n, 1))
+    require(is_real(rho) and 0 <= rho <= 1, "rho", "a number in [0, 1]", rho)
+    if check_choice("kind", kind, WINDOW_KINDS) == "rectangular":
+        return wr
     taper_len = math.ceil(rho * n / 2)
     if taper_len > 0:
         ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(taper_len) + 0.5) / taper_len))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame, _out_array
-from .numerics import CmCounter, dft
+from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame
+from .numerics import CmCounter, check_out, dft
 
 
 def modulate_fast(
@@ -30,7 +30,7 @@ def modulate_fast(
     (..., L), written into `out` when given (a C-contiguous complex128 array
     of that shape), which is then returned.
     """
-    x_dd = _check_grid(x_dd, cfg)
+    x_dd = _check_grid(x_dd, cfg, "x_dd")
     return _idft_to_frame(x_dd, cfg, -1, counter, "mod_rows", out)
 
 
@@ -50,6 +50,6 @@ def demodulate_fast(
     returned.
     """
     symbols = _frame_to_symbols(frame, cfg)
-    out = _out_array(out, (*symbols.shape[:-2], cfg.M, cfg.N))
+    out = check_out(out, (*symbols.shape[:-2], cfg.M, cfg.N))
     apply_window(symbols[..., cfg.cp_len :, :], window, counter, out)
     return dft(out, axis=-1, counter=counter, stage="demod_rows", out=out)

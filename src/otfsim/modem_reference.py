@@ -15,22 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, sfft_inv, sfft_windowed
-from .numerics import CmCounter, dft
-
-
-def _out_array(out: np.ndarray | None, shape: tuple) -> np.ndarray:
-    """`out` itself if it can hold a result of `shape`, else a ValueError naming
-    it; a fresh array when `out` is None. A result is written whole into its
-    buffer, never into a copy, so `out` must be C-contiguous complex128."""
-    if out is None:
-        return np.empty(shape, dtype=np.complex128)
-    if not isinstance(out, np.ndarray):
-        got = type(out).__name__
-    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        got = f"{out.dtype} {out.shape}, C-contiguous: {out.flags.c_contiguous}"
-    else:
-        return out
-    raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}, got {got}")
+from .numerics import CmCounter, as_array, check_out, dft, require
 
 
 def _symbol_columns(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -46,7 +31,7 @@ def _idft_to_frame(
     """Inverse DFT of grids (..., M, N) along `axis`, written straight into the
     data samples of frames (..., L); each symbol's CP is then copied in front.
     `grid` may be the data samples of `out` itself."""
-    frame = _out_array(out, (*grid.shape[:-2], cfg.frame_len))
+    frame = check_out(out, (*grid.shape[:-2], cfg.frame_len))
     symbols = _symbol_columns(frame, cfg)
     body = symbols[..., cfg.cp_len :, :]
     dft(grid, axis=axis, inverse=True, counter=counter, stage=stage, out=body)
@@ -56,20 +41,16 @@ def _idft_to_frame(
 
 def _frame_to_symbols(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Frames (..., L) -> per-symbol sample columns (..., M + cp_len, N)."""
-    frame = np.asarray(frame, dtype=np.complex128)
-    if frame.ndim < 1 or frame.shape[-1] != cfg.frame_len:
-        raise ValueError(f"frame must have length {cfg.frame_len}, got shape {frame.shape}")
-    if not np.isfinite(frame).all():
-        raise ValueError("frame has non-finite samples")
+    frame = as_array("frame", frame, finite=True)
+    need = f"of shape (..., {cfg.frame_len})"
+    require(frame.shape[-1:] == (cfg.frame_len,), "frame", need, frame)
     return _symbol_columns(frame, cfg)
 
 
-def _check_grid(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape[-2:] != (cfg.M, cfg.N):
-        raise ValueError(f"grid must be {cfg.M} x {cfg.N}, got {grid.shape}")
-    if not np.isfinite(grid).all():
-        raise ValueError("grid has non-finite entries")
+def _check_grid(grid: np.ndarray, cfg: ModemConfig, name: str) -> np.ndarray:
+    """The argument `name`, grids (..., M, N), as a finite complex128 array."""
+    grid = as_array(name, grid, finite=True)
+    require(grid.shape[-2:] == (cfg.M, cfg.N), name, f"of shape (..., {cfg.M}, {cfg.N})", grid)
     return grid
 
 
@@ -84,7 +65,7 @@ def modulate_ofdm(
     With `out`, frames are written into it and it is returned; `y_tf` may be
     its data samples, transformed in place.
     """
-    y_tf = _check_grid(y_tf, cfg)
+    y_tf = _check_grid(y_tf, cfg, "y_tf")
     return _idft_to_frame(y_tf, cfg, -2, counter, "ofdm_mod", out)
 
 
@@ -99,7 +80,7 @@ def demodulate_ofdm(
     With `out`, grids are written into it and it is returned.
     """
     symbols = _frame_to_symbols(frame, cfg)
-    out = _out_array(out, (*symbols.shape[:-2], cfg.M, cfg.N))
+    out = check_out(out, (*symbols.shape[:-2], cfg.M, cfg.N))
     body = symbols[..., cfg.cp_len :, :]
     return dft(body, axis=-2, counter=counter, stage="ofdm_demod", out=out)
 
@@ -116,10 +97,11 @@ def modulate_reference(
     With `out`, a C-contiguous complex128 array of the frames' shape, every
     transform runs in place on its data samples and `out` is returned.
     """
-    x_dd = _check_grid(x_dd, cfg)
-    frame = _out_array(out, (*x_dd.shape[:-2], cfg.frame_len))
+    x_dd = _check_grid(x_dd, cfg, "x_dd")
+    frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
     body = _symbol_columns(frame, cfg)[..., cfg.cp_len :, :]
-    return modulate_ofdm(sfft_inv(x_dd, counter=counter, out=body), cfg, counter=counter, out=frame)
+    y_tf = sfft_inv(x_dd, counter=counter, out=body)
+    return _idft_to_frame(y_tf, cfg, -2, counter, "ofdm_mod", frame)
 
 
 def demodulate_reference(

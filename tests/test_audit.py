@@ -56,7 +56,7 @@ class TestMeasured:
         [
             (("reference", "foo", 8, 4), "direction must be one of ('mod', 'demod'), got 'foo'"),
             (("simd", "mod", 8, 4), "structure must be one of"),
-            (("proposed", "demod", 12, 4), "power-of-two M and N, got M=12, N=4"),
+            (("proposed", "demod", 12, 4), "m must be a power of two >= 2, got 12"),
         ],
     )
     def test_both_counts_refuse_the_same_cases(self, count, case, message):

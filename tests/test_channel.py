@@ -117,7 +117,7 @@ class TestApplyChannel:
     def test_non_finite_signal_rejected(self):
         s = np.ones(8, dtype=complex)
         s[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="signal must be finite"):
             apply_channel(s, identity_channel())
 
     def test_batch_equals_each_frame(self):
@@ -177,7 +177,7 @@ class TestAwgn:
 
     @pytest.mark.parametrize("seed", [0, [0, 1], [0, 1, 2, 3]], ids=["bare", "short", "long"])
     def test_batch_needs_one_seed_per_frame(self, seed):
-        with pytest.raises(ValueError, match="3 frames need a sequence of 3 seeds"):
+        with pytest.raises(ValueError, match="seed must be a sequence of 3 seeds, one per frame of signal"):
             add_awgn(np.zeros((3, 4), dtype=complex), 1.0, seed)
 
 
@@ -535,7 +535,7 @@ class TestHelpers:
         "field", [{"gain": complex(np.nan, 0.0)}, {"doppler": np.inf}, {"phase": np.nan}]
     )
     def test_non_finite_tap_rejected(self, field):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be a finite"):
             ChannelTap(delay=0, **{"gain": 1.0, **field})
 
     @pytest.mark.parametrize(
@@ -547,7 +547,7 @@ class TestHelpers:
         ],
     )
     def test_non_numeric_tap_refused_by_name(self, field, value, kind):
-        message = f"tap {field} must be a {kind} number, got {value!r}"
+        message = f"tap {field} must be a finite {kind} number, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ChannelTap(delay=0, **{"gain": 1.0, field: value})
         tap = ChannelTap(0, np.complex128(0.5j), doppler=np.float32(0.01), phase=np.int64(1))

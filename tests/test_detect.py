@@ -1,5 +1,6 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -33,6 +34,7 @@ from otfsim.channel import (
 )
 from otfsim.cli import RunConfig, run_simulation
 from otfsim.detect import (
+    BerStat,
     assemble_effective,
     bit_error_rate,
     mmse_detect,
@@ -308,7 +310,7 @@ class TestNonFiniteInput:
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         d = np.ones((4, 4), dtype=complex)
         d[1, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="d_tilde must be finite"):
             detect(d, sys)
 
     @pytest.mark.parametrize("detect", DETECTORS)
@@ -327,7 +329,8 @@ class TestGridShape:
         # the detectors take (..., M, N) grids only; a column-stacked grid is refused
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
-        with pytest.raises(ValueError, match=r"grid must be 4 x 4, got \(16,\)"):
+        message = "d_tilde must be of shape (..., 4, 4), got a (16,) complex128 array"
+        with pytest.raises(ValueError, match=re.escape(message)):
             detect(np.ones(16), sys)
 
 
@@ -608,6 +611,16 @@ class TestBer:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bit_error_rate(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+
+    def test_empty_streams_refused_by_name(self):
+        # a BER over no bits is 0 / 0: refused before a BerStat exists
+        message = "detected_bits and reference_bits must be non-empty arrays of one shape"
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got ((0,), (0,))")):
+            bit_error_rate([], [])
+        with pytest.raises(ValueError, match=re.escape("n_bits must be an integer >= 1, got 0")):
+            BerStat(n_bits=0, n_errors=0)
+        with pytest.raises(ValueError, match=re.escape("n_errors must be at most n_bits = 4")):
+            BerStat(n_bits=4, n_errors=5)
 
     def test_demap_detected_grid(self):
         # detector output grids demap back to the transmitted bits noise-free

@@ -73,7 +73,8 @@ class TestModemConfig:
         # True read as 1
         sizes = dict(M=np.int64(8), N=np.int32(4), cp_len=np.uint8(2))
         assert ModemConfig(**sizes).frame_len == 40
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        need = "a non-negative integer" if name == "cp_len" else "an integer >= 2"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {need}, got {bad!r}")):
             ModemConfig(**{**sizes, name: bad})
 
     def test_narrow_numpy_sizes_kept_as_python_ints(self):
@@ -176,7 +177,7 @@ class TestQam:
     def test_demap_rejects_non_finite(self, bad):
         symbols = qam_map(np.zeros(8, dtype=int), 4)
         symbols[2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="symbols must be finite"):
             qam_demap(symbols, 4)
 
     def test_unsupported_order(self):

@@ -45,7 +45,7 @@ class TestNonFiniteInput:
         cfg = ModemConfig(M=4, N=2, cp_len=1)
         grid = np.ones((4, 2), dtype=complex)
         grid[2, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="(x_dd|y_tf) must be finite"):
             modulate(grid, cfg)
 
     @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ class TestNonFiniteInput:
         cfg = ModemConfig(M=4, N=2, cp_len=1)
         frame = np.ones(cfg.frame_len, dtype=complex)
         frame[7] = complex(0.0, np.inf)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="frame must be finite"):
             demodulate(frame, cfg)
 
 
@@ -462,5 +462,6 @@ class TestWindowShape:
     @pytest.mark.parametrize("shape", [(1,), (3,), (5,), (8, 4), (1, 4)])
     def test_refuses_window_not_of_length_n(self, consumer, shape):
         WINDOW_CONSUMERS[consumer](np.ones(4))
-        with pytest.raises(ValueError, match=re.escape(f"window of shape {shape} does not match N = 4")):
+        message = f"window must be of shape (4,), got a {shape} float64 array"
+        with pytest.raises(ValueError, match=re.escape(message)):
             WINDOW_CONSUMERS[consumer](np.ones(shape))

@@ -1,5 +1,7 @@
 """Tests for the DFT/FFT kernels, convolution, and solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from oracles import (
 from otfsim.channel import BlockFadingChannel
 from otfsim.detect import assemble_effective, zf_detect
 from otfsim.grids import ModemConfig, make_window
-from otfsim.numerics import CmCounter, SingularMatrixError, circ_conv2d, dft, fft_cm_cost
+from otfsim.numerics import (
+    CmCounter,
+    SingularMatrixError,
+    all_finite,
+    circ_conv2d,
+    dft,
+    fft_cm_cost,
+)
 
 
 def direct_dft(v, inverse=False):
@@ -110,6 +119,42 @@ class TestCmCounter:
         counter = CmCounter()
         with pytest.raises(ValueError):
             counter.add("a", -1)
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, np.float64(2), True, "3", None])
+    def test_non_integer_count_refused_by_name(self, count):
+        # int() would record 1 for 1.5, and the audit compares exact integers
+        counter = CmCounter()
+        message = f"count must be a non-negative integer, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counter.add("a", count)
+        assert counter.breakdown() == {}
+        counter.add("a", np.int64(2))
+        assert type(counter.total()) is int
+
+
+class TestAllFinite:
+    """The finite check reads float parts, in a view where the layout allows."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a,
+            lambda a: a[:, ::2],
+            lambda a: a.T,
+            lambda a: np.asfortranarray(a),
+            lambda a: a[1, 2],
+            lambda a: a.ravel()[:0],
+        ],
+        ids=["contiguous", "strided", "transposed", "fortran", "scalar", "empty"],
+    )
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, complex(0, np.nan), complex(1, -np.inf)])
+    def test_equals_isfinite(self, layout, bad):
+        a = np.arange(24.0).reshape(4, 6) * (1 + 1j)
+        if bad is not None:
+            a[1, 2] = bad
+        view = layout(a)
+        view = view if isinstance(view, np.ndarray) else np.asarray(view)
+        assert all_finite(view) == bool(np.isfinite(view).all())
 
 
 def brute_circ_conv2d(a, b):
