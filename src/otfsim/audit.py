@@ -12,7 +12,7 @@ charged by the convention in :mod:`otfsim.numerics`, not the butterflies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from .numerics import CmCounter, check_choice, ilog2, is_integer, is_power_of_two, require
+from .numerics import (
+    CmCounter, check_choice, ilog2, is_integer, is_power_of_two, require, write_csv,
+)
 
 STRUCTURES = ("reference", "ofdm", "proposed")
 DIRECTIONS = ("mod", "demod")
@@ -128,10 +130,5 @@ def audit_report(m_list, n_list) -> list[AuditRow]:
 
 
 def write_report_csv(path, rows: list[AuditRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("structure,direction,M,N,predicted,measured,match\n")
-        for row in rows:
-            fh.write(
-                f"{row.structure},{row.direction},{row.M},{row.N},"
-                f"{row.predicted},{row.measured},{str(row.match).lower()}\n"
-            )
+    header = "structure,direction,M,N,predicted,measured,match"
+    write_csv(path, header, ((*astuple(row), str(row.match).lower()) for row in rows))

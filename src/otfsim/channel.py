@@ -18,7 +18,6 @@ first columns of the ``H_n`` by one FFT across symbols.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import numbers
@@ -27,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import as_array, check_int, check_noise_var, is_integer, is_real, require
+from .numerics import (
+    as_array, check_int, check_noise_var, is_finite, is_integer, require, write_csv,
+)
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,8 @@ class ChannelTap:
         object.__setattr__(self, "delay", check_int("tap delay", self.delay))
         kinds = (("gain", numbers.Complex), ("doppler", numbers.Real), ("phase", numbers.Real))
         for name, kind in kinds:
-            value = getattr(self, name)
-            ok = isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
-            require(ok, f"tap {name}", f"a finite {kind.__name__.lower()} number", value)
+            value, need = getattr(self, name), f"a finite {kind.__name__.lower()} number"
+            require(is_finite(value, kind), f"tap {name}", need, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +136,11 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     `seed` may be an int, a SeedSequence, or a Generator; the output is
     deterministic for a fixed seed. For frames of shape (..., L), `seed` is
     a sequence of them, one per frame in row-major order, and each frame's
-    noise is drawn from its own generator alone.
+    noise is drawn from its own generator alone. `seed` is checked at zero
+    noise too, where no noise is drawn.
     """
     noise_var = check_noise_var(noise_var)
     signal = as_array("signal", signal, ndim=1)
-    if noise_var == 0:
-        return signal.copy()
     seeds = [seed] if signal.ndim == 1 else seed if isinstance(seed, (list, tuple)) else []
     frames = signal.reshape(math.prod(signal.shape[:-1]), signal.shape[-1])
     try:
@@ -152,6 +151,8 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
     if signal.ndim > 1:
         need = f"a sequence of {len(frames)} seeds, one per frame of signal, each {need}"
     require(len(rngs) == len(frames), "seed", need, seed)
+    if noise_var == 0:
+        return signal.copy()
     scale = np.sqrt(noise_var / 2)
     noise = np.empty_like(frames)
     for row, rng in zip(noise, rngs):
@@ -176,8 +177,7 @@ def symbol_gains(ch, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
             f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
             "per-symbol model would ignore the inter-symbol interference it causes"
         )
-    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + np.arange(cfg.M)
-    delays, gains = ch.coeffs(kappa.ravel())
+    delays, gains = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())
     return delays, gains.reshape(cfg.N, cfg.M, -1)
 
 
@@ -209,10 +209,7 @@ def load_channel(path) -> LtvChannel:
 #: asks for; every one but "delay" defaults to 0
 _TAP_RULES = {
     "delay": (lambda v: is_integer(v) and v >= 0, "a non-negative integer"),
-    **dict.fromkeys(
-        ("gain_re", "gain_im", "doppler", "phase"),
-        (lambda v: is_real(v) and math.isfinite(v), "a finite number"),
-    ),
+    **dict.fromkeys(("gain_re", "gain_im", "doppler", "phase"), (is_finite, "a finite number")),
 }
 
 
@@ -258,10 +255,5 @@ def channel_from_spec(spec: dict) -> LtvChannel:
 
 def dump_dd_response(path, response: np.ndarray) -> None:
     """Write a delay-Doppler response as CSV: k,l,re,im,abs."""
-    response = np.asarray(response)
-    with open(path, "w") as fh:
-        fh.write("k,l,re,im,abs\n")
-        for k in range(response.shape[0]):
-            for l in range(response.shape[1]):
-                z = complex(response[k, l])
-                fh.write(f"{k},{l},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}\n")
+    cells = ((k, l, complex(z)) for (k, l), z in np.ndenumerate(response))
+    write_csv(path, "k,l,re,im,abs", ((k, l, z.real, z.imag, abs(z)) for k, l, z in cells))

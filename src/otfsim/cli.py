@@ -55,7 +55,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import is_choice, is_integer, is_real
+from .numerics import is_choice, is_integer, is_real, write_csv
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -143,8 +143,8 @@ class RunConfig:
             # two-tap desk-scale default: a line-of-sight tap and a delayed tap
             # with one Doppler cycle per frame
             gain = complex(1 / np.sqrt(2))
-            frame_len = (self.M + self.cp_len) * self.N
-            return LtvChannel((ChannelTap(0, gain), ChannelTap(3, gain, doppler=1.0 / frame_len)))
+            doppler = 1.0 / self.modem_config().frame_len
+            return LtvChannel((ChannelTap(0, gain), ChannelTap(3, gain, doppler=doppler)))
         if isinstance(self.channel, str):
             return load_channel(self.channel)
         return channel_from_spec(self.channel)
@@ -281,13 +281,8 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
 
 
 def write_ber_csv(path, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write("snr_db,trials,bit_errors,ber,stderr\n")
-        for row in rows:
-            fh.write(
-                f"{row['snr_db']:g},{row['trials']},{row['bit_errors']},"
-                f"{row['ber']:.17g},{row['stderr']:.17g}\n"
-            )
+    body = ((f"{r['snr_db']:g}", r["trials"], r["bit_errors"], r["ber"], r["stderr"]) for r in rows)
+    write_csv(path, "snr_db,trials,bit_errors,ber,stderr", body)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .channel import BlockFadingChannel, LtvChannel, symbol_gains
 from .grids import ModemConfig, apply_window
-from .modem_reference import _check_grid
 from .numerics import (
     SingularMatrixError, all_finite, as_array, check_int, check_noise_var, check_window, require
 )
@@ -184,7 +183,7 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     block columns (N, K, B, T), so each block product has T columns and can
     round differently from T one-grid solves in the last bits.
     """
-    m, n_sym, d = sys.cfg.M, sys.cfg.N, _check_grid(d_tilde, sys.cfg, "d_tilde")
+    m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
     if sys._factor is None or sys._factor[0] != noise_var:
         sys._factor = None  # the old factors go before the new ones are built
         sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))

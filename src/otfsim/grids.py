@@ -8,7 +8,7 @@ Grid conventions (all plain complex ndarrays):
 * time-frequency grid ``Y``/``Z``: shape (M, N), element at subcarrier m,
   OFDM symbol n;
 * frame signal: 1-D vector of length ``(M + cp_len) * N``, the column-major
-  serialization of the per-symbol sample matrix.
+  serialization of the per-symbol sample matrix, each symbol's CP first.
 
 The modems, the channel and the detectors also take a batch of frames:
 grids of shape (..., M, N) and frames of shape (..., L), one per leading
@@ -35,7 +35,7 @@ WINDOW_KINDS = ("rectangular", "time-tapered")
 
 @dataclass(frozen=True)
 class ModemConfig:
-    """Frame geometry shared by every pipeline stage.
+    """Frame geometry and layout, shared by every pipeline stage.
 
     M : subcarriers / delay bins, N : OFDM symbols / Doppler bins,
     cp_len : cyclic-prefix length in samples.
@@ -65,6 +65,37 @@ class ModemConfig:
     @property
     def bits_per_frame(self) -> int:
         return self.M * self.N * int(math.log2(self.qam_order))
+
+    def _columns(self, frames: np.ndarray) -> np.ndarray:
+        """Frames (..., L) as symbol columns (..., M + cp_len, N), CP first: a view."""
+        return np.swapaxes(frames.reshape(*frames.shape[:-1], self.N, self.sym_len), -1, -2)
+
+    def symbols(self, frames: np.ndarray) -> np.ndarray:
+        """The samples each OFDM symbol keeps after CP removal, as grids (..., M, N):
+        entry (i, n) is sample ``n*(M + cp_len) + cp_len + i`` of its frame (..., L).
+        A view, so writing it writes the frames."""
+        return self._columns(frames)[..., self.cp_len :, :]
+
+    def insert_cp(self, frames: np.ndarray) -> np.ndarray:
+        """Copy the last cp_len samples of each symbol of `frames` (..., L) in
+        front of it, in place, and return `frames`."""
+        columns = self._columns(frames)
+        columns[..., : self.cp_len, :] = columns[..., self.M :, :]
+        return frames
+
+    def check_frame(self, frame) -> np.ndarray:
+        """The argument `frame`, frames (..., L), as a finite complex128 array."""
+        frame = as_array("frame", frame, finite=True)
+        need = f"of shape (..., {self.frame_len})"
+        require(frame.shape[-1:] == (self.frame_len,), "frame", need, frame)
+        return frame
+
+    def check_grid(self, grid, name: str) -> np.ndarray:
+        """The argument `name`, grids (..., M, N), as a finite complex128 array."""
+        grid = as_array(name, grid, finite=True)
+        need = f"of shape (..., {self.M}, {self.N})"
+        require(grid.shape[-2:] == (self.M, self.N), name, need, grid)
+        return grid
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .modem_reference import _check_grid, _frame_to_symbols, _idft_to_frame
 from .numerics import CmCounter, check_out, dft
 
 
@@ -30,8 +29,10 @@ def modulate_fast(
     (..., L), written into `out` when given (a C-contiguous complex128 array
     of that shape), which is then returned.
     """
-    x_dd = _check_grid(x_dd, cfg, "x_dd")
-    return _idft_to_frame(x_dd, cfg, -1, counter, "mod_rows", out)
+    x_dd = cfg.check_grid(x_dd, "x_dd")
+    frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
+    dft(x_dd, axis=-1, inverse=True, counter=counter, stage="mod_rows", out=cfg.symbols(frame))
+    return cfg.insert_cp(frame)
 
 
 def demodulate_fast(
@@ -49,7 +50,7 @@ def demodulate_fast(
     given (a C-contiguous complex128 array of that shape), which is then
     returned.
     """
-    symbols = _frame_to_symbols(frame, cfg)
-    out = check_out(out, (*symbols.shape[:-2], cfg.M, cfg.N))
-    apply_window(symbols[..., cfg.cp_len :, :], window, counter, out)
+    symbols = cfg.symbols(cfg.check_frame(frame))
+    out = check_out(out, symbols.shape)
+    apply_window(symbols, window, counter, out)
     return dft(out, axis=-1, counter=counter, stage="demod_rows", out=out)

@@ -15,43 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, sfft_inv, sfft_windowed
-from .numerics import CmCounter, as_array, check_out, dft, require
-
-
-def _symbol_columns(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Frames (..., L) as per-symbol sample columns (..., M + cp_len, N); a view
-    when the frames are C-contiguous, so writing it writes them."""
-    symbols = frame.reshape(*frame.shape[:-1], cfg.N, cfg.sym_len)
-    return np.swapaxes(symbols, -1, -2)
-
-
-def _idft_to_frame(
-    grid: np.ndarray, cfg: ModemConfig, axis: int, counter, stage: str, out: np.ndarray | None
-):
-    """Inverse DFT of grids (..., M, N) along `axis`, written straight into the
-    data samples of frames (..., L); each symbol's CP is then copied in front.
-    `grid` may be the data samples of `out` itself."""
-    frame = check_out(out, (*grid.shape[:-2], cfg.frame_len))
-    symbols = _symbol_columns(frame, cfg)
-    body = symbols[..., cfg.cp_len :, :]
-    dft(grid, axis=axis, inverse=True, counter=counter, stage=stage, out=body)
-    symbols[..., : cfg.cp_len, :] = symbols[..., cfg.M :, :]
-    return frame
-
-
-def _frame_to_symbols(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Frames (..., L) -> per-symbol sample columns (..., M + cp_len, N)."""
-    frame = as_array("frame", frame, finite=True)
-    need = f"of shape (..., {cfg.frame_len})"
-    require(frame.shape[-1:] == (cfg.frame_len,), "frame", need, frame)
-    return _symbol_columns(frame, cfg)
-
-
-def _check_grid(grid: np.ndarray, cfg: ModemConfig, name: str) -> np.ndarray:
-    """The argument `name`, grids (..., M, N), as a finite complex128 array."""
-    grid = as_array(name, grid, finite=True)
-    require(grid.shape[-2:] == (cfg.M, cfg.N), name, f"of shape (..., {cfg.M}, {cfg.N})", grid)
-    return grid
+from .numerics import CmCounter, check_out, dft
 
 
 def modulate_ofdm(
@@ -65,8 +29,10 @@ def modulate_ofdm(
     With `out`, frames are written into it and it is returned; `y_tf` may be
     its data samples, transformed in place.
     """
-    y_tf = _check_grid(y_tf, cfg, "y_tf")
-    return _idft_to_frame(y_tf, cfg, -2, counter, "ofdm_mod", out)
+    y_tf = cfg.check_grid(y_tf, "y_tf")
+    frame = check_out(out, (*y_tf.shape[:-2], cfg.frame_len))
+    dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod", out=cfg.symbols(frame))
+    return cfg.insert_cp(frame)
 
 
 def demodulate_ofdm(
@@ -79,10 +45,9 @@ def demodulate_ofdm(
 
     With `out`, grids are written into it and it is returned.
     """
-    symbols = _frame_to_symbols(frame, cfg)
-    out = check_out(out, (*symbols.shape[:-2], cfg.M, cfg.N))
-    body = symbols[..., cfg.cp_len :, :]
-    return dft(body, axis=-2, counter=counter, stage="ofdm_demod", out=out)
+    symbols = cfg.symbols(cfg.check_frame(frame))
+    out = check_out(out, symbols.shape)
+    return dft(symbols, axis=-2, counter=counter, stage="ofdm_demod", out=out)
 
 
 def modulate_reference(
@@ -97,11 +62,11 @@ def modulate_reference(
     With `out`, a C-contiguous complex128 array of the frames' shape, every
     transform runs in place on its data samples and `out` is returned.
     """
-    x_dd = _check_grid(x_dd, cfg, "x_dd")
+    x_dd = cfg.check_grid(x_dd, "x_dd")
     frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
-    body = _symbol_columns(frame, cfg)[..., cfg.cp_len :, :]
-    y_tf = sfft_inv(x_dd, counter=counter, out=body)
-    return _idft_to_frame(y_tf, cfg, -2, counter, "ofdm_mod", frame)
+    y_tf = sfft_inv(x_dd, counter=counter, out=cfg.symbols(frame))
+    dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod", out=y_tf)
+    return cfg.insert_cp(frame)
 
 
 def demodulate_reference(

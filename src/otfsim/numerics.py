@@ -3,7 +3,8 @@
 :func:`dft` transforms a complex array of any shape along one axis, into a
 fresh array or into ``out`` (the input itself or a strided view); a
 :class:`CmCounter` tallies its CMs per stage for the audit. Also here: the
-number and power-of-two helpers, :func:`circ_conv2d` and :class:`SingularMatrixError`.
+number and power-of-two helpers, :func:`circ_conv2d`, :class:`SingularMatrixError`
+and :func:`write_csv`, the one writer of the CLI's CSV outputs.
 
 Every public entry point refuses a bad argument through the checks below
 (:func:`require` and the rules built on it), which raise
@@ -19,7 +20,7 @@ not the butterflies executed: the transforms themselves run through
 
 from __future__ import annotations
 
-import math
+import cmath
 import numbers
 
 import numpy as np
@@ -62,6 +63,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_finite(value, kind=numbers.Real) -> bool:
+    """A finite number of `kind`, real by default, that a float can hold:
+    10**400 is not one; bool is not one."""
+    try:
+        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require(ok: bool, name: str, need: str, got) -> None:
     """Refuse an argument by name unless `ok`: ``<name> must be <need>, got
     <got!r>``, where an array is shown by its shape, dtype and layout."""
@@ -91,7 +101,7 @@ def check_choice(name: str, value, options: tuple):
 
 
 def check_noise_var(noise_var) -> float:
-    ok = is_real(noise_var) and 0 <= noise_var < math.inf
+    ok = is_finite(noise_var) and noise_var >= 0
     require(ok, "noise_var", "finite and non-negative", noise_var)
     return float(noise_var)
 
@@ -200,3 +210,12 @@ def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shapes = a.shape, b.shape
     require(a.ndim == 2 and shapes[1] == shapes[0], "a and b", "matrices of one shape", shapes)
     return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write `rows` of cells under `header`, a float cell as ``.17g``, which
+    reads back exactly, and any other by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")

@@ -175,6 +175,15 @@ class TestAwgn:
             np.testing.assert_array_equal(out[idx], s[idx] + noise)
             np.testing.assert_array_equal(out[idx], add_awgn(s[idx], 0.5, seed=k))
 
+    @pytest.mark.parametrize("noise_var", [0, 0.1])
+    @pytest.mark.parametrize(
+        "shape, seed", [((4,), "not a seed"), ((3, 4), 5)], ids=["frame", "batch"]
+    )
+    def test_seed_checked_at_any_noise(self, shape, seed, noise_var):
+        # zero noise draws nothing, but a bad seed is refused there too
+        with pytest.raises(ValueError, match=f"seed must be .*, got {seed!r}"):
+            add_awgn(np.zeros(shape, dtype=complex), noise_var, seed)
+
     @pytest.mark.parametrize("seed", [0, [0, 1], [0, 1, 2, 3]], ids=["bare", "short", "long"])
     def test_batch_needs_one_seed_per_frame(self, seed):
         with pytest.raises(ValueError, match="seed must be a sequence of 3 seeds, one per frame of signal"):
@@ -485,6 +494,10 @@ class TestHelpers:
         with pytest.raises(ValueError):
             channel_from_spec({"no_taps": []})
 
+    def test_channel_from_spec_needs_a_tap(self):
+        with pytest.raises(ValueError, match="channel needs at least one tap"):
+            channel_from_spec({"taps": []})
+
     @pytest.mark.parametrize("spec", [5, {"taps": 5}, {"taps": [5]}, {"taps": [{"gain_re": 1.0}]}])
     def test_channel_from_spec_rejects_malformed_taps(self, spec):
         with pytest.raises(ValueError, match="'taps' list"):
@@ -516,8 +529,9 @@ class TestHelpers:
                 "taps[1].gain_re: must be a finite number, got nan",
             ),
             ({"taps": [{"delay": 0, "doppler": -np.inf}]}, "taps[0].doppler: must be a finite"),
+            ({"taps": [{"delay": 0, "phase": 10**400}]}, "taps[0].phase: must be a finite"),
         ],
-        ids=["negative-delay", "nan-gain", "inf-doppler"],
+        ids=["negative-delay", "nan-gain", "inf-doppler", "huge-int-phase"],
     )
     def test_channel_from_spec_names_bad_value(self, spec, message):
         # json.load reads NaN and Infinity, so a channel file can hold them

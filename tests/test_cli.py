@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import qfunc, sequential_equivalence
 
-from otfsim import cli
+from otfsim import audit, cli
 from otfsim.cli import (
     ConfigError,
     RunConfig,
@@ -111,6 +111,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path), {}, env={})
         assert set(err.value.fields) == {"M", "trials", "detector"}
+
+    def test_cp_not_shorter_than_m_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(M=8, cp_len=8).validate()
+        assert exc.value.fields == {"Mcp": "must satisfy Mcp < M, got 8"}
 
     def test_missing_channel_file(self, tmp_path):
         path = write_config(tmp_path, channel="nope.json")
@@ -489,6 +494,26 @@ class TestAudit:
         assert lines[0] == "structure,direction,M,N,predicted,measured,match"
         assert all(line.endswith("true") for line in lines[1:])
 
+    def test_mismatch_exits_one_with_record(self, tmp_path, capsys, monkeypatch):
+        predicted_cm = audit.predicted_cm
+
+        def off_by_one(structure, direction, m, n):
+            return predicted_cm(structure, direction, m, n) + (structure == "ofdm")
+
+        monkeypatch.setattr(audit, "predicted_cm", off_by_one)
+        assert main(["audit", "--Ms", "8", "--Ns", "4", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "all predicted == measured" not in captured.out
+        (line,) = captured.err.splitlines()
+        record = json.loads(line)
+        assert (record["status"], record["command"]) == ("fail", "audit")
+        assert [(row["structure"], row["direction"]) for row in record["mismatches"]] == [
+            ("ofdm", "mod"), ("ofdm", "demod")
+        ]
+        assert record["mismatches"][0] == dict(
+            structure="ofdm", direction="mod", M=8, N=4, predicted=49, measured=48
+        )
+
     def test_spot_row_values(self, tmp_path):
         rc = main(["audit", "--Ms", "512", "--Ns", "16", "--out", str(tmp_path)])
         assert rc == 0
@@ -622,6 +647,15 @@ class TestErrorPaths:
         path = write_config(tmp_path)
         argv = ["simulate", "--config", str(path), "--channel", str(channel)]
         assert "finite" in self.refused_channel(tmp_path, capsys, argv)
+
+    def test_huge_integer_doppler_named(self, tmp_path, capsys):
+        # json reads 10**400 as an int, which no float can hold
+        channel = tmp_path / "channel.json"
+        channel.write_text('{"taps": [{"delay": 0, "doppler": 1%s}]}' % ("0" * 400))
+        path = write_config(tmp_path)
+        argv = ["simulate", "--config", str(path), "--channel", str(channel)]
+        message = self.refused_channel(tmp_path, capsys, argv)
+        assert message == f"channel spec taps[0].doppler: must be a finite number, got {10**400}"
 
     def test_channel_doppler_overflow_refused(self, tmp_path, capsys):
         # finite tap values whose phase 2*pi*doppler*kappa overflows

@@ -77,6 +77,42 @@ class TestModemConfig:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be {need}, got {bad!r}")):
             ModemConfig(**{**sizes, name: bad})
 
+    def test_symbols_view_the_kept_samples(self):
+        cfg = ModemConfig(M=4, N=3, cp_len=2)
+        frames = np.arange(2 * cfg.frame_len, dtype=complex).reshape(2, -1)
+        symbols = cfg.symbols(frames)
+        i, n = np.indices((cfg.M, cfg.N))
+        np.testing.assert_array_equal(symbols[1], cfg.frame_len + n * cfg.sym_len + cfg.cp_len + i)
+        symbols[...] = -1  # a view: the data samples change, the CPs do not
+        assert np.count_nonzero(frames == -1) == 2 * cfg.M * cfg.N
+
+    def test_insert_cp_copies_each_symbols_tail(self):
+        cfg = ModemConfig(M=4, N=3, cp_len=2)
+        frame = np.arange(cfg.frame_len, dtype=complex)
+        assert cfg.insert_cp(frame) is frame
+        expected = [4, 5, 2, 3, 4, 5, 10, 11, 8, 9, 10, 11, 16, 17, 14, 15, 16, 17]
+        np.testing.assert_array_equal(frame, expected)
+        # frames in any layout are written in place, not through a copy
+        frames = np.asfortranarray(np.arange(2 * cfg.frame_len, dtype=complex).reshape(2, -1))
+        np.testing.assert_array_equal(cfg.insert_cp(frames)[1] - cfg.frame_len, expected)
+
+    @pytest.mark.parametrize(
+        "check, value, message",
+        [
+            ("check_frame", np.ones(17), "frame must be of shape (..., 18), got a (17,)"),
+            ("check_frame", [np.nan] * 18, "frame must be finite, got (nan+0j)"),
+            ("check_grid", np.ones((3, 4)), "x_dd must be of shape (..., 4, 3), got a (3, 4)"),
+            ("check_grid", "ab", "x_dd must be an array of numbers, got 'ab'"),
+        ],
+    )
+    def test_checks_name_the_argument(self, check, value, message):
+        cfg = ModemConfig(M=4, N=3, cp_len=2)
+        args = (value,) if check == "check_frame" else (value, "x_dd")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(cfg, check)(*args)
+        good = np.ones(cfg.frame_len if check == "check_frame" else (2, 4, 3), dtype=int)
+        assert getattr(cfg, check)(*(good, *args[1:])).dtype == np.complex128
+
     def test_narrow_numpy_sizes_kept_as_python_ints(self):
         # uint8 200 + 100 would wrap to 44
         cfg = ModemConfig(M=np.uint8(200), N=np.uint8(4), cp_len=np.uint8(100))

@@ -1,5 +1,6 @@
 """Tests for the DFT/FFT kernels, convolution, and solver."""
 
+import numbers
 import re
 
 import numpy as np
@@ -24,6 +25,8 @@ from otfsim.numerics import (
     circ_conv2d,
     dft,
     fft_cm_cost,
+    is_finite,
+    write_csv,
 )
 
 
@@ -155,6 +158,29 @@ class TestAllFinite:
         view = layout(a)
         view = view if isinstance(view, np.ndarray) else np.asarray(view)
         assert all_finite(view) == bool(np.isfinite(view).all())
+
+
+@pytest.mark.parametrize(
+    "value, kind, finite",
+    [
+        (1, numbers.Real, True), (np.float32(2.5), numbers.Real, True),
+        (10**400, numbers.Real, False), (-(10**400), numbers.Real, False),
+        (10**400, numbers.Complex, False), (1e308, numbers.Real, True),
+        (np.inf, numbers.Real, False), (np.nan, numbers.Real, False),
+        (True, numbers.Real, False), (1j, numbers.Real, False), (1j, numbers.Complex, True),
+        (complex(1, np.nan), numbers.Complex, False), ("1", numbers.Real, False),
+    ],
+    ids=lambda v: "huge" if isinstance(v, int) and abs(v) > 2**64 else None,
+)
+def test_is_finite(value, kind, finite):
+    # a huge int is refused rather than raising OverflowError
+    assert is_finite(value, kind) is finite
+
+
+def test_write_csv_formats_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c", [("x", 3, 0.1), ("1e+02", np.int64(-2), np.float64(1 / 3))])
+    assert path.read_text() == "a,b,c\nx,3,0.10000000000000001\n1e+02,-2,0.33333333333333331\n"
 
 
 def brute_circ_conv2d(a, b):

@@ -293,6 +293,9 @@ def test_every_public_callable_is_covered():
 @example(("qam_demap", {"order": 4.0}, "order"))
 @example(("CmCounter", {"stage": "x", "count": 1.5}, "count"))
 @example(("bit_error_rate", {"detected_bits": [], "reference_bits": []}, None))
+@example(("ChannelTap", {"doppler": 10**400}, "doppler"))  # too large for a float
+@example(("add_awgn", {"noise_var": 10**400}, "noise_var"))
+@example(("mmse_detect", {"noise_var": 10**400}, "noise_var"))
 def test_bad_argument_refused_by_name(case):
     name, args, wrong_type = case
     call, valid, _ = CALLS[name]
