@@ -294,9 +294,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     except (ValueError, OSError) as exc:
         raise ConfigError({"channel": str(exc)}) from exc
     out_dir = _make_out_dir(cfg.out_dir)
-    rows = run_simulation(cfg, system)
+    # so is one that overflows when run: `out` is made by then, but left empty
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = run_simulation(cfg, system)
+            response = build_dd_response(system.channel, system.window, system.cfg)
+    except FloatingPointError as exc:
+        raise ConfigError({"channel": f"must keep the simulation finite, got {exc}"}) from exc
     write_ber_csv(out_dir / "ber.csv", rows)
-    response = build_dd_response(system.channel, system.window, system.cfg)
     dump_dd_response(out_dir / "ddresponse.csv", response)
     print(f"wrote {out_dir / 'ber.csv'} and {out_dir / 'ddresponse.csv'}")
     for row in rows:
@@ -311,32 +316,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # equivalence
 # ---------------------------------------------------------------------------
 
-def uniform_draws(seed, grids: int, shape: tuple):
-    """`grids` draws of one reused buffer from `seed`'s generator, parts uniform
-    on [-sqrt(3), sqrt(3)]: zero mean, unit variance, cheaper than Gaussian and
-    as sure to show that fast - reference != 0.
-    """
+def _max_deviation(seed, grids: int, shape: tuple, reference, fast, *args) -> float:
+    """Largest |fast - reference| over `grids` inputs of `shape` drawn from
+    `seed`'s generator, parts uniform on [-sqrt(3), sqrt(3)]: zero mean, unit
+    variance, cheaper than Gaussian and as sure to show that fast - reference
+    != 0. Three arrays serve every grid: the input, redrawn in place, and the
+    first call's two results (`out=`), |fast - reference| overwriting one."""
     rng = np.random.default_rng(seed)
-    values = np.empty(shape, dtype=np.complex128)
-    parts = values.view(np.float64)
+    x = np.empty(shape, dtype=np.complex128)
+    parts = x.view(np.float64)
+    top, ref, fst = 0.0, None, None
     for _ in range(grids):
         rng.random(out=parts)
         parts *= 2 * math.sqrt(3)
         parts -= math.sqrt(3)
-        yield values
-
-
-def _max_deviation(inputs, reference, fast, *args) -> float:
-    """Largest |fast - reference| over `inputs`. Every input after the first is
-    written into the first one's result buffers, so no grid allocates one."""
-    top = 0.0
-    ref = fst = mag = None
-    for x in inputs:
         ref = reference(x, *args, out=ref)
         fst = fast(x, *args, out=fst)
         ref -= fst
-        mag = np.abs(ref, out=mag)
-        top = max(top, float(mag.max()))
+        top = max(top, float(np.abs(ref, out=ref.real).max()))
     return top
 
 
@@ -350,20 +347,20 @@ def run_equivalence(cfg: RunConfig) -> dict:
     mcfg = cfg.modem_config()
     window = cfg.build_window()
     grid_seed, frame_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    grids = uniform_draws(grid_seed, cfg.grids, (mcfg.M, mcfg.N))
-    frames = uniform_draws(frame_seed, cfg.grids, (mcfg.frame_len,))
     modulator = {}
 
     def check_modulator():
         try:
-            modulator["dev"] = _max_deviation(grids, modulate_reference, modulate_fast, mcfg)
+            modulator["dev"] = _max_deviation(grid_seed, cfg.grids, (mcfg.M, mcfg.N),
+                                              modulate_reference, modulate_fast, mcfg)
         except BaseException as exc:  # raised again on the calling thread
             modulator["error"] = exc
 
     worker = threading.Thread(target=check_modulator)
     worker.start()
     try:
-        demod_dev = _max_deviation(frames, demodulate_reference, demodulate_fast, window, mcfg)
+        demod_dev = _max_deviation(frame_seed, cfg.grids, (mcfg.frame_len,),
+                                   demodulate_reference, demodulate_fast, window, mcfg)
     finally:
         worker.join()
     if "error" in modulator:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from otfsim.cli import (
     run_equivalence,
     run_simulation,
 )
-from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig
+from otfsim.grids import QAM_ORDERS, WINDOW_KINDS
 
 
 def write_config(tmp_path, **overrides):
@@ -364,12 +365,26 @@ class TestEquivalence:
             "fail", "equivalence", False
         )
 
-    def test_inputs_have_zero_mean_unit_variance_parts(self):
-        mcfg = ModemConfig(M=1024, N=32, cp_len=256)
-        grid_seed, frame_seed = np.random.SeedSequence(0).spawn(2)
-        x = next(cli.uniform_draws(grid_seed, 1, (mcfg.M, mcfg.N)))
-        frame = next(cli.uniform_draws(frame_seed, 1, (mcfg.frame_len,)))
-        assert x.shape == (1024, 32) and frame.shape == (mcfg.frame_len,)
+    def test_inputs_have_zero_mean_unit_variance_parts(self, monkeypatch):
+        # the input each reference modem receives, copied before the next draw
+        seen = {}
+
+        def spy(name):
+            modem = getattr(cli, name)
+
+            def call(x, *args, **kwargs):
+                seen[name] = x.copy()
+                return modem(x, *args, **kwargs)
+
+            return call
+
+        for name in ("modulate_reference", "demodulate_reference"):
+            monkeypatch.setattr(cli, name, spy(name))
+        cfg = RunConfig(M=1024, N=32, cp_len=256, grids=1, seed=0)
+        assert run_equivalence(cfg)["passed"]
+        x, frame = seen["modulate_reference"], seen["demodulate_reference"]
+        frame_len = cfg.modem_config().frame_len
+        assert x.shape == (1024, 32) and frame.shape == (frame_len,)
         values = np.concatenate([x.ravel(), frame])
         for part in (values.real, values.imag):
             assert abs(part.mean()) < 0.02
@@ -432,6 +447,23 @@ class TestEquivalence:
             (first_out, first), *later = calls
             assert first_out is None
             assert all(out is first and result is first for out, result in later)
+
+    def test_each_check_holds_only_its_input_and_two_results(self):
+        # the six arrays are 3456 KB at 1024 x 32; a seventh result-sized one
+        # (a magnitude buffer, a fresh result) would add 256-640 KB. The peak
+        # is taken over three runs, as the two checks do not always overlap.
+        cfg = RunConfig(M=1024, N=32, cp_len=256, grids=3)
+        mcfg = cfg.modem_config()
+        six = 3 * 16 * (mcfg.M * mcfg.N + mcfg.frame_len)
+        run_equivalence(RunConfig(M=16, N=4, cp_len=4, grids=1))  # imports numpy.fft's helpers
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                run_equivalence(replace(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < six + 512 * 1024
 
     def test_worker_error_is_a_json_record(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
@@ -627,9 +659,10 @@ class TestErrorPaths:
         assert "usage: otfs simulate" in capsys.readouterr().out
 
     @staticmethod
-    def refused_channel(tmp_path, capsys, argv):
+    def refused_channel(tmp_path, capsys, argv, out_made=False):
         """The channel message of a run refused for its channel, which must
-        leave stderr one JSON line and create no output directory."""
+        leave stderr one JSON line and write no output: no output directory,
+        or an empty one if `out_made`."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 2
@@ -638,7 +671,8 @@ class TestErrorPaths:
         record = json.loads(err)
         assert (record["status"], record["command"]) == ("fail", "config")
         assert set(record["fields"]) == {"channel"}
-        assert not (tmp_path / "results").exists()
+        out = tmp_path / "results"
+        assert (list(out.iterdir()) == []) if out_made else not out.exists()
         return record["fields"]["channel"]
 
     def test_non_finite_channel_gain_refused(self, tmp_path, capsys):
@@ -662,6 +696,15 @@ class TestErrorPaths:
         path = write_config(tmp_path, channel={"taps": [{"delay": 0, "doppler": 1e308}]})
         argv = ["simulate", "--config", str(path)]
         assert self.refused_channel(tmp_path, capsys, argv) == "channel has non-finite values"
+
+    @pytest.mark.parametrize("gains", [[1e308, 1e308], [1e200]], ids=["apply", "gram"])
+    def test_channel_that_overflows_when_run_refused(self, tmp_path, capsys, gains):
+        # finite gains whose sums or products overflow, which only running them shows
+        taps = [{"delay": delay, "gain_re": gain} for delay, gain in enumerate(gains)]
+        path = write_config(tmp_path, channel={"taps": taps})
+        argv = ["simulate", "--config", str(path)]
+        message = self.refused_channel(tmp_path, capsys, argv, out_made=True)
+        assert message.startswith("must keep the simulation finite, got overflow")
 
     def test_malformed_channel_spec_refused(self, tmp_path, capsys):
         path = write_config(tmp_path, channel={"taps": [{"delay": 0, "gain": 1}]})
@@ -910,6 +953,15 @@ class TestCliBoundary:
     @settings(max_examples=100, deadline=None)
     @given(invocations())
     @example((["audit", "--Ms=2", "--Ns=2", "--seed=--"], {}, None))  # argv: no audit seed
+    @example((  # ZF's solve overflows: a channel refusal, with no NumPy warning
+        ["simulate", "--config=run.json"],
+        {"run.json": json.dumps({
+            "M": 8, "N": 2, "Mcp": 3, "qam": 4, "window": "rectangular", "detector": "zf",
+            "snr_db": [-3000.0], "trials": 1, "grids": 1, "seed": 0,
+            "channel": {"taps": [{"delay": 0, "gain_re": 3.4298858960825427e-90}]}, "out": "out",
+        }), "chan.json": "null"},
+        None,
+    ))
     def test_every_input_exits_with_a_record(self, invocation):
         code, err = run_in_sandbox(*invocation)
         assert code in (0, 1, 2)
