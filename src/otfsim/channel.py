@@ -255,5 +255,5 @@ def channel_from_spec(spec: dict) -> LtvChannel:
 
 def dump_dd_response(path, response: np.ndarray) -> None:
     """Write a delay-Doppler response as CSV: k,l,re,im,abs."""
-    cells = ((k, l, complex(z)) for (k, l), z in np.ndenumerate(response))
+    cells = ((k, l, z) for k, row in enumerate(response.tolist()) for l, z in enumerate(row))
     write_csv(path, "k,l,re,im,abs", ((k, l, z.real, z.imag, abs(z)) for k, l, z in cells))

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +78,11 @@ class ConfigError(ValueError):
         super().__init__("; ".join(f"{k}: {v}" for k, v in sorted(fields.items())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when built and again by `replace`: a bad
+    one raises ConfigError, which names it as its flag does."""
+
     M: int = 64
     N: int = 8
     cp_len: int | None = None  # defaults to M // 4
@@ -94,9 +97,9 @@ class RunConfig:
     channel: dict | str | None = None
     out_dir: str = "results"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # one (error name, value, check, requirement) per setting, named as its flag
-        snr, rho, kind = self.snr_db, self.window_rho, self.window_kind
+        snr, rho, kind, cp = self.snr_db, self.window_rho, self.window_kind, self.cp_len
         snr_ok = isinstance(snr, (list, tuple)) and len(snr) > 0 and all(
             is_real(v) and math.isfinite(_noise_var(v)) for v in snr
         )
@@ -112,25 +115,23 @@ class RunConfig:
             ("grids", self.grids, is_integer(self.grids) and self.grids >= 1, "an integer >= 1"),
             ("seed", self.seed, is_integer(self.seed) and self.seed >= 0, "a non-negative integer"),
             ("out", self.out_dir, isinstance(self.out_dir, str), "a directory path"),
+            ("Mcp", cp, cp is None or is_integer(cp) and cp >= 0,
+             "a non-negative integer"),
         )
         problems = _rule_problems(rules)
-        if self.cp_len is None:
-            if "M" not in problems:
-                self.cp_len = self.M // 4
-        elif not is_integer(self.cp_len) or self.cp_len < 0:
-            problems["Mcp"] = f"must be a non-negative integer, got {self.cp_len!r}"
-        elif "M" not in problems and self.cp_len >= self.M:
-            problems["Mcp"] = f"must satisfy Mcp < M, got {self.cp_len!r}"
-        if self.detector == "fast":
-            self.detector = "zf"
+        if cp is not None and not {"M", "Mcp"} & problems.keys() and cp >= self.M:
+            problems["Mcp"] = f"must satisfy Mcp < M, got {cp!r}"
         if isinstance(self.channel, str) and not Path(self.channel).exists():
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
             raise ConfigError(problems)
-        # NumPy numbers pass as Python ones, so no size product can wrap
+        # NumPy numbers are stored as Python ones, so no size product can wrap
+        object.__setattr__(self, "cp_len", self.M // 4 if cp is None else cp)
         for name in ("M", "N", "cp_len", "qam_order", "trials", "grids", "seed"):
-            setattr(self, name, int(getattr(self, name)))
-        self.window_rho, self.snr_db = float(rho), tuple(float(v) for v in snr)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "window_rho", float(rho))
+        object.__setattr__(self, "snr_db", tuple(map(float, snr)))
+        object.__setattr__(self, "detector", "zf" if self.detector == "fast" else self.detector)
 
     def modem_config(self) -> ModemConfig:
         return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
@@ -151,24 +152,24 @@ class RunConfig:
 
 
 def load_config(path: str | None, overrides: dict, env: dict | None = None) -> RunConfig:
-    """Merge config file, OTFS_SEED environment override, and flag overrides."""
+    """One config from the config file, the OTFS_SEED environment override and
+    the flag overrides, each winning over the ones before it."""
     env = os.environ if env is None else env
-    cfg = RunConfig()
+    values = {}
     if path is not None:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError({"config": f"must be a readable JSON file, got {path!r}: {exc}"})
-        cfg = _apply_file(cfg, raw)
+        values = _apply_file(raw)
     if "OTFS_SEED" in env:
         try:
-            cfg = replace(cfg, seed=int(env["OTFS_SEED"]))
+            values["seed"] = int(env["OTFS_SEED"])
         except ValueError:
             raise ConfigError({"OTFS_SEED": f"must be an integer, got {env['OTFS_SEED']!r}"})
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    cfg.validate()
-    return cfg
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    return RunConfig(**values)
 
 
 #: config-file key -> RunConfig field; a "window" object's keys map through its table
@@ -203,7 +204,7 @@ def _noise_var(snr_db: float) -> float:
         return math.inf
 
 
-def _apply_file(cfg: RunConfig, raw) -> RunConfig:
+def _apply_file(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError({"config": f"must be a JSON object, got {raw!r}"})
     window = raw.get("window", {})
@@ -221,7 +222,7 @@ def _apply_file(cfg: RunConfig, raw) -> RunConfig:
                 values[table[key]] = value
     if unknown:
         raise ConfigError(unknown)
-    return replace(cfg, **values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +241,34 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     its noise from its own generator, the t-th child of the point's seed, so
     the rows do not depend on how the trials are chunked.
     """
-    cfg.validate()
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
-    channel, window, mmse = system.channel, system.window, cfg.detector == "mmse"
+    mcfg, channel, window, mmse = system.cfg, system.channel, system.window, cfg.detector == "mmse"
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
-    chunk = max(1, CHUNK_SAMPLES // system.cfg.frame_len)
+    chunk = max(1, CHUNK_SAMPLES // mcfg.frame_len)
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = _noise_var(snr_db)
-        mcfg = system.cfg
         errors = 0
-        for start in range(0, cfg.trials, chunk):
-            # each spawn continues the point's sequence of children
-            seeds = point_seed.spawn(min(chunk, cfg.trials - start))
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            # an int32 draw continues each stream as the default int64 draw does
-            bits = np.array(
-                [rng.integers(0, 2, size=mcfg.bits_per_frame, dtype=np.int32) for rng in rngs],
-                dtype=np.uint8,
-            )
-            x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
-            x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
-            received = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
-            d = demodulate_fast(received, window, mcfg)
-            detected = mmse_detect(d, system, noise_var) if mmse else zf_detect(d, system)
-            demapped = qam_demap(detected.swapaxes(1, 2), cfg.qam_order)
-            errors += bit_error_rate(demapped, bits.ravel()).n_errors
+        try:
+            for start in range(0, cfg.trials, chunk):
+                # each spawn continues the point's sequence of children
+                seeds = point_seed.spawn(min(chunk, cfg.trials - start))
+                rngs = [np.random.default_rng(seed) for seed in seeds]
+                # an int32 draw continues each stream as the default int64 draw does
+                bits = np.array(
+                    [r.integers(0, 2, size=mcfg.bits_per_frame, dtype=np.int32) for r in rngs],
+                    dtype=np.uint8,
+                )
+                x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
+                x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
+                y = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
+                d = demodulate_fast(y, window, mcfg)
+                detected = mmse_detect(d, system, noise_var) if mmse else zf_detect(d, system)
+                demapped = qam_demap(detected.swapaxes(1, 2), cfg.qam_order)
+                errors += bit_error_rate(demapped, bits.ravel()).n_errors
+        except FloatingPointError as exc:  # under np.errstate(over="raise"), as `otfs` runs
+            raise FloatingPointError(f"{exc} at snr_db {snr_db:g}") from exc
         stat = BerStat(n_bits=cfg.trials * mcfg.bits_per_frame, n_errors=errors)
         rows.append(
             dict(
@@ -343,7 +345,6 @@ def run_equivalence(cfg: RunConfig) -> dict:
     The modulator check runs on a second thread. Each check draws from its own
     child of the seed, so thread timing cannot change the report.
     """
-    cfg.validate()
     mcfg = cfg.modem_config()
     window = cfg.build_window()
     grid_seed, frame_seed = np.random.SeedSequence(cfg.seed).spawn(2)

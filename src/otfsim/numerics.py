@@ -214,8 +214,12 @@ def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def write_csv(path, header: str, rows) -> None:
     """Write `rows` of cells under `header`, a float cell as ``.17g``, which
-    reads back exactly, and any other by ``str``."""
+    reads back exactly, and any other by ``str``: one ``%`` format per row."""
+    formats = {}  # tuple of cell types -> its row format
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+            fh.write(formats[kinds] % tuple(row) + "\n")

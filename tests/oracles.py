@@ -361,7 +361,6 @@ def sequential_equivalence(cfg):
     are the g-th draws from the first and second child of the seed, and each
     grid runs both modem checks in turn. The modems are the package's; the
     draw, the loop and the order are the oracle."""
-    cfg.validate()
     mcfg = cfg.modem_config()
     window = cfg.build_window()
     grid_seed, frame_seed = np.random.SeedSequence(cfg.seed).spawn(2)

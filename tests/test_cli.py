@@ -11,7 +11,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +31,7 @@ from otfsim.cli import (
     run_equivalence,
     run_simulation,
 )
-from otfsim.grids import QAM_ORDERS, WINDOW_KINDS
+from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -53,15 +53,36 @@ def write_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_defaults_validate(self):
-        RunConfig().validate()
+        RunConfig()
+
+    def test_defaults_usable_as_built(self):
+        cfg = RunConfig()
+        assert cfg.modem_config() == ModemConfig(M=64, N=8, cp_len=16, qam_order=4)
+        np.testing.assert_array_equal(cfg.build_window(), np.ones(8))
+        assert [tap.delay for tap in cfg.build_channel().taps] == [0, 3]
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.M = 1
+        assert cfg.M == 64
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigError) as exc:
+            replace(RunConfig(), M=1)
+        assert set(exc.value.fields) == {"M"}
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path):
+        # the file's M alone is refused; the one config built has the flag's
+        path = write_config(tmp_path, M=1)
+        assert load_config(str(path), {"M": 64}, env={}).M == 64
 
     def test_numpy_integers_validate_as_python_ints(self):
-        # uint8 sizes would wrap in M + Mcp; validation hands on Python ints
+        # uint8 sizes would wrap in M + Mcp; construction stores Python ints
         cfg = RunConfig(
             M=np.uint8(200), N=np.int32(4), cp_len=np.uint8(100), trials=np.int16(2),
             grids=np.uint64(2), seed=np.int64(7),
         )
-        cfg.validate()
         assert cfg == RunConfig(M=200, N=4, cp_len=100, trials=2, grids=2, seed=7)
         sizes = ("M", "N", "cp_len", "trials", "grids", "seed")
         assert {type(getattr(cfg, name)) for name in sizes} == {int}
@@ -69,7 +90,6 @@ class TestConfig:
 
     def test_numpy_floats_validate_as_python_floats(self):
         cfg = RunConfig(window_rho=np.float32(0.5), snr_db=(np.float32(3), np.int8(6)))
-        cfg.validate()
         assert (cfg.window_rho, cfg.snr_db) == (0.5, (3.0, 6.0))
         assert {type(v) for v in (cfg.window_rho, *cfg.snr_db)} == {float}
 
@@ -79,7 +99,7 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as exc:
-                RunConfig(snr_db=(snr,)).validate()
+                RunConfig(snr_db=(snr,))
         assert set(exc.value.fields) == {"snr"}
 
     @pytest.mark.parametrize("value", [True, 2.0])
@@ -90,7 +110,7 @@ class TestConfig:
     )
     def test_bool_and_float_sizes_refused_by_name(self, field, key, value):
         with pytest.raises(ConfigError) as exc:
-            RunConfig(**{field: value}).validate()
+            RunConfig(**{field: value})
         assert set(exc.value.fields) == {key}
         assert exc.value.fields[key].endswith(f", got {value!r}")
 
@@ -115,7 +135,7 @@ class TestConfig:
 
     def test_cp_not_shorter_than_m_refused(self):
         with pytest.raises(ConfigError) as exc:
-            RunConfig(M=8, cp_len=8).validate()
+            RunConfig(M=8, cp_len=8)
         assert exc.value.fields == {"Mcp": "must satisfy Mcp < M, got 8"}
 
     def test_missing_channel_file(self, tmp_path):
@@ -141,9 +161,7 @@ class TestConfig:
         path = tmp_path / "schema.json"
         path.write_text(block.group(1))
         cfg = load_config(str(path), {}, env={})
-        defaults = RunConfig()
-        defaults.validate()
-        assert replace(cfg, channel=None, snr_db=tuple(cfg.snr_db)) == defaults
+        assert replace(cfg, channel=None, snr_db=tuple(cfg.snr_db)) == RunConfig()
         cfg.build_channel()  # its example channel is a valid spec
 
 
@@ -705,6 +723,19 @@ class TestErrorPaths:
         argv = ["simulate", "--config", str(path)]
         message = self.refused_channel(tmp_path, capsys, argv, out_made=True)
         assert message.startswith("must keep the simulation finite, got overflow")
+
+    def test_overflow_names_the_snr_point(self, tmp_path, capsys):
+        # at -3000 dB ZF's solve scales noise of variance 1e300 by 1/|gain|**2
+        channel = {"taps": [{"delay": 0, "gain_re": 3.4298858960825427e-90}]}
+        path = write_config(tmp_path, M=8, N=2, Mcp=3, snr_db=[-3000.0, 10.0], channel=channel)
+        argv = ["simulate", "--config", str(path)]
+        message = self.refused_channel(tmp_path, capsys, [*argv, "--detector", "zf"], out_made=True)
+        assert message.startswith("must keep the simulation finite, got overflow")
+        assert message.endswith(" at snr_db -3000")
+        # MMSE's solve adds the noise variance first and stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--detector", "mmse"]) == 0
 
     def test_malformed_channel_spec_refused(self, tmp_path, capsys):
         path = write_config(tmp_path, channel={"taps": [{"delay": 0, "gain": 1}]})

@@ -538,7 +538,6 @@ class TestBandedMatchesDense:
         # the default two-tap channel at 1024 x 32: the system and its cached
         # factors hold under 32 MB; the dense H_n alone would take 512 MiB
         run = RunConfig(M=1024, N=32)
-        run.validate()
         sys = assemble_effective(run.build_channel(), run.build_window(), run.modem_config())
         zf_detect(np.ones((1024, 32)), sys)
         assert sum(a.nbytes for a in held_arrays(sys)) < 32 * 2**20

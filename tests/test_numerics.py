@@ -179,8 +179,10 @@ def test_is_finite(value, kind, finite):
 
 def test_write_csv_formats_cells(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, "a,b,c", [("x", 3, 0.1), ("1e+02", np.int64(-2), np.float64(1 / 3))])
-    assert path.read_text() == "a,b,c\nx,3,0.10000000000000001\n1e+02,-2,0.33333333333333331\n"
+    rows = [("x", 3, 0.1), ("1e+02", np.int64(-2), np.float64(1 / 3)), [-0.0, 1e-300, 1e300]]
+    write_csv(path, "a,b,c", rows)
+    expected = "x,3,0.10000000000000001\n1e+02,-2,0.33333333333333331\n-0,1e-300,1.0000000000000001e+300"
+    assert path.read_text() == f"a,b,c\n{expected}\n"
 
 
 def brute_circ_conv2d(a, b):
