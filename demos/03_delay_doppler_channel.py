@@ -19,7 +19,6 @@ from otfsim import (
     apply_channel,
     assemble_effective,
     build_dd_response,
-    circ_conv2d,
     demodulate_reference,
     make_window,
     modulate_fast,
@@ -54,16 +53,17 @@ bf = BlockFadingChannel(
     sym_len=cfg.sym_len,
 )
 x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
+x_f = np.fft.fft2(x)  # a 2-D circular convolution with X multiplies its 2-D DFT
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), bf), window, cfg)
 kernel = build_dd_response(bf, window, cfg)
-err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
+err = np.linalg.norm(pipeline - np.fft.ifft2(np.fft.fft2(kernel) * x_f)) / np.linalg.norm(pipeline)
 print(f"\nblock-fading channel: |pipeline - kernel (*) X| / |pipeline| = {err:.2e}")
 
 # with fast within-symbol variation the kernel is only an approximation...
 fast_ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.02),))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), fast_ch), window, cfg)
 kernel = build_dd_response(fast_ch, window, cfg)
-err = np.linalg.norm(pipeline - circ_conv2d(kernel, x)) / np.linalg.norm(pipeline)
+err = np.linalg.norm(pipeline - np.fft.ifft2(np.fft.fft2(kernel) * x_f)) / np.linalg.norm(pipeline)
 print(f"within-symbol Doppler:  residual {err:.2e} (2-D convolution no longer exact)")
 
 # ...but the per-symbol model stays exact for any channel: one M x M system

@@ -24,14 +24,7 @@ from .channel import (
     build_dd_response,
     load_channel,
 )
-from .detect import (
-    BerStat,
-    EffectiveSystem,
-    assemble_effective,
-    bit_error_rate,
-    mmse_detect,
-    zf_detect,
-)
+from .detect import EffectiveSystem, assemble_effective, mmse_detect, zf_detect
 from .grids import (
     ModemConfig,
     apply_window,
@@ -48,7 +41,7 @@ from .modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from .numerics import CmCounter, SingularMatrixError, circ_conv2d, dft
+from .numerics import CmCounter, SingularMatrixError, dft
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -109,8 +109,8 @@ class AuditRow:
 def audit_report(m_list, n_list) -> list[AuditRow]:
     """Cross-product audit over size sweeps, all structures and directions."""
     for name, sizes in (("m_list", m_list), ("n_list", n_list)):
-        ok = isinstance(sizes, (list, tuple)) and all(map(is_audit_size, sizes))
-        require(ok, name, "a list of powers of two >= 2", sizes)
+        ok = isinstance(sizes, (list, tuple)) and bool(sizes) and all(map(is_audit_size, sizes))
+        require(ok, name, "a non-empty list of powers of two >= 2", sizes)
     rows = []
     for m in m_list:
         for n in n_list:

@@ -192,7 +192,7 @@ def build_dd_response(ch, window: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     delays, gains = symbol_gains(ch, cfg)
     first = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
     first[delays] = gains[:, delays, np.arange(delays.size)].T
-    return np.fft.fft(apply_window(first, window, out=first), axis=1) / cfg.N
+    return np.fft.fft(apply_window(first, cfg.check_window(window), out=first), axis=1) / cfg.N
 
 
 # ---------------------------------------------------------------------------

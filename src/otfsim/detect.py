@@ -30,9 +30,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, LtvChannel, symbol_gains
 from .grids import ModemConfig, apply_window
-from .numerics import (
-    SingularMatrixError, all_finite, as_array, check_int, check_noise_var, check_window, require
-)
+from .numerics import SingularMatrixError, all_finite, check_noise_var
 
 #: smallest estimated reciprocal condition number of A_n the detectors accept
 RCOND_MIN = 1e-12
@@ -71,7 +69,7 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
     non-finite values, and a window with a zero or non-finite coefficient,
     which the detectors could not divide out.
     """
-    window = check_window(window, cfg.N)
+    window = cfg.check_window(window)
     bad = np.flatnonzero(~np.isfinite(window) | (window == 0))
     if bad.size:
         raise ValueError(
@@ -213,37 +211,3 @@ def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     goes to 0."""
     return _detect(d_tilde, sys, check_noise_var(noise_var))
 
-
-@dataclass(frozen=True)
-class BerStat:
-    """Bit-error count with its Monte-Carlo standard error."""
-
-    n_bits: int
-    n_errors: int
-
-    def __post_init__(self):
-        n_bits = check_int("n_bits", self.n_bits, 1)  # a BER over no bits is 0 / 0
-        n_errors = check_int("n_errors", self.n_errors)
-        require(n_errors <= n_bits, "n_errors", f"at most n_bits = {n_bits}", n_errors)
-
-    @property
-    def ber(self) -> float:
-        return self.n_errors / self.n_bits
-
-    @property
-    def stderr(self) -> float:
-        p = self.ber
-        return float(np.sqrt(p * (1.0 - p) / self.n_bits))
-
-
-def bit_error_rate(detected_bits: np.ndarray, reference_bits: np.ndarray) -> BerStat:
-    """Hamming distance over length, as a BerStat."""
-    detected_bits = as_array("detected_bits", detected_bits, dtype=None)
-    reference_bits = as_array("reference_bits", reference_bits, dtype=None)
-    shapes = detected_bits.shape, reference_bits.shape
-    ok = shapes[0] == shapes[1] and detected_bits.size > 0
-    require(ok, "detected_bits and reference_bits", "non-empty arrays of one shape", shapes)
-    return BerStat(
-        n_bits=detected_bits.size,
-        n_errors=int(np.count_nonzero(detected_bits != reference_bits)),
-    )

@@ -24,9 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .numerics import (
-    CmCounter, as_array, check_choice, check_int, check_out, check_window, dft, is_real, require,
-)
+from .numerics import CmCounter, as_array, check_choice, check_int, check_out, dft, is_real, require
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -96,6 +94,12 @@ class ModemConfig:
         need = f"of shape (..., {self.M}, {self.N})"
         require(grid.shape[-2:] == (self.M, self.N), name, need, grid)
         return grid
+
+    def check_window(self, window) -> np.ndarray:
+        """The argument `window`, the N coefficients of a receive window, as an array."""
+        window = as_array("window", window, dtype=None)
+        require(window.shape == (self.N,), "window", f"of shape ({self.N},)", window)
+        return window
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +214,17 @@ def apply_window(
 ) -> np.ndarray:
     """Scale column n of the grids `y` (..., M, N), OFDM symbol n, by the
     receive window's coefficient ``window[n]``; ``apply_window(y, 1 / window)``
-    undoes it. Refuses a window whose shape is not (N,). The `window` stage is
-    charged MN/2 CMs per grid whatever the coefficients (audit convention).
-    The result goes into `out` when given, which may be `y` itself.
+    undoes it. Refuses a window that is not 1-D, and names both arguments
+    when the window's length is not the width N of the grids. The `window`
+    stage is charged MN/2 CMs per grid whatever the coefficients (audit
+    convention). The result goes into `out` when given, which may be `y` itself.
     """
     y = as_array("y", y, dtype=None, ndim=2)
     m, n = y.shape[-2:]
-    window = check_window(window, n)
+    window = as_array("window", window, dtype=None)
+    require(window.ndim == 1, "window", f"of shape ({n},)", window)
+    shapes = y.shape, window.shape
+    require(shapes[1] == (n,), "y and window", "grids (..., M, N) and N coefficients", shapes)
     if out is not None:
         check_out(out, y.shape, contiguous=False)
     if counter is not None:

@@ -52,5 +52,5 @@ def demodulate_fast(
     """
     symbols = cfg.symbols(cfg.check_frame(frame))
     out = check_out(out, symbols.shape)
-    apply_window(symbols, window, counter, out)
+    apply_window(symbols, cfg.check_window(window), counter, out)
     return dft(out, axis=-1, counter=counter, stage="demod_rows", out=out)

@@ -85,4 +85,4 @@ def demodulate_reference(
     returned.
     """
     z_tf = demodulate_ofdm(frame, cfg, counter=counter, out=out)
-    return sfft_windowed(z_tf, window, counter=counter, out=z_tf)
+    return sfft_windowed(z_tf, cfg.check_window(window), counter=counter, out=z_tf)

@@ -3,8 +3,8 @@
 :func:`dft` transforms a complex array of any shape along one axis, into a
 fresh array or into ``out`` (the input itself or a strided view); a
 :class:`CmCounter` tallies its CMs per stage for the audit. Also here: the
-number and power-of-two helpers, :func:`circ_conv2d`, :class:`SingularMatrixError`
-and :func:`write_csv`, the one writer of the CLI's CSV outputs.
+number and power-of-two helpers, :class:`SingularMatrixError` and
+:func:`write_csv`, the one writer of the CLI's CSV outputs.
 
 Every public entry point refuses a bad argument through the checks below
 (:func:`require` and the rules built on it), which raise
@@ -129,13 +129,6 @@ def as_array(name: str, a, dtype=np.complex128, ndim: int = 0, finite: bool = Fa
     return arr
 
 
-def check_window(window, n: int) -> np.ndarray:
-    """`window` as an array, if it is the `n` coefficients of a receive window."""
-    window = as_array("window", window, dtype=None)
-    require(window.shape == (n,), "window", f"of shape ({n},)", window)
-    return window
-
-
 def check_out(out, shape: tuple, contiguous: bool = True) -> np.ndarray:
     """`out`, to write a result of `shape` into whole, never into a copy: a
     complex128 array, C-contiguous if `contiguous`; a new one if it is None."""
@@ -199,17 +192,6 @@ def dft(
         counter.add(stage, (v.size // p) * fft_cm_cost(p))
     transform = np.fft.ifft if inverse else np.fft.fft
     return transform(v, axis=axis, norm="ortho", out=check_out(out, v.shape, contiguous=False))
-
-
-def circ_conv2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D circular convolution of equal-shape matrices.
-
-    ``C[k, l] = sum_p sum_q A[p, q] * B[(k - p) mod M, (l - q) mod N]``
-    """
-    a, b = as_array("a", a, ndim=2), as_array("b", b)
-    shapes = a.shape, b.shape
-    require(a.ndim == 2 and shapes[1] == shapes[0], "a and b", "matrices of one shape", shapes)
-    return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
 
 
 def write_csv(path, header: str, rows) -> None:

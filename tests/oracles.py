@@ -298,6 +298,27 @@ def dd_response_from_taps(taps):
     return np.stack([tap[:, 0] for tap in taps], axis=1)
 
 
+def circ_conv2d(a, b):
+    """2-D circular convolution of equal-shape matrices, by 2-D FFTs:
+    ``C[k, l] = sum_p sum_q A[p, q] * B[(k - p) mod M, (l - q) mod N]``."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"circ_conv2d expects matrices of one shape, got {a.shape} and {b.shape}")
+    return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
+
+
+def brute_circ_conv2d(a, b):
+    """Quadruple-loop summation oracle for the 2D circular convolution."""
+    m, n = a.shape
+    out = np.zeros((m, n), dtype=complex)
+    for k in range(m):
+        for l in range(n):
+            for p in range(m):
+                for q in range(n):
+                    out[k, l] += a[p, q] * b[(k - p) % m, (l - q) % n]
+    return out
+
+
 def fft2_block_fading_solve(d, ch, window, cfg):
     """Zero-forcing by 2-D FFT diagonalization, valid only for block fading.
 

@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     bands_to_blocks,
     batched_noise_receiver,
+    circ_conv2d,
     dense_effective,
     empirical_covariance,
     fft2_block_fading_solve,
@@ -32,11 +33,10 @@ from otfsim.channel import (
     build_dd_response,
 )
 from otfsim.cli import RunConfig, run_simulation
-from otfsim.detect import assemble_effective, bit_error_rate, zf_detect
+from otfsim.detect import assemble_effective, zf_detect
 from otfsim.grids import ModemConfig, apply_window, make_window, qam_demap, qam_map
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
-from otfsim.numerics import circ_conv2d
 
 
 def report(criterion, passed, detail):
@@ -179,9 +179,8 @@ def test_criterion_5_zero_forcing_recovery():
         x, bits = random_qam_grid(rng, cfg)
         d_tilde = demodulate_fast(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
         detected = zf_detect(d_tilde, system)
-        stat = bit_error_rate(qam_demap(vec(detected), 4), bits)
-        errors += stat.n_errors
-        total_bits += stat.n_bits
+        errors += int(np.count_nonzero(qam_demap(vec(detected), 4) != bits))
+        total_bits += bits.size
     report(
         5,
         errors == 0 and total_bits >= 2 * symbols_needed,

@@ -71,6 +71,18 @@ class TestReport:
         assert len(rows) == 9 * 6
         assert all(row.match for row in rows)
 
+    @pytest.mark.parametrize(
+        "m_list, n_list, message",
+        [
+            ([], [8], "m_list must be a non-empty list of powers of two >= 2, got []"),
+            ([8], (), "n_list must be a non-empty list of powers of two >= 2, got ()"),
+        ],
+    )
+    def test_empty_sizes_refused_by_name(self, m_list, n_list, message):
+        # an empty table would pass "all predicted == measured" vacuously
+        with pytest.raises(ValueError, match=re.escape(message)):
+            audit_report(m_list, n_list)
+
     def test_n_equals_m_costs_coincide(self):
         assert predicted_cm("proposed", "mod", 16, 16) == predicted_cm("ofdm", "mod", 16, 16)
 

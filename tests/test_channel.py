@@ -12,6 +12,7 @@ from oracles import (
     block_circulant_assemble,
     build_doppler_taps,
     channel_blocks,
+    circ_conv2d,
     cp_matrices,
     dd_response_from_taps,
     doppler_cycles_per_sample,
@@ -35,7 +36,6 @@ from otfsim.channel import (
 from otfsim.grids import WINDOW_KINDS, ModemConfig, apply_window, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
-from otfsim.numerics import circ_conv2d
 
 
 def ltv_oracle(s, ch):

@@ -33,13 +33,7 @@ from otfsim.channel import (
     apply_channel,
 )
 from otfsim.cli import RunConfig, run_simulation
-from otfsim.detect import (
-    BerStat,
-    assemble_effective,
-    bit_error_rate,
-    mmse_detect,
-    zf_detect,
-)
+from otfsim.detect import assemble_effective, mmse_detect, zf_detect
 from otfsim.grids import (
     WINDOW_KINDS,
     ModemConfig,
@@ -588,39 +582,7 @@ class TestWindowIndependence:
         assert sum(row["bit_errors"] for row in rows[0]) > 0
 
 
-class TestBer:
-    def test_identical_streams(self):
-        stat = bit_error_rate(np.ones(100, dtype=int), np.ones(100, dtype=int))
-        assert stat.ber == 0.0
-        assert stat.stderr == 0.0
-
-    def test_complemented_streams(self):
-        bits = np.zeros(64, dtype=int)
-        assert bit_error_rate(bits, 1 - bits).ber == 1.0
-
-    def test_counting(self):
-        ref = np.zeros(1000, dtype=int)
-        rx = ref.copy()
-        rx[[3, 500, 999]] = 1
-        stat = bit_error_rate(rx, ref)
-        assert stat.n_errors == 3
-        assert stat.ber == 0.003
-        assert abs(stat.stderr - np.sqrt(0.003 * 0.997 / 1000)) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bit_error_rate(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
-
-    def test_empty_streams_refused_by_name(self):
-        # a BER over no bits is 0 / 0: refused before a BerStat exists
-        message = "detected_bits and reference_bits must be non-empty arrays of one shape"
-        with pytest.raises(ValueError, match=re.escape(f"{message}, got ((0,), (0,))")):
-            bit_error_rate([], [])
-        with pytest.raises(ValueError, match=re.escape("n_bits must be an integer >= 1, got 0")):
-            BerStat(n_bits=0, n_errors=0)
-        with pytest.raises(ValueError, match=re.escape("n_errors must be at most n_bits = 4")):
-            BerStat(n_bits=4, n_errors=5)
-
+class TestDemap:
     def test_demap_detected_grid(self):
         # detector output grids demap back to the transmitted bits noise-free
         rng = np.random.default_rng(70)

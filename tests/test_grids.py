@@ -334,6 +334,13 @@ class TestWindowApply:
         y = np.arange(32, dtype=complex).reshape(4, 8) + 1j
         np.testing.assert_array_equal(apply_window(y, w), y * w)
 
+    @pytest.mark.parametrize("apply", [apply_window, sfft_windowed])
+    def test_width_mismatch_names_grids_and_window(self, apply):
+        # grids of width 3 and a window of 4: either may be at fault
+        message = "y and window must be grids (..., M, N) and N coefficients, got ((2, 8, 3), (4,))"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply(np.ones((2, 8, 3)), make_window("rectangular", 4))
+
     def test_charges_half_a_cm_per_sample_and_writes_into_out(self):
         y = np.ones((3, 4, 8), dtype=complex)
         out = np.empty_like(y)

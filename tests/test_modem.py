@@ -463,5 +463,9 @@ class TestWindowShape:
     def test_refuses_window_not_of_length_n(self, consumer, shape):
         WINDOW_CONSUMERS[consumer](np.ones(4))
         message = f"window must be of shape (4,), got a {shape} float64 array"
+        if len(shape) == 1 and consumer in ("apply_window", "sfft_windowed"):
+            # the grids given are as much at fault as the window: both are named
+            need = "grids (..., M, N) and N coefficients"
+            message = f"y and window must be {need}, got ((8, 4), {shape})"
         with pytest.raises(ValueError, match=re.escape(message)):
             WINDOW_CONSUMERS[consumer](np.ones(shape))

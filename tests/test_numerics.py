@@ -8,7 +8,9 @@ import pytest
 
 from oracles import (
     block_circulant_assemble,
+    brute_circ_conv2d,
     channel_blocks,
+    circ_conv2d,
     dft_matrix,
     identity_channel,
     unvec,
@@ -22,7 +24,6 @@ from otfsim.numerics import (
     CmCounter,
     SingularMatrixError,
     all_finite,
-    circ_conv2d,
     dft,
     fft_cm_cost,
     is_finite,
@@ -183,18 +184,6 @@ def test_write_csv_formats_cells(tmp_path):
     write_csv(path, "a,b,c", rows)
     expected = "x,3,0.10000000000000001\n1e+02,-2,0.33333333333333331\n-0,1e-300,1.0000000000000001e+300"
     assert path.read_text() == f"a,b,c\n{expected}\n"
-
-
-def brute_circ_conv2d(a, b):
-    """Quadruple-loop summation oracle for the 2D circular convolution."""
-    m, n = a.shape
-    out = np.zeros((m, n), dtype=complex)
-    for k in range(m):
-        for l in range(n):
-            for p in range(m):
-                for q in range(n):
-                    out[k, l] += a[p, q] * b[(k - p) % m, (l - q) % n]
-    return out
 
 
 class TestCircConv2d:

@@ -9,8 +9,9 @@ an odd value, and what it returns is used as a caller would use it.
   its shape and dtype.
 * An odd value is accepted, or refused by a ValueError that names the
   parameter before its ", got". A rule that relates two parameters names
-  the other in its need (``cp_len must be < M = 2, got 2``), except that
-  grids of the wrong width are reported as a window of the wrong shape.
+  the other in its need (``cp_len must be < M = 2, got 2``) or both before
+  it (``y and window must be ...``); ``sfft_windowed`` hands its ``z_tf``
+  to ``apply_window``, whose rule calls it ``y``.
 
 Nothing else escapes: no TypeError, IndexError, AttributeError or
 ZeroDivisionError. NumPy's warnings on arithmetic with NaN or infinity,
@@ -32,7 +33,6 @@ from hypothesis import strategies as st
 
 import otfsim
 from otfsim import (
-    BerStat,
     BlockFadingChannel,
     ChannelTap,
     CmCounter,
@@ -43,9 +43,7 @@ from otfsim import (
     apply_window,
     assemble_effective,
     audit_report,
-    bit_error_rate,
     build_dd_response,
-    circ_conv2d,
     demodulate_fast,
     demodulate_ofdm,
     demodulate_reference,
@@ -98,16 +96,6 @@ def block_channel(**kwargs):
     return ch.length, ch.coeffs(np.arange(12))
 
 
-def ber_stat(**kwargs):
-    stat = BerStat(**kwargs)
-    return stat.ber, stat.stderr
-
-
-def ber_of(**kwargs):
-    stat = bit_error_rate(**kwargs)
-    return stat.ber, stat.stderr
-
-
 def modem_config(**kwargs):
     cfg = ModemConfig(**kwargs)
     return cfg.frame_len, cfg.bits_per_frame
@@ -141,12 +129,8 @@ CALLS = {
                       {"signal": "array"}),
     "build_dd_response": (build_dd_response, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                           {"window": "array"}),
-    "BerStat": (ber_stat, lambda: dict(n_bits=64, n_errors=3),
-                {"n_bits": "int", "n_errors": "int"}),
     "assemble_effective": (assemble_effective, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                            {"window": "array"}),
-    "bit_error_rate": (ber_of, lambda: dict(detected_bits=bits(), reference_bits=bits()[::-1]),
-                       {"detected_bits": "array", "reference_bits": "array"}),
     "mmse_detect": (mmse_detect, lambda: dict(d_tilde=grid(), sys=SYSTEM, noise_var=0.1),
                     {"d_tilde": "array", "noise_var": "real"}),
     "zf_detect": (zf_detect, lambda: dict(d_tilde=grid(), sys=SYSTEM), {"d_tilde": "array"}),
@@ -180,8 +164,6 @@ CALLS = {
     "modulate_reference": (modulate_reference, lambda: dict(x_dd=grid(), cfg=CFG),
                            {"x_dd": "array", "out": "out"}),
     "CmCounter": (counted, lambda: dict(stage="fft", count=3), {"stage": "str", "count": "int"}),
-    "circ_conv2d": (circ_conv2d, lambda: dict(a=grid(), b=grid()[::-1]),
-                    {"a": "array", "b": "array"}),
     "dft": (dft, lambda: dict(v=grid(), inverse=True, axis=1, counter=CmCounter(), stage="dft"),
             {"v": "array", "inverse": "bool", "axis": "int", "stage": "str", "out": "out"}),
 }
@@ -189,7 +171,7 @@ CALLS = {
 NOT_CALLED = {"load_channel", "EffectiveSystem", "SingularMatrixError"}
 
 #: (call, parameter) -> another parameter whose refusal reports it
-RELATED = {("apply_window", "y"): "window", ("sfft_windowed", "z_tf"): "window"}
+RELATED = {("sfft_windowed", "z_tf"): "window"}
 
 #: kind -> values of the wrong type, each to be refused by name
 WRONG_TYPES = {
@@ -292,7 +274,7 @@ def test_every_public_callable_is_covered():
 @example(("ModemConfig", {"qam_order": 16.0}, "qam_order"))
 @example(("qam_demap", {"order": 4.0}, "order"))
 @example(("CmCounter", {"stage": "x", "count": 1.5}, "count"))
-@example(("bit_error_rate", {"detected_bits": [], "reference_bits": []}, None))
+@example(("audit_report", {"m_list": []}, "m_list"))  # a list, but an empty one: no table
 @example(("ChannelTap", {"doppler": 10**400}, "doppler"))  # too large for a float
 @example(("add_awgn", {"noise_var": 10**400}, "noise_var"))
 @example(("mmse_detect", {"noise_var": 10**400}, "noise_var"))
