@@ -30,10 +30,11 @@ print(f"frame: M={cfg.M} subcarriers x N={cfg.N} symbols, CP {cfg.cp_len} sample
 bits = rng.integers(0, 2, size=cfg.bits_per_frame)
 x = qam_map(bits, cfg.qam_order).reshape(cfg.M, cfg.N, order="F")
 
-# both transmitters, instrumented
-ref_counter, fast_counter = CmCounter(), CmCounter()
-frame_ref = modulate_reference(x, cfg, counter=ref_counter)
-frame_fast = modulate_fast(x, cfg, counter=fast_counter)
+# both transmitters, each in its own counting scope
+with CmCounter() as ref_counter:
+    frame_ref = modulate_reference(x, cfg)
+with CmCounter() as fast_counter:
+    frame_fast = modulate_fast(x, cfg)
 
 dev = np.max(np.abs(frame_ref - frame_fast))
 print(f"\ntransmitters: max |reference - fast| = {dev:.3e}")
@@ -42,9 +43,10 @@ print(f"  fast modulator:      {fast_counter.total():6d} CMs {fast_counter.break
 
 # same story at the receiver, whose window scales each OFDM symbol (here tapered in time)
 window = make_window("time-tapered", cfg.N, rho=0.25)
-ref_counter, fast_counter = CmCounter(), CmCounter()
-out_ref = demodulate_reference(frame_ref, window, cfg, counter=ref_counter)
-out_fast = demodulate_fast(frame_ref, window, cfg, counter=fast_counter)
+with CmCounter() as ref_counter:
+    out_ref = demodulate_reference(frame_ref, window, cfg)
+with CmCounter() as fast_counter:
+    out_fast = demodulate_fast(frame_ref, window, cfg)
 
 dev = np.max(np.abs(out_ref - out_fast))
 print(f"\nreceivers: max |reference - fast| = {dev:.3e}")

@@ -1,10 +1,10 @@
 """Complexity accounting: counted multiplications match the closed forms.
 
-Every transform in the library charges a CM counter under one convention
-(a P-point radix-2 FFT costs (P/2)*log2(P), a window application costs half
-a CM per sample). Under that convention the measured cost of each modem
-structure lands exactly on its closed-form formula, so the audit is an
-integer-equality check, not a tolerance check.
+Every transform in the library charges the CM counter of an open counting
+scope under one convention (a P-point radix-2 FFT costs (P/2)*log2(P), a
+window application costs half a CM per sample). Under that convention the
+measured cost of each modem structure lands exactly on its closed-form
+formula, so the audit is an integer-equality check, not a tolerance check.
 """
 
 from otfsim import audit_report, proposed_to_ofdm_ratio

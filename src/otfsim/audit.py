@@ -4,7 +4,7 @@ Three modem structures are audited in both directions: the reference OTFS
 cascade, the bare OFDM modem (SFFT stages bypassed, time-frequency grid
 treated as data), and the proposed low-complexity structure. Predicted
 counts come from the closed-form rows; measured counts come from running
-the instrumented pipelines on an all-ones grid and reading the CM counter.
+the pipelines on an all-ones grid in a counting scope and reading its counter.
 Both count the number and size of the transforms each structure invokes,
 charged by the convention in :mod:`otfsim.numerics`, not the butterflies
 ``numpy.fft`` executes.
@@ -28,7 +28,10 @@ from .numerics import (
     CmCounter, check_choice, ilog2, is_integer, is_power_of_two, require, write_csv,
 )
 
-STRUCTURES = ("reference", "ofdm", "proposed")
+#: structure -> (M-point transform stages, N-point transform stages, windowed receiver);
+#: each stage is one P-point transform per row or column, (MN/2)*log2(P) CMs
+TRANSFORM_STAGES = {"reference": (2, 1, True), "ofdm": (1, 0, False), "proposed": (0, 1, True)}
+STRUCTURES = tuple(TRANSFORM_STAGES)
 DIRECTIONS = ("mod", "demod")
 
 
@@ -46,44 +49,32 @@ def _check_case(structure: str, direction: str, m: int, n: int) -> None:
 
 
 def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
-    """Closed-form complex-multiplication count for one structure/direction."""
+    """Closed-form complex-multiplication count for one structure/direction:
+    MN/2 per transform stage, times log2(M) or log2(N), and MN/2 for the window."""
     _check_case(structure, direction, m, n)
-    mn = m * n
-    log_m, log_n = ilog2(m), ilog2(n)
-    if structure == "reference":
-        if direction == "mod":
-            return mn * log_m + (mn // 2) * log_n
-        return mn * log_m + (mn // 2) * (1 + log_n)
-    if structure == "ofdm":
-        return (mn // 2) * log_m
-    if direction == "mod":
-        return (mn // 2) * log_n
-    return (mn // 2) * (1 + log_n)
+    m_stages, n_stages, windowed = TRANSFORM_STAGES[structure]
+    window = windowed and direction == "demod"
+    return (m * n // 2) * (m_stages * ilog2(m) + n_stages * ilog2(n) + window)
 
 
 def measured_cm(structure: str, direction: str, m: int, n: int) -> int:
-    """Run the instrumented pipeline on an all-ones grid or frame and read its
-    counter; the count depends on the sizes alone."""
+    """Run the pipeline on an all-ones grid or frame in a counting scope and
+    read its counter; the count depends on the sizes alone."""
     _check_case(structure, direction, m, n)
     cfg = ModemConfig(M=m, N=n, cp_len=m // 4)
     grid = np.ones((m, n), dtype=np.complex128)
     frame = np.ones(cfg.frame_len, dtype=np.complex128)
     window = make_window("rectangular", n)
-    counter = CmCounter()
-    if structure == "reference":
-        if direction == "mod":
-            modulate_reference(grid, cfg, counter=counter)
-        else:
-            demodulate_reference(frame, window, cfg, counter=counter)
-    elif structure == "ofdm":
-        if direction == "mod":
-            modulate_ofdm(grid, cfg, counter=counter)
-        else:
-            demodulate_ofdm(frame, cfg, counter=counter)
-    elif direction == "mod":
-        modulate_fast(grid, cfg, counter=counter)
-    else:
-        demodulate_fast(frame, window, cfg, counter=counter)
+    pipelines = {
+        ("reference", "mod"): lambda: modulate_reference(grid, cfg),
+        ("reference", "demod"): lambda: demodulate_reference(frame, window, cfg),
+        ("ofdm", "mod"): lambda: modulate_ofdm(grid, cfg),
+        ("ofdm", "demod"): lambda: demodulate_ofdm(frame, cfg),
+        ("proposed", "mod"): lambda: modulate_fast(grid, cfg),
+        ("proposed", "demod"): lambda: demodulate_fast(frame, window, cfg),
+    }
+    with CmCounter() as counter:
+        pipelines[structure, direction]()
     return counter.total()
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, LtvChannel, symbol_gains
 from .grids import ModemConfig, apply_window
-from .numerics import SingularMatrixError, all_finite, check_noise_var
+from .numerics import SingularMatrixError, all_finite, check_noise_var, dft
 
 #: smallest estimated reciprocal condition number of A_n the detectors accept
 RCOND_MIN = 1e-12
@@ -179,7 +179,8 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
 
     The row IDFTs of the T grids, window undone, are gathered into zig-zag
     block columns (N, K, B, T), so each block product has T columns and can
-    round differently from T one-grid solves in the last bits.
+    round differently from T one-grid solves in the last bits. In a counting
+    scope, both row transforms are charged to `detect_rows`.
     """
     m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
     if sys._factor is None or sys._factor[0] != noise_var:
@@ -187,7 +188,8 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
         sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))
     _, inv, low = sys._factor
     k_count, b, pos = inv.shape[1], inv.shape[2], _zigzag(m)
-    y = apply_window(np.fft.ifft(d.reshape(-1, m, n_sym), axis=-1, norm="ortho"), 1 / sys.window)
+    y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
+    y = apply_window(y, 1 / sys.window)
     u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
     u[:, pos] = y.T
     u = _solve(inv, low, u.reshape(n_sym, k_count, b, -1))  # conjugated
@@ -195,8 +197,8 @@ def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
     s = h[:, 0::3] @ u  # blocks (k, k)
     s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
     s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
-    out = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
-    return np.fft.fft(out, axis=-1, norm="ortho").reshape(d.shape)
+    s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
+    return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
 
 
 def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .numerics import CmCounter, as_array, check_choice, check_int, check_out, dft, is_real, require
+from .numerics import as_array, charge, check_choice, check_int, check_out, dft, is_real, require
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -171,9 +171,7 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
 # SFFT pair
 # ---------------------------------------------------------------------------
 
-def sfft_inv(
-    x_dd: np.ndarray, counter: CmCounter | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def sfft_inv(x_dd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse SFFT: delay-Doppler -> time-frequency.
 
     Computes ``Y = F_M @ X @ F_N^H`` as M-point DFTs down the columns
@@ -181,15 +179,12 @@ def sfft_inv(
     `out` (any strided view, as for :func:`~otfsim.numerics.dft`) when given.
     """
     x_dd = as_array("x_dd", x_dd, ndim=2)
-    y = dft(x_dd, axis=-2, counter=counter, stage="sfft_inv", out=out)
-    return dft(y, axis=-1, inverse=True, counter=counter, stage="sfft_inv", out=y)
+    y = dft(x_dd, axis=-2, stage="sfft_inv", out=out)
+    return dft(y, axis=-1, inverse=True, stage="sfft_inv", out=y)
 
 
 def sfft_windowed(
-    z_tf: np.ndarray,
-    window: np.ndarray,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
+    z_tf: np.ndarray, window: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Windowed SFFT: time-frequency -> delay-Doppler.
 
@@ -197,27 +192,23 @@ def sfft_windowed(
     this inverts :func:`sfft_inv` exactly. The result goes into `out` when
     given, which may be `z_tf` itself.
     """
-    zw = apply_window(as_array("z_tf", z_tf, ndim=2), window, counter, out)
-    dft(zw, axis=-2, inverse=True, counter=counter, stage="sfft", out=zw)
-    return dft(zw, axis=-1, counter=counter, stage="sfft", out=zw)
+    zw = apply_window(as_array("z_tf", z_tf, ndim=2), window, out)
+    dft(zw, axis=-2, inverse=True, stage="sfft", out=zw)
+    return dft(zw, axis=-1, stage="sfft", out=zw)
 
 
 # ---------------------------------------------------------------------------
 # Receive windows
 # ---------------------------------------------------------------------------
 
-def apply_window(
-    y: np.ndarray,
-    window: np.ndarray,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def apply_window(y: np.ndarray, window: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scale column n of the grids `y` (..., M, N), OFDM symbol n, by the
     receive window's coefficient ``window[n]``; ``apply_window(y, 1 / window)``
     undoes it. Refuses a window that is not 1-D, and names both arguments
-    when the window's length is not the width N of the grids. The `window`
-    stage is charged MN/2 CMs per grid whatever the coefficients (audit
-    convention). The result goes into `out` when given, which may be `y` itself.
+    when the window's length is not the width N of the grids. In a counting
+    scope, the `window` stage is charged MN/2 CMs per grid whatever the
+    coefficients (audit convention). The result goes into `out` when given,
+    which may be `y` itself.
     """
     y = as_array("y", y, dtype=None, ndim=2)
     m, n = y.shape[-2:]
@@ -227,8 +218,7 @@ def apply_window(
     require(shapes[1] == (n,), "y and window", "grids (..., M, N) and N coefficients", shapes)
     if out is not None:
         check_out(out, y.shape, contiguous=False)
-    if counter is not None:
-        counter.add("window", (np.size(y) // (m * n)) * ((m * n) // 2))
+    charge("window", (np.size(y) // (m * n)) * ((m * n) // 2))
     return np.multiply(y, window, out=out)
 
 

@@ -13,15 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import CmCounter, check_out, dft
+from .numerics import check_out, dft
 
 
-def modulate_fast(
-    x_dd: np.ndarray,
-    cfg: ModemConfig,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def modulate_fast(x_dd: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Low-complexity OTFS transmitter: N-point IDFTs on the rows of X, then CP.
 
     Sample-for-sample identical to the reference transmitter while charging
@@ -31,7 +26,7 @@ def modulate_fast(
     """
     x_dd = cfg.check_grid(x_dd, "x_dd")
     frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
-    dft(x_dd, axis=-1, inverse=True, counter=counter, stage="mod_rows", out=cfg.symbols(frame))
+    dft(x_dd, axis=-1, inverse=True, stage="mod_rows", out=cfg.symbols(frame))
     return cfg.insert_cp(frame)
 
 
@@ -39,7 +34,6 @@ def demodulate_fast(
     frame: np.ndarray,
     window: np.ndarray,
     cfg: ModemConfig,
-    counter: CmCounter | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Low-complexity OTFS receiver.
@@ -52,5 +46,5 @@ def demodulate_fast(
     """
     symbols = cfg.symbols(cfg.check_frame(frame))
     out = check_out(out, symbols.shape)
-    apply_window(symbols, cfg.check_window(window), counter, out)
-    return dft(out, axis=-1, counter=counter, stage="demod_rows", out=out)
+    apply_window(symbols, cfg.check_window(window), out)
+    return dft(out, axis=-1, stage="demod_rows", out=out)

@@ -15,15 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, sfft_inv, sfft_windowed
-from .numerics import CmCounter, check_out, dft
+from .numerics import check_out, dft
 
 
-def modulate_ofdm(
-    y_tf: np.ndarray,
-    cfg: ModemConfig,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def modulate_ofdm(y_tf: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Plain OFDM modulator: per-symbol M-point IDFT, CP insertion, serialize.
 
     With `out`, frames are written into it and it is returned; `y_tf` may be
@@ -31,15 +26,12 @@ def modulate_ofdm(
     """
     y_tf = cfg.check_grid(y_tf, "y_tf")
     frame = check_out(out, (*y_tf.shape[:-2], cfg.frame_len))
-    dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod", out=cfg.symbols(frame))
+    dft(y_tf, axis=-2, inverse=True, stage="ofdm_mod", out=cfg.symbols(frame))
     return cfg.insert_cp(frame)
 
 
 def demodulate_ofdm(
-    frame: np.ndarray,
-    cfg: ModemConfig,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
+    frame: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Plain OFDM demodulator: CP removal and per-symbol M-point DFT.
 
@@ -47,14 +39,11 @@ def demodulate_ofdm(
     """
     symbols = cfg.symbols(cfg.check_frame(frame))
     out = check_out(out, symbols.shape)
-    return dft(symbols, axis=-2, counter=counter, stage="ofdm_demod", out=out)
+    return dft(symbols, axis=-2, stage="ofdm_demod", out=out)
 
 
 def modulate_reference(
-    x_dd: np.ndarray,
-    cfg: ModemConfig,
-    counter: CmCounter | None = None,
-    out: np.ndarray | None = None,
+    x_dd: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Reference OTFS transmitter: inverse SFFT followed by OFDM modulation.
 
@@ -64,8 +53,8 @@ def modulate_reference(
     """
     x_dd = cfg.check_grid(x_dd, "x_dd")
     frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
-    y_tf = sfft_inv(x_dd, counter=counter, out=cfg.symbols(frame))
-    dft(y_tf, axis=-2, inverse=True, counter=counter, stage="ofdm_mod", out=y_tf)
+    y_tf = sfft_inv(x_dd, out=cfg.symbols(frame))
+    dft(y_tf, axis=-2, inverse=True, stage="ofdm_mod", out=y_tf)
     return cfg.insert_cp(frame)
 
 
@@ -73,7 +62,6 @@ def demodulate_reference(
     frame: np.ndarray,
     window: np.ndarray,
     cfg: ModemConfig,
-    counter: CmCounter | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reference OTFS receiver: OFDM demodulation, windowing, forward SFFT.
@@ -84,5 +72,5 @@ def demodulate_reference(
     M-point DFT lands in it, every later stage runs in place and `out` is
     returned.
     """
-    z_tf = demodulate_ofdm(frame, cfg, counter=counter, out=out)
-    return sfft_windowed(z_tf, cfg.check_window(window), counter=counter, out=z_tf)
+    z_tf = demodulate_ofdm(frame, cfg, out=out)
+    return sfft_windowed(z_tf, cfg.check_window(window), out=z_tf)

@@ -1,9 +1,10 @@
 """Unitary DFTs with complex-multiplication accounting.
 
 :func:`dft` transforms a complex array of any shape along one axis, into a
-fresh array or into ``out`` (the input itself or a strided view); a
-:class:`CmCounter` tallies its CMs per stage for the audit. Also here: the
-number and power-of-two helpers, :class:`SingularMatrixError` and
+fresh array or into ``out`` (the input itself or a strided view). In a
+counting scope, ``with CmCounter() as counter:``, :func:`charge` tallies its
+CMs per stage for the audit; with no scope open, nothing is recorded. Also
+here: the number and power-of-two helpers, :class:`SingularMatrixError` and
 :func:`write_csv`, the one writer of the CLI's CSV outputs.
 
 Every public entry point refuses a bad argument through the checks below
@@ -21,6 +22,7 @@ not the butterflies executed: the transforms themselves run through
 from __future__ import annotations
 
 import cmath
+import contextvars
 import numbers
 
 import numpy as np
@@ -31,10 +33,27 @@ class SingularMatrixError(ValueError):
 
 
 class CmCounter:
-    """Monotone tally of complex multiplications, keyed by stage label."""
+    """Monotone tally of complex multiplications, keyed by stage label, and
+    the counting scope that fills it.
+
+    ``with CmCounter() as counter:`` charges `counter` with every transform
+    and window the library runs in the scope (see :func:`charge`). Scopes
+    nest: an inner one counts alone, and on exit the outer one counts again,
+    even when both are the same counter. A scope covers only its own
+    thread: a call on another thread, even one started inside the scope,
+    is not counted. The open scopes are kept per thread, not in the
+    counter, so one counter may be open on several threads at once.
+    """
 
     def __init__(self):
         self._stages: dict[str, int] = {}
+
+    def __enter__(self) -> CmCounter:
+        _SCOPES.set((*_SCOPES.get(), self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _SCOPES.set(_SCOPES.get()[:-1])
 
     def add(self, stage: str, count: int) -> None:
         require(isinstance(stage, str), "stage", "a string", stage)
@@ -51,6 +70,18 @@ class CmCounter:
 
     def __repr__(self):
         return f"CmCounter(total={self.total()}, stages={self._stages!r})"
+
+
+#: the counters of the open scopes of this thread (context), innermost last
+_SCOPES: contextvars.ContextVar[tuple] = contextvars.ContextVar("cm_scopes", default=())
+
+
+def charge(stage: str, count: int) -> None:
+    """Charge `count` CMs to `stage` of the innermost open :class:`CmCounter`
+    scope; with none open, record nothing."""
+    require(isinstance(stage, str), "stage", "a string", stage)
+    if scopes := _SCOPES.get():
+        scopes[-1].add(stage, count)
 
 
 def is_integer(value) -> bool:
@@ -160,14 +191,14 @@ def dft(
     v: np.ndarray,
     inverse: bool = False,
     axis: int = 0,
-    counter: CmCounter | None = None,
     stage: str = "dft",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unitary DFT (or IDFT) along one axis, computed by ``numpy.fft``.
 
-    Each transformed vector is charged :func:`fft_cm_cost` CMs:
-    ``(P/2)*log2(P)`` for power-of-two lengths, ``P**2`` otherwise.
+    In a counting scope, each transformed vector is charged
+    :func:`fft_cm_cost` CMs under `stage`: ``(P/2)*log2(P)`` for power-of-two
+    lengths, ``P**2`` otherwise. An empty batch of vectors gives an empty result.
 
     Parameters
     ----------
@@ -177,19 +208,18 @@ def dft(
         Apply the inverse (conjugate-kernel) transform.
     axis : int
         Axis along which to transform.
-    counter : CmCounter, optional
-        Charged with the conventional CM cost under `stage`.
+    stage : str
+        The label its CMs are charged under.
     out : ndarray, optional
         Receives and returns the result; may be `v` itself or a strided view.
     """
     v = as_array("v", v, ndim=1)
-    require(v.size > 0, "v", "a non-empty array", v)
     ok = is_integer(axis) and -v.ndim <= axis < v.ndim
+    require(v.size > 0 or (ok and v.shape[axis] > 0), "v", "a non-empty array", v)
     require(ok, "axis", f"an axis of v, in [{-v.ndim}, {v.ndim})", axis)
     require(isinstance(inverse, (bool, np.bool_)), "inverse", "a bool", inverse)
     p = v.shape[axis]
-    if counter is not None:
-        counter.add(stage, (v.size // p) * fft_cm_cost(p))
+    charge(stage, (v.size // p) * fft_cm_cost(p))
     transform = np.fft.ifft if inverse else np.fft.fft
     return transform(v, axis=axis, norm="ortho", out=check_out(out, v.shape, contiguous=False))
 

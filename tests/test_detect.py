@@ -44,7 +44,7 @@ from otfsim.grids import (
 )
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import demodulate_reference
-from otfsim.numerics import SingularMatrixError
+from otfsim.numerics import CmCounter, SingularMatrixError
 
 
 def tapered_window(n, rho=0.5):
@@ -327,6 +327,12 @@ class TestGridShape:
         with pytest.raises(ValueError, match=re.escape(message)):
             detect(np.ones(16), sys)
 
+    @pytest.mark.parametrize("detect", DETECTORS)
+    def test_empty_batch_gives_empty_result(self, detect):
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        assert detect(np.ones((0, 4, 4)), sys).shape == (0, 4, 4)
+
 
 class TestFastBlockSolve:
     """The 2-D FFT block-fading solve, kept as a test oracle, against per-symbol ZF."""
@@ -580,6 +586,16 @@ class TestWindowIndependence:
         ]
         assert rows[0] == rows[1]
         assert sum(row["bit_errors"] for row in rows[0]) > 0
+
+
+class TestCounting:
+    def test_a_scope_sees_every_transform_of_a_sweep(self):
+        # two 64 x 8 frames: a frame's N-point row transforms cost 768 CMs and
+        # its window 256; the detector undoes the window and transforms rows twice
+        with CmCounter() as counter:
+            run_simulation(RunConfig(snr_db=(10.0,), trials=2))
+        expected = {"mod_rows": 1536, "window": 1024, "demod_rows": 1536, "detect_rows": 3072}
+        assert counter.breakdown() == expected
 
 
 class TestDemap:

@@ -344,8 +344,8 @@ class TestWindowApply:
     def test_charges_half_a_cm_per_sample_and_writes_into_out(self):
         y = np.ones((3, 4, 8), dtype=complex)
         out = np.empty_like(y)
-        counter = CmCounter()
-        assert apply_window(y, np.full(8, 2.0), counter, out) is out
+        with CmCounter() as counter:
+            assert apply_window(y, np.full(8, 2.0), out) is out
         np.testing.assert_array_equal(out, 2 * y)
         assert counter.breakdown() == {"window": 3 * 16}
 

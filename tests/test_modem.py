@@ -105,8 +105,8 @@ class TestModulateReference:
 
     def test_cm_count(self):
         cfg = ModemConfig(M=8, N=4, cp_len=2)
-        counter = CmCounter()
-        modulate_reference(np.ones((8, 4)), cfg, counter=counter)
+        with CmCounter() as counter:
+            modulate_reference(np.ones((8, 4)), cfg)
         m, n = 8, 4
         assert counter.total() == m * n * ilog2(m) + (m * n // 2) * ilog2(n)
 
@@ -147,14 +147,14 @@ class TestDemodulateOfdm:
 
     def test_cm_count(self):
         cfg = ModemConfig(M=8, N=4, cp_len=0)
-        counter = CmCounter()
-        demodulate_ofdm(np.zeros(32), cfg, counter=counter)
+        with CmCounter() as counter:
+            demodulate_ofdm(np.zeros(32), cfg)
         assert counter.total() == (8 * 4 // 2) * 3
 
     def test_ofdm_mod_cm_count(self):
         cfg = ModemConfig(M=8, N=4, cp_len=2)
-        counter = CmCounter()
-        modulate_ofdm(np.ones((8, 4)), cfg, counter=counter)
+        with CmCounter() as counter:
+            modulate_ofdm(np.ones((8, 4)), cfg)
         assert counter.total() == (8 * 4 // 2) * 3
 
 
@@ -204,8 +204,8 @@ class TestDemodulateReference:
 
     def test_cm_count(self):
         cfg = ModemConfig(M=8, N=4, cp_len=2)
-        counter = CmCounter()
-        demodulate_reference(np.zeros(40), make_window("rectangular", 4), cfg, counter=counter)
+        with CmCounter() as counter:
+            demodulate_reference(np.zeros(40), make_window("rectangular", 4), cfg)
         m, n = 8, 4
         assert counter.total() == m * n * ilog2(m) + (m * n // 2) * (1 + ilog2(n))
 
@@ -224,14 +224,14 @@ class TestModulateFast:
 
     def test_cm_count_spot_values(self):
         cfg = ModemConfig(M=512, N=16, cp_len=0)
-        counter = CmCounter()
-        modulate_fast(np.zeros((512, 16)), cfg, counter=counter)
+        with CmCounter() as counter:
+            modulate_fast(np.zeros((512, 16)), cfg)
         assert counter.total() == 16384
-        ref_counter = CmCounter()
-        modulate_reference(np.zeros((512, 16)), cfg, counter=ref_counter)
+        with CmCounter() as ref_counter:
+            modulate_reference(np.zeros((512, 16)), cfg)
         assert ref_counter.total() == 90112
-        ofdm_counter = CmCounter()
-        modulate_ofdm(np.zeros((512, 16)), cfg, counter=ofdm_counter)
+        with CmCounter() as ofdm_counter:
+            modulate_ofdm(np.zeros((512, 16)), cfg)
         assert ofdm_counter.total() == 36864
 
 
@@ -290,12 +290,12 @@ class TestDemodulateFast:
 
     def test_cm_count_spot_values(self):
         cfg = ModemConfig(M=512, N=16, cp_len=0)
-        counter = CmCounter()
         window = make_window("rectangular", 16)
-        demodulate_fast(np.zeros(512 * 16), window, cfg, counter=counter)
+        with CmCounter() as counter:
+            demodulate_fast(np.zeros(512 * 16), window, cfg)
         assert counter.total() == 20480
-        ref_counter = CmCounter()
-        demodulate_reference(np.zeros(512 * 16), window, cfg, counter=ref_counter)
+        with CmCounter() as ref_counter:
+            demodulate_reference(np.zeros(512 * 16), window, cfg)
         assert ref_counter.total() == 94208
 
 
@@ -390,6 +390,15 @@ class TestStructuralEquivalence:
                 rx[idx], demodulate_reference(frames[idx], window, cfg), rtol=0, atol=1e-11
             )
 
+    def test_empty_batch_gives_empty_batch(self):
+        cfg, window = ModemConfig(M=8, N=4, cp_len=2), make_window("rectangular", 4)
+        grids, frames = np.zeros((0, 8, 4)), np.zeros((0, 40))
+        for modulate in (modulate_fast, modulate_reference, modulate_ofdm):
+            assert modulate(grids, cfg).shape == (0, 40)
+        assert demodulate_fast(frames, window, cfg).shape == (0, 8, 4)
+        assert demodulate_reference(frames, window, cfg).shape == (0, 8, 4)
+        assert demodulate_ofdm(frames, cfg).shape == (0, 8, 4)
+
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_sweep(self, m, n):
@@ -433,9 +442,10 @@ class TestStructuralEquivalence:
     def test_complexity_dominance_iff_n_below_m(self):
         for m, n in [(8, 2), (16, 4), (64, 8), (8, 8), (4, 16)]:
             cfg = ModemConfig(M=m, N=n, cp_len=0)
-            fast_counter, ofdm_counter = CmCounter(), CmCounter()
-            modulate_fast(np.zeros((m, n)), cfg, counter=fast_counter)
-            modulate_ofdm(np.zeros((m, n)), cfg, counter=ofdm_counter)
+            with CmCounter() as fast_counter:
+                modulate_fast(np.zeros((m, n)), cfg)
+            with CmCounter() as ofdm_counter:
+                modulate_ofdm(np.zeros((m, n)), cfg)
             assert (fast_counter.total() < ofdm_counter.total()) == (n < m)
 
 

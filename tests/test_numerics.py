@@ -2,6 +2,7 @@
 
 import numbers
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -91,23 +92,37 @@ class TestDft:
         with pytest.raises(ValueError):
             dft(np.zeros((0,), dtype=complex))
 
+    def test_empty_batch_gives_empty_result(self):
+        # no vectors to transform, as the detectors see an empty batch of grids
+        assert dft(np.zeros((0, 4)), axis=1).shape == (0, 4)
+        with pytest.raises(ValueError, match=re.escape("v must be a non-empty array")):
+            dft(np.zeros((4, 0)), axis=1)
+
+    def test_stage_must_be_a_string_with_or_without_a_scope(self):
+        message = "stage must be a string, got 5"
+        with pytest.raises(ValueError, match=message):
+            dft(np.ones(4), stage=5)
+        with CmCounter() as counter, pytest.raises(ValueError, match=message):
+            dft(np.ones(4), stage=5)
+        assert counter.breakdown() == {}
+
 
 class TestCmCounter:
     @pytest.mark.parametrize("p", [2, 4, 8, 16, 1024])
     def test_single_fft_charge(self, p):
-        counter = CmCounter()
-        dft(np.ones(p, dtype=complex), counter=counter, stage="fft")
+        with CmCounter() as counter:
+            dft(np.ones(p, dtype=complex), stage="fft")
         assert counter.total() == (p // 2) * int(np.log2(p))
 
     def test_direct_path_charge(self):
-        counter = CmCounter()
-        dft(np.ones(12, dtype=complex), counter=counter)
+        with CmCounter() as counter:
+            dft(np.ones(12, dtype=complex))
         assert counter.total() == 144
         assert fft_cm_cost(12) == 144
 
     def test_batched_charge_is_per_vector(self):
-        counter = CmCounter()
-        dft(np.ones((8, 3), dtype=complex), axis=0, counter=counter)
+        with CmCounter() as counter:
+            dft(np.ones((8, 3), dtype=complex), axis=0)
         assert counter.total() == 3 * 12
 
     def test_stage_totals_sum_to_global(self):
@@ -134,6 +149,91 @@ class TestCmCounter:
         assert counter.breakdown() == {}
         counter.add("a", np.int64(2))
         assert type(counter.total()) is int
+
+
+class TestCmScope:
+    """``with CmCounter()`` charges the transforms run in the scope, on its thread."""
+
+    def test_nothing_recorded_outside_a_scope(self):
+        counter = CmCounter()
+        dft(np.ones(8))
+        with counter:
+            dft(np.ones(8))
+        dft(np.ones(8))
+        assert counter.breakdown() == {"dft": 12}
+
+    def test_nested_scopes_count_their_own_calls(self):
+        with CmCounter() as outer:
+            dft(np.ones(8), stage="a")
+            with CmCounter() as inner:
+                dft(np.ones(4), stage="b")
+            dft(np.ones(8), stage="c")
+        assert outer.breakdown() == {"a": 12, "c": 12}
+        assert inner.breakdown() == {"b": 4}
+
+    def test_same_counter_entered_twice_restores_the_outer_scope(self):
+        counter = CmCounter()
+        with CmCounter() as outer:
+            with counter:
+                with counter:
+                    dft(np.ones(8), stage="a")
+                dft(np.ones(8), stage="a")
+            dft(np.ones(8), stage="b")
+        dft(np.ones(8), stage="c")
+        assert counter.breakdown() == {"a": 24}
+        assert outer.breakdown() == {"b": 12}
+
+    def test_scope_left_by_an_exception_is_closed(self):
+        with CmCounter() as outer:
+            with pytest.raises(ZeroDivisionError), CmCounter() as inner:
+                dft(np.ones(8))
+                1 / 0
+            dft(np.ones(4))
+        dft(np.ones(8))
+        assert (inner.total(), outer.total()) == (12, 4)
+
+    def test_calls_on_another_thread_are_not_counted(self):
+        done = []
+        with CmCounter() as counter:
+            worker = threading.Thread(target=lambda: done.append(dft(np.ones(8))))
+            worker.start()
+            worker.join(timeout=10)
+            dft(np.ones(4))
+        assert not worker.is_alive() and len(done) == 1
+        assert counter.breakdown() == {"dft": 4}
+
+    def test_one_counter_open_on_two_threads(self):
+        # thread a opens the scope, b opens it too, a closes it, then b does
+        counter, errors = CmCounter(), []
+        a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+
+        def a():
+            with counter:
+                a_open.set()
+                b_open.wait(timeout=10)
+                dft(np.ones(8))
+            a_closed.set()
+
+        def b():
+            a_open.wait(timeout=10)
+            with counter:
+                b_open.set()
+                a_closed.wait(timeout=10)
+                dft(np.ones(4))
+
+        def run(step):
+            try:
+                step()
+            except Exception as exc:  # reported below, on the test's thread
+                errors.append(exc)
+
+        workers = [threading.Thread(target=run, args=(step,)) for step in (a, b)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not errors and not any(worker.is_alive() for worker in workers)
+        assert counter.breakdown() == {"dft": 16}
 
 
 class TestAllFinite:

@@ -17,17 +17,20 @@ Nothing else escapes: no TypeError, IndexError, AttributeError or
 ZeroDivisionError. NumPy's warnings on arithmetic with NaN or infinity,
 which a call may accept, are not refusals and are ignored here.
 
-Parameters that take a library object (``cfg``, ``ch``, ``sys``,
-``counter``) get a valid one: a wrong object there fails as any
-duck-typed Python argument does. Not called: ``load_channel``, whose path
+Parameters that take a library object (``cfg``, ``ch``, ``sys``) get a
+valid one: a wrong object there fails as any duck-typed Python argument
+does. No public call takes a ``counter``: CMs are counted in a
+``with CmCounter()`` scope. Not called: ``load_channel``, whose path
 errors are OSErrors as the CLI expects; ``EffectiveSystem``, the record
 ``assemble_effective`` builds; and the exception ``SingularMatrixError``.
 """
 
+import inspect
 import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -137,22 +140,22 @@ CALLS = {
     "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2, qam_order=16),
                     {"M": "int", "N": "int", "cp_len": "int", "qam_order": "choice"}),
     "apply_window": (apply_window,
-                     lambda: dict(y=grid(), window=WINDOW, counter=CmCounter(), out=None),
+                     lambda: dict(y=grid(), window=WINDOW, out=None),
                      {"y": "array", "window": "array", "out": "out"}),
     "make_window": (make_window, lambda: dict(kind="time-tapered", n=4, rho=0.5),
                     {"kind": "choice", "n": "int", "rho": "real"}),
     "qam_demap": (qam_demap, lambda: dict(symbols=grid().ravel(), order=16),
                   {"symbols": "array", "order": "choice"}),
     "qam_map": (qam_map, lambda: dict(bits=bits(), order=16), {"bits": "array", "order": "choice"}),
-    "sfft_inv": (sfft_inv, lambda: dict(x_dd=grid(), counter=CmCounter(), out=None),
+    "sfft_inv": (sfft_inv, lambda: dict(x_dd=grid(), out=None),
                  {"x_dd": "array", "out": "out"}),
     "sfft_windowed": (sfft_windowed,
-                      lambda: dict(z_tf=grid(), window=WINDOW, counter=CmCounter(), out=None),
+                      lambda: dict(z_tf=grid(), window=WINDOW, out=None),
                       {"z_tf": "array", "window": "array", "out": "out"}),
     "demodulate_fast": (demodulate_fast,
-                        lambda: dict(frame=frame(), window=WINDOW, cfg=CFG, counter=CmCounter()),
+                        lambda: dict(frame=frame(), window=WINDOW, cfg=CFG),
                         {"frame": "array", "window": "array", "out": "out"}),
-    "modulate_fast": (modulate_fast, lambda: dict(x_dd=grid(), cfg=CFG, counter=CmCounter()),
+    "modulate_fast": (modulate_fast, lambda: dict(x_dd=grid(), cfg=CFG),
                       {"x_dd": "array", "out": "out"}),
     "demodulate_ofdm": (demodulate_ofdm, lambda: dict(frame=frame(), cfg=CFG),
                         {"frame": "array", "out": "out"}),
@@ -164,7 +167,7 @@ CALLS = {
     "modulate_reference": (modulate_reference, lambda: dict(x_dd=grid(), cfg=CFG),
                            {"x_dd": "array", "out": "out"}),
     "CmCounter": (counted, lambda: dict(stage="fft", count=3), {"stage": "str", "count": "int"}),
-    "dft": (dft, lambda: dict(v=grid(), inverse=True, axis=1, counter=CmCounter(), stage="dft"),
+    "dft": (dft, lambda: dict(v=grid(), inverse=True, axis=1, stage="dft"),
             {"v": "array", "inverse": "bool", "axis": "int", "stage": "str", "out": "out"}),
 }
 
@@ -256,6 +259,28 @@ def shown(value) -> str:
 def test_every_public_callable_is_covered():
     public = {name for name in otfsim.__all__ if callable(getattr(otfsim, name))}
     assert public == set(CALLS) | NOT_CALLED
+
+
+def test_no_public_call_takes_a_counter():
+    # CMs are counted in a `with CmCounter()` scope, never by an argument
+    calls = []
+    for name in otfsim.__all__:
+        obj = getattr(otfsim, name)
+        if inspect.isclass(obj):
+            calls += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                      if callable(fn) and (attr == "__init__" or not attr.startswith("_"))]
+        elif callable(obj):
+            calls.append((name, obj))
+    taking = [name for name, fn in calls if "counter" in inspect.signature(fn).parameters]
+    assert not taking, taking
+
+
+def test_counter_passed_by_position_refused_by_name():
+    # a caller written for the old `counter` parameter fails loudly
+    with pytest.raises(ValueError, match="out must be a C-contiguous complex128 array"):
+        modulate_fast(grid(), CFG, CmCounter())
+    with pytest.raises(ValueError, match="stage must be a string, got CmCounter"):
+        dft(grid(), False, 0, CmCounter())
 
 
 @settings(max_examples=400, deadline=None)
