@@ -113,7 +113,7 @@ class RunConfig:
         )
         problems = _rule_problems(rules)
         if cp is not None and not {"M", "Mcp"} & problems.keys() and cp >= self.M:
-            problems["Mcp"] = f"must satisfy Mcp < M, got {cp!r}"
+            problems["Mcp"] = f"must be < M = {self.M}, got {cp!r}"
         if isinstance(self.channel, str) and not Path(self.channel).exists():
             problems["channel"] = f"channel file {self.channel!r} does not exist"
         if problems:
@@ -144,10 +144,9 @@ class RunConfig:
         return channel_from_spec(self.channel)
 
 
-def load_config(path: str | None, overrides: dict, env: dict | None = None) -> RunConfig:
+def load_config(path: str | None, overrides: dict) -> RunConfig:
     """One config from the config file, the OTFS_SEED environment override and
     the flag overrides, each winning over the ones before it."""
-    env = os.environ if env is None else env
     values = {}
     if path is not None:
         try:
@@ -156,11 +155,11 @@ def load_config(path: str | None, overrides: dict, env: dict | None = None) -> R
         except (OSError, ValueError) as exc:
             raise ConfigError({"config": f"must be a readable JSON file, got {path!r}: {exc}"})
         values = _apply_file(raw)
-    if "OTFS_SEED" in env:
+    if (env_seed := os.environ.get("OTFS_SEED")) is not None:
         try:
-            values["seed"] = int(env["OTFS_SEED"])
+            values["seed"] = int(env_seed)
         except ValueError:
-            raise ConfigError({"OTFS_SEED": f"must be an integer, got {env['OTFS_SEED']!r}"})
+            raise ConfigError({"OTFS_SEED": f"must be an integer, got {env_seed!r}"})
     values.update((k, v) for k, v in overrides.items() if v is not None)
     return RunConfig(**values)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -111,7 +110,6 @@ def qam_scale(order: int) -> float:
     return math.sqrt(3.0 / (2.0 * (order - 1)))
 
 
-@cache
 def _pam_table(half: int) -> tuple[np.ndarray, np.ndarray]:
     """Gray code of each level index of 2**half-PAM, and the level of each code.
 
@@ -121,7 +119,6 @@ def _pam_table(half: int) -> tuple[np.ndarray, np.ndarray]:
     codes = (i ^ (i >> 1)).astype(np.uint8)
     levels = np.empty_like(i)
     levels[codes] = i[-1] - 2 * i
-    codes.flags.writeable = levels.flags.writeable = False  # cached: shared by every call
     return codes, levels
 
 

@@ -59,9 +59,6 @@ class CmCounter:
         require(isinstance(stage, str), "stage", "a string", stage)
         self._stages[stage] = self._stages.get(stage, 0) + check_int("count", count)
 
-    def stage_total(self, stage: str) -> int:
-        return self._stages.get(stage, 0)
-
     def total(self) -> int:
         return sum(self._stages.values())
 

@@ -34,6 +34,12 @@ from otfsim.cli import (
 from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig
 
 
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    # OTFS_SEED overrides the file seed, so a caller's value must not reach the tests
+    monkeypatch.delenv("OTFS_SEED", raising=False)
+
+
 def write_config(tmp_path, **overrides):
     base = {
         "M": 16,
@@ -75,7 +81,7 @@ class TestConfig:
     def test_flag_overrides_a_bad_file_value(self, tmp_path):
         # the file's M alone is refused; the one config built has the flag's
         path = write_config(tmp_path, M=1)
-        assert load_config(str(path), {"M": 64}, env={}).M == 64
+        assert load_config(str(path), {"M": 64}).M == 64
 
     def test_numpy_integers_validate_as_python_ints(self):
         # uint8 sizes would wrap in M + Mcp; construction stores Python ints
@@ -116,42 +122,53 @@ class TestConfig:
 
     def test_file_and_flag_precedence(self, tmp_path):
         path = write_config(tmp_path, M=32)
-        cfg = load_config(str(path), {"M": 64}, env={})
+        cfg = load_config(str(path), {"M": 64})
         assert cfg.M == 64
         assert cfg.N == 4  # from file
 
-    def test_env_seed_overrides_file_but_not_flag(self, tmp_path):
+    def test_env_seed_overrides_file_but_not_flag(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, seed=1)
-        cfg = load_config(str(path), {}, env={"OTFS_SEED": "99"})
+        monkeypatch.setenv("OTFS_SEED", "99")
+        cfg = load_config(str(path), {})
         assert cfg.seed == 99
-        cfg = load_config(str(path), {"seed": 5}, env={"OTFS_SEED": "99"})
+        cfg = load_config(str(path), {"seed": 5})
         assert cfg.seed == 5
 
     def test_invalid_fields_named_individually(self, tmp_path):
         path = write_config(tmp_path, M=1, trials=0, detector="genie")
         with pytest.raises(ConfigError) as err:
-            load_config(str(path), {}, env={})
+            load_config(str(path), {})
         assert set(err.value.fields) == {"M", "trials", "detector"}
 
     def test_cp_not_shorter_than_m_refused(self):
         with pytest.raises(ConfigError) as exc:
             RunConfig(M=8, cp_len=8)
-        assert exc.value.fields == {"Mcp": "must satisfy Mcp < M, got 8"}
+        assert exc.value.fields == {"Mcp": "must be < M = 8, got 8"}
+
+    @pytest.mark.parametrize("M, cp", [(2, 2), (8, 8), (8, 9), (64, 100)])
+    def test_cp_rule_worded_as_modem_config(self, M, cp):
+        # the rule lives in both, since RunConfig reports every bad setting at once
+        with pytest.raises(ValueError) as modem:
+            ModemConfig(M, 4, cp)
+        with pytest.raises(ConfigError) as run:
+            RunConfig(M=M, cp_len=cp)
+        assert str(modem.value) == "cp_len " + run.value.fields["Mcp"]
 
     def test_missing_channel_file(self, tmp_path):
         path = write_config(tmp_path, channel="nope.json")
         with pytest.raises(ConfigError, match="channel"):
-            load_config(str(path), {}, env={})
+            load_config(str(path), {})
 
-    def test_bad_env_seed(self, tmp_path):
+    def test_bad_env_seed(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
+        monkeypatch.setenv("OTFS_SEED", "abc")
         with pytest.raises(ConfigError, match="OTFS_SEED"):
-            load_config(str(path), {}, env={"OTFS_SEED": "abc"})
+            load_config(str(path), {})
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, trails=10, window={"kind": "rectangular", "rolloff": 1})
         with pytest.raises(ConfigError) as err:
-            load_config(str(path), {}, env={})
+            load_config(str(path), {})
         assert set(err.value.fields) == {"trails", "window.rolloff"}
 
     def test_readme_schema_is_the_defaults(self, tmp_path):
@@ -160,7 +177,7 @@ class TestConfig:
         assert block, "README has no config file schema block"
         path = tmp_path / "schema.json"
         path.write_text(block.group(1))
-        cfg = load_config(str(path), {}, env={})
+        cfg = load_config(str(path), {})
         assert replace(cfg, channel=None, snr_db=tuple(cfg.snr_db)) == RunConfig()
         cfg.build_channel()  # its example channel is a valid spec
 
@@ -770,25 +787,14 @@ def test_out_that_is_a_file_named(tmp_path, capsys, argv):
     assert out.read_text() == "kept"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy's import alone costs a few tenths of a second of every otfs run
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_logging():
+def test_cli_import_loads_neither_scipy_nor_logging():
+    # scipy's import alone costs a few tenths of a second of every otfs run;
     # concurrent.futures imports logging, a few ms and most of a MB on every otfs run
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
-        "import otfsim.cli, sys; "
-        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')"
+        " or m in ('concurrent.futures', 'logging')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

@@ -130,7 +130,7 @@ class TestCmCounter:
         counter.add("a", 5)
         counter.add("b", 7)
         counter.add("a", 1)
-        assert counter.stage_total("a") == 6
+        assert counter.breakdown()["a"] == 6
         assert counter.total() == 13
         assert sum(counter.breakdown().values()) == counter.total()
 
