@@ -787,14 +787,25 @@ def test_out_that_is_a_file_named(tmp_path, capsys, argv):
     assert out.read_text() == "kept"
 
 
-def test_cli_import_loads_neither_scipy_nor_logging():
-    # scipy's import alone costs a few tenths of a second of every otfs run;
+def test_cli_import_loads_no_scipy():
+    # scipy's import alone costs a few tenths of a second of every otfs run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_logging():
     # concurrent.futures imports logging, a few ms and most of a MB on every otfs run
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
-        "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')"
-        " or m in ('concurrent.futures', 'logging')))"
+        "import otfsim.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
