@@ -8,6 +8,7 @@ complex-multiplication audit of all three modem structures.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType  # importing .audit binds `audit` here too
 
 # One OpenBLAS thread unless the caller set a count; it is read when NumPy loads, below.
 # Helper threads busy-wait between BLAS calls, which slows a run whenever the other cores
@@ -43,6 +44,6 @@ from .modem_reference import (
 )
 from .numerics import CmCounter, SingularMatrixError, dft
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -310,20 +310,20 @@ def _max_deviation(seed, grids: int, shape: tuple, reference, fast, *args) -> fl
     """Largest |fast - reference| over `grids` inputs of `shape` drawn from
     `seed`'s generator, parts uniform on [-sqrt(3), sqrt(3)]: zero mean, unit
     variance, cheaper than Gaussian and as sure to show that fast - reference
-    != 0. Three arrays serve every grid: the input, redrawn in place, and the
-    first call's two results (`out=`), |fast - reference| overwriting one."""
+    != 0. At most three arrays are held at a time: the input, redrawn in
+    place, the reference result, and the fast result until it is subtracted;
+    |fast - reference| overwrites the reference result."""
     rng = np.random.default_rng(seed)
     x = np.empty(shape, dtype=np.complex128)
     parts = x.view(np.float64)
-    top, ref, fst = 0.0, None, None
+    top = 0.0
     for _ in range(grids):
         rng.random(out=parts)
         parts *= 2 * math.sqrt(3)
         parts -= math.sqrt(3)
-        ref = reference(x, *args, out=ref)
-        fst = fast(x, *args, out=fst)
-        ref -= fst
-        top = max(top, float(np.abs(ref, out=ref.real).max()))
+        dev = reference(x, *args)
+        dev -= fast(x, *args)
+        top = max(top, float(np.abs(dev, out=dev.real).max()))
     return top
 
 

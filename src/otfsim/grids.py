@@ -214,7 +214,7 @@ def apply_window(y: np.ndarray, window: np.ndarray, out: np.ndarray | None = Non
     shapes = y.shape, window.shape
     require(shapes[1] == (n,), "y and window", "grids (..., M, N) and N coefficients", shapes)
     if out is not None:
-        check_out(out, y.shape, contiguous=False)
+        check_out(out, y.shape)
     charge("window", (np.size(y) // (m * n)) * ((m * n) // 2))
     return np.multiply(y, window, out=out)
 

@@ -13,38 +13,31 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import check_out, dft
+from .numerics import dft
 
 
-def modulate_fast(x_dd: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None) -> np.ndarray:
+def modulate_fast(x_dd: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Low-complexity OTFS transmitter: N-point IDFTs on the rows of X, then CP.
 
     Sample-for-sample identical to the reference transmitter while charging
     only ``(M*N/2)*log2(N)`` CMs per frame. Grids (..., M, N) give frames
-    (..., L), written into `out` when given (a C-contiguous complex128 array
-    of that shape), which is then returned.
+    (..., L), a fresh array that every stage writes in place.
     """
     x_dd = cfg.check_grid(x_dd, "x_dd")
-    frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
+    frame = np.empty((*x_dd.shape[:-2], cfg.frame_len), dtype=np.complex128)
     dft(x_dd, axis=-1, inverse=True, stage="mod_rows", out=cfg.symbols(frame))
     return cfg.insert_cp(frame)
 
 
-def demodulate_fast(
-    frame: np.ndarray,
-    window: np.ndarray,
-    cfg: ModemConfig,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def demodulate_fast(frame: np.ndarray, window: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Low-complexity OTFS receiver.
 
     Per symbol: CP removal and scaling by the time-window coefficient, then
     N-point DFTs across the rows. Charges ``(M*N/2)*(1 + log2(N))`` CMs per
-    frame. Frames (..., L) give grids (..., M, N), written into `out` when
-    given (a C-contiguous complex128 array of that shape), which is then
-    returned.
+    frame. Frames (..., L) give grids (..., M, N), a fresh array that every
+    stage writes in place.
     """
     symbols = cfg.symbols(cfg.check_frame(frame))
-    out = check_out(out, symbols.shape)
-    apply_window(symbols, cfg.check_window(window), out)
-    return dft(out, axis=-1, stage="demod_rows", out=out)
+    grid = np.empty(symbols.shape, dtype=np.complex128)
+    apply_window(symbols, cfg.check_window(window), grid)
+    return dft(grid, axis=-1, stage="demod_rows", out=grid)

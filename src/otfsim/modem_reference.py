@@ -15,62 +15,43 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import ModemConfig, sfft_inv, sfft_windowed
-from .numerics import check_out, dft
+from .numerics import dft
 
 
-def modulate_ofdm(y_tf: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Plain OFDM modulator: per-symbol M-point IDFT, CP insertion, serialize.
-
-    With `out`, frames are written into it and it is returned; `y_tf` may be
-    its data samples, transformed in place.
-    """
+def modulate_ofdm(y_tf: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Plain OFDM modulator: per-symbol M-point IDFT, CP insertion, serialize."""
     y_tf = cfg.check_grid(y_tf, "y_tf")
-    frame = check_out(out, (*y_tf.shape[:-2], cfg.frame_len))
+    frame = np.empty((*y_tf.shape[:-2], cfg.frame_len), dtype=np.complex128)
     dft(y_tf, axis=-2, inverse=True, stage="ofdm_mod", out=cfg.symbols(frame))
     return cfg.insert_cp(frame)
 
 
-def demodulate_ofdm(
-    frame: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Plain OFDM demodulator: CP removal and per-symbol M-point DFT.
-
-    With `out`, grids are written into it and it is returned.
-    """
-    symbols = cfg.symbols(cfg.check_frame(frame))
-    out = check_out(out, symbols.shape)
-    return dft(symbols, axis=-2, stage="ofdm_demod", out=out)
+def demodulate_ofdm(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Plain OFDM demodulator: CP removal and per-symbol M-point DFT."""
+    return dft(cfg.symbols(cfg.check_frame(frame)), axis=-2, stage="ofdm_demod")
 
 
-def modulate_reference(
-    x_dd: np.ndarray, cfg: ModemConfig, out: np.ndarray | None = None
-) -> np.ndarray:
+def modulate_reference(x_dd: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Reference OTFS transmitter: inverse SFFT followed by OFDM modulation.
 
     Costs ``M*N*log2(M) + (M*N/2)*log2(N)`` CMs for power-of-two sizes.
-    With `out`, a C-contiguous complex128 array of the frames' shape, every
-    transform runs in place on its data samples and `out` is returned.
+    Every transform runs in place on the data samples of the fresh frames
+    it returns.
     """
     x_dd = cfg.check_grid(x_dd, "x_dd")
-    frame = check_out(out, (*x_dd.shape[:-2], cfg.frame_len))
+    frame = np.empty((*x_dd.shape[:-2], cfg.frame_len), dtype=np.complex128)
     y_tf = sfft_inv(x_dd, out=cfg.symbols(frame))
     dft(y_tf, axis=-2, inverse=True, stage="ofdm_mod", out=y_tf)
     return cfg.insert_cp(frame)
 
 
-def demodulate_reference(
-    frame: np.ndarray,
-    window: np.ndarray,
-    cfg: ModemConfig,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def demodulate_reference(frame: np.ndarray, window: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Reference OTFS receiver: OFDM demodulation, windowing, forward SFFT.
 
     Costs ``M*N*log2(M) + (M*N/2)*(1 + log2(N))`` CMs for power-of-two sizes
     (the MN/2 term is the windowing, charged regardless of window content).
-    With `out`, a C-contiguous complex128 array of the grids' shape, the
-    M-point DFT lands in it, every later stage runs in place and `out` is
-    returned.
+    The M-point DFT lands in a fresh array of the grids' shape, and every
+    later stage runs in place in it.
     """
-    z_tf = demodulate_ofdm(frame, cfg, out=out)
+    z_tf = demodulate_ofdm(frame, cfg)
     return sfft_windowed(z_tf, cfg.check_window(window), out=z_tf)

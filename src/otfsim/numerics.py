@@ -157,14 +157,13 @@ def as_array(name: str, a, dtype=np.complex128, ndim: int = 0, finite: bool = Fa
     return arr
 
 
-def check_out(out, shape: tuple, contiguous: bool = True) -> np.ndarray:
+def check_out(out, shape: tuple) -> np.ndarray:
     """`out`, to write a result of `shape` into whole, never into a copy: a
-    complex128 array, C-contiguous if `contiguous`; a new one if it is None."""
+    complex128 array, any strides; a new one if it is None."""
     if out is None:
         return np.empty(shape, dtype=np.complex128)
     ok = isinstance(out, np.ndarray) and (out.shape, out.dtype) == (shape, np.complex128)
-    need = f"a {'C-contiguous ' * contiguous}complex128 array of shape {shape}"
-    require(ok and (out.flags.c_contiguous or not contiguous), "out", need, out)
+    require(ok, "out", f"a complex128 array of shape {shape}", out)
     return out
 
 
@@ -218,7 +217,7 @@ def dft(
     p = v.shape[axis]
     charge(stage, (v.size // p) * fft_cm_cost(p))
     transform = np.fft.ifft if inverse else np.fft.fft
-    return transform(v, axis=axis, norm="ortho", out=check_out(out, v.shape, contiguous=False))
+    return transform(v, axis=axis, norm="ortho", out=check_out(out, v.shape))
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -311,63 +311,6 @@ def modem_cases(draw, max_m=40, max_n=12):
     return cfg, window, lead, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-#: each modem as (name, call(input, window, cfg, **kwargs), kind of input)
-MODEMS = [
-    ("modulate_fast", lambda v, w, cfg, **kw: modulate_fast(v, cfg, **kw), "grid"),
-    ("modulate_reference", lambda v, w, cfg, **kw: modulate_reference(v, cfg, **kw), "grid"),
-    ("demodulate_fast", demodulate_fast, "frame"),
-    ("demodulate_reference", demodulate_reference, "frame"),
-]
-
-
-def modem_io_shapes(kind, lead, cfg):
-    """Input and result shapes of a modem taking grids or frames."""
-    grid, frame = (*lead, cfg.M, cfg.N), (*lead, cfg.frame_len)
-    return (grid, frame) if kind == "grid" else (frame, grid)
-
-
-class TestOutBuffer:
-    """With `out=`, each modem writes its whole result into `out` and returns
-    it; an `out` that cannot take the result as it is gets refused."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(modem_cases(max_m=24, max_n=7), st.sampled_from(MODEMS))
-    def test_out_is_overwritten_and_returned(self, case, modem):
-        cfg, window, lead, rng = case
-        _, run, kind = modem
-        shape, result_shape = modem_io_shapes(kind, lead, cfg)
-        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out = np.full(result_shape, complex(np.nan, np.nan))
-        assert run(v, window, cfg, out=out) is out
-        assert out.tobytes() == run(v, window, cfg).tobytes()
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            lambda shape: np.zeros((*shape[:-1], shape[-1] + 1), dtype=complex),
-            lambda shape: np.zeros((2, *shape), dtype=complex),
-            lambda shape: np.zeros((int(np.prod(shape)), 1), dtype=complex),
-            lambda shape: np.zeros(shape, dtype=np.complex64),
-            lambda shape: np.zeros(shape, dtype=np.float64),
-            lambda shape: np.zeros((*shape, 2), dtype=complex)[..., 0],
-            lambda shape: np.zeros(shape, dtype=complex)[..., ::-1],
-            lambda shape: np.zeros(shape, dtype=complex).tolist(),
-        ],
-        ids=["shape", "lead", "flat", "complex64", "float64", "strided", "reversed", "list"],
-    )
-    @pytest.mark.parametrize("lead", [(), (2,)])
-    @pytest.mark.parametrize("modem", MODEMS, ids=[name for name, _, _ in MODEMS])
-    def test_unfit_out_refused_by_name(self, modem, lead, bad):
-        cfg = ModemConfig(M=6, N=4, cp_len=2)
-        _, run, kind = modem
-        shape, result_shape = modem_io_shapes(kind, lead, cfg)
-        out = bad(result_shape)
-        with pytest.raises(ValueError, match=r"^out must be a C-contiguous complex128 array"):
-            run(np.ones(shape, dtype=complex), make_window("rectangular", 4), cfg, out=out)
-        if isinstance(out, np.ndarray):
-            assert not out.any()
-
-
 class TestStructuralEquivalence:
     """fast == reference over the whole configuration grid."""
 

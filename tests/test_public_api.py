@@ -154,18 +154,18 @@ CALLS = {
                       {"z_tf": "array", "window": "array", "out": "out"}),
     "demodulate_fast": (demodulate_fast,
                         lambda: dict(frame=frame(), window=WINDOW, cfg=CFG),
-                        {"frame": "array", "window": "array", "out": "out"}),
+                        {"frame": "array", "window": "array"}),
     "modulate_fast": (modulate_fast, lambda: dict(x_dd=grid(), cfg=CFG),
-                      {"x_dd": "array", "out": "out"}),
+                      {"x_dd": "array"}),
     "demodulate_ofdm": (demodulate_ofdm, lambda: dict(frame=frame(), cfg=CFG),
-                        {"frame": "array", "out": "out"}),
+                        {"frame": "array"}),
     "demodulate_reference": (demodulate_reference,
                              lambda: dict(frame=frame(), window=WINDOW, cfg=CFG),
-                             {"frame": "array", "window": "array", "out": "out"}),
+                             {"frame": "array", "window": "array"}),
     "modulate_ofdm": (modulate_ofdm, lambda: dict(y_tf=grid(), cfg=CFG),
-                      {"y_tf": "array", "out": "out"}),
+                      {"y_tf": "array"}),
     "modulate_reference": (modulate_reference, lambda: dict(x_dd=grid(), cfg=CFG),
-                           {"x_dd": "array", "out": "out"}),
+                           {"x_dd": "array"}),
     "CmCounter": (counted, lambda: dict(stage="fft", count=3), {"stage": "str", "count": "int"}),
     "dft": (dft, lambda: dict(v=grid(), inverse=True, axis=1, stage="dft"),
             {"v": "array", "inverse": "bool", "axis": "int", "stage": "str", "out": "out"}),
@@ -275,9 +275,23 @@ def test_no_public_call_takes_a_counter():
     assert not taking, taking
 
 
+def test_modems_take_no_out_and_their_stages_do():
+    # each modem returns a fresh array and chains its stages through their `out=`
+    modems = [modulate_fast, demodulate_fast, modulate_reference, demodulate_reference,
+              modulate_ofdm, demodulate_ofdm]
+    stages = [dft, apply_window, sfft_inv, sfft_windowed]
+    assert [fn.__name__ for fn in modems if "out" in inspect.signature(fn).parameters] == []
+    assert [fn.__name__ for fn in stages if "out" not in inspect.signature(fn).parameters] == []
+
+
+def test_no_public_name_is_a_module():
+    # `from otfsim import *` binds the library's names, not its submodules
+    assert [name for name in otfsim.__all__ if inspect.ismodule(getattr(otfsim, name))] == []
+
+
 def test_counter_passed_by_position_refused_by_name():
     # a caller written for the old `counter` parameter fails loudly
-    with pytest.raises(ValueError, match="out must be a C-contiguous complex128 array"):
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
         modulate_fast(grid(), CFG, CmCounter())
     with pytest.raises(ValueError, match="stage must be a string, got CmCounter"):
         dft(grid(), False, 0, CmCounter())
