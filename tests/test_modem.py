@@ -18,7 +18,14 @@ from oracles import (
 
 from otfsim.channel import ChannelTap, LtvChannel, build_dd_response
 from otfsim.detect import assemble_effective
-from otfsim.grids import WINDOW_KINDS, ModemConfig, apply_window, make_window, sfft_windowed
+from otfsim.grids import (
+    WINDOW_KINDS,
+    ModemConfig,
+    apply_window,
+    make_window,
+    sfft_inv,
+    sfft_windowed,
+)
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import (
     demodulate_ofdm,
@@ -26,7 +33,7 @@ from otfsim.modem_reference import (
     modulate_ofdm,
     modulate_reference,
 )
-from otfsim.numerics import CmCounter
+from otfsim.numerics import CmCounter, dft
 
 
 def random_grid(rng, cfg):
@@ -309,6 +316,75 @@ def modem_cases(draw, max_m=40, max_n=12):
     window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0, 1)))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     return cfg, window, lead, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+#: each modem as (name, call(input, window, cfg, **kwargs), kind of input)
+MODEMS = [
+    ("modulate_fast", lambda v, w, cfg, **kw: modulate_fast(v, cfg, **kw), "grid"),
+    ("modulate_reference", lambda v, w, cfg, **kw: modulate_reference(v, cfg, **kw), "grid"),
+    ("demodulate_fast", demodulate_fast, "frame"),
+    ("demodulate_reference", demodulate_reference, "frame"),
+]
+
+#: each stage the modems chain through `out=`, as call(grids, window, **kwargs)
+STAGES = [
+    lambda v, w, **kw: dft(v, axis=-1, inverse=True, **kw),
+    lambda v, w, **kw: dft(v, axis=-2, **kw),
+    apply_window,
+    lambda v, w, **kw: sfft_inv(v, **kw),
+    sfft_windowed,
+]
+
+
+def modem_io_shapes(kind, lead, cfg):
+    """Input and result shapes of a modem taking grids or frames."""
+    grid, frame = (*lead, cfg.M, cfg.N), (*lead, cfg.frame_len)
+    return (grid, frame) if kind == "grid" else (frame, grid)
+
+
+class TestOutBuffer:
+    """With `out=`, each stage the modems chain writes its whole result into
+    `out`, of any strides, and returns it; the modems return fresh arrays and
+    refuse an `out` by name, leaving it as it was."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(modem_cases(max_m=24, max_n=7), st.sampled_from(STAGES), st.booleans())
+    def test_out_is_overwritten_and_returned(self, case, stage, strided):
+        cfg, window, lead, rng = case
+        shape = (*lead, cfg.M, cfg.N)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = np.full((*shape, 2) if strided else shape, complex(np.nan, np.nan))
+        out = out[..., 0] if strided else out
+        assert stage(v, window, out=out) is out
+        assert out.tobytes() == stage(v, window).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda shape: np.zeros((*shape[:-1], shape[-1] + 1), dtype=complex),
+            lambda shape: np.zeros((2, *shape), dtype=complex),
+            lambda shape: np.zeros((int(np.prod(shape)), 1), dtype=complex),
+            lambda shape: np.zeros(shape, dtype=np.complex64),
+            lambda shape: np.zeros(shape, dtype=np.float64),
+            lambda shape: np.zeros((*shape, 2), dtype=complex)[..., 0],
+            lambda shape: np.zeros(shape, dtype=complex)[..., ::-1],
+            lambda shape: np.zeros(shape, dtype=complex).tolist(),
+        ],
+        ids=["shape", "lead", "flat", "complex64", "float64", "strided", "reversed", "list"],
+    )
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("modem", MODEMS, ids=[name for name, _, _ in MODEMS])
+    def test_unfit_out_refused_by_name(self, modem, lead, bad):
+        # a caller written for the modems' old `out=` fails loudly
+        cfg = ModemConfig(M=6, N=4, cp_len=2)
+        name, run, kind = modem
+        shape, result_shape = modem_io_shapes(kind, lead, cfg)
+        out = bad(result_shape)
+        refusal = rf"^{name}\(\) got an unexpected keyword argument 'out'"
+        with pytest.raises(TypeError, match=refusal):
+            run(np.ones(shape, dtype=complex), make_window("rectangular", 4), cfg, out=out)
+        if isinstance(out, np.ndarray):
+            assert not out.any()
 
 
 class TestStructuralEquivalence:
