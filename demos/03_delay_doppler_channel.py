@@ -22,7 +22,6 @@ from otfsim import (
     demodulate_reference,
     make_window,
     modulate_fast,
-    zf_detect,
 )
 
 cfg = ModemConfig(M=16, N=8, cp_len=4)
@@ -68,6 +67,6 @@ print(f"within-symbol Doppler:  residual {err:.2e} (2-D convolution no longer ex
 
 # ...but the per-symbol model stays exact for any channel: one M x M system
 # per OFDM symbol between N-point row transforms, so ZF undoes the channel
-x_hat = zf_detect(pipeline, assemble_effective(fast_ch, window, cfg))
+x_hat = assemble_effective(fast_ch, window, cfg).factor(0.0).detect(pipeline)
 err = np.linalg.norm(x_hat - x) / np.linalg.norm(x)
 print(f"same channel, per-symbol ZF: |x_hat - X| / |X| = {err:.2e}")

@@ -25,7 +25,7 @@ from .channel import (
     build_dd_response,
     load_channel,
 )
-from .detect import EffectiveSystem, assemble_effective, mmse_detect, zf_detect
+from .detect import EffectiveSystem, assemble_effective
 from .grids import (
     ModemConfig,
     apply_window,

@@ -37,7 +37,7 @@ from .channel import (
     dump_dd_response,
     load_channel,
 )
-from .detect import EffectiveSystem, assemble_effective, mmse_detect, zf_detect
+from .detect import EffectiveSystem, assemble_effective
 from .grids import (
     WINDOW_KINDS,
     ModemConfig,
@@ -226,23 +226,27 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
 
     `system` is the effective system of `cfg`'s channel and window, built
     here when not given. Its channel is the one simulated, so the detector's
-    model and the simulated channel come from one build. Every SNR point
-    shares the system, which MMSE factors once per noise level and ZF once.
-    The trials of an SNR point go through the pipeline together, in chunks
-    of at most CHUNK_SAMPLES frame samples. Trial t draws its bits and then
-    its noise from its own generator, the t-th child of the point's seed, so
-    the rows do not depend on how the trials are chunked.
+    model and the simulated channel come from one build. It is factored on
+    this thread, once for ZF and once per SNR point for MMSE. The trials of
+    an SNR point go through the pipeline together, in chunks of at most
+    CHUNK_SAMPLES frame samples. Trial t draws its bits and then its noise
+    from its own generator, the t-th child of the point's seed, so the rows
+    do not depend on how the trials are chunked.
     """
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
     mcfg, channel, window, mmse = system.cfg, system.channel, system.window, cfg.detector == "mmse"
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     chunk = max(1, CHUNK_SAMPLES // mcfg.frame_len)
+    factors = None if mmse else system.factor(0.0)
     rows = []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = _noise_var(snr_db)
         errors = 0
         try:
+            if mmse:
+                factors = None  # the last point's record goes before this point's is built
+                factors = system.factor(noise_var)
             for start in range(0, cfg.trials, chunk):
                 # each spawn continues the point's sequence of children
                 seeds = point_seed.spawn(min(chunk, cfg.trials - start))
@@ -256,8 +260,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
                 x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
                 y = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
                 d = demodulate_fast(y, window, mcfg)
-                detected = mmse_detect(d, system, noise_var) if mmse else zf_detect(d, system)
-                demapped = qam_demap(detected.swapaxes(1, 2), cfg.qam_order)
+                demapped = qam_demap(factors.detect(d).swapaxes(1, 2), cfg.qam_order)
                 errors += int(np.count_nonzero(demapped != bits.ravel()))
         except FloatingPointError as exc:  # under np.errstate(over="raise"), as `otfs` runs
             raise FloatingPointError(f"{exc} at snr_db {snr_db:g}") from exc

@@ -5,7 +5,7 @@ received grids), column n obeys ``y_n = wr[n] (H_n s_n + v_n)``, the v_n
 white with variance noise_var and mutually uncorrelated, for any channel of
 length L <= cp_len + 1; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
 h(n*(M + cp_len) + cp_len + i, ell)`` (see ``otfsim.channel.symbol_gains``).
-The detectors undo the window and estimate ``s_n = H_n^H A_n^{-1} y_n`` with
+The detector undoes the window and estimates ``s_n = H_n^H A_n^{-1} y_n`` with
 ``A_n = H_n H_n^H + noise_var I``: MMSE for unit-energy symbols, and
 zero-forcing at noise_var = 0. As ``F_N kron I_M`` is unitary, both equal
 their MN x MN counterparts for the windowed system: an invertible receive
@@ -14,17 +14,17 @@ window changes the delay-Doppler response, not a linear detector's output.
 In the zig-zag order 0, M-1, 1, M-2, ... the cyclic band becomes a plain
 band of half-width at most 2(L-1). H_n is kept in row blocks of B >= 2(L-1)
 rows, each with the at most three column blocks its band reaches, the last
-padded with identity rows, so A_n is block tridiagonal. Its block Cholesky
-factor, diagonal blocks inverted, is cached per noise level, so a frame
-costs batched matrix products only: O(N M B) work and memory. ZF solves
-these normal equations, so its error grows as cond(H_n)^2; a symbol whose
-estimated rcond(A_n) is below 1e-12 (for ZF, cond(H_n) > 1e6) is refused by
-name.
+padded with identity rows, so A_n is block tridiagonal. ``factor`` returns
+a frozen record of its block Cholesky factor at one noise level, diagonal
+blocks inverted, and the record's ``detect`` costs batched matrix products
+only: O(N M B) work and memory. ZF solves these normal equations, so its
+error grows as cond(H_n)^2; a symbol whose estimated rcond(A_n) is below
+1e-12 (for ZF, cond(H_n) > 1e6) is refused by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +36,61 @@ from .numerics import SingularMatrixError, all_finite, check_noise_var, dft
 RCOND_MIN = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EffectiveSystem:
     """The per-symbol model of one channel/window/config combination.
 
     Block (k, c), |k - c| <= 1, of the zig-zag-ordered, unwindowed H_n of
     `channel` is ``bands[n, 2k + c]``, shape (N, 3K - 2, B, B). `window` is
-    undone by the detectors, and the factors of the latest noise level are
-    cached.
+    undone by the detector.
     """
 
     bands: np.ndarray
     window: np.ndarray
     cfg: ModemConfig
     channel: LtvChannel | BlockFadingChannel
-    _factor: tuple | None = field(default=None, repr=False)
+
+    def factor(self, noise_var: float) -> Factors:
+        """The factors of every A_n: zero-forcing at noise_var 0, MMSE above it.
+        Refuses a negative or non-finite noise_var, and a singular symbol, by name."""
+        noise_var = check_noise_var(noise_var)
+        return Factors(self, noise_var, *_factorize(self.bands, self.cfg.M, noise_var))
+
+
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """The block Cholesky factor L_n of each A_n of `system` at `noise_var`:
+    ``inv[n, k]`` inverts its diagonal block k, ``low[n, k - 1]`` is its block
+    (k, k - 1), and ``rcond[n]`` estimates A_n's reciprocal condition number."""
+
+    system: EffectiveSystem
+    noise_var: float
+    inv: np.ndarray
+    low: np.ndarray
+    rcond: np.ndarray
+
+    def detect(self, d_tilde) -> np.ndarray:
+        """``s_n = H_n^H A_n^{-1} y_n`` for the grids (..., M, N) in `d_tilde`.
+
+        The row IDFTs of the T grids, window undone, are gathered into zig-zag
+        block columns (N, K, B, T), so each block product has T columns and can
+        round differently from T one-grid solves in the last bits. In a counting
+        scope, both row transforms are charged to `detect_rows`.
+        """
+        sys = self.system
+        m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
+        k_count, b, pos = self.inv.shape[1], self.inv.shape[2], _zigzag(m)
+        y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
+        y = apply_window(y, 1 / sys.window)
+        u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
+        u[:, pos] = y.T
+        u = _solve(self.inv, self.low, u.reshape(n_sym, k_count, b, -1))  # conjugated
+        h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
+        s = h[:, 0::3] @ u  # blocks (k, k)
+        s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
+        s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
+        s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
+        return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
 
 
 def _zigzag(m: int) -> np.ndarray:
@@ -110,11 +150,9 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
 
 
 def _factorize(bands: np.ndarray, m: int, noise_var: float):
-    """Block Cholesky factor L_n of each A_n: ``inv[n, k]`` inverts its diagonal
-    block k, ``low[n, k - 1]`` is its block (k, k - 1). Refuses, by name, the
-    first symbol whose A_n is not positive definite or whose rcond, estimated
-    by two inverse-iteration steps against the largest row sum of |A_n|, is
-    below ``RCOND_MIN``."""
+    """``inv``, ``low`` and ``rcond`` of :class:`Factors`. Refuses, by name, the first
+    symbol whose A_n is not positive definite or whose rcond, estimated by two
+    inverse-iteration steps against the largest row sum of |A_n|, is below RCOND_MIN."""
     n_sym, n_blocks, b, _ = bands.shape
     k_count = (n_blocks + 2) // 3
     # A_n's blocks (k, k) and (k, k - 1) are built here, then factored in place
@@ -156,7 +194,7 @@ def _factorize(bands: np.ndarray, m: int, noise_var: float):
     if bad.size:
         raise SingularMatrixError(f"symbol {bad[0]} of {n_sym} is singular: H_n H_n^H + noise_var"
                                   f" I has estimated rcond {1 / size[bad[0]]:.1e} < {RCOND_MIN:g}")
-    return inv, low
+    return inv, low, 1 / size
 
 
 def _solve(inv: np.ndarray, low: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,44 +210,3 @@ def _solve(inv: np.ndarray, low: np.ndarray, y: np.ndarray) -> np.ndarray:
     for k in reversed(range(inv.shape[1] - 1)):
         y[:, k] = inv[:, k] @ (y[:, k] - low[:, k] @ y[:, k + 1])
     return y
-
-
-def _detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
-    """``s_n = H_n^H A_n^{-1} y_n`` for the grids (..., M, N) in `d_tilde`.
-
-    The row IDFTs of the T grids, window undone, are gathered into zig-zag
-    block columns (N, K, B, T), so each block product has T columns and can
-    round differently from T one-grid solves in the last bits. In a counting
-    scope, both row transforms are charged to `detect_rows`.
-    """
-    m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
-    if sys._factor is None or sys._factor[0] != noise_var:
-        sys._factor = None  # the old factors go before the new ones are built
-        sys._factor = (noise_var, *_factorize(sys.bands, m, noise_var))
-    _, inv, low = sys._factor
-    k_count, b, pos = inv.shape[1], inv.shape[2], _zigzag(m)
-    y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
-    y = apply_window(y, 1 / sys.window)
-    u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
-    u[:, pos] = y.T
-    u = _solve(inv, low, u.reshape(n_sym, k_count, b, -1))  # conjugated
-    h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
-    s = h[:, 0::3] @ u  # blocks (k, k)
-    s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
-    s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
-    s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
-    return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
-
-
-def zf_detect(d_tilde, sys: EffectiveSystem) -> np.ndarray:
-    """Zero-forcing, ``s_n = H_n^{-1} y_n`` per symbol, through the normal
-    equations (error as cond(H_n)^2); returns the M x N grid(s)."""
-    return _detect(d_tilde, sys, 0.0)
-
-
-def mmse_detect(d_tilde, sys: EffectiveSystem, noise_var: float) -> np.ndarray:
-    """Linear MMSE for unit-energy symbols, ``s_n = H_n^H (H_n H_n^H +
-    noise_var I)^{-1} y_n`` per symbol; it tends to zero-forcing as noise_var
-    goes to 0."""
-    return _detect(d_tilde, sys, check_noise_var(noise_var))
-

@@ -33,7 +33,7 @@ from otfsim.channel import (
     build_dd_response,
 )
 from otfsim.cli import RunConfig, run_simulation
-from otfsim.detect import assemble_effective, zf_detect
+from otfsim.detect import assemble_effective
 from otfsim.grids import ModemConfig, apply_window, make_window, qam_demap, qam_map
 from otfsim.modem_fast import demodulate_fast, modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
@@ -169,7 +169,7 @@ def test_criterion_5_zero_forcing_recovery():
         )
     )
     window = make_window("rectangular", cfg.N)
-    system = assemble_effective(ch, window, cfg)
+    zf = assemble_effective(ch, window, cfg).factor(0.0)
     rng = np.random.default_rng(55)
     symbols_needed = 10_000
     frames = -(-symbols_needed // (cfg.M * cfg.N))
@@ -178,7 +178,7 @@ def test_criterion_5_zero_forcing_recovery():
     for _ in range(frames):
         x, bits = random_qam_grid(rng, cfg)
         d_tilde = demodulate_fast(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
-        detected = zf_detect(d_tilde, system)
+        detected = zf.detect(d_tilde)
         errors += int(np.count_nonzero(qam_demap(vec(detected), 4) != bits))
         total_bits += bits.size
     report(
@@ -196,9 +196,9 @@ def test_criterion_6_fast_solver_equivalence():
     worst = 0.0
     for _ in range(20):
         ch = random_block_fading_channel(rng, cfg, length=5)
-        system = assemble_effective(ch, window, cfg)
+        zf = assemble_effective(ch, window, cfg).factor(0.0)
         d = unvec(rng.normal(size=cfg.M * cfg.N) + 1j * rng.normal(size=cfg.M * cfg.N), cfg.M, cfg.N)
-        dev = np.max(np.abs(fft2_block_fading_solve(d, ch, window, cfg) - zf_detect(d, system)))
+        dev = np.max(np.abs(fft2_block_fading_solve(d, ch, window, cfg) - zf.detect(d)))
         worst = max(worst, dev)
     report(
         6,

@@ -461,8 +461,9 @@ class TestEquivalence:
 
     def test_each_check_holds_only_its_input_and_two_results(self):
         # the six arrays are 3456 KB at 1024 x 32; a seventh result-sized one
-        # (a magnitude buffer, a fresh result) would add 256-640 KB. The peak
-        # is taken over three runs, as the two checks do not always overlap.
+        # (a magnitude buffer, a stage-sized temporary, or a result kept past
+        # the subtraction) would add 256-640 KB. The peak is taken over three
+        # runs, as the two checks do not always overlap.
         cfg = RunConfig(M=1024, N=32, cp_len=256, grids=3)
         mcfg = cfg.modem_config()
         six = 3 * 16 * (mcfg.M * mcfg.N + mcfg.frame_len)

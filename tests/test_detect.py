@@ -1,7 +1,9 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
 import re
-from functools import partial
+import threading
+from dataclasses import FrozenInstanceError, fields
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from otfsim.channel import (
     LtvChannel,
     apply_channel,
 )
+from otfsim import cli, detect
 from otfsim.cli import RunConfig, run_simulation
-from otfsim.detect import assemble_effective, mmse_detect, zf_detect
+from otfsim.detect import Factors, assemble_effective
 from otfsim.grids import (
     WINDOW_KINDS,
     ModemConfig,
@@ -79,11 +82,9 @@ def check_white_after_unwindowing(y, window, cfg, noise_var, atol):
     check_symbol_covariance(apply_window(y, 1 / window), white, atol=atol)
 
 
-def held_arrays(sys):
-    """The arrays an EffectiveSystem holds, its cached factors included."""
-    values = list(vars(sys).values())
-    values += [v for value in values if isinstance(value, tuple) for v in value]
-    return [v for v in values if isinstance(v, np.ndarray)]
+def held_arrays(*records):
+    """The arrays held by the records given: a system and its factors."""
+    return [v for record in records for v in vars(record).values() if isinstance(v, np.ndarray)]
 
 
 class TestAssembleEffective:
@@ -152,7 +153,7 @@ class TestAssembleEffective:
         sys = assemble_effective(identity_channel(), make_window("rectangular", 64), cfg)
         rng = np.random.default_rng(57)
         d = rng.normal(size=(128, 64)) + 1j * rng.normal(size=(128, 64))
-        np.testing.assert_allclose(zf_detect(d, sys), d, atol=1e-12)
+        np.testing.assert_allclose(sys.factor(0.0).detect(d), d, atol=1e-12)
 
     def test_refuses_channel_longer_than_cp(self):
         cfg = ModemConfig(M=16, N=4, cp_len=2)
@@ -177,7 +178,7 @@ class TestZfDetect:
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         rng = np.random.default_rng(62)
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
-        np.testing.assert_allclose(vec(zf_detect(unvec(d, 4, 4), sys)), d, atol=1e-12)
+        np.testing.assert_allclose(vec(sys.factor(0.0).detect(unvec(d, 4, 4))), d, atol=1e-12)
 
     def test_noise_free_recovery_over_ltv_channel(self):
         cfg = ModemConfig(M=16, N=8, cp_len=4, qam_order=4)
@@ -193,7 +194,7 @@ class TestZfDetect:
         x = qam_map(bits, 4).reshape(16, 8, order="F")
         d_tilde = demodulate_fast(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
         sys = assemble_effective(ch, w, cfg)
-        np.testing.assert_allclose(zf_detect(d_tilde, sys), x, atol=1e-8)
+        np.testing.assert_allclose(sys.factor(0.0).detect(d_tilde), x, atol=1e-8)
 
     def test_round_trip_random_system(self):
         rng = np.random.default_rng(64)
@@ -204,7 +205,9 @@ class TestZfDetect:
             sys = assemble_effective(ch, w, cfg)
             d = rng.normal(size=32) + 1j * rng.normal(size=32)
             np.testing.assert_allclose(
-                vec(zf_detect(unvec(dense_effective(ch, w, cfg) @ d, 8, 4), sys)), d, atol=1e-8
+                vec(sys.factor(0.0).detect(unvec(dense_effective(ch, w, cfg) @ d, 8, 4))),
+                d,
+                atol=1e-8,
             )
 
     def test_singular_system_reported(self):
@@ -217,7 +220,7 @@ class TestZfDetect:
             gains = np.array([[1.0, 0.3], [1.0, second], [1.0, -0.3j]])
             sys = assemble_effective(BlockFadingChannel(gains, cfg.sym_len), w, cfg)
             with pytest.raises(SingularMatrixError, match="symbol 1 of 3"):
-                zf_detect(np.zeros((4, 3)), sys)
+                sys.factor(0.0)
 
     @pytest.mark.parametrize("offset, refused", [(1e-4, False), (1e-7, True)])
     def test_refusal_by_estimated_condition(self, offset, refused):
@@ -230,10 +233,11 @@ class TestZfDetect:
         d = np.random.default_rng(72).normal(size=(4, 2)) + 0j
         if refused:
             with pytest.raises(SingularMatrixError, match="symbol 1 of 2 .* rcond"):
-                zf_detect(d, sys)
+                sys.factor(0.0)
         else:
             h = dense_effective(ch, make_window("rectangular", 2), cfg)
-            np.testing.assert_allclose(zf_detect(d, sys), dense_zf(h, vec(d), cfg), rtol=1e-6)
+            zf = sys.factor(0.0).detect(d)
+            np.testing.assert_allclose(zf, dense_zf(h, vec(d), cfg), rtol=1e-6)
 
 
 class TestMmseDetect:
@@ -243,7 +247,7 @@ class TestMmseDetect:
         ch = random_ltv_channel(rng, n_taps=2, max_delay=2, max_doppler=0.01)
         sys = assemble_effective(ch, make_window("rectangular", 4), cfg)
         d = unvec(rng.normal(size=32) + 1j * rng.normal(size=32), 8, 4)
-        diff = np.max(np.abs(mmse_detect(d, sys, 1e-12) - zf_detect(d, sys)))
+        diff = np.max(np.abs(sys.factor(1e-12).detect(d) - sys.factor(0.0).detect(d)))
         assert diff <= 1e-6
 
     def test_mmse_beats_zf_in_noise(self):
@@ -254,6 +258,7 @@ class TestMmseDetect:
             ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.02)
             sys = assemble_effective(ch, w, cfg)
             h_dense = dense_effective(ch, w, cfg)
+            mmse, zf = sys.factor(0.5), sys.factor(0.0)
             mse_mmse = mse_zf = 0.0
             for _ in range(100):
                 bits = rng.integers(0, 2, size=cfg.bits_per_frame)
@@ -262,8 +267,8 @@ class TestMmseDetect:
                     rng.normal(size=32) + 1j * rng.normal(size=32)
                 )
                 d_tilde = unvec(h_dense @ d + noise, 4, 8)
-                mse_mmse += np.mean(np.abs(vec(mmse_detect(d_tilde, sys, 0.5)) - d) ** 2)
-                mse_zf += np.mean(np.abs(vec(zf_detect(d_tilde, sys)) - d) ** 2)
+                mse_mmse += np.mean(np.abs(vec(mmse.detect(d_tilde)) - d) ** 2)
+                mse_zf += np.mean(np.abs(vec(zf.detect(d_tilde)) - d) ** 2)
             assert mse_mmse <= mse_zf
 
     def test_rejects_bad_covariance(self):
@@ -275,63 +280,60 @@ class TestMmseDetect:
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         sys = assemble_effective(ch, make_window("rectangular", 3), cfg)
         with pytest.raises(SingularMatrixError, match="symbol 1 of 3 .* not positive definite"):
-            mmse_detect(np.zeros((4, 3)), sys, 0.0)
-        assert np.isfinite(mmse_detect(np.ones((4, 3)), sys, 0.1)).all()
+            sys.factor(0.0)
+        assert np.isfinite(sys.factor(0.1).detect(np.ones((4, 3)))).all()
 
     @pytest.mark.parametrize("noise_var", [-1e-3, -1.0, np.nan, np.inf])
-    def test_bad_noise_var_named(self, noise_var):
+    def test_bad_noise_var_named(self, noise_var, monkeypatch):
         # refused before any factor is built: a small negative level would
         # otherwise pass the Cholesky, and NaN read as a singular symbol
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        monkeypatch.setattr(detect, "_factorize", lambda *args: pytest.fail("factored"))
         message = f"noise_var must be finite and non-negative, got {noise_var}"
         with pytest.raises(ValueError, match=message):
-            mmse_detect(np.ones((4, 4)), sys, noise_var)
-        assert sys._factor is None
+            sys.factor(noise_var)
 
 
-#: both detectors, each called as detect(grid, system)
-DETECTORS = [
-    pytest.param(zf_detect, id="zf_detect"),
-    pytest.param(partial(mmse_detect, noise_var=0.1), id="mmse_detect"),
-]
+#: the noise levels of both detectors
+DETECTORS = [pytest.param(0.0, id="zf_detect"), pytest.param(0.1, id="mmse_detect")]
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("detect", DETECTORS)
-    def test_nan_received_grid_rejected(self, detect):
+    @pytest.mark.parametrize("noise_var", DETECTORS)
+    def test_nan_received_grid_rejected(self, noise_var):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         d = np.ones((4, 4), dtype=complex)
         d[1, 2] = np.nan
         with pytest.raises(ValueError, match="d_tilde must be finite"):
-            detect(d, sys)
+            sys.factor(noise_var).detect(d)
 
-    @pytest.mark.parametrize("detect", DETECTORS)
-    def test_nan_channel_gain_rejected(self, detect):
+    @pytest.mark.parametrize("noise_var", DETECTORS)
+    def test_nan_channel_gain_rejected(self, noise_var):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         gains = np.ones((4, 2), dtype=complex)
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         with pytest.raises(ValueError, match="non-finite"):
-            detect(np.ones((4, 4)), assemble_effective(ch, make_window("rectangular", 4), cfg))
+            assemble_effective(ch, make_window("rectangular", 4), cfg).factor(noise_var)
 
 
 class TestGridShape:
-    @pytest.mark.parametrize("detect", DETECTORS)
-    def test_vector_input_refused(self, detect):
+    @pytest.mark.parametrize("noise_var", DETECTORS)
+    def test_vector_input_refused(self, noise_var):
         # the detectors take (..., M, N) grids only; a column-stacked grid is refused
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
         message = "d_tilde must be of shape (..., 4, 4), got a (16,) complex128 array"
         with pytest.raises(ValueError, match=re.escape(message)):
-            detect(np.ones(16), sys)
+            sys.factor(noise_var).detect(np.ones(16))
 
-    @pytest.mark.parametrize("detect", DETECTORS)
-    def test_empty_batch_gives_empty_result(self, detect):
+    @pytest.mark.parametrize("noise_var", DETECTORS)
+    def test_empty_batch_gives_empty_result(self, noise_var):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
-        assert detect(np.ones((0, 4, 4)), sys).shape == (0, 4, 4)
+        assert sys.factor(noise_var).detect(np.ones((0, 4, 4))).shape == (0, 4, 4)
 
 
 class TestFastBlockSolve:
@@ -347,7 +349,7 @@ class TestFastBlockSolve:
             d = rng.normal(size=128) + 1j * rng.normal(size=128)
             expected = dense_zf(dense_effective(ch, w, cfg), d, cfg)
             np.testing.assert_allclose(fft2_block_fading_solve(d, ch, w, cfg), expected, atol=1e-9)
-            np.testing.assert_allclose(zf_detect(unvec(d, 16, 8), sys), expected, atol=1e-9)
+            np.testing.assert_allclose(sys.factor(0.0).detect(unvec(d, 16, 8)), expected, atol=1e-9)
 
     def test_identity_solve(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
@@ -368,7 +370,7 @@ class TestFastBlockSolve:
         with pytest.raises(ValueError, match="not block fading"):
             fft2_block_fading_solve(d, ch, w, cfg)
         np.testing.assert_allclose(
-            zf_detect(unvec(d, 8, 4), assemble_effective(ch, w, cfg)),
+            assemble_effective(ch, w, cfg).factor(0.0).detect(unvec(d, 8, 4)),
             dense_zf(dense_effective(ch, w, cfg), d, cfg),
             atol=1e-10,
         )
@@ -380,11 +382,12 @@ class TestFastBlockSolve:
         ch = random_block_fading_channel(rng, cfg, length=3)
         w = make_window("rectangular", 8)
         sys = assemble_effective(ch, w, cfg)
+        zf = sys.factor(0.0)
         d = rng.normal(size=128) + 1j * rng.normal(size=128)
         np.testing.assert_allclose(
-            zf_detect(unvec(d, 16, 8), sys), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
+            zf.detect(unvec(d, 16, 8)), fft2_block_fading_solve(d, ch, w, cfg), atol=1e-9
         )
-        assert max(a.size for a in held_arrays(sys)) <= cfg.N * cfg.M**2
+        assert max(a.size for a in held_arrays(sys, zf)) <= cfg.N * cfg.M**2
 
 
 @st.composite
@@ -435,9 +438,10 @@ class TestPerSymbolMatchesDense:
         h_dense = dense_effective(ch, window, cfg)
         cov = kron_noise_covariance(window, cfg, noise_var)
         grid = unvec(d, cfg.M, cfg.N)
-        np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-10)
+        zf = sys.factor(0.0).detect(grid)
+        np.testing.assert_allclose(zf, dense_zf(h_dense, d, cfg), atol=1e-10)
         np.testing.assert_allclose(
-            mmse_detect(grid, sys, noise_var), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
+            sys.factor(noise_var).detect(grid), dense_mmse(h_dense, cov, d, cfg), atol=1e-10
         )
 
 
@@ -490,9 +494,10 @@ class TestBandedMatchesDense:
         h_dense = dense_effective(ch, window, cfg)
         cov = kron_noise_covariance(window, cfg, noise_var)
         grid = unvec(d, cfg.M, cfg.N)
-        np.testing.assert_allclose(zf_detect(grid, sys), dense_zf(h_dense, d, cfg), atol=1e-9)
+        zf = sys.factor(0.0).detect(grid)
+        np.testing.assert_allclose(zf, dense_zf(h_dense, d, cfg), atol=1e-9)
         np.testing.assert_allclose(
-            mmse_detect(grid, sys, noise_var), dense_mmse(h_dense, cov, d, cfg), atol=1e-9
+            sys.factor(noise_var).detect(grid), dense_mmse(h_dense, cov, d, cfg), atol=1e-9
         )
 
     @settings(max_examples=40, deadline=None)
@@ -526,21 +531,23 @@ class TestBandedMatchesDense:
         sys = assemble_effective(ch, window, cfg)
         assert sys.bands.shape == (4, 1, 400, 400)
         y = rng.normal(size=(400, 4)) + 1j * rng.normal(size=(400, 4))
-        s = np.fft.ifft(zf_detect(np.fft.fft(y, axis=1, norm="ortho"), sys), axis=1, norm="ortho")
+        s = sys.factor(0.0).detect(np.fft.fft(y, axis=1, norm="ortho"))
+        s = np.fft.ifft(s, axis=1, norm="ortho")
         for n, h in enumerate(channel_blocks(ch, cfg)):
             np.testing.assert_allclose(s[:, n], np.linalg.solve(h, y[:, n]), rtol=0, atol=1e-9)
         gains[3] = 0.0
         faded = assemble_effective(BlockFadingChannel(gains, cfg.sym_len), window, cfg)
         with pytest.raises(SingularMatrixError, match="symbol 3 of 4"):
-            zf_detect(np.zeros((400, 4)), faded)
+            faded.factor(0.0)
 
     def test_default_channel_state_at_1024x32(self):
-        # the default two-tap channel at 1024 x 32: the system and its cached
+        # the default two-tap channel at 1024 x 32: the system and its ZF
         # factors hold under 32 MB; the dense H_n alone would take 512 MiB
         run = RunConfig(M=1024, N=32)
         sys = assemble_effective(run.build_channel(), run.build_window(), run.modem_config())
-        zf_detect(np.ones((1024, 32)), sys)
-        assert sum(a.nbytes for a in held_arrays(sys)) < 32 * 2**20
+        zf = sys.factor(0.0)
+        zf.detect(np.ones((1024, 32)))
+        assert sum(a.nbytes for a in held_arrays(sys, zf)) < 32 * 2**20
 
 
 class TestBatchMatchesFrames:
@@ -554,10 +561,11 @@ class TestBatchMatchesFrames:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(trials, cfg.M, cfg.N)) + 1j * rng.normal(size=(trials, cfg.M, cfg.N))
         sys = assemble_effective(ch, window, cfg)
+        zf, mmse = sys.factor(0.0), sys.factor(noise_var)
 
         def pipeline(grids):
             received = demodulate_fast(apply_channel(modulate_fast(grids, cfg), ch), window, cfg)
-            return received, zf_detect(received, sys), mmse_detect(received, sys, noise_var)
+            return received, zf.detect(received), mmse.detect(received)
 
         frames = [pipeline(grid) for grid in x]
         for stage, batch in enumerate(pipeline(x)):
@@ -586,6 +594,108 @@ class TestWindowIndependence:
         ]
         assert rows[0] == rows[1]
         assert sum(row["bit_errors"] for row in rows[0]) > 0
+
+
+class TestFactors:
+    """The factors of one noise level are a frozen record that the caller keeps."""
+
+    @pytest.mark.parametrize("detector, noise_levels", [("zf", 1), ("mmse", 3)])
+    def test_a_sweep_factors_once_per_noise_level(self, monkeypatch, detector, noise_levels):
+        # three SNR points, each of three trials in two chunks: ZF factors
+        # once for the sweep, MMSE once for each point
+        factorize, noise_vars = detect._factorize, []
+
+        def counted(bands, m, noise_var):
+            noise_vars.append(noise_var)
+            return factorize(bands, m, noise_var)
+
+        cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=(0.0, 5.0, 10.0),
+                        trials=3, seed=1)
+        monkeypatch.setattr(detect, "_factorize", counted)
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 2 * cfg.modem_config().frame_len)
+        modulate_fast, chunks = cli.modulate_fast, []
+
+        def modulate(x, mcfg):
+            chunks.append(len(x))
+            return modulate_fast(x, mcfg)
+
+        monkeypatch.setattr(cli, "modulate_fast", modulate)
+        run_simulation(cfg)
+        assert chunks == [2, 1] * 3
+        expected = [cli._noise_var(s) for s in cfg.snr_db] if detector == "mmse" else [0.0]
+        assert noise_vars == expected and len(noise_vars) == noise_levels
+
+    def test_records_are_frozen(self):
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        for record in (sys, sys.factor(0.0)):
+            for name in (f.name for f in fields(record)):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, name, None)
+
+    def test_records_of_one_system_shared_across_threads(self):
+        # two threads detect on their own records of one system, switching
+        # every microsecond, and get the bits of one thread
+        rng = np.random.default_rng(74)
+        cfg = ModemConfig(M=32, N=8, cp_len=4)
+        ch = random_ltv_channel(rng, n_taps=3, max_delay=4, max_doppler=0.02)
+        sys = assemble_effective(ch, tapered_window(8), cfg)
+        d = rng.normal(size=(3, 32, 8)) + 1j * rng.normal(size=(3, 32, 8))
+        expected = {noise_var: sys.factor(noise_var).detect(d) for noise_var in (0.0, 0.5)}
+        outputs = {}
+
+        def run(noise_var):
+            factors = sys.factor(noise_var)
+            outputs[noise_var] = [factors.detect(d) for _ in range(50)]
+
+        threads = [threading.Thread(target=run, args=(noise_var,)) for noise_var in expected]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            setswitchinterval(interval)
+        for noise_var, detected in expected.items():
+            assert len(outputs[noise_var]) == 50
+            for output in outputs[noise_var]:
+                np.testing.assert_array_equal(output, detected)
+
+    def test_rcond_of_the_identity_channel_is_one(self):
+        cfg = ModemConfig(M=8, N=4, cp_len=1)
+        sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
+        rcond = sys.factor(0.0).rcond
+        assert rcond.shape == (4,)
+        np.testing.assert_allclose(rcond, 1.0, rtol=0, atol=1e-12)
+
+    def test_rcond_reads_a_near_singular_symbol(self):
+        # symbol 1 nears the spectral null of test_singular_system_reported,
+        # cond(A_1) ~ 4e6; two inverse-iteration steps find its smallest
+        # singular value, so the estimate is 1 / (|A_1|_inf |A_1^-1|_2)
+        cfg = ModemConfig(M=4, N=2, cp_len=1)
+        ch = BlockFadingChannel(np.array([[1.0, 0.3], [1.0, 0.999]]), cfg.sym_len)
+        rcond = assemble_effective(ch, make_window("rectangular", 2), cfg).factor(0.0).rcond
+        h = channel_blocks(ch, cfg)[1]
+        a = h @ h.conj().T
+        exact = 1 / (np.abs(a).sum(axis=1).max() * np.linalg.norm(np.linalg.inv(a), 2))
+        np.testing.assert_allclose(rcond[1], exact, rtol=1e-6)
+        assert rcond[1] < 1e-6 < rcond[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_cases())
+    def test_rcond_estimate_is_within_the_row_sum_bound(self, case):
+        # the estimate is |A_n|_inf |A_n^-1 u| / |u| <= sqrt(M) cond_2(A_n),
+        # for any start vector u; 1e-9 of slack is for rounding only
+        ch, window, cfg, noise_var, _ = case
+        factors = assemble_effective(ch, window, cfg).factor(noise_var)
+        assert isinstance(factors, Factors) and factors.noise_var == noise_var
+        h = channel_blocks(ch, cfg)
+        a = h @ h.conj().swapaxes(1, 2) + noise_var * np.eye(cfg.M)
+        bound = np.sqrt(cfg.M) * np.linalg.cond(a)
+        assert np.all(1 / factors.rcond <= bound * (1 + 1e-9)), (1 / factors.rcond, bound)
 
 
 class TestCounting:

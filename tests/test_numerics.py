@@ -19,7 +19,7 @@ from oracles import (
 )
 
 from otfsim.channel import BlockFadingChannel
-from otfsim.detect import assemble_effective, zf_detect
+from otfsim.detect import assemble_effective
 from otfsim.grids import ModemConfig, make_window
 from otfsim.numerics import (
     CmCounter,
@@ -344,11 +344,11 @@ class TestVec:
 
 def solve_one_block(ch, cfg, y):
     """Per-symbol zero-forcing ``s_n = H_n^{-1} y_n`` of the M x N array y,
-    through zf_detect, for a channel whose every H_n is one dense block."""
+    through ZF detection, for a channel whose every H_n is one dense block."""
     sys = assemble_effective(ch, make_window("rectangular", cfg.N), cfg)
     assert sys.bands.shape[1] == 1
     grid = np.fft.fft(y, axis=1, norm="ortho")
-    return np.fft.ifft(zf_detect(grid, sys), axis=1, norm="ortho")
+    return np.fft.ifft(sys.factor(0.0).detect(grid), axis=1, norm="ortho")
 
 
 def every_lag_channel(gains, cfg):

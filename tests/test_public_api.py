@@ -1,8 +1,10 @@
 """Every public call refuses a bad argument by name.
 
-Each callable in ``otfsim.__all__`` is called with valid arguments but one
-(in a few explicit examples, two), which takes a value of the wrong type or
-an odd value, and what it returns is used as a caller would use it.
+Each callable in ``otfsim.__all__``, and the two steps of detection,
+``EffectiveSystem.factor`` and ``Factors.detect``, is called with valid
+arguments but one (in a few explicit examples, two), which takes a value
+of the wrong type or an odd value, and what it returns is used as a
+caller would use it.
 
 * A value of the wrong type is refused with
   ``ValueError("<name> must be <need>, got <value!r>")``, an array shown by
@@ -17,7 +19,7 @@ Nothing else escapes: no TypeError, IndexError, AttributeError or
 ZeroDivisionError. NumPy's warnings on arithmetic with NaN or infinity,
 which a call may accept, are not refusals and are ignored here.
 
-Parameters that take a library object (``cfg``, ``ch``, ``sys``) get a
+Parameters that take a library object (``cfg``, ``ch``) get a
 valid one: a wrong object there fails as any duck-typed Python argument
 does. No public call takes a ``counter``: CMs are counted in a
 ``with CmCounter()`` scope. Not called: ``load_channel``, whose path
@@ -53,7 +55,6 @@ from otfsim import (
     dft,
     make_window,
     measured_cm,
-    mmse_detect,
     modulate_fast,
     modulate_ofdm,
     modulate_reference,
@@ -63,7 +64,6 @@ from otfsim import (
     qam_map,
     sfft_inv,
     sfft_windowed,
-    zf_detect,
 )
 
 CFG = ModemConfig(M=8, N=4, cp_len=2)
@@ -71,6 +71,7 @@ TAP = ChannelTap(1, 0.5, doppler=0.01)
 CHANNEL = LtvChannel((ChannelTap(0, 1.0), TAP))
 WINDOW = make_window("time-tapered", 4)
 SYSTEM = assemble_effective(CHANNEL, WINDOW, CFG)
+FACTORS = SYSTEM.factor(0.1)
 
 
 def grid():
@@ -104,6 +105,10 @@ def modem_config(**kwargs):
     return cfg.frame_len, cfg.bits_per_frame
 
 
+def detected(noise_var):
+    return SYSTEM.factor(noise_var).detect(grid())
+
+
 def counted(**kwargs):
     counter = CmCounter()
     counter.add(**kwargs)
@@ -134,9 +139,8 @@ CALLS = {
                           {"window": "array"}),
     "assemble_effective": (assemble_effective, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                            {"window": "array"}),
-    "mmse_detect": (mmse_detect, lambda: dict(d_tilde=grid(), sys=SYSTEM, noise_var=0.1),
-                    {"d_tilde": "array", "noise_var": "real"}),
-    "zf_detect": (zf_detect, lambda: dict(d_tilde=grid(), sys=SYSTEM), {"d_tilde": "array"}),
+    "EffectiveSystem.factor": (detected, lambda: dict(noise_var=0.1), {"noise_var": "real"}),
+    "Factors.detect": (FACTORS.detect, lambda: dict(d_tilde=grid()), {"d_tilde": "array"}),
     "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2, qam_order=16),
                     {"M": "int", "N": "int", "cp_len": "int", "qam_order": "choice"}),
     "apply_window": (apply_window,
@@ -258,7 +262,7 @@ def shown(value) -> str:
 
 def test_every_public_callable_is_covered():
     public = {name for name in otfsim.__all__ if callable(getattr(otfsim, name))}
-    assert public == set(CALLS) | NOT_CALLED
+    assert public == {name for name in CALLS if "." not in name} | NOT_CALLED
 
 
 def test_no_public_call_takes_a_counter():
@@ -306,7 +310,7 @@ def test_counter_passed_by_position_refused_by_name():
 @example(("BlockFadingChannel", {"sym_len": 1.5}, "sym_len"))
 @example(("LtvChannel", {"taps": (1,)}, "taps"))
 @example(("add_awgn", {"noise_var": "a", "seed": 1}, "noise_var"))
-@example(("mmse_detect", {"noise_var": "a"}, "noise_var"))
+@example(("EffectiveSystem.factor", {"noise_var": "a"}, "noise_var"))
 @example(("dft", {"axis": 5}, None))
 @example(("apply_window", {"y": np.ones(4)}, None))
 @example(("qam_map", {"bits": ["0", "1"], "order": 4}, "bits"))
@@ -316,7 +320,7 @@ def test_counter_passed_by_position_refused_by_name():
 @example(("audit_report", {"m_list": []}, "m_list"))  # a list, but an empty one: no table
 @example(("ChannelTap", {"doppler": 10**400}, "doppler"))  # too large for a float
 @example(("add_awgn", {"noise_var": 10**400}, "noise_var"))
-@example(("mmse_detect", {"noise_var": 10**400}, "noise_var"))
+@example(("EffectiveSystem.factor", {"noise_var": 10**400}, "noise_var"))
 def test_bad_argument_refused_by_name(case):
     name, args, wrong_type = case
     call, valid, _ = CALLS[name]
