@@ -70,27 +70,30 @@ class Factors:
     rcond: np.ndarray
 
     def detect(self, d_tilde) -> np.ndarray:
-        """``s_n = H_n^H A_n^{-1} y_n`` for the grids (..., M, N) in `d_tilde`.
+        """``s_n = H_n^H A_n^{-1} y_n`` for the grids (..., M, N) in `d_tilde`."""
+        return fast_block_solve(d_tilde, self)
 
-        The row IDFTs of the T grids, window undone, are gathered into zig-zag
-        block columns (N, K, B, T), so each block product has T columns and can
-        round differently from T one-grid solves in the last bits. In a counting
-        scope, both row transforms are charged to `detect_rows`.
-        """
-        sys = self.system
-        m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
-        k_count, b, pos = self.inv.shape[1], self.inv.shape[2], _zigzag(m)
-        y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
-        y = apply_window(y, 1 / sys.window)
-        u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
-        u[:, pos] = y.T
-        u = _solve(self.inv, self.low, u.reshape(n_sym, k_count, b, -1))  # conjugated
-        h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
-        s = h[:, 0::3] @ u  # blocks (k, k)
-        s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
-        s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
-        s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
-        return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
+
+def fast_block_solve(d_tilde, factors: Factors) -> np.ndarray:
+    """:meth:`Factors.detect`, bound at module level so a tracer can rebind it. The
+    row IDFTs of the T grids, window undone, are gathered into zig-zag block columns
+    (N, K, B, T), so each block product has T columns and can round differently from
+    T one-grid solves in the last bits. In a counting scope, both row transforms are
+    charged to `detect_rows`."""
+    sys = factors.system
+    m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
+    k_count, b, pos = factors.inv.shape[1], factors.inv.shape[2], _zigzag(m)
+    y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
+    y = apply_window(y, 1 / sys.window)
+    u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
+    u[:, pos] = y.T
+    u = _solve(factors.inv, factors.low, u.reshape(n_sym, k_count, b, -1))  # conjugated
+    h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
+    s = h[:, 0::3] @ u  # blocks (k, k)
+    s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
+    s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
+    s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
+    return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
 
 
 def _zigzag(m: int) -> np.ndarray:

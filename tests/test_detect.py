@@ -625,6 +625,25 @@ class TestFactors:
         expected = [cli._noise_var(s) for s in cfg.snr_db] if detector == "mmse" else [0.0]
         assert noise_vars == expected and len(noise_vars) == noise_levels
 
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    def test_a_sweep_detects_through_the_module_level_solve(self, monkeypatch, detector):
+        # perfbench/traced.py times detection by rebinding detect.fast_block_solve,
+        # keyed on the record in its second argument
+        solve, records, frames = detect.fast_block_solve, [], []
+
+        def recorded(d_tilde, factors):
+            records.append(factors)
+            frames.append(len(d_tilde))
+            return solve(d_tilde, factors)
+
+        cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=(0.0, 5.0, 10.0),
+                        trials=3, seed=1)
+        expected = run_simulation(cfg)
+        monkeypatch.setattr(detect, "fast_block_solve", recorded)
+        assert run_simulation(cfg) == expected
+        assert sum(frames) == 9 and all(type(r) is Factors for r in records)
+        assert len({id(r) for r in records}) == (3 if detector == "mmse" else 1)
+
     def test_records_are_frozen(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
