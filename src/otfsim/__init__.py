@@ -36,7 +36,12 @@ from .grids import (
     sfft_windowed,
 )
 from .modem_fast import demodulate_fast, modulate_fast
-from .modem_reference import demodulate_ofdm, demodulate_reference, modulate_ofdm, modulate_reference
+from .modem_reference import (
+    demodulate_ofdm,
+    demodulate_reference,
+    modulate_ofdm,
+    modulate_reference,
+)
 from .numerics import CmCounter, SingularMatrixError, dft
 
 __all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]
