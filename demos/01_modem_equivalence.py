@@ -21,14 +21,15 @@ from otfsim import (
     qam_map,
 )
 
-cfg = ModemConfig(M=64, N=8, cp_len=16, qam_order=4)
+cfg = ModemConfig(M=64, N=8, cp_len=16)
+qam_order = 4
 rng = np.random.default_rng(1)
 
 print(f"frame: M={cfg.M} subcarriers x N={cfg.N} symbols, CP {cfg.cp_len} samples")
 
 # a random QAM frame in the delay-Doppler domain
-bits = rng.integers(0, 2, size=cfg.bits_per_frame)
-x = qam_map(bits, cfg.qam_order).reshape(cfg.M, cfg.N, order="F")
+bits = rng.integers(0, 2, size=cfg.M * cfg.N * int(np.log2(qam_order)))
+x = qam_map(bits, qam_order).reshape(cfg.M, cfg.N, order="F")
 
 # both transmitters, each in its own counting scope
 with CmCounter() as ref_counter:

@@ -127,7 +127,7 @@ class RunConfig:
         object.__setattr__(self, "detector", "zf" if self.detector == "fast" else self.detector)
 
     def modem_config(self) -> ModemConfig:
-        return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len, qam_order=self.qam_order)
+        return ModemConfig(M=self.M, N=self.N, cp_len=self.cp_len)
 
     def build_window(self) -> np.ndarray:
         return make_window(self.window_kind, self.N, rho=self.window_rho)
@@ -225,18 +225,21 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     """BER sweep over the configured channel; one result row per SNR point.
 
     `system` is the effective system of `cfg`'s channel and window, built
-    here when not given. Its channel is the one simulated, so the detector's
-    model and the simulated channel come from one build. It is factored on
-    this thread, once for ZF and once per SNR point for MMSE. The trials of
-    an SNR point go through the pipeline together, in chunks of at most
-    CHUNK_SAMPLES frame samples. Trial t draws its bits and then its noise
-    from its own generator, the t-th child of the point's seed, so the rows
-    do not depend on how the trials are chunked.
+    here when not given. Every frame quantity comes from it: the channel
+    simulated, the window, M and N, so the detector's model and the
+    simulated frames come from one build. From `cfg` come only the sweep
+    settings: SNR points, trials, seed, QAM order and detector.
+    `system` is factored on this thread, once for ZF and once per SNR point
+    for MMSE. The trials of an SNR point go through the pipeline together,
+    in chunks of at most CHUNK_SAMPLES frame samples. Trial t draws its bits
+    and then its noise from its own generator, the t-th child of the point's
+    seed, so the rows do not depend on how the trials are chunked.
     """
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
     mcfg, channel, window, mmse = system.cfg, system.channel, system.window, cfg.detector == "mmse"
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
+    frame_bits = mcfg.M * mcfg.N * int(math.log2(cfg.qam_order))
     chunk = max(1, CHUNK_SAMPLES // mcfg.frame_len)
     factors = None if mmse else system.factor(0.0)
     rows = []
@@ -253,10 +256,10 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
                 rngs = [np.random.default_rng(seed) for seed in seeds]
                 # an int32 draw continues each stream as the default int64 draw does
                 bits = np.array(
-                    [r.integers(0, 2, size=mcfg.bits_per_frame, dtype=np.int32) for r in rngs],
+                    [r.integers(0, 2, size=frame_bits, dtype=np.int32) for r in rngs],
                     dtype=np.uint8,
                 )
-                x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), cfg.N, cfg.M)
+                x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), mcfg.N, mcfg.M)
                 x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
                 y = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
                 d = demodulate_fast(y, window, mcfg)
@@ -264,7 +267,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
                 errors += int(np.count_nonzero(demapped != bits.ravel()))
         except FloatingPointError as exc:  # under np.errstate(over="raise"), as `otfs` runs
             raise FloatingPointError(f"{exc} at snr_db {snr_db:g}") from exc
-        n_bits = cfg.trials * mcfg.bits_per_frame
+        n_bits = cfg.trials * frame_bits
         ber = errors / n_bits
         stderr = float(np.sqrt(ber * (1.0 - ber) / n_bits))  # the binomial standard error
         rows.append(

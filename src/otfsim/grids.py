@@ -41,14 +41,11 @@ class ModemConfig:
     M: int
     N: int
     cp_len: int = 0
-    qam_order: int = 4
 
     def __post_init__(self):
         for name, low in (("M", 2), ("N", 2), ("cp_len", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         require(self.cp_len < self.M, "cp_len", f"< M = {self.M}", self.cp_len)
-        qam_order = check_choice("qam_order", self.qam_order, QAM_ORDERS)
-        object.__setattr__(self, "qam_order", int(qam_order))
 
     @property
     def sym_len(self) -> int:
@@ -58,10 +55,6 @@ class ModemConfig:
     @property
     def frame_len(self) -> int:
         return self.sym_len * self.N
-
-    @property
-    def bits_per_frame(self) -> int:
-        return self.M * self.N * int(math.log2(self.qam_order))
 
     def _columns(self, frames: np.ndarray) -> np.ndarray:
         """Frames (..., L) as symbol columns (..., M + cp_len, N), CP first: a view."""

@@ -63,7 +63,7 @@ class TestConfig:
 
     def test_defaults_usable_as_built(self):
         cfg = RunConfig()
-        assert cfg.modem_config() == ModemConfig(M=64, N=8, cp_len=16, qam_order=4)
+        assert cfg.modem_config() == ModemConfig(M=64, N=8, cp_len=16)
         np.testing.assert_array_equal(cfg.build_window(), np.ones(8))
         assert [tap.delay for tap in cfg.build_channel().taps] == [0, 3]
 

@@ -2,12 +2,12 @@
 
 import re
 import threading
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -32,6 +32,7 @@ from otfsim.channel import (
     BlockFadingChannel,
     ChannelTap,
     LtvChannel,
+    add_awgn,
     apply_channel,
 )
 from otfsim import cli, detect
@@ -181,7 +182,7 @@ class TestZfDetect:
         np.testing.assert_allclose(vec(sys.factor(0.0).detect(unvec(d, 4, 4))), d, atol=1e-12)
 
     def test_noise_free_recovery_over_ltv_channel(self):
-        cfg = ModemConfig(M=16, N=8, cp_len=4, qam_order=4)
+        cfg = ModemConfig(M=16, N=8, cp_len=4)
         ch = LtvChannel(
             (
                 ChannelTap(delay=0, gain=0.8, doppler=0.004, phase=0.1),
@@ -190,7 +191,7 @@ class TestZfDetect:
         )
         w = make_window("rectangular", 8)
         rng = np.random.default_rng(63)
-        bits = rng.integers(0, 2, size=cfg.bits_per_frame)
+        bits = rng.integers(0, 2, size=cfg.M * cfg.N * 2)  # 4-QAM
         x = qam_map(bits, 4).reshape(16, 8, order="F")
         d_tilde = demodulate_fast(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
         sys = assemble_effective(ch, w, cfg)
@@ -261,7 +262,7 @@ class TestMmseDetect:
             mmse, zf = sys.factor(0.5), sys.factor(0.0)
             mse_mmse = mse_zf = 0.0
             for _ in range(100):
-                bits = rng.integers(0, 2, size=cfg.bits_per_frame)
+                bits = rng.integers(0, 2, size=cfg.M * cfg.N * 2)  # 4-QAM
                 d = qam_map(bits, 4)
                 noise = np.sqrt(0.25) * (
                     rng.normal(size=32) + 1j * rng.normal(size=32)
@@ -309,14 +310,14 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="d_tilde must be finite"):
             sys.factor(noise_var).detect(d)
 
-    @pytest.mark.parametrize("noise_var", DETECTORS)
-    def test_nan_channel_gain_rejected(self, noise_var):
+    def test_nan_channel_gain_rejected(self):
+        # refused when the system is built, before any factorization
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         gains = np.ones((4, 2), dtype=complex)
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         with pytest.raises(ValueError, match="non-finite"):
-            assemble_effective(ch, make_window("rectangular", 4), cfg).factor(noise_var)
+            assemble_effective(ch, make_window("rectangular", 4), cfg)
 
 
 class TestGridShape:
@@ -594,6 +595,62 @@ class TestWindowIndependence:
         ]
         assert rows[0] == rows[1]
         assert sum(row["bit_errors"] for row in rows[0]) > 0
+
+
+class TestTransmitWindowCost:
+    """The abstract argues against a window at the transmitter. A transmit
+    window w_t scales symbol n's signal but not its noise, so under ZF the
+    error variance of delay-Doppler bin k becomes
+    (noise_var / N) sum_n c_{n,k} / |w_t[n]|^2, c_{n,k} = [(H_n^H H_n)^-1]_kk.
+    Without Doppler, c does not depend on n, and the error power is
+    mean(1 / |w_t|^2) times the rectangular window's: at least 1 when
+    sum |w_t|^2 = N, and 1.42 for the taper at N = 8, rho = 0.25."""
+
+    TRIALS = 40
+    SIGMAS = 4
+
+    def test_factor_of_the_taper_at_n8(self):
+        wt = make_window("time-tapered", 8, rho=0.25)
+        assert np.mean(1 / wt**2) == pytest.approx(1.42, abs=0.005)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from([8, 16, 32]),
+        n=st.sampled_from([4, 8, 16]),
+        rho=st.floats(0.25, 1.0),
+        taps=st.lists(
+            st.tuples(st.integers(1, 2), st.complex_numbers(max_magnitude=0.3)), max_size=2
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=16, n=8, rho=0.25, taps=[(2, 0.3j)], seed=1)
+    def test_zf_error_power_grows_by_the_mean_inverse_window_power(self, m, n, rho, taps, seed):
+        cfg = ModemConfig(M=m, N=n, cp_len=m // 4)
+        # a dominant delay-0 tap keeps every H_n well conditioned; no tap has Doppler
+        channel = LtvChannel((ChannelTap(0, 1.0), *(ChannelTap(d, g) for d, g in taps)))
+        rectangular = make_window("rectangular", n)
+        wt = make_window("time-tapered", n, rho=rho)
+        system = assemble_effective(channel, rectangular, cfg)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=self.TRIALS * m * n * 2)
+        x = qam_map(bits, 4).reshape(self.TRIALS, n, m).swapaxes(1, 2)
+        noise_seeds = np.random.SeedSequence(seed).spawn(self.TRIALS)
+        powers = []
+        for window in (rectangular, wt):
+            frames = modulate_fast(x, cfg)
+            cfg.symbols(frames)[...] *= window
+            cfg.insert_cp(frames)
+            # both windows see the same noise, so their error powers are paired
+            y = add_awgn(apply_channel(frames, channel), 0.1, noise_seeds)
+            told = replace(system, bands=system.bands * window[:, None, None, None])
+            error = told.factor(0.0).detect(demodulate_fast(y, rectangular, cfg)) - x
+            powers.append(np.sum(np.abs(error) ** 2, axis=(1, 2)))
+        flat, tapered = powers
+        ratio = tapered.mean() / flat.mean()
+        # delta-method standard error of a ratio of means over paired trials
+        sigma = np.std(tapered - ratio * flat, ddof=1) / (np.sqrt(self.TRIALS) * flat.mean())
+        predicted = np.mean(1 / np.abs(wt) ** 2)
+        assert abs(ratio - predicted) <= self.SIGMAS * sigma, (ratio, predicted, sigma)
 
 
 class TestFactors:

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -51,7 +52,12 @@ class TestModemConfig:
         cfg = ModemConfig(M=8, N=4, cp_len=2)
         assert cfg.sym_len == 10
         assert cfg.frame_len == 40
-        assert cfg.bits_per_frame == 64
+
+    def test_fields_are_the_frame_geometry_alone(self):
+        # the QAM order is an argument of qam_map/qam_demap, not of the frame
+        assert [f.name for f in fields(ModemConfig)] == ["M", "N", "cp_len"]
+        with pytest.raises(TypeError, match="qam_order"):
+            ModemConfig(M=8, N=4, qam_order=4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -60,7 +66,7 @@ class TestModemConfig:
             dict(M=8, N=1),
             dict(M=8, N=4, cp_len=8),
             dict(M=8, N=4, cp_len=-1),
-            dict(M=8, N=4, qam_order=8),
+            dict(M=8, N=4, cp_len=12),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -102,7 +102,7 @@ def block_channel(**kwargs):
 
 def modem_config(**kwargs):
     cfg = ModemConfig(**kwargs)
-    return cfg.frame_len, cfg.bits_per_frame
+    return cfg.frame_len
 
 
 def detected(noise_var):
@@ -141,8 +141,8 @@ CALLS = {
                            {"window": "array"}),
     "EffectiveSystem.factor": (detected, lambda: dict(noise_var=0.1), {"noise_var": "real"}),
     "Factors.detect": (FACTORS.detect, lambda: dict(d_tilde=grid()), {"d_tilde": "array"}),
-    "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2, qam_order=16),
-                    {"M": "int", "N": "int", "cp_len": "int", "qam_order": "choice"}),
+    "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2),
+                    {"M": "int", "N": "int", "cp_len": "int"}),
     "apply_window": (apply_window,
                      lambda: dict(y=grid(), window=WINDOW, out=None),
                      {"y": "array", "window": "array", "out": "out"}),
@@ -314,7 +314,7 @@ def test_counter_passed_by_position_refused_by_name():
 @example(("dft", {"axis": 5}, None))
 @example(("apply_window", {"y": np.ones(4)}, None))
 @example(("qam_map", {"bits": ["0", "1"], "order": 4}, "bits"))
-@example(("ModemConfig", {"qam_order": 16.0}, "qam_order"))
+@example(("qam_map", {"order": 16.0}, "order"))
 @example(("qam_demap", {"order": 4.0}, "order"))
 @example(("CmCounter", {"stage": "x", "count": 1.5}, "count"))
 @example(("audit_report", {"m_list": []}, "m_list"))  # a list, but an empty one: no table
