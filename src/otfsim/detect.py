@@ -11,13 +11,14 @@ zero-forcing at noise_var = 0. As ``F_N kron I_M`` is unitary, both equal
 their MN x MN counterparts for the windowed system: an invertible receive
 window changes the delay-Doppler response, not a linear detector's output.
 
-In the zig-zag order 0, M-1, 1, M-2, ... the cyclic band becomes a plain
-band of half-width at most 2(L-1). H_n is kept in row blocks of B >= 2(L-1)
-rows, each with the at most three column blocks its band reaches, the last
-padded with identity rows, so A_n is block tridiagonal. ``factor`` returns
-a frozen record of its block Cholesky factor at one noise level, diagonal
-blocks inverted, and the record's ``detect`` costs batched matrix products
-only: O(N M B) work and memory. ZF solves these normal equations, so its
+The system keeps only the tap gains of every H_n, O(N M D) numbers for D
+delays. In the zig-zag order 0, M-1, 1, M-2, ... A_n becomes a plain band
+of half-width at most 2(L-1); built from the gains in row blocks of B >=
+2(L-1) rows, the last padded with rows of (1 + noise_var) I, it is block
+tridiagonal. ``factor`` returns a frozen record of its block Cholesky factor
+at one noise level, diagonal blocks inverted, O(N M B) numbers, and the
+record's ``detect`` costs batched block products and one shifted product
+per delay: O(N M (B + D)) work. ZF solves these normal equations, so its
 error grows as cond(H_n)^2; a symbol whose estimated rcond(A_n) is below
 1e-12 (for ZF, cond(H_n) > 1e6) is refused by name.
 """
@@ -40,12 +41,13 @@ RCOND_MIN = 1e-12
 class EffectiveSystem:
     """The per-symbol model of one channel/window/config combination.
 
-    Block (k, c), |k - c| <= 1, of the zig-zag-ordered, unwindowed H_n of
-    `channel` is ``bands[n, 2k + c]``, shape (N, 3K - 2, B, B). `window` is
-    undone by the detector.
+    The unwindowed H_n of `channel` is ``H_n[i, (i - delays[j]) mod M] =
+    gains[n, i, j]``, shape (N, M, D), as :func:`otfsim.channel.symbol_gains`
+    returns them. `window` is undone by the detector.
     """
 
-    bands: np.ndarray
+    delays: np.ndarray
+    gains: np.ndarray
     window: np.ndarray
     cfg: ModemConfig
     channel: LtvChannel | BlockFadingChannel
@@ -54,7 +56,7 @@ class EffectiveSystem:
         """The factors of every A_n: zero-forcing at noise_var 0, MMSE above it.
         Refuses a negative or non-finite noise_var, and a singular symbol, by name."""
         noise_var = check_noise_var(noise_var)
-        return Factors(self, noise_var, *_factorize(self.bands, self.cfg.M, noise_var))
+        return Factors(self, noise_var, *_factorize(self, noise_var))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +79,10 @@ class Factors:
 def fast_block_solve(d_tilde, factors: Factors) -> np.ndarray:
     """:meth:`Factors.detect`, bound at module level so a tracer can rebind it. The
     row IDFTs of the T grids, window undone, are gathered into zig-zag block columns
-    (N, K, B, T), so each block product has T columns and can round differently from
-    T one-grid solves in the last bits. In a counting scope, both row transforms are
-    charged to `detect_rows`."""
+    (N, K, B, T) for the block solve; H_n^H then takes one shifted product per delay
+    in the natural row order. Each block product has T columns and can round
+    differently from T one-grid solves in the last bits. In a counting scope, both
+    row transforms are charged to `detect_rows`."""
     sys = factors.system
     m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
     k_count, b, pos = factors.inv.shape[1], factors.inv.shape[2], _zigzag(m)
@@ -88,12 +91,11 @@ def fast_block_solve(d_tilde, factors: Factors) -> np.ndarray:
     u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
     u[:, pos] = y.T
     u = _solve(factors.inv, factors.low, u.reshape(n_sym, k_count, b, -1))  # conjugated
-    h = sys.bands.swapaxes(-1, -2)  # conj(H_n^H u) = H_n^T conj(u), block by block
-    s = h[:, 0::3] @ u  # blocks (k, k)
-    s[:, :-1] += h[:, 2::3] @ u[:, 1:]  # blocks (k, k - 1)
-    s[:, 1:] += h[:, 1::3] @ u[:, :-1]  # blocks (k, k + 1)
-    s = np.conj(s.reshape(n_sym, k_count * b, -1)[:, pos].T)
-    return dft(s, axis=-1, stage="detect_rows").reshape(d.shape)
+    u = u.reshape(n_sym, k_count * b, -1)[:, pos]
+    s = np.zeros_like(u)  # conj(H_n^H v)[(i - ell) mod M] += g[n, i, ell] conj(v)[i]
+    for j, ell in enumerate(sys.delays):
+        s += np.roll(sys.gains[:, :, j, None] * u, -ell, axis=1)
+    return dft(np.conj(s.T), axis=-1, stage="detect_rows").reshape(d.shape)
 
 
 def _zigzag(m: int) -> np.ndarray:
@@ -103,14 +105,10 @@ def _zigzag(m: int) -> np.ndarray:
 
 
 def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSystem:
-    """Build the per-symbol system for a channel, receive window, and config.
-
-    Each tap's gains are scattered into the row blocks of every H_n: B =
-    ceil(M / K0) for the most blocks K0 of at least max(2(L - 1), 8) rows
-    that M splits into, and K = ceil(M / B), so fewer than B rows pad the
-    last block. Refuses a channel longer than cp_len + 1, a channel with
-    non-finite values, and a window with a zero or non-finite coefficient,
-    which the detectors could not divide out.
+    """Build the per-symbol system for a channel, receive window, and config:
+    the tap gains of every H_n. Refuses a channel longer than cp_len + 1, a
+    channel with non-finite values, and a window with a zero or non-finite
+    coefficient, which the detectors could not divide out.
     """
     window = cfg.check_window(window)
     bad = np.flatnonzero(~np.isfinite(window) | (window == 0))
@@ -122,17 +120,7 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
     delays, gains = symbol_gains(ch, cfg)
     if not all_finite(gains):
         raise ValueError("channel has non-finite values")
-    m = cfg.M
-    b = -(-m // max(m // max(2 * (ch.length - 1), 8), 1))
-    k = -(-m // b)
-    pos = _zigzag(m)
-    bands = np.zeros((cfg.N, 3 * k - 2, b, b), dtype=np.complex128)
-    for j, ell in enumerate(delays):
-        q = pos[(np.arange(m) - ell) % m]
-        bands[:, 2 * (pos // b) + q // b, pos % b, q % b] = gains[:, :, j]
-    pad = np.arange(m, k * b) % b
-    bands[:, -1, pad, pad] = 1.0
-    return EffectiveSystem(bands=bands, window=window, cfg=cfg, channel=ch)
+    return EffectiveSystem(delays=delays, gains=gains, window=window, cfg=cfg, channel=ch)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -152,25 +140,36 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factorize(bands: np.ndarray, m: int, noise_var: float):
-    """``inv``, ``low`` and ``rcond`` of :class:`Factors`. Refuses, by name, the first
-    symbol whose A_n is not positive definite or whose rcond, estimated by two
+def _factorize(system: EffectiveSystem, noise_var: float):
+    """``inv``, ``low`` and ``rcond`` of :class:`Factors`. A_n is built in K = ceil(M / B)
+    row blocks of B = ceil(M / K0) rows, for the most blocks K0 of at least
+    max(2(L - 1), 8) rows that M splits into. Refuses, by name, the first symbol
+    whose A_n is not positive definite or whose rcond, estimated by two
     inverse-iteration steps against the largest row sum of |A_n|, is below RCOND_MIN."""
-    n_sym, n_blocks, b, _ = bands.shape
-    k_count = (n_blocks + 2) // 3
+    m, n_sym, g = system.cfg.M, system.cfg.N, system.gains
+    b = -(-m // max(m // max(2 * (system.channel.length - 1), 8), 1))
+    k_count = -(-m // b)
+    rows, pos = np.arange(m), _zigzag(m)
+    lag = (system.delays[None, :] - system.delays[:, None]) % m  # lag[j, j'] = ell' - ell
     # A_n's blocks (k, k) and (k, k - 1) are built here, then factored in place
-    inv = np.empty((n_sym, k_count, b, b), dtype=np.complex128)
-    low = np.empty((n_sym, k_count - 1, b, b), dtype=np.complex128)
+    inv = np.zeros((n_sym, k_count, b, b), dtype=np.complex128)
+    low = np.zeros((n_sym, k_count - 1, b, b), dtype=np.complex128)
     norm = np.empty(n_sym)  # the largest absolute row sum of A_n, padding rows left out
-    step = max(2**19 // (n_blocks * b * b), 1)  # symbols per chunk: temporaries of 8 MB
+    pad = np.arange(m, k_count * b) % b
+    step = max(2**19 // ((3 * k_count - 2) * b * b), 1)  # symbols per chunk: temporaries of 8 MB
     for first in range(0, n_sym, step):
-        h, d, c = bands[first : first + step], inv[first : first + step], low[first : first + step]
-        # block (k, k) of A_n sums the Gram blocks of block row k: 3k - 1 ... 3k + 1
-        np.matmul(h[:, 0::3], _herm(h[:, 0::3]), out=d)
-        d[:, 1:] += h[:, 2::3] @ _herm(h[:, 2::3])
-        d[:, :-1] += h[:, 1::3] @ _herm(h[:, 1::3])
+        h, d, c = g[first : first + step], inv[first : first + step], low[first : first + step]
+        for s in set(lag.flat):
+            # A_n[i, (i + s) mod M] sums g[n, i, ell] conj(g[n, i + s, ell']) over ell' - ell = s;
+            # in the zig-zag order it is entry (pos[i], q), kept in block (k, k) or (k, k - 1)
+            j, j2 = np.nonzero(lag == s)
+            a = (h[:, :, j] * np.roll(h[:, :, j2], -s, axis=1).conj()).sum(axis=-1)
+            q = pos[(rows + s) % m]
+            diag, sub = pos // b == q // b, pos // b == q // b + 1
+            d.reshape(len(d), -1)[:, pos[diag] * b + q[diag] % b] = a[:, diag]
+            c.reshape(len(c), -1)[:, (pos[sub] - b) * b + q[sub] % b] = a[:, sub]
+        d[:, -1, pad, pad] = 1.0
         d += noise_var * np.eye(b)
-        c[:] = h[:, 2::3] @ _herm(h[:, 0:-2:3]) + h[:, 3::3] @ _herm(h[:, 1::3])
         sums = np.abs(d).sum(axis=-1)
         sums[:, 1:] += np.abs(c).sum(axis=-1)
         sums[:, :-1] += np.abs(c).sum(axis=-2)

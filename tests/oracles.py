@@ -178,24 +178,13 @@ def channel_blocks(ch, cfg):
 
 
 def bands_to_blocks(sys):
-    """The dense H_n held by an EffectiveSystem's zig-zag row blocks, shape (N, M, M).
-
-    Block (k, c) of the zig-zag-ordered H_n is ``sys.bands[:, 2k + c]``; the
-    rows past M, which pad the last block, must be identity rows.
-    """
-    n, n_blocks, b, _ = sys.bands.shape
-    k_count = (n_blocks + 2) // 3
-    full = np.zeros((n, k_count * b, k_count * b), dtype=np.complex128)
-    for k in range(k_count):
-        for c in range(max(k - 1, 0), min(k + 2, k_count)):
-            full[:, k * b : (k + 1) * b, c * b : (c + 1) * b] = sys.bands[:, 2 * k + c]
-    m, eye = sys.cfg.M, np.eye(k_count * b)
-    np.testing.assert_array_equal(full[:, m:], np.broadcast_to(eye[m:], full[:, m:].shape))
-    pad_columns = full[:, :, m:]
-    np.testing.assert_array_equal(pad_columns, np.broadcast_to(eye[:, m:], pad_columns.shape))
-    order = [i // 2 if i % 2 == 0 else m - 1 - i // 2 for i in range(m)]
-    blocks = np.empty((n, m, m), dtype=np.complex128)
-    blocks[:, np.array(order)[:, None], np.array(order)] = full[:, :m, :m]
+    """The dense H_n an EffectiveSystem holds as tap gains, shape (N, M, M):
+    ``H_n[i, (i - sys.delays[j]) mod M] = sys.gains[n, i, j]``."""
+    n, m, _ = sys.gains.shape
+    rows = np.arange(m)
+    blocks = np.zeros((n, m, m), dtype=np.complex128)
+    for j, ell in enumerate(sys.delays):
+        blocks[:, rows, (rows - ell) % m] = sys.gains[:, :, j]
     return blocks
 
 

@@ -505,11 +505,31 @@ class TestBandedMatchesDense:
     @settings(max_examples=40, deadline=None)
     @given(banded_cases())
     def test_bands_hold_the_channel_matrices(self, case):
-        # the scattered row blocks are the dense H_n, entry for entry, and the
-        # padding rows of the last block are identity rows
+        # the stored tap gains are the dense H_n, entry for entry
         ch, window, cfg, _, _ = case
         sys = assemble_effective(ch, window, cfg)
         np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_cases(), st.sampled_from([0.0, 0.3]))
+    def test_factor_rebuilds_the_banded_normal_matrix(self, case, noise_var):
+        # the block-lower L of the factors, rebuilt from inv and low, gives
+        # L L^H = H_n H_n^H + noise_var I in the zig-zag order, padded with
+        # (1 + noise_var) I, for the dense H_n of the channel oracle
+        ch, window, cfg, _, _ = case
+        factors = assemble_effective(ch, window, cfg).factor(noise_var)
+        n, k_count, b, _ = factors.inv.shape
+        chol = np.zeros((n, k_count * b, k_count * b), dtype=complex)
+        for k in range(k_count):
+            chol[:, k * b : (k + 1) * b, k * b : (k + 1) * b] = np.linalg.inv(factors.inv[:, k])
+            if k:
+                chol[:, k * b : (k + 1) * b, (k - 1) * b : k * b] = factors.low[:, k - 1]
+        h = channel_blocks(ch, cfg)
+        order = np.array([i // 2 if i % 2 == 0 else cfg.M - 1 - i // 2 for i in range(cfg.M)])
+        expected = np.repeat((1 + noise_var) * np.eye(k_count * b, dtype=complex)[None], n, 0)
+        expected[:, : cfg.M, : cfg.M] = (h @ h.conj().swapaxes(1, 2))[:, order[:, None], order]
+        expected[:, : cfg.M, : cfg.M] += noise_var * np.eye(cfg.M)
+        np.testing.assert_allclose(chol @ chol.conj().swapaxes(1, 2), expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("geometry", sorted(BANDED_GEOMETRIES), ids=lambda g: "M%d-Mcp%d" % g)
     def test_block_counts(self, geometry):
@@ -517,7 +537,7 @@ class TestBandedMatchesDense:
         cfg = ModemConfig(M=m, N=2, cp_len=cp_len)
         ch = LtvChannel((ChannelTap(0, 1.0), ChannelTap(cp_len, 0.5)))
         sys = assemble_effective(ch, make_window("rectangular", 2), cfg)
-        assert sys.bands.shape[1] == 3 * BANDED_GEOMETRIES[geometry] - 2
+        assert sys.factor(1.0).inv.shape[1] == BANDED_GEOMETRIES[geometry]
         np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
 
     def test_chunked_factorization(self):
@@ -530,10 +550,10 @@ class TestBandedMatchesDense:
         gains[:, 0] += 3.0
         window = make_window("rectangular", 4)
         ch = BlockFadingChannel(gains, cfg.sym_len)
-        sys = assemble_effective(ch, window, cfg)
-        assert sys.bands.shape == (4, 1, 400, 400)
+        zf = assemble_effective(ch, window, cfg).factor(0.0)
+        assert zf.inv.shape == (4, 1, 400, 400)
         y = rng.normal(size=(400, 4)) + 1j * rng.normal(size=(400, 4))
-        s = sys.factor(0.0).detect(np.fft.fft(y, axis=1, norm="ortho"))
+        s = zf.detect(np.fft.fft(y, axis=1, norm="ortho"))
         s = np.fft.ifft(s, axis=1, norm="ortho")
         for n, h in enumerate(channel_blocks(ch, cfg)):
             np.testing.assert_allclose(s[:, n], np.linalg.solve(h, y[:, n]), rtol=0, atol=1e-9)
@@ -543,12 +563,14 @@ class TestBandedMatchesDense:
             faded.factor(0.0)
 
     def test_default_channel_state_at_1024x32(self):
-        # the default two-tap channel at 1024 x 32: the system and its ZF
-        # factors hold under 32 MB; the dense H_n alone would take 512 MiB
+        # the default two-tap channel at 1024 x 32: the system's tap gains
+        # hold under 2 MiB, and with its ZF factors under 32 MB; the dense
+        # H_n alone would take 512 MiB
         run = RunConfig(M=1024, N=32)
         sys = assemble_effective(run.build_channel(), run.build_window(), run.modem_config())
         zf = sys.factor(0.0)
         zf.detect(np.ones((1024, 32)))
+        assert sum(a.nbytes for a in held_arrays(sys)) < 2 * 2**20
         assert sum(a.nbytes for a in held_arrays(sys, zf)) < 32 * 2**20
 
 
@@ -643,7 +665,7 @@ class TestTransmitWindowCost:
             cfg.insert_cp(frames)
             # both windows see the same noise, so their error powers are paired
             y = add_awgn(apply_channel(frames, channel), 0.1, noise_seeds)
-            told = replace(system, bands=system.bands * window[:, None, None, None])
+            told = replace(system, gains=system.gains * window[:, None, None])
             error = told.factor(0.0).detect(demodulate_fast(y, rectangular, cfg)) - x
             powers.append(np.sum(np.abs(error) ** 2, axis=(1, 2)))
         flat, tapered = powers
@@ -663,9 +685,9 @@ class TestFactors:
         # once for the sweep, MMSE once for each point
         factorize, noise_vars = detect._factorize, []
 
-        def counted(bands, m, noise_var):
+        def counted(system, noise_var):
             noise_vars.append(noise_var)
-            return factorize(bands, m, noise_var)
+            return factorize(system, noise_var)
 
         cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=(0.0, 5.0, 10.0),
                         trials=3, seed=1)

@@ -345,10 +345,10 @@ class TestVec:
 def solve_one_block(ch, cfg, y):
     """Per-symbol zero-forcing ``s_n = H_n^{-1} y_n`` of the M x N array y,
     through ZF detection, for a channel whose every H_n is one dense block."""
-    sys = assemble_effective(ch, make_window("rectangular", cfg.N), cfg)
-    assert sys.bands.shape[1] == 1
+    zf = assemble_effective(ch, make_window("rectangular", cfg.N), cfg).factor(0.0)
+    assert zf.inv.shape[1] == 1
     grid = np.fft.fft(y, axis=1, norm="ortho")
-    return np.fft.ifft(sys.factor(0.0).detect(grid), axis=1, norm="ortho")
+    return np.fft.ifft(zf.detect(grid), axis=1, norm="ortho")
 
 
 def every_lag_channel(gains, cfg):
