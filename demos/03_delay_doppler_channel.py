@@ -37,7 +37,7 @@ ch = LtvChannel(
     )
 )
 
-response = build_dd_response(ch, window, cfg)
+response = build_dd_response(assemble_effective(ch, window, cfg))
 
 print("dominant |response| entries (delay bin, Doppler bin) -> magnitude:")
 flat = np.argsort(np.abs(response).ravel())[::-1][:4]
@@ -54,19 +54,20 @@ bf = BlockFadingChannel(
 x = rng.normal(size=(cfg.M, cfg.N)) + 1j * rng.normal(size=(cfg.M, cfg.N))
 x_f = np.fft.fft2(x)  # a 2-D circular convolution with X multiplies its 2-D DFT
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), bf), window, cfg)
-kernel = build_dd_response(bf, window, cfg)
+kernel = build_dd_response(assemble_effective(bf, window, cfg))
 err = np.linalg.norm(pipeline - np.fft.ifft2(np.fft.fft2(kernel) * x_f)) / np.linalg.norm(pipeline)
 print(f"\nblock-fading channel: |pipeline - kernel (*) X| / |pipeline| = {err:.2e}")
 
 # with fast within-symbol variation the kernel is only an approximation...
 fast_ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=0.02),))
 pipeline = demodulate_reference(apply_channel(modulate_fast(x, cfg), fast_ch), window, cfg)
-kernel = build_dd_response(fast_ch, window, cfg)
+fast_system = assemble_effective(fast_ch, window, cfg)
+kernel = build_dd_response(fast_system)
 err = np.linalg.norm(pipeline - np.fft.ifft2(np.fft.fft2(kernel) * x_f)) / np.linalg.norm(pipeline)
 print(f"within-symbol Doppler:  residual {err:.2e} (2-D convolution no longer exact)")
 
 # ...but the per-symbol model stays exact for any channel: one M x M system
 # per OFDM symbol between N-point row transforms, so ZF undoes the channel
-x_hat = assemble_effective(fast_ch, window, cfg).factor(0.0).detect(pipeline)
+x_hat = fast_system.factor(0.0).detect(pipeline)
 err = np.linalg.norm(x_hat - x) / np.linalg.norm(x)
 print(f"same channel, per-symbol ZF: |x_hat - X| / |X| = {err:.2e}")

@@ -22,10 +22,9 @@ from .channel import (
     LtvChannel,
     add_awgn,
     apply_channel,
-    build_dd_response,
     load_channel,
 )
-from .detect import EffectiveSystem, assemble_effective
+from .detect import EffectiveSystem, assemble_effective, build_dd_response
 from .grids import (
     ModemConfig,
     apply_window,

@@ -9,11 +9,10 @@ kappa and delay ell. Two parameterizations are provided:
   regime in which the per-symbol channel matrices are circulant and the
   end-to-end response is an exact 2-D circular convolution.
 
-Either one gives its gains only at its tap delays. :func:`symbol_gains`
-reads them at the samples each OFDM symbol keeps after CP removal, which
-are the entries of the per-symbol channel matrices ``H_n`` (see
-``otfsim.detect``); the windowed delay-Doppler response follows from the
-first columns of the ``H_n`` by one FFT across symbols.
+Either one gives its gains only at its tap delays, by ``coeffs``. Read at
+the samples each OFDM symbol keeps after CP removal, they are the entries
+of the per-symbol channel matrices ``H_n``; ``otfsim.detect`` reads them
+there once, for the detectors and the windowed delay-Doppler response.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModemConfig, apply_window
 from .numerics import (
     as_array, check_int, check_noise_var, is_finite, is_integer, require, write_csv,
 )
@@ -160,39 +158,6 @@ def add_awgn(signal: np.ndarray, noise_var: float, seed) -> np.ndarray:
         row.imag = rng.normal(scale=scale, size=row.size)
     noise += frames
     return noise.reshape(signal.shape)
-
-
-def symbol_gains(ch, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The tap delays and their gains ``gains[n, i, j] = h(n*(M + cp_len) +
-    cp_len + i, delays[j])`` at the samples symbol n keeps, shape (N, M, D).
-
-    For a channel no longer than cp_len + 1, CP removal discards every sample
-    that the previous symbol leaks into and the CP makes the convolution over
-    the kept samples circular: ``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``.
-    A longer channel is refused, as its inter-symbol interference reaches the
-    kept samples, which the per-symbol model omits.
-    """
-    if ch.length > cfg.cp_len + 1:
-        raise ValueError(
-            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
-            "per-symbol model would ignore the inter-symbol interference it causes"
-        )
-    delays, gains = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())
-    return delays, gains.reshape(cfg.N, cfg.M, -1)
-
-
-def build_dd_response(ch, window: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Windowed delay-Doppler channel impulse response (M x N).
-
-    Column l is the first column of the l-th windowed Doppler tap ``(1/N)
-    sum_n window[n] H_n exp(-j*2*pi*l*n/N)``. The first column of ``H_n`` holds
-    ``h(n*(M + cp_len) + cp_len + ell, ell)`` at row ell (see
-    :func:`symbol_gains`), so it is read from the tap gains directly.
-    """
-    delays, gains = symbol_gains(ch, cfg)
-    first = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
-    first[delays] = gains[:, delays, np.arange(delays.size)].T
-    return np.fft.fft(apply_window(first, cfg.check_window(window), out=first), axis=1) / cfg.N
 
 
 # ---------------------------------------------------------------------------

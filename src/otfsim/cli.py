@@ -32,12 +32,11 @@ from .channel import (
     LtvChannel,
     apply_channel,
     add_awgn,
-    build_dd_response,
     channel_from_spec,
     dump_dd_response,
     load_channel,
 )
-from .detect import EffectiveSystem, assemble_effective
+from .detect import EffectiveSystem, assemble_effective, build_dd_response
 from .grids import (
     WINDOW_KINDS,
     ModemConfig,
@@ -146,7 +145,8 @@ class RunConfig:
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """One config from the config file, the OTFS_SEED environment override and
-    the flag overrides, each winning over the ones before it."""
+    the flag overrides, each winning over the ones before it. A set OTFS_SEED
+    must be a non-negative integer, whether or not a flag overrides it."""
     values = {}
     if path is not None:
         try:
@@ -158,8 +158,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if (env_seed := os.environ.get("OTFS_SEED")) is not None:
         try:
             values["seed"] = int(env_seed)
+            if values["seed"] < 0:
+                raise ValueError
         except ValueError:
-            raise ConfigError({"OTFS_SEED": f"must be an integer, got {env_seed!r}"})
+            need = "must be a non-negative integer"
+            raise ConfigError({"OTFS_SEED": f"{need}, got {env_seed!r}"})
     values.update((k, v) for k, v in overrides.items() if v is not None)
     return RunConfig(**values)
 
@@ -294,7 +297,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rows = run_simulation(cfg, system)
-            response = build_dd_response(system.channel, system.window, system.cfg)
+            response = build_dd_response(system)
     except FloatingPointError as exc:
         raise ConfigError({"channel": f"must keep the simulation finite, got {exc}"}) from exc
     write_ber_csv(out_dir / "ber.csv", rows)
@@ -318,7 +321,8 @@ def _max_deviation(seed, grids: int, shape: tuple, reference, fast, *args) -> fl
     variance, cheaper than Gaussian and as sure to show that fast - reference
     != 0. At most three arrays are held at a time: the input, redrawn in
     place, the reference result, and the fast result until it is subtracted;
-    |fast - reference| overwrites the reference result."""
+    |fast - reference| overwrites the reference result. A NaN deviation is
+    kept through later grids, so it fails the check."""
     rng = np.random.default_rng(seed)
     x = np.empty(shape, dtype=np.complex128)
     parts = x.view(np.float64)
@@ -329,7 +333,7 @@ def _max_deviation(seed, grids: int, shape: tuple, reference, fast, *args) -> fl
         parts -= math.sqrt(3)
         dev = reference(x, *args)
         dev -= fast(x, *args)
-        top = max(top, float(np.abs(dev, out=dev.real).max()))
+        top = float(np.maximum(top, np.abs(dev, out=dev.real).max()))
     return top
 
 

@@ -4,12 +4,14 @@ With ``S = X F_N^H`` and ``Y = X~ F_N^H`` (unitary row IDFTs of the sent and
 received grids), column n obeys ``y_n = wr[n] (H_n s_n + v_n)``, the v_n
 white with variance noise_var and mutually uncorrelated, for any channel of
 length L <= cp_len + 1; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
-h(n*(M + cp_len) + cp_len + i, ell)`` (see ``otfsim.channel.symbol_gains``).
-The detector undoes the window and estimates ``s_n = H_n^H A_n^{-1} y_n`` with
-``A_n = H_n H_n^H + noise_var I``: MMSE for unit-energy symbols, and
-zero-forcing at noise_var = 0. As ``F_N kron I_M`` is unitary, both equal
-their MN x MN counterparts for the windowed system: an invertible receive
-window changes the delay-Doppler response, not a linear detector's output.
+h(n*(M + cp_len) + cp_len + i, ell)``. :func:`assemble_effective` reads these
+gains from the channel once, and :func:`build_dd_response` reads the windowed
+delay-Doppler response from them. The detector undoes the window and
+estimates ``s_n = H_n^H A_n^{-1} y_n`` with ``A_n = H_n H_n^H + noise_var I``:
+MMSE for unit-energy symbols, and zero-forcing at noise_var = 0. As ``F_N
+kron I_M`` is unitary, both equal their MN x MN counterparts for the
+windowed system: an invertible receive window changes the delay-Doppler
+response, not a linear detector's output.
 
 The system keeps only the tap gains of every H_n, O(N M D) numbers for D
 delays. In the zig-zag order 0, M-1, 1, M-2, ... A_n becomes a plain band
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel, LtvChannel, symbol_gains
+from .channel import BlockFadingChannel, LtvChannel
 from .grids import ModemConfig, apply_window
 from .numerics import SingularMatrixError, all_finite, check_noise_var, dft
 
@@ -42,8 +44,8 @@ class EffectiveSystem:
     """The per-symbol model of one channel/window/config combination.
 
     The unwindowed H_n of `channel` is ``H_n[i, (i - delays[j]) mod M] =
-    gains[n, i, j]``, shape (N, M, D), as :func:`otfsim.channel.symbol_gains`
-    returns them. `window` is undone by the detector.
+    gains[n, i, j]``, shape (N, M, D), as :func:`assemble_effective` reads
+    them. `window` is undone by the detector.
     """
 
     delays: np.ndarray
@@ -106,8 +108,12 @@ def _zigzag(m: int) -> np.ndarray:
 
 def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config:
-    the tap gains of every H_n. Refuses a channel longer than cp_len + 1, a
-    channel with non-finite values, and a window with a zero or non-finite
+    the tap delays and their gains ``gains[n, i, j] = h(n*(M + cp_len) + cp_len
+    + i, delays[j])`` at the samples symbol n keeps, shape (N, M, D).
+
+    Refuses a channel longer than cp_len + 1, whose inter-symbol interference
+    reaches the kept samples and which the per-symbol model would omit; a
+    channel with non-finite values; and a window with a zero or non-finite
     coefficient, which the detectors could not divide out.
     """
     window = cfg.check_window(window)
@@ -117,10 +123,29 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
             f"window wr[{bad[0]}] is {window[bad[0]]}; the detectors divide by "
             "the window, so every coefficient must be finite and nonzero"
         )
-    delays, gains = symbol_gains(ch, cfg)
+    if ch.length > cfg.cp_len + 1:
+        raise ValueError(
+            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
+            "per-symbol model would ignore the inter-symbol interference it causes"
+        )
+    delays, gains = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())
     if not all_finite(gains):
         raise ValueError("channel has non-finite values")
+    gains = gains.reshape(cfg.N, cfg.M, -1)
     return EffectiveSystem(delays=delays, gains=gains, window=window, cfg=cfg, channel=ch)
+
+
+def build_dd_response(system: EffectiveSystem) -> np.ndarray:
+    """Windowed delay-Doppler channel impulse response (M x N) of `system`.
+
+    Column l is the first column of the l-th windowed Doppler tap ``(1/N)
+    sum_n window[n] H_n exp(-j*2*pi*l*n/N)``. The first column of ``H_n`` holds
+    ``gains[n, ell, j]`` at row ell = delays[j], so it is read from the gains.
+    """
+    cfg, delays = system.cfg, system.delays
+    first = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
+    first[delays] = system.gains[:, delays, np.arange(delays.size)].T
+    return np.fft.fft(apply_window(first, system.window, out=first), axis=1) / cfg.N
 
 
 def _herm(a: np.ndarray) -> np.ndarray:

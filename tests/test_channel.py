@@ -28,11 +28,11 @@ from otfsim.channel import (
     LtvChannel,
     add_awgn,
     apply_channel,
-    build_dd_response,
     channel_from_spec,
     dump_dd_response,
     load_channel,
 )
+from otfsim.detect import assemble_effective, build_dd_response
 from otfsim.grids import WINDOW_KINDS, ModemConfig, apply_window, make_window
 from otfsim.modem_fast import modulate_fast
 from otfsim.modem_reference import demodulate_reference, modulate_reference
@@ -264,12 +264,12 @@ class TestBuildHn:
             )
 
     def test_isi_refused(self):
-        # the per-symbol gains, which the detectors and the delay-Doppler
-        # response are built from, refuse a channel longer than Mcp + 1
+        # the effective system, which the detectors and the delay-Doppler
+        # response are built from, refuses a channel longer than Mcp + 1
         cfg = ModemConfig(M=8, N=4, cp_len=1)
         ch = LtvChannel((ChannelTap(delay=3, gain=1.0), ChannelTap(delay=0, gain=1.0)))
         with pytest.raises(ValueError, match=r"channel length 4 exceeds Mcp \+ 1 = 2"):
-            build_dd_response(ch, make_window("rectangular", 4), cfg)
+            build_dd_response(assemble_effective(ch, make_window("rectangular", 4), cfg))
 
 
 class TestDopplerTaps:
@@ -305,57 +305,6 @@ class TestDopplerTaps:
             np.testing.assert_allclose(resyn, channel_blocks(ch, cfg)[n] * w[n], atol=1e-12)
 
 
-class TestDdResponse:
-    def test_identity_channel_is_delta(self):
-        cfg = ModemConfig(M=4, N=4, cp_len=1)
-        w = make_window("rectangular", 4)
-        response = build_dd_response(identity_channel(), w, cfg)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(response, expected, atol=1e-14)
-
-    def test_pure_delay_is_shifted_delta(self):
-        cfg = ModemConfig(M=4, N=4, cp_len=2)
-        ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
-        w = make_window("rectangular", 4)
-        response = build_dd_response(ch, w, cfg)
-        expected = np.zeros((4, 4))
-        expected[1, 0] = 1.0
-        np.testing.assert_allclose(response, expected, atol=1e-14)
-
-    def test_full_pipeline_matches_2d_convolution(self):
-        rng = np.random.default_rng(47)
-        cfg = ModemConfig(M=8, N=4, cp_len=3)
-        ch = random_block_fading_channel(rng, cfg, length=3)
-        w = make_window("rectangular", 4)
-        x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
-        response = build_dd_response(ch, w, cfg)
-        np.testing.assert_allclose(out, circ_conv2d(response, x), atol=1e-10)
-
-    def test_pure_doppler_support_at_integer_bin(self):
-        # single tap at nu = q / frame_len puts the dominant response at
-        # Doppler bin q on delay row 0
-        cfg = ModemConfig(M=8, N=8, cp_len=2)
-        q = 3
-        ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
-        w = make_window("rectangular", 8)
-        response = build_dd_response(ch, w, cfg)
-        peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
-        assert peak == (0, q)
-
-
-    def test_matches_doppler_tap_oracle(self):
-        # the per-symbol blocks give the Doppler-tap response up to rounding
-        rng = np.random.default_rng(54)
-        cfg = ModemConfig(M=6, N=5, cp_len=2)
-        ch = random_ltv_channel(rng, n_taps=3, max_delay=2, max_doppler=0.03)
-        w = make_window("time-tapered", 5)
-        response = build_dd_response(ch, w, cfg)
-        expected = dd_response_from_taps(build_doppler_taps(ch, w, cfg))
-        np.testing.assert_allclose(response, expected, atol=1e-12)
-
-
 def draw_geometry(draw):
     """A geometry (non-powers of two included), a window of either kind, and
     a generator for the channel and grid."""
@@ -388,6 +337,64 @@ def block_fading_cases(draw):
     cfg, window, rng = draw_geometry(draw)
     ch = random_block_fading_channel(rng, cfg, length=draw(st.integers(1, cfg.cp_len + 1)))
     return cfg, window, ch, random_grid(rng, cfg)
+
+
+class TestDdResponse:
+    def test_identity_channel_is_delta(self):
+        cfg = ModemConfig(M=4, N=4, cp_len=1)
+        w = make_window("rectangular", 4)
+        response = build_dd_response(assemble_effective(identity_channel(), w, cfg))
+        expected = np.zeros((4, 4))
+        expected[0, 0] = 1.0
+        np.testing.assert_allclose(response, expected, atol=1e-14)
+
+    def test_pure_delay_is_shifted_delta(self):
+        cfg = ModemConfig(M=4, N=4, cp_len=2)
+        ch = LtvChannel((ChannelTap(delay=1, gain=1.0),))
+        w = make_window("rectangular", 4)
+        response = build_dd_response(assemble_effective(ch, w, cfg))
+        expected = np.zeros((4, 4))
+        expected[1, 0] = 1.0
+        np.testing.assert_allclose(response, expected, atol=1e-14)
+
+    def test_full_pipeline_matches_2d_convolution(self):
+        rng = np.random.default_rng(47)
+        cfg = ModemConfig(M=8, N=4, cp_len=3)
+        ch = random_block_fading_channel(rng, cfg, length=3)
+        w = make_window("rectangular", 4)
+        x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        out = demodulate_reference(apply_channel(modulate_reference(x, cfg), ch), w, cfg)
+        response = build_dd_response(assemble_effective(ch, w, cfg))
+        np.testing.assert_allclose(out, circ_conv2d(response, x), atol=1e-10)
+
+    def test_pure_doppler_support_at_integer_bin(self):
+        # single tap at nu = q / frame_len puts the dominant response at
+        # Doppler bin q on delay row 0
+        cfg = ModemConfig(M=8, N=8, cp_len=2)
+        q = 3
+        ch = LtvChannel((ChannelTap(delay=0, gain=1.0, doppler=q / cfg.frame_len),))
+        w = make_window("rectangular", 8)
+        response = build_dd_response(assemble_effective(ch, w, cfg))
+        peak = np.unravel_index(np.argmax(np.abs(response)), response.shape)
+        assert peak == (0, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(linear_system_cases(), block_fading_cases()))
+    def test_matches_doppler_tap_oracle(self, case):
+        # the system's gains give the dense Doppler-tap response up to rounding,
+        # for LTV and block-fading channels, either window, at any drawn size
+        cfg, window, ch, _ = case
+        response = build_dd_response(assemble_effective(ch, window, cfg))
+        expected = dd_response_from_taps(build_doppler_taps(ch, window, cfg))
+        np.testing.assert_allclose(response, expected, rtol=0, atol=1e-12)
+
+    def test_window_with_a_zero_coefficient_refused_by_index(self):
+        # the response is read from an effective system, and none is built for
+        # a window the detectors could not divide out
+        cfg = ModemConfig(M=8, N=4, cp_len=2)
+        window = np.array([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=re.escape("window wr[2] is 0.0")):
+            build_dd_response(assemble_effective(identity_channel(), window, cfg))
 
 
 class TestLinearSystemEquivalences:
@@ -438,7 +445,7 @@ class TestLinearSystemEquivalences:
             ch = random_block_fading_channel(rng, cfg, length=4)
             x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
             out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-            response = build_dd_response(ch, w, cfg)
+            response = build_dd_response(assemble_effective(ch, w, cfg))
             err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
             assert err <= 1e-10
 
@@ -449,7 +456,7 @@ class TestLinearSystemEquivalences:
         # convolution with its delay-Doppler response, at any drawn size
         cfg, window, ch, x = case
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), window, cfg)
-        response = build_dd_response(ch, window, cfg)
+        response = build_dd_response(assemble_effective(ch, window, cfg))
         err = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert err <= 1e-10
 
@@ -467,7 +474,7 @@ class TestLinearSystemEquivalences:
         w = make_window("rectangular", 4)
         x = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         out = demodulate_reference(apply_channel(modulate_fast(x, cfg), ch), w, cfg)
-        response = build_dd_response(ch, w, cfg)
+        response = build_dd_response(assemble_effective(ch, w, cfg))
         resid = np.linalg.norm(out - circ_conv2d(response, x)) / np.linalg.norm(out)
         assert resid > 1e-6
 

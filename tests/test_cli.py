@@ -165,6 +165,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="OTFS_SEED"):
             load_config(str(path), {})
 
+    @pytest.mark.parametrize("env_seed", ["abc", "-1"])
+    @pytest.mark.parametrize("overrides", [{}, {"seed": 5}])
+    def test_bad_env_seed_refused_under_its_name(self, tmp_path, monkeypatch, env_seed,
+                                                 overrides):
+        # one rule for a set OTFS_SEED, whether or not --seed overrides it
+        path = write_config(tmp_path)
+        monkeypatch.setenv("OTFS_SEED", env_seed)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path), overrides)
+        assert exc.value.fields == {
+            "OTFS_SEED": f"must be a non-negative integer, got {env_seed!r}"
+        }
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, trails=10, window={"kind": "rectangular", "rolloff": 1})
         with pytest.raises(ConfigError) as err:
@@ -399,6 +412,32 @@ class TestEquivalence:
         assert (record["status"], record["command"], record["passed"]) == (
             "fail", "equivalence", False
         )
+
+    @pytest.mark.parametrize("name, key", [
+        ("modulate_fast", "modulator_max_dev"), ("demodulate_fast", "demodulator_max_dev"),
+    ])
+    def test_nan_in_the_first_grid_fails(self, tmp_path, capsys, monkeypatch, name, key):
+        # a NaN deviation is kept through the later, exact grids: max(0.0, nan) is 0.0
+        fast, calls = getattr(cli, name), []
+
+        def nan_once(*args, **kwargs):
+            out = fast(*args, **kwargs)
+            if not calls:
+                out.flat[0] = np.nan
+            calls.append(name)
+            return out
+
+        monkeypatch.setattr(cli, name, nan_once)
+        path = write_config(tmp_path)
+        assert main(["equivalence", "--config", str(path), "--grids", "4"]) == 1
+        assert len(calls) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL: over 4 random grids")
+        record = json.loads(captured.err)
+        assert (record["status"], record["command"], record["passed"]) == (
+            "fail", "equivalence", False
+        )
+        assert np.isnan(record[key])
 
     def test_inputs_have_zero_mean_unit_variance_parts(self, monkeypatch):
         # the input each reference modem receives, copied before the next draw
@@ -960,18 +999,23 @@ def invocations(draw):
 def run_in_sandbox(argv, files, env_seed):
     """Run `main` in a fresh working directory; return its exit code and stderr."""
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, text in files.items():
-            Path(name).write_text(text)
-        with mock.patch.dict(os.environ):
-            os.environ.pop("OTFS_SEED", None)
-            if env_seed is not None:
-                os.environ["OTFS_SEED"] = env_seed
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse, on a bad command line
-                    code = exc.code
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # contextlib.chdir is newer than Python 3.10
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text)
+            with mock.patch.dict(os.environ):
+                os.environ.pop("OTFS_SEED", None)
+                if env_seed is not None:
+                    os.environ["OTFS_SEED"] = env_seed
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse, on a bad command line
+                        code = exc.code
+        finally:
+            os.chdir(home)
     return code, err.getvalue()
 
 

@@ -16,8 +16,8 @@ from oracles import (
     modulate_reference_copying,
 )
 
-from otfsim.channel import ChannelTap, LtvChannel, build_dd_response
-from otfsim.detect import assemble_effective
+from otfsim.channel import ChannelTap, LtvChannel
+from otfsim.detect import assemble_effective, build_dd_response
 from otfsim.grids import (
     WINDOW_KINDS,
     ModemConfig,
@@ -479,7 +479,9 @@ WINDOW_CONSUMERS = {
         np.ones(SHAPE_CFG.frame_len), w, SHAPE_CFG
     ),
     "sfft_windowed": lambda w: sfft_windowed(np.ones((8, 4)), w),
-    "build_dd_response": lambda w: build_dd_response(SHAPE_CHANNEL, w, SHAPE_CFG),
+    "build_dd_response": lambda w: build_dd_response(
+        assemble_effective(SHAPE_CHANNEL, w, SHAPE_CFG)
+    ),
     "assemble_effective": lambda w: assemble_effective(SHAPE_CHANNEL, w, SHAPE_CFG),
 }
 

@@ -19,9 +19,10 @@ Nothing else escapes: no TypeError, IndexError, AttributeError or
 ZeroDivisionError. NumPy's warnings on arithmetic with NaN or infinity,
 which a call may accept, are not refusals and are ignored here.
 
-Parameters that take a library object (``cfg``, ``ch``) get a
-valid one: a wrong object there fails as any duck-typed Python argument
-does. No public call takes a ``counter``: CMs are counted in a
+Parameters that take a library object (``cfg``, ``ch``, ``system``) get
+a valid one: a wrong object there fails as any duck-typed Python argument
+does, so ``build_dd_response`` is called on the system ``assemble_effective``
+builds from the window under test. No public call takes a ``counter``: CMs are counted in a
 ``with CmCounter()`` scope. Not called: ``load_channel``, whose path
 errors are OSErrors as the CLI expects; ``EffectiveSystem``, the record
 ``assemble_effective`` builds; and the exception ``SingularMatrixError``.
@@ -105,6 +106,10 @@ def modem_config(**kwargs):
     return cfg.frame_len
 
 
+def dd_response(**kwargs):
+    return build_dd_response(assemble_effective(**kwargs))
+
+
 def detected(noise_var):
     return SYSTEM.factor(noise_var).detect(grid())
 
@@ -135,7 +140,7 @@ CALLS = {
                  {"signal": "array", "noise_var": "real", "seed": "seed"}),
     "apply_channel": (apply_channel, lambda: dict(signal=frame(), ch=CHANNEL),
                       {"signal": "array"}),
-    "build_dd_response": (build_dd_response, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
+    "build_dd_response": (dd_response, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                           {"window": "array"}),
     "assemble_effective": (assemble_effective, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                            {"window": "array"}),
