@@ -47,7 +47,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import is_choice, is_integer, is_real, write_csv
+from .numerics import check_int, is_choice, is_integer, is_real, write_csv
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -146,8 +146,9 @@ class RunConfig:
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """One config from the config file, the OTFS_SEED environment override and
     the flag overrides, each winning over the ones before it. A set OTFS_SEED
-    must be a non-negative integer, whether or not a flag overrides it."""
-    values = {}
+    must be a non-negative integer, whether or not a flag overrides it; a bad one is
+    named in one ConfigError with every other bad setting."""
+    values, problems = {}, {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -157,14 +158,18 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         values = _apply_file(raw)
     if (env_seed := os.environ.get("OTFS_SEED")) is not None:
         try:
-            values["seed"] = int(env_seed)
-            if values["seed"] < 0:
-                raise ValueError
-        except ValueError:
-            need = "must be a non-negative integer"
-            raise ConfigError({"OTFS_SEED": f"{need}, got {env_seed!r}"})
+            values["seed"] = check_int("OTFS_SEED", int(env_seed))
+        except ValueError:  # a set OTFS_SEED replaces the file seed, good or bad
+            values.pop("seed", None)
+            problems["OTFS_SEED"] = f"must be a non-negative integer, got {env_seed!r}"
     values.update((k, v) for k, v in overrides.items() if v is not None)
-    return RunConfig(**values)
+    try:
+        config = RunConfig(**values)
+    except ConfigError as exc:
+        problems.update(exc.fields)
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 #: config-file key -> RunConfig field; a "window" object's keys map through its table
@@ -229,8 +234,8 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
 
     `system` is the effective system of `cfg`'s channel and window, built
     here when not given. Every frame quantity comes from it: the channel
-    simulated, the window, M and N, so the detector's model and the
-    simulated frames come from one build. From `cfg` come only the sweep
+    simulated, the window, M and N: the frames run through the one sampled
+    channel that the detector models. From `cfg` come only the sweep
     settings: SNR points, trials, seed, QAM order and detector.
     `system` is factored on this thread, once for ZF and once per SNR point
     for MMSE. The trials of an SNR point go through the pipeline together,
@@ -240,7 +245,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
     """
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
-    mcfg, channel, window, mmse = system.cfg, system.channel, system.window, cfg.detector == "mmse"
+    mcfg, window, mmse = system.cfg, system.window, cfg.detector == "mmse"
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     frame_bits = mcfg.M * mcfg.N * int(math.log2(cfg.qam_order))
     chunk = max(1, CHUNK_SAMPLES // mcfg.frame_len)
@@ -264,7 +269,7 @@ def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> lis
                 )
                 x = qam_map(bits.ravel(), cfg.qam_order).reshape(len(rngs), mcfg.N, mcfg.M)
                 x = x.swapaxes(1, 2)  # each trial's symbols fill its grid column by column
-                y = add_awgn(apply_channel(modulate_fast(x, mcfg), channel), noise_var, rngs)
+                y = add_awgn(apply_channel(modulate_fast(x, mcfg), system), noise_var, rngs)
                 d = demodulate_fast(y, window, mcfg)
                 demapped = qam_demap(factors.detect(d).swapaxes(1, 2), cfg.qam_order)
                 errors += int(np.count_nonzero(demapped != bits.ravel()))

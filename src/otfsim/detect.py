@@ -4,25 +4,24 @@ With ``S = X F_N^H`` and ``Y = X~ F_N^H`` (unitary row IDFTs of the sent and
 received grids), column n obeys ``y_n = wr[n] (H_n s_n + v_n)``, the v_n
 white with variance noise_var and mutually uncorrelated, for any channel of
 length L <= cp_len + 1; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
-h(n*(M + cp_len) + cp_len + i, ell)``. :func:`assemble_effective` reads these
-gains from the channel once, and :func:`build_dd_response` reads the windowed
-delay-Doppler response from them. The detector undoes the window and
-estimates ``s_n = H_n^H A_n^{-1} y_n`` with ``A_n = H_n H_n^H + noise_var I``:
-MMSE for unit-energy symbols, and zero-forcing at noise_var = 0. As ``F_N
-kron I_M`` is unitary, both equal their MN x MN counterparts for the
-windowed system: an invertible receive window changes the delay-Doppler
-response, not a linear detector's output.
+h(n*(M + cp_len) + cp_len + i, ell)``. :func:`assemble_effective` samples h
+once; the simulator, the detector and :func:`build_dd_response` read that one
+array. The detector undoes the window and estimates ``s_n = H_n^H A_n^{-1}
+y_n`` with ``A_n = H_n H_n^H + noise_var I``: MMSE for unit-energy symbols,
+and zero-forcing at noise_var = 0. As ``F_N kron I_M`` is unitary, both equal
+their MN x MN counterparts for the windowed system: an invertible receive
+window changes the delay-Doppler response, not a linear detector's output.
 
-The system keeps only the tap gains of every H_n, O(N M D) numbers for D
-delays. In the zig-zag order 0, M-1, 1, M-2, ... A_n becomes a plain band
-of half-width at most 2(L-1); built from the gains in row blocks of B >=
-2(L-1) rows, the last padded with rows of (1 + noise_var) I, it is block
-tridiagonal. ``factor`` returns a frozen record of its block Cholesky factor
-at one noise level, diagonal blocks inverted, O(N M B) numbers, and the
-record's ``detect`` costs batched block products and one shifted product
-per delay: O(N M (B + D)) work. ZF solves these normal equations, so its
-error grows as cond(H_n)^2; a symbol whose estimated rcond(A_n) is below
-1e-12 (for ZF, cond(H_n) > 1e6) is refused by name.
+The system keeps only the tap gains, O(N (M + cp_len) D) numbers for D delays.
+In the zig-zag order 0, M-1, 1, M-2, ... A_n becomes a plain band of
+half-width at most 2 ell_max, for the largest delay ell_max; built from the
+gains in row blocks of B >= 2 ell_max rows, the last padded with rows of
+(1 + noise_var) I, it is block tridiagonal. ``factor`` returns a frozen record
+of its block Cholesky factor at one noise level, diagonal blocks inverted,
+O(N M B) numbers, and the record's ``detect`` costs batched block products and
+one shifted product per delay: O(N M (B + D)) work. ZF solves these normal
+equations, so its error grows as cond(H_n)^2; a symbol whose estimated
+rcond(A_n) is below 1e-12 (for ZF, cond(H_n) > 1e6) is refused by name.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel, LtvChannel
 from .grids import ModemConfig, apply_window
-from .numerics import SingularMatrixError, all_finite, check_noise_var, dft
+from .numerics import SingularMatrixError, all_finite, as_array, check_noise_var, dft, require
 
 #: smallest estimated reciprocal condition number of A_n the detectors accept
 RCOND_MIN = 1e-12
@@ -41,18 +39,27 @@ RCOND_MIN = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EffectiveSystem:
-    """The per-symbol model of one channel/window/config combination.
-
-    The unwindowed H_n of `channel` is ``H_n[i, (i - delays[j]) mod M] =
-    gains[n, i, j]``, shape (N, M, D), as :func:`assemble_effective` reads
-    them. `window` is undone by the detector.
-    """
+    """One channel/window/config combination, as simulated and as detected:
+    ``taps[kappa, j] = h(kappa, delays[j])`` at each sample of a frame, (frame_len, D),
+    and the unwindowed ``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``, a view of
+    them. `window` is undone by the detector."""
 
     delays: np.ndarray
-    gains: np.ndarray
+    taps: np.ndarray
     window: np.ndarray
     cfg: ModemConfig
-    channel: LtvChannel | BlockFadingChannel
+
+    @property
+    def gains(self) -> np.ndarray:
+        """`taps` at the samples each symbol keeps, shape (N, M, D): a view."""
+        return self.taps.reshape(self.cfg.N, self.cfg.sym_len, -1)[:, self.cfg.cp_len :]
+
+    def coeffs(self, kappa) -> tuple[np.ndarray, np.ndarray]:
+        """The channel interface: the delays and ``taps[kappa]``, kappa in [0, frame_len)."""
+        kappa, size = as_array("kappa", kappa, dtype=None), len(self.taps)
+        ok = kappa.dtype.kind in "iu" and np.all((kappa >= 0) & (kappa < size))
+        require(ok, "kappa", f"integer sample indices in [0, {size})", kappa)
+        return self.delays, self.taps[kappa]
 
     def factor(self, noise_var: float) -> Factors:
         """The factors of every A_n: zero-forcing at noise_var 0, MMSE above it.
@@ -108,8 +115,8 @@ def _zigzag(m: int) -> np.ndarray:
 
 def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSystem:
     """Build the per-symbol system for a channel, receive window, and config:
-    the tap delays and their gains ``gains[n, i, j] = h(n*(M + cp_len) + cp_len
-    + i, delays[j])`` at the samples symbol n keeps, shape (N, M, D).
+    the tap delays and their gains ``taps[kappa, j] = h(kappa, delays[j])`` at
+    every sample of a frame, the one sampling of `ch` in a run.
 
     Refuses a channel longer than cp_len + 1, whose inter-symbol interference
     reaches the kept samples and which the per-symbol model would omit; a
@@ -128,11 +135,10 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
             f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
             "per-symbol model would ignore the inter-symbol interference it causes"
         )
-    delays, gains = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())
-    if not all_finite(gains):
+    delays, taps = ch.coeffs(np.arange(cfg.frame_len))
+    if not all_finite(taps):
         raise ValueError("channel has non-finite values")
-    gains = gains.reshape(cfg.N, cfg.M, -1)
-    return EffectiveSystem(delays=delays, gains=gains, window=window, cfg=cfg, channel=ch)
+    return EffectiveSystem(delays=delays, taps=taps, window=window, cfg=cfg)
 
 
 def build_dd_response(system: EffectiveSystem) -> np.ndarray:
@@ -168,11 +174,11 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
 def _factorize(system: EffectiveSystem, noise_var: float):
     """``inv``, ``low`` and ``rcond`` of :class:`Factors`. A_n is built in K = ceil(M / B)
     row blocks of B = ceil(M / K0) rows, for the most blocks K0 of at least
-    max(2(L - 1), 8) rows that M splits into. Refuses, by name, the first symbol
-    whose A_n is not positive definite or whose rcond, estimated by two
-    inverse-iteration steps against the largest row sum of |A_n|, is below RCOND_MIN."""
+    max(2 ell_max, 8) rows, ell_max the largest delay, that M splits into. Refuses, by
+    name, the first symbol whose A_n is not positive definite or whose rcond, estimated
+    by two inverse-iteration steps against the largest row sum of |A_n|, is below RCOND_MIN."""
     m, n_sym, g = system.cfg.M, system.cfg.N, system.gains
-    b = -(-m // max(m // max(2 * (system.channel.length - 1), 8), 1))
+    b = -(-m // max(m // max(2 * system.delays.max(initial=0), 8), 1))
     k_count = -(-m // b)
     rows, pos = np.arange(m), _zigzag(m)
     lag = (system.delays[None, :] - system.delays[:, None]) % m  # lag[j, j'] = ell' - ell

@@ -76,6 +76,20 @@ def random_ltv_channel(rng, n_taps, max_delay, max_doppler):
     return LtvChannel(taps)
 
 
+class CountingChannel:
+    """`ch`, recording the length of each call of its coeffs; a call past the
+    first `limit` raises, so a test can show that a channel is not sampled again."""
+
+    def __init__(self, ch, limit=None):
+        self.ch, self.limit, self.calls, self.length = ch, limit, [], ch.length
+
+    def coeffs(self, kappa):
+        self.calls.append(len(kappa))
+        if self.limit is not None and len(self.calls) > self.limit:
+            raise AssertionError(f"coeffs called {len(self.calls)} times, limit {self.limit}")
+        return self.ch.coeffs(kappa)
+
+
 def random_block_fading_channel(rng, cfg, length):
     """Random per-symbol impulse responses (unit average power)."""
     gains = rng.normal(size=(cfg.N, length)) + 1j * rng.normal(size=(cfg.N, length))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CountingChannel,
     block_circulant_assemble,
     build_doppler_taps,
     channel_blocks,
@@ -124,18 +125,10 @@ class TestApplyChannel:
         # every frame of a batch starts at kappa = 0; the gains are computed once
         rng = np.random.default_rng(46)
         ch = random_ltv_channel(rng, n_taps=3, max_delay=4, max_doppler=0.02)
-        calls = []
-
-        class CountingChannel:
-            length = ch.length
-
-            def coeffs(self, kappa):
-                calls.append(len(kappa))
-                return ch.coeffs(kappa)
-
+        counting = CountingChannel(ch)
         s = rng.normal(size=(2, 3, 30)) + 1j * rng.normal(size=(2, 3, 30))
-        out = apply_channel(s, CountingChannel())
-        assert calls == [30]
+        out = apply_channel(s, counting)
+        assert counting.calls == [30]
         for idx in np.ndindex(2, 3):
             np.testing.assert_array_equal(out[idx], apply_channel(s[idx], ch))
 

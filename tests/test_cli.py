@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import qfunc, sequential_equivalence
+from oracles import CountingChannel, qfunc, sequential_equivalence
 
 from otfsim import audit, cli
 from otfsim.cli import (
@@ -178,6 +178,18 @@ class TestConfig:
             "OTFS_SEED": f"must be a non-negative integer, got {env_seed!r}"
         }
 
+    @pytest.mark.parametrize("file_seed", [11, -2])
+    def test_bad_env_seed_named_with_the_other_bad_settings(self, tmp_path, monkeypatch,
+                                                           file_seed):
+        # one refusal names them all; a set OTFS_SEED replaces the file seed,
+        # so a bad file seed goes unnamed
+        path = write_config(tmp_path, trials=0, seed=file_seed)
+        monkeypatch.setenv("OTFS_SEED", "abc")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path), {"M": 1})
+        assert set(exc.value.fields) == {"OTFS_SEED", "M", "trials"}
+        assert exc.value.fields["OTFS_SEED"] == "must be a non-negative integer, got 'abc'"
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, trails=10, window={"kind": "rectangular", "rolloff": 1})
         with pytest.raises(ConfigError) as err:
@@ -202,6 +214,22 @@ class TestSimulate:
         )
         rows = run_simulation(cfg)
         assert rows[0]["bit_errors"] == 0
+
+    def test_a_run_samples_the_channel_once(self, tmp_path, monkeypatch):
+        # the system the run builds is the channel it simulates, chunk after
+        # chunk, and the channel its detector models
+        build, channels = RunConfig.build_channel, []
+
+        def counted(cfg):
+            channels.append(CountingChannel(build(cfg), limit=1))
+            return channels[-1]
+
+        monkeypatch.setattr(RunConfig, "build_channel", counted)
+        path = write_config(tmp_path, snr_db=[0.0, 6.0], trials=3)
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 2 * (16 + 4) * 4)
+        for detector in ("zf", "mmse"):
+            assert main(["simulate", "--config", str(path), "--detector", detector]) == 0
+        assert [c.calls for c in channels] == [[80], [80]]
 
     def test_awgn_ber_matches_closed_form(self):
         # identity channel, QPSK: BER = Q(sqrt(snr_linear))

@@ -1,8 +1,10 @@
 """Tests for the per-symbol system, its noise statistics, and the linear detectors."""
 
+import ast
 import re
 import threading
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CountingChannel,
     bands_to_blocks,
     batched_noise_receiver,
     channel_blocks,
@@ -540,6 +543,31 @@ class TestBandedMatchesDense:
         assert sys.factor(1.0).inv.shape[1] == BANDED_GEOMETRIES[geometry]
         np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
 
+    @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
+    def test_block_size_from_the_largest_delay(self, window_kind):
+        # a block-fading channel of length Mcp + 1 = 17 whose columns past
+        # delay 2 are all zero: B comes from its largest delay, 2, so 8 blocks
+        # of the floor of 8 rows, where its length would give 2 blocks of 32
+        rng = np.random.default_rng(74)
+        cfg = ModemConfig(M=64, N=3, cp_len=16)
+        gains = np.zeros((3, 17), dtype=complex)
+        gains[:, :3] = 0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        gains[:, 0] += 1.0
+        ch, window = BlockFadingChannel(gains, cfg.sym_len), make_window(window_kind, 3)
+        sys = assemble_effective(ch, window, cfg)
+        np.testing.assert_array_equal(sys.delays, [0, 1, 2])
+        assert sys.factor(0.0).inv.shape[1] == 8
+        h_dense = dense_effective(ch, window, cfg)
+        d = rng.normal(size=64 * 3) + 1j * rng.normal(size=64 * 3)
+        grid = unvec(d, cfg.M, cfg.N)
+        np.testing.assert_allclose(
+            sys.factor(0.0).detect(grid), dense_zf(h_dense, d, cfg), rtol=0, atol=1e-9
+        )
+        cov = kron_noise_covariance(window, cfg, 0.1)
+        np.testing.assert_allclose(
+            sys.factor(0.1).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
+        )
+
     def test_chunked_factorization(self):
         # with one 400-row block per symbol, symbols are factored three at a
         # time: the second chunk solves as the first, and a complete fade in
@@ -572,6 +600,60 @@ class TestBandedMatchesDense:
         zf.detect(np.ones((1024, 32)))
         assert sum(a.nbytes for a in held_arrays(sys)) < 2 * 2**20
         assert sum(a.nbytes for a in held_arrays(sys, zf)) < 32 * 2**20
+
+
+@st.composite
+def sampled_channel_cases(draw):
+    """Any geometry, non-powers of two included, a channel no longer than
+    cp_len + 1, LTV with Doppler and phase or block fading, and a generator."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(2, 9))
+    cfg = ModemConfig(M=m, N=n, cp_len=draw(st.integers(0, m - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(1, cfg.cp_len + 1))
+    if draw(st.booleans()):
+        return random_ltv_channel(rng, draw(st.integers(1, 4)), length - 1, 0.05), cfg, rng
+    return random_block_fading_channel(rng, cfg, length), cfg, rng
+
+
+class TestOneSampledChannel:
+    """The simulator and the detector read one array, sampled once from the channel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampled_channel_cases())
+    def test_system_is_the_channel_sampled_over_the_frame(self, case):
+        ch, cfg, rng = case
+        sys = assemble_effective(ch, make_window("rectangular", cfg.N), cfg)
+        delays, taps = ch.coeffs(np.arange(cfg.frame_len))
+        np.testing.assert_array_equal(sys.delays, delays)
+        np.testing.assert_array_equal(sys.taps, taps)
+        # the detector's view of the kept samples, and those samples read alone
+        kept = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())[1]
+        np.testing.assert_array_equal(sys.gains, kept.reshape(cfg.N, cfg.M, -1))
+        assert np.shares_memory(sys.gains, sys.taps)
+        signal = rng.normal(size=(2, cfg.frame_len)) + 1j * rng.normal(size=(2, cfg.frame_len))
+        np.testing.assert_array_equal(apply_channel(signal, sys), apply_channel(signal, ch))
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    def test_a_sweep_runs_the_system_it_is_given(self, monkeypatch, detector):
+        # two SNR points of three trials in two chunks each: the channel is
+        # sampled once, to build the system, and the rows are those of a
+        # system built by the sweep itself
+        cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=(0.0, 10.0),
+                        trials=3, seed=2)
+        monkeypatch.setattr(cli, "CHUNK_SAMPLES", 2 * cfg.modem_config().frame_len)
+        channel = CountingChannel(cfg.build_channel(), limit=1)
+        system = assemble_effective(channel, cfg.build_window(), cfg.modem_config())
+        assert run_simulation(cfg, system) == run_simulation(cfg)
+        assert channel.calls == [cfg.modem_config().frame_len]
+
+    def test_system_fields_are_plain_data(self):
+        assert [f.name for f in fields(detect.EffectiveSystem)] == ["delays", "taps", "window", "cfg"]
+
+    def test_detect_imports_grids_and_numerics_alone(self):
+        # the channel objects build a system; the detector never reads them
+        tree = ast.parse(Path(detect.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported == {"__future__", "dataclasses", "grids", "numerics"}
 
 
 class TestBatchMatchesFrames:
@@ -665,7 +747,7 @@ class TestTransmitWindowCost:
             cfg.insert_cp(frames)
             # both windows see the same noise, so their error powers are paired
             y = add_awgn(apply_channel(frames, channel), 0.1, noise_seeds)
-            told = replace(system, gains=system.gains * window[:, None, None])
+            told = replace(system, taps=system.taps * np.repeat(window, cfg.sym_len)[:, None])
             error = told.factor(0.0).detect(demodulate_fast(y, rectangular, cfg)) - x
             powers.append(np.sum(np.abs(error) ** 2, axis=(1, 2)))
         flat, tapered = powers

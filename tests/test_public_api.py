@@ -1,7 +1,8 @@
 """Every public call refuses a bad argument by name.
 
-Each callable in ``otfsim.__all__``, and the two steps of detection,
-``EffectiveSystem.factor`` and ``Factors.detect``, is called with valid
+Each callable in ``otfsim.__all__``, the two steps of detection,
+``EffectiveSystem.factor`` and ``Factors.detect``, and the channel
+interface of the system, ``EffectiveSystem.coeffs``, is called with valid
 arguments but one (in a few explicit examples, two), which takes a value
 of the wrong type or an odd value, and what it returns is used as a
 caller would use it.
@@ -145,6 +146,8 @@ CALLS = {
     "assemble_effective": (assemble_effective, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                            {"window": "array"}),
     "EffectiveSystem.factor": (detected, lambda: dict(noise_var=0.1), {"noise_var": "real"}),
+    "EffectiveSystem.coeffs": (SYSTEM.coeffs, lambda: dict(kappa=np.arange(CFG.frame_len)),
+                               {"kappa": "array"}),
     "Factors.detect": (FACTORS.detect, lambda: dict(d_tilde=grid()), {"d_tilde": "array"}),
     "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2),
                     {"M": "int", "N": "int", "cp_len": "int"}),
@@ -205,13 +208,15 @@ def odd_arrays(v: np.ndarray):
     """Arrays of numbers derived from the valid argument `v`: non-finite
     entries, other shapes, dtypes and layouts, and huge values."""
     flat = np.arange(v.size).reshape(v.shape) == 1
+    with np.errstate(over="ignore"):  # infinite where |v| > 1.8, as sample indices are
+        huge = v * 1e308
     return st.one_of(
         st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan)]).map(
             lambda bad: np.where(flat, bad, v)
         ),
         st.sampled_from([
             v.ravel()[:-1], v[..., :-1], v[None], np.stack([v, v]), v.T, v[::-1], np.empty(0),
-            np.asarray(1.0), v * 1e308, v.tolist(), np.asfortranarray(v), v.real.astype(np.int8),
+            np.asarray(1.0), huge, v.tolist(), np.asfortranarray(v), v.real.astype(np.int8),
             v.real.astype(np.float32), v != 0,
         ]),
         st.lists(st.floats(), max_size=6),
@@ -326,6 +331,7 @@ def test_counter_passed_by_position_refused_by_name():
 @example(("ChannelTap", {"doppler": 10**400}, "doppler"))  # too large for a float
 @example(("add_awgn", {"noise_var": 10**400}, "noise_var"))
 @example(("EffectiveSystem.factor", {"noise_var": 10**400}, "noise_var"))
+@example(("EffectiveSystem.coeffs", {"kappa": [[0, 39], [1, 2]]}, None))
 def test_bad_argument_refused_by_name(case):
     name, args, wrong_type = case
     call, valid, _ = CALLS[name]
@@ -344,3 +350,11 @@ def test_bad_argument_refused_by_name(case):
                 assert message.endswith(f", got {shown(args[wrong_type])}"), message
             return
     assert wrong_type is None, f"{name} accepted {wrong_type}={args[wrong_type]!r}"
+
+
+@pytest.mark.parametrize("kappa", [[0.5], [0.0, 1.0], [-1], [0, CFG.frame_len], True],
+                         ids=["fraction", "float", "negative", "past-the-frame", "bool"])
+def test_system_coeffs_refuse_a_sample_outside_the_frame(kappa):
+    # the system samples the channel over one frame, and nowhere else
+    with pytest.raises(ValueError, match=r"^kappa must be integer sample indices in \[0, 40\), got"):
+        SYSTEM.coeffs(kappa)
