@@ -121,7 +121,10 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     """
     signal = as_array("signal", signal, ndim=1, finite=True)
     size = signal.shape[-1]
-    delays, h = ch.coeffs(np.arange(size))
+    try:
+        delays, h = ch.coeffs(np.arange(size))
+    except ValueError:  # a system is sampled over one frame alone
+        require(False, "signal", "frames no longer than the samples ch holds", signal)
     out = np.zeros_like(signal)
     for j, ell in enumerate(delays[delays < size]):
         out[..., ell:] += h[ell:, j] * signal[..., : size - ell]

@@ -13,15 +13,16 @@ their MN x MN counterparts for the windowed system: an invertible receive
 window changes the delay-Doppler response, not a linear detector's output.
 
 The system keeps only the tap gains, O(N (M + cp_len) D) numbers for D delays.
-In the zig-zag order 0, M-1, 1, M-2, ... A_n becomes a plain band of
-half-width at most 2 ell_max, for the largest delay ell_max; built from the
-gains in row blocks of B >= 2 ell_max rows, the last padded with rows of
-(1 + noise_var) I, it is block tridiagonal. ``factor`` returns a frozen record
-of its block Cholesky factor at one noise level, diagonal blocks inverted,
-O(N M B) numbers, and the record's ``detect`` costs batched block products and
-one shifted product per delay: O(N M (B + D)) work. ZF solves these normal
-equations, so its error grows as cond(H_n)^2; a symbol whose estimated
-rcond(A_n) is below 1e-12 (for ZF, cond(H_n) > 1e6) is refused by name.
+``factor`` returns a frozen record of A_n's block Cholesky factor at one noise
+level, made in three steps. `_order` alone picks the row order, zig-zag 0, M-1,
+1, M-2, ..., where A_n is a band of half-width at most 2 ell_max for the largest
+delay ell_max, and row blocks of B >= 2 ell_max rows; `_build` writes H_n H_n^H's
+blocks from the gains, the last padded with rows of I, so A_n is block tridiagonal;
+and `_cholesky` factors them in place, diagonal blocks inverted, O(N M B) numbers.
+The record's ``detect`` costs batched block products and one shifted product per
+delay: O(N M (B + D)) work. ZF solves these normal equations, so its error grows
+as cond(H_n)^2; a symbol whose estimated rcond(A_n) is below 1e-12 (for ZF,
+cond(H_n) > 1e6) is refused by name.
 """
 
 from __future__ import annotations
@@ -70,12 +71,14 @@ class EffectiveSystem:
 
 @dataclass(frozen=True, eq=False)
 class Factors:
-    """The block Cholesky factor L_n of each A_n of `system` at `noise_var`:
-    ``inv[n, k]`` inverts its diagonal block k, ``low[n, k - 1]`` is its block
-    (k, k - 1), and ``rcond[n]`` estimates A_n's reciprocal condition number."""
+    """The block Cholesky factor L_n of each A_n of `system` at `noise_var`, from :func:`_order`,
+    :func:`_build` and :func:`_cholesky`: A_n's row i is L_n's row ``pos[i]``, ``inv[n, k]``
+    inverts its diagonal block k, ``low[n, k - 1]`` is its block (k, k - 1), and ``rcond[n]``
+    estimates A_n's reciprocal condition number."""
 
     system: EffectiveSystem
     noise_var: float
+    pos: np.ndarray
     inv: np.ndarray
     low: np.ndarray
     rcond: np.ndarray
@@ -87,30 +90,23 @@ class Factors:
 
 def fast_block_solve(d_tilde, factors: Factors) -> np.ndarray:
     """:meth:`Factors.detect`, bound at module level so a tracer can rebind it. The
-    row IDFTs of the T grids, window undone, are gathered into zig-zag block columns
-    (N, K, B, T) for the block solve; H_n^H then takes one shifted product per delay
-    in the natural row order. Each block product has T columns and can round
-    differently from T one-grid solves in the last bits. In a counting scope, both
-    row transforms are charged to `detect_rows`."""
+    row IDFTs of the T grids, window undone, are gathered in the order ``factors.pos``
+    into block columns (N, K, B, T) for the block solve; H_n^H then takes one shifted
+    product per delay in the natural row order. Each block product has T columns and
+    can round differently from T one-grid solves in the last bits. In a counting
+    scope, both row transforms are charged to `detect_rows`."""
     sys = factors.system
     m, n_sym, d = sys.cfg.M, sys.cfg.N, sys.cfg.check_grid(d_tilde, "d_tilde")
-    k_count, b, pos = factors.inv.shape[1], factors.inv.shape[2], _zigzag(m)
     y = dft(d.reshape(-1, m, n_sym), inverse=True, axis=-1, stage="detect_rows")
     y = apply_window(y, 1 / sys.window)
-    u = np.zeros((n_sym, k_count * b, y.shape[0]), dtype=np.complex128)
-    u[:, pos] = y.T
-    u = _solve(factors.inv, factors.low, u.reshape(n_sym, k_count, b, -1))  # conjugated
-    u = u.reshape(n_sym, k_count * b, -1)[:, pos]
+    rows = (slice(None), *np.unravel_index(factors.pos, factors.inv.shape[1:3]))  # (block, row)
+    u = np.zeros((*factors.inv.shape[:-1], len(y)), dtype=np.complex128)
+    u[rows] = y.T
+    u = _solve(factors.inv, factors.low, u)[rows]  # conjugated
     s = np.zeros_like(u)  # conj(H_n^H v)[(i - ell) mod M] += g[n, i, ell] conj(v)[i]
     for j, ell in enumerate(sys.delays):
         s += np.roll(sys.gains[:, :, j, None] * u, -ell, axis=1)
     return dft(np.conj(s.T), axis=-1, stage="detect_rows").reshape(d.shape)
-
-
-def _zigzag(m: int) -> np.ndarray:
-    """The position of each of m indices in the zig-zag order 0, m-1, 1, m-2, ..."""
-    i = np.arange(m)
-    return np.where(2 * i < m, 2 * i, 2 * (m - i) - 1)
 
 
 def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSystem:
@@ -171,51 +167,33 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     return out
 
 
+def _order(delays: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The row pos[i] of each index i < m in the zig-zag order 0, m-1, 1, m-2, ..., and the block
+    size B = ceil(m / K0) for the most blocks K0 of at least max(2 max(delays), 8) rows."""
+    i, b = np.arange(m), -(-m // max(m // max(2 * delays.max(initial=0), 8), 1))
+    return np.where(2 * i < m, 2 * i, 2 * (m - i) - 1), b
+
+
 def _factorize(system: EffectiveSystem, noise_var: float):
-    """``inv``, ``low`` and ``rcond`` of :class:`Factors`. A_n is built in K = ceil(M / B)
-    row blocks of B = ceil(M / K0) rows, for the most blocks K0 of at least
-    max(2 ell_max, 8) rows, ell_max the largest delay, that M splits into. Refuses, by
-    name, the first symbol whose A_n is not positive definite or whose rcond, estimated
-    by two inverse-iteration steps against the largest row sum of |A_n|, is below RCOND_MIN."""
-    m, n_sym, g = system.cfg.M, system.cfg.N, system.gains
-    b = -(-m // max(m // max(2 * system.delays.max(initial=0), 8), 1))
+    """``pos``, ``inv``, ``low`` and ``rcond`` of :class:`Factors`, a chunk of symbols at a time.
+    Refuses, by name, the first symbol whose rcond, estimated by two inverse-iteration steps
+    against the largest row sum of |A_n|, is below RCOND_MIN."""
+    m, n_sym = system.cfg.M, system.cfg.N
+    pos, b = _order(system.delays, m)
     k_count = -(-m // b)
-    rows, pos = np.arange(m), _zigzag(m)
-    lag = (system.delays[None, :] - system.delays[:, None]) % m  # lag[j, j'] = ell' - ell
-    # A_n's blocks (k, k) and (k, k - 1) are built here, then factored in place
     inv = np.zeros((n_sym, k_count, b, b), dtype=np.complex128)
     low = np.zeros((n_sym, k_count - 1, b, b), dtype=np.complex128)
     norm = np.empty(n_sym)  # the largest absolute row sum of A_n, padding rows left out
-    pad = np.arange(m, k_count * b) % b
     step = max(2**19 // ((3 * k_count - 2) * b * b), 1)  # symbols per chunk: temporaries of 8 MB
     for first in range(0, n_sym, step):
-        h, d, c = g[first : first + step], inv[first : first + step], low[first : first + step]
-        for s in set(lag.flat):
-            # A_n[i, (i + s) mod M] sums g[n, i, ell] conj(g[n, i + s, ell']) over ell' - ell = s;
-            # in the zig-zag order it is entry (pos[i], q), kept in block (k, k) or (k, k - 1)
-            j, j2 = np.nonzero(lag == s)
-            a = (h[:, :, j] * np.roll(h[:, :, j2], -s, axis=1).conj()).sum(axis=-1)
-            q = pos[(rows + s) % m]
-            diag, sub = pos // b == q // b, pos // b == q // b + 1
-            d.reshape(len(d), -1)[:, pos[diag] * b + q[diag] % b] = a[:, diag]
-            c.reshape(len(c), -1)[:, (pos[sub] - b) * b + q[sub] % b] = a[:, sub]
-        d[:, -1, pad, pad] = 1.0
+        d, c = inv[first : first + step], low[first : first + step]
+        _build(system.delays, system.gains[first : first + step], pos, d, c)
         d += noise_var * np.eye(b)
         sums = np.abs(d).sum(axis=-1)
         sums[:, 1:] += np.abs(c).sum(axis=-1)
         sums[:, :-1] += np.abs(c).sum(axis=-2)
         norm[first : first + step] = sums.reshape(len(d), -1)[:, :m].max(axis=1)
-        for k in range(k_count):
-            if k:
-                c[:, k - 1] = e = c[:, k - 1] @ _herm(d[:, k - 1])
-                d[:, k] -= e @ _herm(e)
-            try:
-                d[:, k] = _tril_inv(np.linalg.cholesky(d[:, k]))
-            except np.linalg.LinAlgError:
-                w = np.linalg.eigvalsh(d[:, k])
-                n = first + int(np.argmax(w[:, 0] <= RCOND_MIN * w[:, -1]))
-                raise SingularMatrixError(f"symbol {n} of {n_sym} is singular: H_n H_n^H + "
-                                          "noise_var I is not positive definite") from None
+        _cholesky(d, c, first, n_sym)
     u = np.pad(np.cos(np.arange(m)) + 0j, (0, k_count * b - m)).reshape(k_count, b, 1)
     u = np.repeat(u[None], n_sym, axis=0)
     with np.errstate(all="ignore"):  # an overflow is a refusal too
@@ -227,12 +205,46 @@ def _factorize(system: EffectiveSystem, noise_var: float):
     if bad.size:
         raise SingularMatrixError(f"symbol {bad[0]} of {n_sym} is singular: H_n H_n^H + noise_var"
                                   f" I has estimated rcond {1 / size[bad[0]]:.1e} < {RCOND_MIN:g}")
-    return inv, low, 1 / size
+    return pos, inv, low, 1 / size
+
+
+def _build(delays: np.ndarray, gains: np.ndarray, pos: np.ndarray, d: np.ndarray, c: np.ndarray):
+    """Write H_n H_n^H, for ``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``, row i at row
+    pos[i], into the zero blocks (k, k) d[n, k] and (k, k - 1) c[n, k - 1], padded by I."""
+    m, b = gains.shape[1], d.shape[-1]
+    rows, lag = np.arange(m), (delays[None, :] - delays[:, None]) % m  # lag[j, j'] = ell' - ell
+    for s in set(lag.flat):
+        # A_n[i, (i + s) mod M] sums g[n, i, ell] conj(g[n, i + s, ell']) over ell' - ell = s;
+        # in the order pos it is entry (pos[i], q), kept in block (k, k) or (k, k - 1)
+        j, j2 = np.nonzero(lag == s)
+        a = (gains[:, :, j] * np.roll(gains[:, :, j2], -s, axis=1).conj()).sum(axis=-1)
+        q = pos[(rows + s) % m]
+        diag, sub = pos // b == q // b, pos // b == q // b + 1
+        d.reshape(len(d), -1)[:, pos[diag] * b + q[diag] % b] = a[:, diag]
+        c.reshape(len(c), -1)[:, (pos[sub] - b) * b + q[sub] % b] = a[:, sub]
+    pad = np.arange(m, d.shape[1] * b) % b
+    d[:, -1, pad, pad] = 1.0
+
+
+def _cholesky(d: np.ndarray, c: np.ndarray, first: int, n_sym: int):
+    """Overwrite A_n's blocks of :func:`_build` with ``inv`` and ``low`` of :class:`Factors`.
+    Refuses, as symbol first + n of n_sym, the first A_n that is not positive definite."""
+    for k in range(d.shape[1]):
+        if k:
+            c[:, k - 1] = e = c[:, k - 1] @ _herm(d[:, k - 1])
+            d[:, k] -= e @ _herm(e)
+        try:
+            d[:, k] = _tril_inv(np.linalg.cholesky(d[:, k]))
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(d[:, k])
+            n = first + int(np.argmax(w[:, 0] <= RCOND_MIN * w[:, -1]))
+            raise SingularMatrixError(f"symbol {n} of {n_sym} is singular: H_n H_n^H + "
+                                      "noise_var I is not positive definite") from None
 
 
 def _solve(inv: np.ndarray, low: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``conj(A_n^{-1} y_n)`` for block columns y (N, K, B, T), by block forward
-    and back substitution with the factors of :func:`_factorize`; overwrites y.
+    and back substitution with the factors of :func:`_cholesky`; overwrites y.
     The back substitution runs on conj(y), where each L^H is a transpose."""
     y[:, 0] = inv[:, 0] @ y[:, 0]
     for k in range(1, inv.shape[1]):

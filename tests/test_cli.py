@@ -832,10 +832,14 @@ def test_out_that_is_a_file_named(tmp_path, capsys, argv):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy's import alone costs a few tenths of a second of every otfs run
+    # scipy's import alone costs a few tenths of a second of every otfs run; it,
+    # hypothesis and pytest are test dependencies, which an installed otfs lacks
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys, otfsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, otfsim.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest', '_pytest')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )

@@ -517,8 +517,8 @@ class TestBandedMatchesDense:
     @given(banded_cases(), st.sampled_from([0.0, 0.3]))
     def test_factor_rebuilds_the_banded_normal_matrix(self, case, noise_var):
         # the block-lower L of the factors, rebuilt from inv and low, gives
-        # L L^H = H_n H_n^H + noise_var I in the zig-zag order, padded with
-        # (1 + noise_var) I, for the dense H_n of the channel oracle
+        # L L^H = H_n H_n^H + noise_var I, row i at the recorded row pos[i],
+        # padded with (1 + noise_var) I, for the dense H_n of the channel oracle
         ch, window, cfg, _, _ = case
         factors = assemble_effective(ch, window, cfg).factor(noise_var)
         n, k_count, b, _ = factors.inv.shape
@@ -527,11 +527,9 @@ class TestBandedMatchesDense:
             chol[:, k * b : (k + 1) * b, k * b : (k + 1) * b] = np.linalg.inv(factors.inv[:, k])
             if k:
                 chol[:, k * b : (k + 1) * b, (k - 1) * b : k * b] = factors.low[:, k - 1]
-        h = channel_blocks(ch, cfg)
-        order = np.array([i // 2 if i % 2 == 0 else cfg.M - 1 - i // 2 for i in range(cfg.M)])
+        h, pos = channel_blocks(ch, cfg), factors.pos
         expected = np.repeat((1 + noise_var) * np.eye(k_count * b, dtype=complex)[None], n, 0)
-        expected[:, : cfg.M, : cfg.M] = (h @ h.conj().swapaxes(1, 2))[:, order[:, None], order]
-        expected[:, : cfg.M, : cfg.M] += noise_var * np.eye(cfg.M)
+        expected[:, pos[:, None], pos] = h @ h.conj().swapaxes(1, 2) + noise_var * np.eye(cfg.M)
         np.testing.assert_allclose(chol @ chol.conj().swapaxes(1, 2), expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("geometry", sorted(BANDED_GEOMETRIES), ids=lambda g: "M%d-Mcp%d" % g)
@@ -566,6 +564,24 @@ class TestBandedMatchesDense:
         cov = kron_noise_covariance(window, cfg, 0.1)
         np.testing.assert_allclose(
             sys.factor(0.1).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
+    def test_large_blocks_equal_dense_oracle(self, window_kind):
+        # taps at delays 0 and 40 of M = 160 give two blocks of 80 rows, large
+        # enough that each triangular inverse recurses by halves
+        rng = np.random.default_rng(75)
+        cfg = ModemConfig(M=160, N=2, cp_len=40)
+        ch = LtvChannel((ChannelTap(0, 1.0, doppler=0.003), ChannelTap(40, 0.5j, doppler=-0.002)))
+        window = make_window(window_kind, 2)
+        sys, h_dense = assemble_effective(ch, window, cfg), dense_effective(ch, window, cfg)
+        d = rng.normal(size=160 * 2) + 1j * rng.normal(size=160 * 2)
+        zf, grid = sys.factor(0.0), unvec(d, cfg.M, cfg.N)
+        assert zf.inv.shape == (2, 2, 80, 80)
+        np.testing.assert_allclose(zf.detect(grid), dense_zf(h_dense, d, cfg), rtol=0, atol=1e-9)
+        cov = kron_noise_covariance(window, cfg, 0.2)
+        np.testing.assert_allclose(
+            sys.factor(0.2).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
         )
 
     def test_chunked_factorization(self):
@@ -805,6 +821,17 @@ class TestFactors:
         assert run_simulation(cfg) == expected
         assert sum(frames) == 9 and all(type(r) is Factors for r in records)
         assert len({id(r) for r in records}) == (3 if detector == "mmse" else 1)
+
+    def test_detection_reads_the_recorded_order(self, monkeypatch):
+        # the order is decided once, when the record is made
+        rng = np.random.default_rng(76)
+        cfg = ModemConfig(M=40, N=3, cp_len=6)
+        ch = random_ltv_channel(rng, n_taps=3, max_delay=6, max_doppler=0.02)
+        factors = assemble_effective(ch, tapered_window(3), cfg).factor(0.3)
+        d = rng.normal(size=(2, 40, 3)) + 1j * rng.normal(size=(2, 40, 3))
+        expected = factors.detect(d)
+        monkeypatch.setattr(detect, "_order", lambda *args: pytest.fail("order recomputed"))
+        np.testing.assert_array_equal(factors.detect(d), expected)
 
     def test_records_are_frozen(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)

@@ -352,6 +352,14 @@ def test_bad_argument_refused_by_name(case):
     assert wrong_type is None, f"{name} accepted {wrong_type}={args[wrong_type]!r}"
 
 
+@pytest.mark.parametrize("shape", [(CFG.frame_len + 1,), (2, CFG.frame_len + 1)])
+def test_apply_channel_refuses_a_frame_longer_than_the_system(shape):
+    # the system's channel is sampled over one frame: a longer signal is refused as signal
+    got = re.escape(f", got a {shape} complex128 array")
+    with pytest.raises(ValueError, match=f"^signal must be .*{got}$"):
+        apply_channel(np.ones(shape, dtype=complex), SYSTEM)
+
+
 @pytest.mark.parametrize("kappa", [[0.5], [0.0, 1.0], [-1], [0, CFG.frame_len], True],
                          ids=["fraction", "float", "negative", "past-the-frame", "bool"])
 def test_system_coeffs_refuse_a_sample_outside_the_frame(kappa):
