@@ -60,11 +60,6 @@ class LtvChannel:
         require(ok, "taps", "a non-empty sequence of ChannelTap", self.taps)
         object.__setattr__(self, "taps", taps)
 
-    @property
-    def length(self) -> int:
-        """Channel length L = 1 + max delay."""
-        return 1 + max(tap.delay for tap in self.taps)
-
     def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The tap delays, ascending, and their gains h(kappa, delay) at absolute
         sample indices, shape (len(kappa), number of delays); taps that share a
@@ -97,10 +92,6 @@ class BlockFadingChannel:
         require(gains.ndim == 2 and gains.size, "gains", "a non-empty (N, L) array", gains)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "sym_len", check_int("sym_len", self.sym_len, 1))
-
-    @property
-    def length(self) -> int:
-        return self.gains.shape[1]
 
     def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The delays whose gains are not all zero, and those gains at absolute

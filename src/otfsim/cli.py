@@ -474,7 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--detector", choices=DETECTORS)
     sim.add_argument("--channel", help="channel JSON file")
 
-    eqv = sub.add_parser("equivalence", help="fast vs reference modem check")
+    eqv = sub.add_parser("equivalence", help="fast vs reference modem check", description=(
+        "Compare the fast and reference modems on random grids. --qam and --out are accepted,"
+        " so that one config serves every command, and ignored: no file is written."))
     add_common(eqv)
     eqv.add_argument("--grids", type=int, help="random grids to compare")
 

@@ -2,8 +2,8 @@
 
 With ``S = X F_N^H`` and ``Y = X~ F_N^H`` (unitary row IDFTs of the sent and
 received grids), column n obeys ``y_n = wr[n] (H_n s_n + v_n)``, the v_n
-white with variance noise_var and mutually uncorrelated, for any channel of
-length L <= cp_len + 1; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
+white with variance noise_var and mutually uncorrelated, for any channel whose
+delays are at most cp_len; H_n is cyclic banded, ``H_n[i, (i - ell) mod M] =
 h(n*(M + cp_len) + cp_len + i, ell)``. :func:`assemble_effective` samples h
 once; the simulator, the detector and :func:`build_dd_response` read that one
 array. The detector undoes the window and estimates ``s_n = H_n^H A_n^{-1}
@@ -15,8 +15,8 @@ window changes the delay-Doppler response, not a linear detector's output.
 The system keeps only the tap gains, O(N (M + cp_len) D) numbers for D delays.
 ``factor`` returns a frozen record of A_n's block Cholesky factor at one noise
 level, made in three steps. `_order` alone picks the row order, zig-zag 0, M-1,
-1, M-2, ..., where A_n is a band of half-width at most 2 ell_max for the largest
-delay ell_max, and row blocks of B >= 2 ell_max rows; `_build` writes H_n H_n^H's
+1, M-2, ..., and row blocks of B >= 2 w rows, for w the largest cyclic distance
+of two delays (taps at 200 and 210 give w = 10); `_build` writes H_n H_n^H's
 blocks from the gains, the last padded with rows of I, so A_n is block tridiagonal;
 and `_cholesky` factors them in place, diagonal blocks inverted, O(N M B) numbers.
 The record's ``detect`` costs batched block products and one shifted product per
@@ -114,10 +114,10 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
     the tap delays and their gains ``taps[kappa, j] = h(kappa, delays[j])`` at
     every sample of a frame, the one sampling of `ch` in a run.
 
-    Refuses a channel longer than cp_len + 1, whose inter-symbol interference
-    reaches the kept samples and which the per-symbol model would omit; a
-    channel with non-finite values; and a window with a zero or non-finite
-    coefficient, which the detectors could not divide out.
+    Refuses a channel sampled at a delay past cp_len, whose inter-symbol
+    interference reaches the kept samples and which the per-symbol model would
+    omit; a channel with non-finite values; and a window with a zero or
+    non-finite coefficient, which the detectors could not divide out.
     """
     window = cfg.check_window(window)
     bad = np.flatnonzero(~np.isfinite(window) | (window == 0))
@@ -126,12 +126,12 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
             f"window wr[{bad[0]}] is {window[bad[0]]}; the detectors divide by "
             "the window, so every coefficient must be finite and nonzero"
         )
-    if ch.length > cfg.cp_len + 1:
+    delays, taps = ch.coeffs(np.arange(cfg.frame_len))
+    if delays.max(initial=0) > cfg.cp_len:
         raise ValueError(
-            f"channel length {ch.length} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
+            f"channel length {delays.max() + 1} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "
             "per-symbol model would ignore the inter-symbol interference it causes"
         )
-    delays, taps = ch.coeffs(np.arange(cfg.frame_len))
     if not all_finite(taps):
         raise ValueError("channel has non-finite values")
     return EffectiveSystem(delays=delays, taps=taps, window=window, cfg=cfg)
@@ -169,8 +169,12 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
 
 def _order(delays: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     """The row pos[i] of each index i < m in the zig-zag order 0, m-1, 1, m-2, ..., and the block
-    size B = ceil(m / K0) for the most blocks K0 of at least max(2 max(delays), 8) rows."""
-    i, b = np.arange(m), -(-m // max(m // max(2 * delays.max(initial=0), 8), 1))
+    size B = ceil(m / K0) for the most blocks K0 of at least max(2 w, 8) rows. A_n couples rows i
+    and (i + s) mod m only at a lag s = ell' - ell of two delays, so its band in the zig-zag order
+    has half-width at most 2 w, for w the largest cyclic distance min(s, m - s) of such a lag."""
+    lag = (delays[None, :] - delays[:, None]) % m
+    w = np.minimum(lag, m - lag).max(initial=0)
+    i, b = np.arange(m), -(-m // max(m // max(2 * w, 8), 1))
     return np.where(2 * i < m, 2 * i, 2 * (m - i) - 1), b
 
 

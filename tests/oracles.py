@@ -81,7 +81,7 @@ class CountingChannel:
     first `limit` raises, so a test can show that a channel is not sampled again."""
 
     def __init__(self, ch, limit=None):
-        self.ch, self.limit, self.calls, self.length = ch, limit, [], ch.length
+        self.ch, self.limit, self.calls = ch, limit, []
 
     def coeffs(self, kappa):
         self.calls.append(len(kappa))

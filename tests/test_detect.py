@@ -165,6 +165,15 @@ class TestAssembleEffective:
         with pytest.raises(ValueError, match=r"channel length 7 exceeds Mcp \+ 1 = 3"):
             assemble_effective(ch, make_window("rectangular", 4), cfg)
 
+    def test_refuses_block_fading_by_its_largest_sampled_delay(self):
+        # seven gain columns, but delay 5 the last that is not all zero
+        cfg = ModemConfig(M=16, N=3, cp_len=4)
+        gains = np.zeros((3, 7), dtype=complex)
+        gains[:, 0], gains[1, 5] = 1.0, 0.5
+        ch = BlockFadingChannel(gains, cfg.sym_len)
+        with pytest.raises(ValueError, match=r"channel length 6 exceeds Mcp \+ 1 = 5"):
+            assemble_effective(ch, make_window("rectangular", 3), cfg)
+
     @pytest.mark.parametrize("value", [0.0, np.nan])
     def test_refuses_bad_window_coefficient(self, value):
         # the detectors divide by the window, so a zero or NaN coefficient
@@ -313,15 +322,14 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="d_tilde must be finite"):
             sys.factor(noise_var).detect(d)
 
-    @pytest.mark.parametrize("noise_var", DETECTORS)
-    def test_nan_channel_gain_rejected(self, noise_var):
-        # refused when the system is built, before either detector is factored
+    def test_nan_channel_gain_rejected(self):
+        # refused when the system is built, so neither detector is factored
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         gains = np.ones((4, 2), dtype=complex)
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         with pytest.raises(ValueError, match="non-finite"):
-            assemble_effective(ch, make_window("rectangular", 4), cfg).factor(noise_var)
+            assemble_effective(ch, make_window("rectangular", 4), cfg)
 
 
 class TestGridShape:
@@ -488,6 +496,49 @@ def banded_cases(draw):
     return ch, window, cfg, noise_var, rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
 
 
+def check_dense_oracle(ch, window, cfg, noise_var, rng):
+    """ZF, and MMSE at noise_var, of the system of `ch` on a grid drawn from `rng`
+    equal the dense MN x MN oracle's within 1e-9; returns the ZF factors."""
+    sys, h_dense = assemble_effective(ch, window, cfg), dense_effective(ch, window, cfg)
+    d = rng.normal(size=cfg.M * cfg.N) + 1j * rng.normal(size=cfg.M * cfg.N)
+    zf, grid = sys.factor(0.0), unvec(d, cfg.M, cfg.N)
+    np.testing.assert_allclose(zf.detect(grid), dense_zf(h_dense, d, cfg), rtol=0, atol=1e-9)
+    cov = kron_noise_covariance(window, cfg, noise_var)
+    np.testing.assert_allclose(
+        sys.factor(noise_var).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
+    )
+    return zf
+
+
+def difference_rule_block_rows(delays, m):
+    """B for the largest cyclic distance w of two delays: M split into the most
+    blocks of at least max(2 w, 8) rows, as evenly as whole rows allow."""
+    w = max(min((a - b) % m, (b - a) % m) for a in delays for b in delays)
+    k_count = max(m // max(2 * w, 8), 1)
+    return -(-m // k_count)
+
+
+@st.composite
+def sparse_tap_cases(draw):
+    """2 to 4 LTV taps at distinct delays in [0, Mcp], Mcp up to M - 1 and M not
+    only a power of two, with or without a tap at delay 0; one tap of unit gain
+    outweighs the others together, so every H_n is well conditioned."""
+    m, n = draw(st.integers(8, 64)), draw(st.integers(2, 3))
+    cp_len, with_zero = draw(st.integers(2, m - 1)), draw(st.booleans())
+    others = st.sets(st.integers(1, cp_len), min_size=2 - with_zero, max_size=4 - with_zero)
+    delays = sorted(draw(others) | ({0} if with_zero else set()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = 0.4 / (len(delays) - 1) * np.exp(2j * np.pi * rng.uniform(size=len(delays)))
+    gains[draw(st.integers(0, len(delays) - 1))] = 1.0
+    taps = tuple(
+        ChannelTap(d, complex(g), doppler=float(rng.uniform(-0.02, 0.02)))
+        for d, g in zip(delays, gains)
+    )
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), n, rho=draw(st.floats(0.1, 1.0)))
+    noise_var = draw(st.sampled_from([0.05, 0.7]))
+    return LtvChannel(taps), window, ModemConfig(M=m, N=n, cp_len=cp_len), noise_var, rng
+
+
 class TestBandedMatchesDense:
     """The zig-zag banded solve against the dense MN x MN oracle."""
 
@@ -543,28 +594,18 @@ class TestBandedMatchesDense:
 
     @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
     def test_block_size_from_the_largest_delay(self, window_kind):
-        # a block-fading channel of length Mcp + 1 = 17 whose columns past
-        # delay 2 are all zero: B comes from its largest delay, 2, so 8 blocks
-        # of the floor of 8 rows, where its length would give 2 blocks of 32
+        # a block-fading channel of Mcp + 1 = 17 gain columns whose columns past
+        # delay 2 are all zero: B comes from its sampled delays, at most 2 apart,
+        # so 8 blocks of the floor of 8 rows, where 17 columns would give 2 of 32
         rng = np.random.default_rng(74)
         cfg = ModemConfig(M=64, N=3, cp_len=16)
         gains = np.zeros((3, 17), dtype=complex)
         gains[:, :3] = 0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         gains[:, 0] += 1.0
-        ch, window = BlockFadingChannel(gains, cfg.sym_len), make_window(window_kind, 3)
-        sys = assemble_effective(ch, window, cfg)
-        np.testing.assert_array_equal(sys.delays, [0, 1, 2])
-        assert sys.factor(0.0).inv.shape[1] == 8
-        h_dense = dense_effective(ch, window, cfg)
-        d = rng.normal(size=64 * 3) + 1j * rng.normal(size=64 * 3)
-        grid = unvec(d, cfg.M, cfg.N)
-        np.testing.assert_allclose(
-            sys.factor(0.0).detect(grid), dense_zf(h_dense, d, cfg), rtol=0, atol=1e-9
-        )
-        cov = kron_noise_covariance(window, cfg, 0.1)
-        np.testing.assert_allclose(
-            sys.factor(0.1).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
-        )
+        ch = BlockFadingChannel(gains, cfg.sym_len)
+        zf = check_dense_oracle(ch, make_window(window_kind, 3), cfg, 0.1, rng)
+        np.testing.assert_array_equal(zf.system.delays, [0, 1, 2])
+        assert zf.inv.shape[1] == 8
 
     @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
     def test_large_blocks_equal_dense_oracle(self, window_kind):
@@ -573,16 +614,46 @@ class TestBandedMatchesDense:
         rng = np.random.default_rng(75)
         cfg = ModemConfig(M=160, N=2, cp_len=40)
         ch = LtvChannel((ChannelTap(0, 1.0, doppler=0.003), ChannelTap(40, 0.5j, doppler=-0.002)))
-        window = make_window(window_kind, 2)
-        sys, h_dense = assemble_effective(ch, window, cfg), dense_effective(ch, window, cfg)
-        d = rng.normal(size=160 * 2) + 1j * rng.normal(size=160 * 2)
-        zf, grid = sys.factor(0.0), unvec(d, cfg.M, cfg.N)
+        zf = check_dense_oracle(ch, make_window(window_kind, 2), cfg, 0.2, rng)
         assert zf.inv.shape == (2, 2, 80, 80)
-        np.testing.assert_allclose(zf.detect(grid), dense_zf(h_dense, d, cfg), rtol=0, atol=1e-9)
-        cov = kron_noise_covariance(window, cfg, 0.2)
-        np.testing.assert_allclose(
-            sys.factor(0.2).detect(grid), dense_mmse(h_dense, cov, d, cfg), rtol=0, atol=1e-9
-        )
+
+    @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
+    @pytest.mark.parametrize("m, cp_len, delays, k_count", [
+        pytest.param(256, 64, (40, 44), 32, id="offset-taps"),
+        pytest.param(64, 63, (0, 61), 8, id="conjugate-delays"),
+    ])
+    def test_blocks_sized_from_delay_differences(self, m, cp_len, delays, k_count, window_kind):
+        # A_n couples rows only at delay differences: taps at 40 and 44 are 4
+        # apart, and delays 0 and 61 of M = 64 (those of H_n^H for taps at 0
+        # and 3) are 3 apart cyclically, so both take blocks of 8 rows, where
+        # the largest delay would give 2 blocks and 1
+        rng = np.random.default_rng(76)
+        cfg = ModemConfig(M=m, N=2, cp_len=cp_len)
+        ch = LtvChannel((
+            ChannelTap(delays[0], 1.0, doppler=0.003), ChannelTap(delays[1], 0.5j, doppler=-0.002)
+        ))
+        zf = check_dense_oracle(ch, make_window(window_kind, 2), cfg, 0.2, rng)
+        assert zf.inv.shape == (2, k_count, 8, 8)
+
+    @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
+    def test_trailing_zero_gain_column_accepted(self, window_kind):
+        # Mcp + 2 gain columns, the last all zero: the sampled delays reach Mcp
+        # alone, so the per-symbol model is exact and the channel is accepted
+        rng = np.random.default_rng(77)
+        cfg = ModemConfig(M=16, N=3, cp_len=4)
+        gains = np.zeros((3, 6), dtype=complex)
+        gains[:, :5] = 0.1 * (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
+        gains[:, 0] += 1.0
+        ch = BlockFadingChannel(gains, cfg.sym_len)
+        zf = check_dense_oracle(ch, make_window(window_kind, 3), cfg, 0.1, rng)
+        np.testing.assert_array_equal(zf.system.delays, [0, 1, 2, 3, 4])
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_tap_cases())
+    def test_sparse_taps_follow_the_difference_rule(self, case):
+        ch, window, cfg, noise_var, rng = case
+        zf = check_dense_oracle(ch, window, cfg, noise_var, rng)
+        assert zf.inv.shape[-1] == difference_rule_block_rows(zf.system.delays, cfg.M)
 
     def test_chunked_factorization(self):
         # with one 400-row block per symbol, symbols are factored three at a

@@ -93,13 +93,11 @@ def tap_in_channel(**kwargs):
 
 
 def ltv_channel(**kwargs):
-    ch = LtvChannel(**kwargs)
-    return ch.length, ch.coeffs(np.arange(4))
+    return LtvChannel(**kwargs).coeffs(np.arange(4))
 
 
 def block_channel(**kwargs):
-    ch = BlockFadingChannel(**kwargs)
-    return ch.length, ch.coeffs(np.arange(12))
+    return BlockFadingChannel(**kwargs).coeffs(np.arange(12))
 
 
 def modem_config(**kwargs):
