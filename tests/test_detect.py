@@ -322,14 +322,15 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="d_tilde must be finite"):
             sys.factor(noise_var).detect(d)
 
-    def test_nan_channel_gain_rejected(self):
-        # refused when the system is built, so neither detector is factored
+    @pytest.mark.parametrize("noise_var", DETECTORS)
+    def test_nan_channel_gain_rejected(self, noise_var):
+        # refused when the system is built, before either detector is factored
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         gains = np.ones((4, 2), dtype=complex)
         gains[2, 1] = np.nan
         ch = BlockFadingChannel(gains=gains, sym_len=cfg.sym_len)
         with pytest.raises(ValueError, match="non-finite"):
-            assemble_effective(ch, make_window("rectangular", 4), cfg)
+            assemble_effective(ch, make_window("rectangular", 4), cfg).factor(noise_var)
 
 
 class TestGridShape:
