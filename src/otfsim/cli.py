@@ -232,32 +232,32 @@ def _apply_file(raw) -> dict:
 def run_simulation(cfg: RunConfig, system: EffectiveSystem | None = None) -> list[dict]:
     """BER sweep over the configured channel; one result row per SNR point.
 
-    `system` is the effective system of `cfg`'s channel and window, built
-    here when not given. Every frame quantity comes from it: the channel
-    simulated, the window, M and N: the frames run through the one sampled
-    channel that the detector models. From `cfg` come only the sweep
-    settings: SNR points, trials, seed, QAM order and detector.
-    `system` is factored on this thread, once for ZF and once per SNR point
-    for MMSE. The trials of an SNR point go through the pipeline together,
-    in chunks of at most CHUNK_SAMPLES frame samples. Trial t draws its bits
-    and then its noise from its own generator, the t-th child of the point's
-    seed, so the rows do not depend on how the trials are chunked.
+    `system` is the effective system of `cfg`'s channel and window, built here
+    when not given. Every frame quantity comes from it: the channel simulated,
+    the window, M and N: the frames run through the one sampled channel that the
+    detector models. From `cfg` come only the sweep settings: SNR points,
+    trials, seed, QAM order and detector. `system` is factored on this thread,
+    in the point's overflow check, when its level (noise_var for MMSE, 0 for ZF)
+    is not the last record's. The trials of an SNR point go through the pipeline
+    together, in chunks of at most CHUNK_SAMPLES frame samples. Trial t draws
+    its bits and then its noise from its own generator, the t-th child of the
+    point's seed, so the rows do not depend on how the trials are chunked.
     """
     if system is None:
         system = assemble_effective(cfg.build_channel(), cfg.build_window(), cfg.modem_config())
-    mcfg, window, mmse = system.cfg, system.window, cfg.detector == "mmse"
+    mcfg, window = system.cfg, system.window
     point_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db))
     frame_bits = mcfg.M * mcfg.N * int(math.log2(cfg.qam_order))
     chunk = max(1, CHUNK_SAMPLES // mcfg.frame_len)
-    factors = None if mmse else system.factor(0.0)
-    rows = []
+    factors, rows = None, []
     for snr_db, point_seed in zip(cfg.snr_db, point_seeds):
         noise_var = _noise_var(snr_db)
+        level = noise_var if cfg.detector == "mmse" else 0.0
         errors = 0
         try:
-            if mmse:
-                factors = None  # the last point's record goes before this point's is built
-                factors = system.factor(noise_var)
+            if factors is None or factors.noise_var != level:
+                factors = None  # the last record goes before the next is built
+                factors = system.factor(level)
             for start in range(0, cfg.trials, chunk):
                 # each spawn continues the point's sequence of children
                 seeds = point_seed.spawn(min(chunk, cfg.trials - start))
@@ -456,14 +456,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, ignored=None):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--M", type=int, help="subcarriers / delay bins")
         p.add_argument("--N", type=int, help="OFDM symbols / Doppler bins")
         p.add_argument("--Mcp", type=int, dest="cp_len", help="cyclic prefix length")
-        p.add_argument("--qam", type=int, dest="qam_order", choices=QAM_ORDERS)
+        p.add_argument("--qam", type=int, dest="qam_order", choices=QAM_ORDERS, help=ignored)
         p.add_argument("--seed", type=int, help="master seed (beats OTFS_SEED)")
-        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--out", dest="out_dir", help=ignored or "output directory")
         p.add_argument("--window", dest="window_kind", choices=WINDOW_KINDS)
         p.add_argument("--rho", type=float, dest="window_rho", help="taper roll-off")
 
@@ -477,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eqv = sub.add_parser("equivalence", help="fast vs reference modem check", description=(
         "Compare the fast and reference modems on random grids. --qam and --out are accepted,"
         " so that one config serves every command, and ignored: no file is written."))
-    add_common(eqv)
+    add_common(eqv, ignored="accepted and ignored")
     eqv.add_argument("--grids", type=int, help="random grids to compare")
 
     aud = sub.add_parser("audit", help="complexity audit vs closed forms")

@@ -53,7 +53,7 @@ class EffectiveSystem:
     @property
     def gains(self) -> np.ndarray:
         """`taps` at the samples each symbol keeps, shape (N, M, D): a view."""
-        return self.taps.reshape(self.cfg.N, self.cfg.sym_len, -1)[:, self.cfg.cp_len :]
+        return self.cfg.symbols(self.taps.T).T
 
     def coeffs(self, kappa) -> tuple[np.ndarray, np.ndarray]:
         """The channel interface: the delays and ``taps[kappa]``, kappa in [0, frame_len)."""
@@ -181,22 +181,19 @@ def _order(delays: np.ndarray, m: int) -> tuple[np.ndarray, int]:
 def _factorize(system: EffectiveSystem, noise_var: float):
     """``pos``, ``inv``, ``low`` and ``rcond`` of :class:`Factors`, a chunk of symbols at a time.
     Refuses, by name, the first symbol whose rcond, estimated by two inverse-iteration steps
-    against the largest row sum of |A_n|, is below RCOND_MIN."""
+    against the largest absolute row sum of A_n, from :func:`_build`, is below RCOND_MIN."""
     m, n_sym = system.cfg.M, system.cfg.N
     pos, b = _order(system.delays, m)
     k_count = -(-m // b)
     inv = np.zeros((n_sym, k_count, b, b), dtype=np.complex128)
     low = np.zeros((n_sym, k_count - 1, b, b), dtype=np.complex128)
-    norm = np.empty(n_sym)  # the largest absolute row sum of A_n, padding rows left out
-    step = max(2**19 // ((3 * k_count - 2) * b * b), 1)  # symbols per chunk: temporaries of 8 MB
+    norm = np.empty(n_sym)  # the largest absolute row sum of A_n
+    step = max(2**19 // ((3 * k_count - 2) * b * b), 1)  # symbols per chunk: blocks under 8 MB
     for first in range(0, n_sym, step):
         d, c = inv[first : first + step], low[first : first + step]
-        _build(system.delays, system.gains[first : first + step], pos, d, c)
+        sums = _build(system.delays, system.gains[first : first + step], pos, d, c)
         d += noise_var * np.eye(b)
-        sums = np.abs(d).sum(axis=-1)
-        sums[:, 1:] += np.abs(c).sum(axis=-1)
-        sums[:, :-1] += np.abs(c).sum(axis=-2)
-        norm[first : first + step] = sums.reshape(len(d), -1)[:, :m].max(axis=1)
+        norm[first : first + step] = sums.max(axis=1) + noise_var
         _cholesky(d, c, first, n_sym)
     u = np.pad(np.cos(np.arange(m)) + 0j, (0, k_count * b - m)).reshape(k_count, b, 1)
     u = np.repeat(u[None], n_sym, axis=0)
@@ -214,9 +211,11 @@ def _factorize(system: EffectiveSystem, noise_var: float):
 
 def _build(delays: np.ndarray, gains: np.ndarray, pos: np.ndarray, d: np.ndarray, c: np.ndarray):
     """Write H_n H_n^H, for ``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``, row i at row
-    pos[i], into the zero blocks (k, k) d[n, k] and (k, k - 1) c[n, k - 1], padded by I."""
+    pos[i], into the zero blocks (k, k) d[n, k] and (k, k - 1) c[n, k - 1], padded by I, and
+    return its absolute row sums (n, M), taken over every lag, those above the diagonal too."""
     m, b = gains.shape[1], d.shape[-1]
     rows, lag = np.arange(m), (delays[None, :] - delays[:, None]) % m  # lag[j, j'] = ell' - ell
+    sums = np.zeros(gains.shape[:2])
     for s in set(lag.flat):
         # A_n[i, (i + s) mod M] sums g[n, i, ell] conj(g[n, i + s, ell']) over ell' - ell = s;
         # in the order pos it is entry (pos[i], q), kept in block (k, k) or (k, k - 1)
@@ -226,8 +225,10 @@ def _build(delays: np.ndarray, gains: np.ndarray, pos: np.ndarray, d: np.ndarray
         diag, sub = pos // b == q // b, pos // b == q // b + 1
         d.reshape(len(d), -1)[:, pos[diag] * b + q[diag] % b] = a[:, diag]
         c.reshape(len(c), -1)[:, (pos[sub] - b) * b + q[sub] % b] = a[:, sub]
+        sums += np.abs(a)
     pad = np.arange(m, d.shape[1] * b) % b
     d[:, -1, pad, pad] = 1.0
+    return sums
 
 
 def _cholesky(d: np.ndarray, c: np.ndarray, first: int, n_sym: int):

@@ -102,12 +102,11 @@ def is_finite(value, kind=numbers.Real) -> bool:
 
 def require(ok: bool, name: str, need: str, got) -> None:
     """Refuse an argument by name unless `ok`: ``<name> must be <need>, got
-    <got!r>``, where an array is shown by its shape, dtype and layout."""
+    <got!r>``, where an array is shown by its shape and dtype."""
     if not ok:
         shown = repr(got)
         if isinstance(got, np.ndarray):
-            layout = "" if got.flags.c_contiguous else ", not C-contiguous"
-            shown = f"a {got.shape} {got.dtype} array{layout}"
+            shown = f"a {got.shape} {got.dtype} array"
         raise ValueError(f"{name} must be {need}, got {shown}")
 
 

@@ -179,26 +179,26 @@ def channel_blocks(ch, cfg):
     ``H_n[i, (i - ell) mod M] = h(n*(M + cp_len) + cp_len + i, ell)``.
 
     The dense model the banded detectors replace; test_channel checks it
-    against the explicit CP-matrix product ``R_cp @ H_breve_n @ A_cp``.
+    against the explicit CP-matrix product ``R_cp @ H_breve_n @ A_cp``. It
+    samples `ch` itself, so it shares no code with assemble_effective.
     """
-    rows = np.arange(cfg.M)
-    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + rows
+    kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + np.arange(cfg.M)
     delays, h = ch.coeffs(kappa.ravel())
-    h = h.reshape(cfg.N, cfg.M, -1)
-    blocks = np.zeros((cfg.N, cfg.M, cfg.M), dtype=np.complex128)
-    for j, ell in enumerate(delays):
-        blocks[:, rows, (rows - ell) % cfg.M] = h[:, :, j]
-    return blocks
+    return _dense_blocks(delays, h.reshape(cfg.N, cfg.M, -1))
 
 
-def bands_to_blocks(sys):
-    """The dense H_n an EffectiveSystem holds as tap gains, shape (N, M, M):
-    ``H_n[i, (i - sys.delays[j]) mod M] = sys.gains[n, i, j]``."""
-    n, m, _ = sys.gains.shape
+def system_blocks(sys):
+    """The dense H_n an EffectiveSystem holds as tap gains, shape (N, M, M)."""
+    return _dense_blocks(sys.delays, sys.gains)
+
+
+def _dense_blocks(delays, gains):
+    """``H_n[i, (i - delays[j]) mod M] = gains[n, i, j]``, shape (N, M, M)."""
+    n, m, _ = gains.shape
     rows = np.arange(m)
     blocks = np.zeros((n, m, m), dtype=np.complex128)
-    for j, ell in enumerate(sys.delays):
-        blocks[:, rows, (rows - ell) % m] = sys.gains[:, :, j]
+    for j, ell in enumerate(delays):
+        blocks[:, rows, (rows - ell) % m] = gains[:, :, j]
     return blocks
 
 

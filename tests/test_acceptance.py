@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    bands_to_blocks,
     batched_noise_receiver,
     circ_conv2d,
     dense_effective,
@@ -20,6 +19,7 @@ from oracles import (
     qfunc,
     random_block_fading_channel,
     random_ltv_channel,
+    system_blocks,
     unvec,
     vec,
     windowed_blocks,
@@ -144,7 +144,7 @@ def test_criterion_4_linear_system_exactness():
         g = windowed_blocks(ch, window, cfg)
         err_sym = np.linalg.norm(y.T - np.einsum("nij,nj->ni", g, s.T)) / np.linalg.norm(y)
         y0 = apply_window(y, 1 / window)
-        h = bands_to_blocks(assemble_effective(ch, window, cfg))
+        h = system_blocks(assemble_effective(ch, window, cfg))
         err_h = np.linalg.norm(y0.T - np.einsum("nij,nj->ni", h, s.T)) / np.linalg.norm(y0)
         worst = max(worst, err, err_sym, err_h)
     report(

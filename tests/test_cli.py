@@ -737,6 +737,20 @@ class TestErrorPaths:
         assert exc.value.code == 0
         assert "usage: otfs simulate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, qam, out",
+        [("simulate", "--qam {4,16,64} --seed", "--out OUT_DIR output directory"),
+         ("equivalence", "--qam {4,16,64} accepted and ignored",
+          "--out OUT_DIR accepted and ignored")],
+        ids=["simulate", "equivalence"],
+    )
+    def test_help_says_what_qam_and_out_do(self, capsys, command, qam, out):
+        # equivalence takes --qam and --out so that one config serves every command
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert qam in text and out in text
+
     @staticmethod
     def refused_channel(tmp_path, capsys, argv, out_made=False):
         """The channel message of a run refused for its channel, which must
@@ -778,12 +792,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("gains", [[1e308, 1e308], [1e200]], ids=["apply", "gram"])
     def test_channel_that_overflows_when_run_refused(self, tmp_path, capsys, gains):
-        # finite gains whose sums or products overflow, which only running them shows
+        # finite gains whose sums or products overflow, which only running them shows;
+        # ZF factors inside the first point's check, so the record names that point
         taps = [{"delay": delay, "gain_re": gain} for delay, gain in enumerate(gains)]
-        path = write_config(tmp_path, channel={"taps": taps})
+        path = write_config(tmp_path, snr_db=[4.0, 10.0], channel={"taps": taps})
         argv = ["simulate", "--config", str(path)]
         message = self.refused_channel(tmp_path, capsys, argv, out_made=True)
         assert message.startswith("must keep the simulation finite, got overflow")
+        assert message.endswith(" at snr_db 4")
 
     def test_overflow_names_the_snr_point(self, tmp_path, capsys):
         # at -3000 dB ZF's solve scales noise of variance 1e300 by 1/|gain|**2

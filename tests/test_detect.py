@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     CountingChannel,
-    bands_to_blocks,
     batched_noise_receiver,
     channel_blocks,
     dense_effective,
@@ -27,6 +26,7 @@ from oracles import (
     random_block_fading_channel,
     random_ltv_channel,
     symbol_covariance,
+    system_blocks,
     unvec,
     vec,
 )
@@ -105,7 +105,7 @@ class TestAssembleEffective:
     def test_identity_channel_identity_system(self):
         cfg = ModemConfig(M=4, N=4, cp_len=1)
         sys = assemble_effective(identity_channel(), make_window("rectangular", 4), cfg)
-        np.testing.assert_array_equal(bands_to_blocks(sys), np.eye(4)[None].repeat(4, 0))
+        np.testing.assert_array_equal(system_blocks(sys), np.eye(4)[None].repeat(4, 0))
 
     def test_covariance_hermitian_psd_and_trace(self):
         cfg = ModemConfig(M=4, N=8, cp_len=1)
@@ -563,7 +563,7 @@ class TestBandedMatchesDense:
         # the stored tap gains are the dense H_n, entry for entry
         ch, window, cfg, _, _ = case
         sys = assemble_effective(ch, window, cfg)
-        np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
+        np.testing.assert_array_equal(system_blocks(sys), channel_blocks(ch, cfg))
 
     @settings(max_examples=40, deadline=None)
     @given(banded_cases(), st.sampled_from([0.0, 0.3]))
@@ -591,7 +591,7 @@ class TestBandedMatchesDense:
         ch = LtvChannel((ChannelTap(0, 1.0), ChannelTap(cp_len, 0.5)))
         sys = assemble_effective(ch, make_window("rectangular", 2), cfg)
         assert sys.factor(1.0).inv.shape[1] == BANDED_GEOMETRIES[geometry]
-        np.testing.assert_array_equal(bands_to_blocks(sys), channel_blocks(ch, cfg))
+        np.testing.assert_array_equal(system_blocks(sys), channel_blocks(ch, cfg))
 
     @pytest.mark.parametrize("window_kind", WINDOW_KINDS)
     def test_block_size_from_the_largest_delay(self, window_kind):
@@ -849,18 +849,22 @@ class TestTransmitWindowCost:
 class TestFactors:
     """The factors of one noise level are a frozen record that the caller keeps."""
 
-    @pytest.mark.parametrize("detector, noise_levels", [("zf", 1), ("mmse", 3)])
-    def test_a_sweep_factors_once_per_noise_level(self, monkeypatch, detector, noise_levels):
+    @pytest.mark.parametrize(
+        "detector, noise_levels, snr_db",
+        [("zf", 1, (0.0, 5.0, 10.0)), ("mmse", 3, (0.0, 5.0, 10.0)), ("mmse", 2, (0.0, 0.0, 10.0))],
+        ids=["zf-1", "mmse-3", "mmse-2"],
+    )
+    def test_a_sweep_factors_once_per_noise_level(self, monkeypatch, detector, noise_levels,
+                                                  snr_db):
         # three SNR points, each of three trials in two chunks: ZF factors
-        # once for the sweep, MMSE once for each point
+        # once for the sweep, MMSE once for each change of noise level
         factorize, noise_vars = detect._factorize, []
 
         def counted(system, noise_var):
             noise_vars.append(noise_var)
             return factorize(system, noise_var)
 
-        cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=(0.0, 5.0, 10.0),
-                        trials=3, seed=1)
+        cfg = RunConfig(M=16, N=4, cp_len=4, detector=detector, snr_db=snr_db, trials=3, seed=1)
         monkeypatch.setattr(detect, "_factorize", counted)
         monkeypatch.setattr(cli, "CHUNK_SAMPLES", 2 * cfg.modem_config().frame_len)
         modulate_fast, chunks = cli.modulate_fast, []
@@ -872,7 +876,8 @@ class TestFactors:
         monkeypatch.setattr(cli, "modulate_fast", modulate)
         run_simulation(cfg)
         assert chunks == [2, 1] * 3
-        expected = [cli._noise_var(s) for s in cfg.snr_db] if detector == "mmse" else [0.0]
+        levels = dict.fromkeys(snr_db)  # a level repeated back to back is factored once
+        expected = [cli._noise_var(s) for s in levels] if detector == "mmse" else [0.0]
         assert noise_vars == expected and len(noise_vars) == noise_levels
 
     @pytest.mark.parametrize("detector", ["zf", "mmse"])

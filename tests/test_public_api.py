@@ -263,8 +263,7 @@ def bad_calls(draw):
 
 def shown(value) -> str:
     if isinstance(value, np.ndarray):
-        layout = "" if value.flags.c_contiguous else ", not C-contiguous"
-        return f"a {value.shape} {value.dtype} array{layout}"
+        return f"a {value.shape} {value.dtype} array"
     return repr(value)
 
 
