@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_array, check_int, check_noise_var, is_finite, is_integer, require, write_csv,
+    as_array, check_int, check_noise_var, is_finite, is_integer, problem, require, write_csv,
 )
 
 
@@ -194,7 +194,7 @@ def channel_from_spec(spec: dict) -> LtvChannel:
             if key not in _TAP_RULES:
                 problems.append(f"taps[{i}].{key}: unknown key")
             elif not _TAP_RULES[key][0](value):
-                problems.append(f"taps[{i}].{key}: must be {_TAP_RULES[key][1]}, got {value!r}")
+                problems.append(f"taps[{i}].{key}: {problem(_TAP_RULES[key][1], value)}")
     if problems:
         raise ValueError("channel spec " + "; ".join(problems))
     if not taps:

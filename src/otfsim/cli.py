@@ -47,7 +47,7 @@ from .grids import (
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import check_int, is_choice, is_integer, is_real, write_csv
+from .numerics import check_int, is_choice, is_integer, is_real, problem, write_csv
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -112,9 +112,9 @@ class RunConfig:
         )
         problems = _rule_problems(rules)
         if cp is not None and not {"M", "Mcp"} & problems.keys() and cp >= self.M:
-            problems["Mcp"] = f"must be < M = {self.M}, got {cp!r}"
+            problems["Mcp"] = problem(f"< M = {self.M}", cp)
         if isinstance(self.channel, str) and not Path(self.channel).exists():
-            problems["channel"] = f"channel file {self.channel!r} does not exist"
+            problems["channel"] = problem("an existing file", self.channel)
         if problems:
             raise ConfigError(problems)
         # NumPy numbers are stored as Python ones, so no size product can wrap
@@ -154,14 +154,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError({"config": f"must be a readable JSON file, got {path!r}: {exc}"})
+            raise ConfigError({"config": f"{problem('a readable JSON file', path)}: {exc}"})
         values = _apply_file(raw)
     if (env_seed := os.environ.get("OTFS_SEED")) is not None:
         try:
             values["seed"] = check_int("OTFS_SEED", int(env_seed))
         except ValueError:  # a set OTFS_SEED replaces the file seed, good or bad
             values.pop("seed", None)
-            problems["OTFS_SEED"] = f"must be a non-negative integer, got {env_seed!r}"
+            problems["OTFS_SEED"] = problem("a non-negative integer", env_seed)
     values.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         config = RunConfig(**values)
@@ -183,7 +183,7 @@ _FILE_FIELDS = {
 
 def _rule_problems(rules) -> dict[str, str]:
     """One ``must be …, got …`` message per (name, value, ok, need) rule that fails."""
-    return {name: f"must be {need}, got {value!r}" for name, value, ok, need in rules if not ok}
+    return {name: problem(need, value) for name, value, ok, need in rules if not ok}
 
 
 def _make_out_dir(path: str) -> Path:
@@ -192,7 +192,7 @@ def _make_out_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError({"out": f"must be a directory path, got {path!r} ({exc.strerror})"})
+        raise ConfigError({"out": f"{problem('a directory path', path)} ({exc.strerror})"})
     return out
 
 
@@ -206,12 +206,12 @@ def _noise_var(snr_db: float) -> float:
 
 def _apply_file(raw) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError({"config": f"must be a JSON object, got {raw!r}"})
+        raise ConfigError({"config": problem("a JSON object", raw)})
     window = raw.get("window", {})
     if isinstance(window, str):
         window = {"kind": window}
     elif not isinstance(window, dict):
-        raise ConfigError({"window": f"must be a kind name or an object, got {window!r}"})
+        raise ConfigError({"window": problem("a kind name or an object", window)})
     values, unknown = {}, {}
     sections = (("", _FILE_FIELDS, raw), ("window.", _FILE_FIELDS["window"], window))
     for prefix, table, section in sections:

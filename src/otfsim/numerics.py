@@ -7,9 +7,9 @@ CMs per stage for the audit; with no scope open, nothing is recorded. Also
 here: the number and power-of-two helpers, :class:`SingularMatrixError` and
 :func:`write_csv`, the one writer of the CLI's CSV outputs.
 
-Every public entry point refuses a bad argument through the checks below
-(:func:`require` and the rules built on it), which raise
-``ValueError("<name> must be <need>, got <value!r>")``.
+The checks below (:func:`require` and the rules built on it), the CLI and
+the channel spec word each refused value with :func:`problem`:
+``<name> must be <need>, got <value!r>``, with a long value shortened.
 
 Counting convention: one P-point transform is charged exactly
 ``(P/2)*log2(P)`` CMs when P is a power of two (a radix-2 FFT, trivial
@@ -100,14 +100,21 @@ def is_finite(value, kind=numbers.Real) -> bool:
         return False
 
 
+def problem(need: str, got) -> str:
+    """``must be <need>, got <shown>``: an array is shown by its shape and
+    dtype, a str, list, tuple or dict whose repr is longer than 200
+    characters by its type and length, and anything else by its repr."""
+    shown = f"a {got.shape} {got.dtype} array" if isinstance(got, np.ndarray) else repr(got)
+    if isinstance(got, (str, list, tuple, dict)) and len(shown) > 200:
+        shown = f"a {type(got).__name__} of length {len(got)}"
+    return f"must be {need}, got {shown}"
+
+
 def require(ok: bool, name: str, need: str, got) -> None:
     """Refuse an argument by name unless `ok`: ``<name> must be <need>, got
-    <got!r>``, where an array is shown by its shape and dtype."""
+    <shown>``, with `got` shown as :func:`problem` shows it."""
     if not ok:
-        shown = repr(got)
-        if isinstance(got, np.ndarray):
-            shown = f"a {got.shape} {got.dtype} array"
-        raise ValueError(f"{name} must be {need}, got {shown}")
+        raise ValueError(f"{name} {problem(need, got)}")
 
 
 def check_int(name: str, value, low: int = 0) -> int:

@@ -108,6 +108,11 @@ class TestConfig:
                 RunConfig(snr_db=(snr,))
         assert set(exc.value.fields) == {"snr"}
 
+    def test_array_snr_shown_by_shape_and_dtype(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(snr_db=np.zeros(3))
+        assert exc.value.fields["snr"].endswith("got a (3,) float64 array")
+
     @pytest.mark.parametrize("value", [True, 2.0])
     @pytest.mark.parametrize(
         "field, key",
@@ -156,8 +161,9 @@ class TestConfig:
 
     def test_missing_channel_file(self, tmp_path):
         path = write_config(tmp_path, channel="nope.json")
-        with pytest.raises(ConfigError, match="channel"):
+        with pytest.raises(ConfigError) as exc:
             load_config(str(path), {})
+        assert exc.value.fields == {"channel": "must be an existing file, got 'nope.json'"}
 
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -675,6 +681,17 @@ class TestErrorPaths:
         assert record["status"] == "fail"
         assert set(record["fields"]) == {field}
 
+    def test_long_config_value_shown_by_its_length(self, tmp_path, capsys):
+        # the record names the field and the value's type and length, not its repr
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"M": list(range(200_000))}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        record = json.loads(err)
+        assert set(record["fields"]) == {"M"}
+        assert record["fields"]["M"].endswith("got a list of length 200000")
+
     def test_missing_config_file_names_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -847,51 +864,43 @@ def test_out_that_is_a_file_named(tmp_path, capsys, argv):
     assert out.read_text() == "kept"
 
 
+def run_python(code, env_update=(), unset=()):
+    """stdout of `code` run by a fresh interpreter that imports otfsim from src/."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(env_update, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy's import alone costs a few tenths of a second of every otfs run; it,
     # hypothesis and pytest are test dependencies, which an installed otfs lacks
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
         "import sys, otfsim.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest', '_pytest')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
 
 
 def test_cli_import_loads_no_logging():
     # concurrent.futures imports logging, a few ms and most of a MB on every otfs run
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
         "import otfsim.cli, sys; "
         "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 def test_import_defaults_openblas_to_one_thread(preset, expected):
     # idle OpenBLAS helper threads busy-wait and slow runs on a loaded machine
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(root / "src")
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
+    preset_env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
     code = "import os, otfsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == expected
+    assert run_python(code, preset_env, unset={"OPENBLAS_NUM_THREADS"}) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from otfsim.numerics import (
     dft,
     fft_cm_cost,
     is_finite,
+    problem,
     write_csv,
 )
 
@@ -276,6 +277,23 @@ class TestAllFinite:
 def test_is_finite(value, kind, finite):
     # a huge int is refused rather than raising OverflowError
     assert is_finite(value, kind) is finite
+
+
+@pytest.mark.parametrize(
+    "got, shown",
+    [
+        (np.zeros((3, 2), np.complex64), "a (3, 2) complex64 array"),
+        ([1, "a"], "[1, 'a']"),
+        ("x" * 201, "a str of length 201"),
+        (list(range(200_000)), "a list of length 200000"),
+        (dict.fromkeys(range(100), 0), "a dict of length 100"),
+        (10**400, repr(10**400)),
+    ],
+    ids=["array", "short-list", "long-str", "long-list", "long-dict", "huge-int"],
+)
+def test_problem_shows_the_value_bounded(got, shown):
+    # a long str, list, tuple or dict is shown by its type and length; a number never is
+    assert problem("good", got) == f"must be good, got {shown}"
 
 
 def test_write_csv_formats_cells(tmp_path):

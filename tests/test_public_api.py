@@ -264,7 +264,10 @@ def bad_calls(draw):
 def shown(value) -> str:
     if isinstance(value, np.ndarray):
         return f"a {value.shape} {value.dtype} array"
-    return repr(value)
+    text = repr(value)
+    if isinstance(value, (str, list, tuple, dict)) and len(text) > 200:
+        return f"a {type(value).__name__} of length {len(value)}"
+    return text
 
 
 def test_every_public_callable_is_covered():
