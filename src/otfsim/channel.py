@@ -9,10 +9,10 @@ kappa and delay ell. Two parameterizations are provided:
   regime in which the per-symbol channel matrices are circulant and the
   end-to-end response is an exact 2-D circular convolution.
 
-Either one gives its gains only at its tap delays, by ``coeffs``. Read at
-the samples each OFDM symbol keeps after CP removal, they are the entries
-of the per-symbol channel matrices ``H_n``; ``otfsim.detect`` reads them
-there once, for the detectors and the windowed delay-Doppler response.
+Either one gives its gains only at its tap delays, over samples 0 to size - 1
+of a frame, by ``coeffs(size)``. At the samples each OFDM symbol keeps after
+CP removal, they are the entries of the per-symbol channel matrices ``H_n``;
+``otfsim.detect`` reads them once, for the detectors and the DD response.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ class LtvChannel:
         require(ok, "taps", "a non-empty sequence of ChannelTap", self.taps)
         object.__setattr__(self, "taps", taps)
 
-    def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tap delays, ascending, and their gains h(kappa, delay) at absolute
-        sample indices, shape (len(kappa), number of delays); taps that share a
+    def coeffs(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tap delays, ascending, and their gains h(kappa, delay) at samples
+        kappa = 0 ... size - 1, shape (size, number of delays); taps that share a
         delay are summed."""
-        kappa = np.asarray(kappa, dtype=np.float64)
+        kappa = np.arange(check_int("size", size), dtype=np.float64)
         delays = sorted({tap.delay for tap in self.taps})
         h = np.zeros((kappa.size, len(delays)), dtype=np.complex128)
         # a phase that overflows gives NaN gains, which every caller refuses
@@ -93,11 +93,10 @@ class BlockFadingChannel:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "sym_len", check_int("sym_len", self.sym_len, 1))
 
-    def coeffs(self, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The delays whose gains are not all zero, and those gains at absolute
-        sample indices, shape (len(kappa), number of delays)."""
-        kappa = np.asarray(kappa)
-        idx = np.clip(kappa.astype(np.int64) // self.sym_len, 0, self.gains.shape[0] - 1)
+    def coeffs(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The delays whose gains are not all zero, and those gains at samples
+        0 ... size - 1, shape (size, number of delays)."""
+        idx = np.minimum(np.arange(check_int("size", size)) // self.sym_len, len(self.gains) - 1)
         delays = np.flatnonzero(self.gains.any(axis=0))
         return delays, self.gains[idx[:, None], delays]
 
@@ -113,7 +112,7 @@ def apply_channel(signal: np.ndarray, ch) -> np.ndarray:
     signal = as_array("signal", signal, ndim=1, finite=True)
     size = signal.shape[-1]
     try:
-        delays, h = ch.coeffs(np.arange(size))
+        delays, h = ch.coeffs(size)
     except ValueError:  # a system is sampled over one frame alone
         require(False, "signal", "frames no longer than the samples ch holds", signal)
     out = np.zeros_like(signal)

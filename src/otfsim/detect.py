@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ModemConfig, apply_window
-from .numerics import SingularMatrixError, all_finite, as_array, check_noise_var, dft, require
+from .numerics import SingularMatrixError, all_finite, check_noise_var, dft, is_integer, require
 
 #: smallest estimated reciprocal condition number of A_n the detectors accept
 RCOND_MIN = 1e-12
@@ -55,12 +55,11 @@ class EffectiveSystem:
         """`taps` at the samples each symbol keeps, shape (N, M, D): a view."""
         return self.cfg.symbols(self.taps.T).T
 
-    def coeffs(self, kappa) -> tuple[np.ndarray, np.ndarray]:
-        """The channel interface: the delays and ``taps[kappa]``, kappa in [0, frame_len)."""
-        kappa, size = as_array("kappa", kappa, dtype=None), len(self.taps)
-        ok = kappa.dtype.kind in "iu" and np.all((kappa >= 0) & (kappa < size))
-        require(ok, "kappa", f"integer sample indices in [0, {size})", kappa)
-        return self.delays, self.taps[kappa]
+    def coeffs(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The channel interface: the delays and ``taps[:size]``, a view; 0 <= size <= frame_len."""
+        ok = is_integer(size) and 0 <= size <= len(self.taps)
+        require(ok, "size", f"an integer in [0, {len(self.taps)}]", size)
+        return self.delays, self.taps[:size]
 
     def factor(self, noise_var: float) -> Factors:
         """The factors of every A_n: zero-forcing at noise_var 0, MMSE above it.
@@ -126,7 +125,7 @@ def assemble_effective(ch, window: np.ndarray, cfg: ModemConfig) -> EffectiveSys
             f"window wr[{bad[0]}] is {window[bad[0]]}; the detectors divide by "
             "the window, so every coefficient must be finite and nonzero"
         )
-    delays, taps = ch.coeffs(np.arange(cfg.frame_len))
+    delays, taps = ch.coeffs(cfg.frame_len)
     if delays.max(initial=0) > cfg.cp_len:
         raise ValueError(
             f"channel length {delays.max() + 1} exceeds Mcp + 1 = {cfg.cp_len + 1}; the "

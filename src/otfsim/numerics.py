@@ -101,13 +101,16 @@ def is_finite(value, kind=numbers.Real) -> bool:
 
 
 def problem(need: str, got) -> str:
-    """``must be <need>, got <shown>``: an array is shown by its shape and
-    dtype, a str, list, tuple or dict whose repr is longer than 200
-    characters by its type and length, and anything else by its repr."""
-    shown = f"a {got.shape} {got.dtype} array" if isinstance(got, np.ndarray) else repr(got)
-    if isinstance(got, (str, list, tuple, dict)) and len(shown) > 200:
+    """``must be <need>, got <shown>``: by repr, but an array by its shape and dtype,
+    an int of over 4300 digits (which has no repr) by its bits, and a str, list, tuple
+    or dict whose repr is longer than 200 characters or missing by its type and length."""
+    try:
+        shown = f"a {got.shape} {got.dtype} array" if isinstance(got, np.ndarray) else repr(got)
+    except ValueError:  # an int of over 4300 digits has no repr, nor has what holds one
+        shown = f"an int of {got.bit_length()} bits" if isinstance(got, int) else ""
+    if isinstance(got, (str, list, tuple, dict)) and not 0 < len(shown) <= 200:
         shown = f"a {type(got).__name__} of length {len(got)}"
-    return f"must be {need}, got {shown}"
+    return f"must be {need}, got {shown or 'a ' + type(got).__name__}"
 
 
 def require(ok: bool, name: str, need: str, got) -> None:

@@ -77,17 +77,17 @@ def random_ltv_channel(rng, n_taps, max_delay, max_doppler):
 
 
 class CountingChannel:
-    """`ch`, recording the length of each call of its coeffs; a call past the
+    """`ch`, recording the size of each call of its coeffs; a call past the
     first `limit` raises, so a test can show that a channel is not sampled again."""
 
     def __init__(self, ch, limit=None):
         self.ch, self.limit, self.calls = ch, limit, []
 
-    def coeffs(self, kappa):
-        self.calls.append(len(kappa))
+    def coeffs(self, size):
+        self.calls.append(size)
         if self.limit is not None and len(self.calls) > self.limit:
             raise AssertionError(f"coeffs called {len(self.calls)} times, limit {self.limit}")
-        return self.ch.coeffs(kappa)
+        return self.ch.coeffs(size)
 
 
 def random_block_fading_channel(rng, cfg, length):
@@ -180,11 +180,12 @@ def channel_blocks(ch, cfg):
 
     The dense model the banded detectors replace; test_channel checks it
     against the explicit CP-matrix product ``R_cp @ H_breve_n @ A_cp``. It
-    samples `ch` itself, so it shares no code with assemble_effective.
+    samples `ch` over the frame itself and picks the kept samples by its own
+    arithmetic, so it shares no code with assemble_effective.
     """
     kappa = np.arange(cfg.N)[:, None] * cfg.sym_len + cfg.cp_len + np.arange(cfg.M)
-    delays, h = ch.coeffs(kappa.ravel())
-    return _dense_blocks(delays, h.reshape(cfg.N, cfg.M, -1))
+    delays, h = ch.coeffs(cfg.frame_len)
+    return _dense_blocks(delays, h[kappa])
 
 
 def system_blocks(sys):

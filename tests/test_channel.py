@@ -42,7 +42,7 @@ from otfsim.modem_reference import demodulate_reference, modulate_reference
 def ltv_oracle(s, ch):
     """Direct double-loop evaluation of the time-varying convolution."""
     out = np.zeros(len(s), dtype=complex)
-    delays, h = ch.coeffs(np.arange(len(s)))
+    delays, h = ch.coeffs(len(s))
     for kappa in range(len(s)):
         for j, ell in enumerate(delays):
             if kappa - ell >= 0:
@@ -97,12 +97,12 @@ class TestApplyChannel:
         # delay are summed, and an all-zero block-fading column is left out
         kappa = np.arange(5)
         taps = (ChannelTap(256, 0.5, doppler=3e-5), ChannelTap(0, 1.0), ChannelTap(0, 0.25j))
-        delays, h = LtvChannel(taps).coeffs(kappa)
+        delays, h = LtvChannel(taps).coeffs(5)
         np.testing.assert_array_equal(delays, [0, 256])
         np.testing.assert_allclose(h[:, 0], 1.0 + 0.25j, rtol=0, atol=0)
         np.testing.assert_allclose(h[:, 1], 0.5 * np.exp(2j * np.pi * 3e-5 * kappa), rtol=1e-15)
         gains = np.array([[0.9, 0.0, 0.3j], [0.1, 0.0, 0.2]])
-        delays, h = BlockFadingChannel(gains=gains, sym_len=3).coeffs(kappa)
+        delays, h = BlockFadingChannel(gains=gains, sym_len=3).coeffs(5)
         np.testing.assert_array_equal(delays, [0, 2])
         np.testing.assert_array_equal(h, gains[[0, 0, 0, 1, 1]][:, [0, 2]])
 
@@ -156,6 +156,12 @@ class TestAwgn:
         seed = 0 if len(shape) == 1 else [0, 1]
         with pytest.raises(ValueError, match=f"finite and non-negative, got {noise_var}"):
             add_awgn(np.zeros(shape, dtype=complex), noise_var, seed)
+
+    def test_variance_with_no_repr_named(self):
+        # Python gives no repr for an int of more than 4300 digits
+        message = "^noise_var must be finite and non-negative, got an int of 16610 bits$"
+        with pytest.raises(ValueError, match=message):
+            add_awgn(np.zeros(4, dtype=complex), 10**5000, 1)
 
     def test_batch_rows_use_their_own_seeds(self):
         # row k draws its real and then its imaginary parts from seed k alone
@@ -246,8 +252,9 @@ class TestBuildHn:
         ch, cfg = case
         cp = cp_matrices(cfg)
         blocks = channel_blocks(ch, cfg)
+        delays, frame = ch.coeffs(cfg.frame_len)
         for n in range(cfg.N):
-            delays, h = ch.coeffs(n * cfg.sym_len + np.arange(cfg.sym_len))
+            h = frame[n * cfg.sym_len : (n + 1) * cfg.sym_len]
             breve = np.zeros((cfg.sym_len, cfg.sym_len), dtype=complex)
             for j, ell in enumerate(delays):
                 rows = np.arange(ell, cfg.sym_len)
@@ -565,7 +572,7 @@ class TestHelpers:
         with pytest.raises(ValueError, match=re.escape(message)):
             ChannelTap(delay=0, **{"gain": 1.0, field: value})
         tap = ChannelTap(0, np.complex128(0.5j), doppler=np.float32(0.01), phase=np.int64(1))
-        assert LtvChannel((tap,)).coeffs(np.arange(3))[1].shape == (3, 1)
+        assert LtvChannel((tap,)).coeffs(3)[1].shape == (3, 1)
 
     def test_dd_response_dump(self, tmp_path):
         path = tmp_path / "dd.csv"

@@ -113,6 +113,12 @@ class TestConfig:
             RunConfig(snr_db=np.zeros(3))
         assert exc.value.fields["snr"].endswith("got a (3,) float64 array")
 
+    def test_snr_with_no_repr_refused_by_name(self):
+        # an int of more than 4300 digits has no repr, nor has a list holding one
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(snr_db=[10**5000])
+        assert exc.value.fields["snr"].endswith("got a list of length 1")
+
     @pytest.mark.parametrize("value", [True, 2.0])
     @pytest.mark.parametrize(
         "field, key",

@@ -711,13 +711,16 @@ class TestOneSampledChannel:
     def test_system_is_the_channel_sampled_over_the_frame(self, case):
         ch, cfg, rng = case
         sys = assemble_effective(ch, make_window("rectangular", cfg.N), cfg)
-        delays, taps = ch.coeffs(np.arange(cfg.frame_len))
+        delays, taps = ch.coeffs(cfg.frame_len)
         np.testing.assert_array_equal(sys.delays, delays)
         np.testing.assert_array_equal(sys.taps, taps)
         # the detector's view of the kept samples, and those samples read alone
-        kept = ch.coeffs(cfg.symbols(np.arange(cfg.frame_len)).T.ravel())[1]
+        kept = taps[cfg.symbols(np.arange(cfg.frame_len)).T.ravel()]
         np.testing.assert_array_equal(sys.gains, kept.reshape(cfg.N, cfg.M, -1))
         assert np.shares_memory(sys.gains, sys.taps)
+        # the system hands out its taps, the first rows for a shorter size
+        assert np.shares_memory(sys.coeffs(cfg.frame_len)[1], sys.taps)
+        np.testing.assert_array_equal(sys.coeffs(cfg.sym_len)[1], taps[: cfg.sym_len])
         signal = rng.normal(size=(2, cfg.frame_len)) + 1j * rng.normal(size=(2, cfg.frame_len))
         np.testing.assert_array_equal(apply_channel(signal, sys), apply_channel(signal, ch))
 

@@ -288,11 +288,16 @@ def test_is_finite(value, kind, finite):
         (list(range(200_000)), "a list of length 200000"),
         (dict.fromkeys(range(100), 0), "a dict of length 100"),
         (10**400, repr(10**400)),
+        (10**5000, "an int of 16610 bits"),
+        ([10**5000], "a list of length 1"),
+        ({10**5000}, "a set"),
     ],
-    ids=["array", "short-list", "long-str", "long-list", "long-dict", "huge-int"],
+    ids=["array", "short-list", "long-str", "long-list", "long-dict", "huge-int",
+         "int-with-no-repr", "list-with-no-repr", "set-with-no-repr"],
 )
 def test_problem_shows_the_value_bounded(got, shown):
-    # a long str, list, tuple or dict is shown by its type and length; a number never is
+    # a long str, list, tuple or dict is shown by its type and length; a number never is,
+    # but an int with no repr is shown by its bits, and anything else with none by its type
     assert problem("good", got) == f"must be good, got {shown}"
 
 

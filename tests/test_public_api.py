@@ -2,10 +2,10 @@
 
 Each callable in ``otfsim.__all__``, the two steps of detection,
 ``EffectiveSystem.factor`` and ``Factors.detect``, and the channel
-interface of the system, ``EffectiveSystem.coeffs``, is called with valid
-arguments but one (in a few explicit examples, two), which takes a value
-of the wrong type or an odd value, and what it returns is used as a
-caller would use it.
+interface ``coeffs(size)`` of both channels and of the system, is called
+with valid arguments but one (in a few explicit examples, two), which
+takes a value of the wrong type or an odd value, and what it returns is
+used as a caller would use it.
 
 * A value of the wrong type is refused with
   ``ValueError("<name> must be <need>, got <value!r>")``, an array shown by
@@ -89,15 +89,15 @@ def bits():
 
 
 def tap_in_channel(**kwargs):
-    return LtvChannel((ChannelTap(**kwargs),)).coeffs(np.arange(4))
+    return LtvChannel((ChannelTap(**kwargs),)).coeffs(4)
 
 
 def ltv_channel(**kwargs):
-    return LtvChannel(**kwargs).coeffs(np.arange(4))
+    return LtvChannel(**kwargs).coeffs(4)
 
 
 def block_channel(**kwargs):
-    return BlockFadingChannel(**kwargs).coeffs(np.arange(12))
+    return BlockFadingChannel(**kwargs).coeffs(12)
 
 
 def modem_config(**kwargs):
@@ -132,9 +132,12 @@ CALLS = {
     "BlockFadingChannel": (block_channel,
                            lambda: dict(gains=np.full((4, 2), 0.5 + 0.5j), sym_len=10),
                            {"gains": "array", "sym_len": "int"}),
+    "BlockFadingChannel.coeffs": (BlockFadingChannel(np.full((4, 2), 0.5j), 10).coeffs,
+                                  lambda: dict(size=12), {"size": "int"}),
     "ChannelTap": (tap_in_channel, lambda: dict(delay=1, gain=0.5j, doppler=0.01, phase=0.3),
                    {"delay": "int", "gain": "complex", "doppler": "real", "phase": "real"}),
     "LtvChannel": (ltv_channel, lambda: dict(taps=(TAP,)), {"taps": "taps"}),
+    "LtvChannel.coeffs": (CHANNEL.coeffs, lambda: dict(size=4), {"size": "int"}),
     "add_awgn": (add_awgn, lambda: dict(signal=frame(), noise_var=0.1, seed=3),
                  {"signal": "array", "noise_var": "real", "seed": "seed"}),
     "apply_channel": (apply_channel, lambda: dict(signal=frame(), ch=CHANNEL),
@@ -144,8 +147,8 @@ CALLS = {
     "assemble_effective": (assemble_effective, lambda: dict(ch=CHANNEL, window=WINDOW, cfg=CFG),
                            {"window": "array"}),
     "EffectiveSystem.factor": (detected, lambda: dict(noise_var=0.1), {"noise_var": "real"}),
-    "EffectiveSystem.coeffs": (SYSTEM.coeffs, lambda: dict(kappa=np.arange(CFG.frame_len)),
-                               {"kappa": "array"}),
+    "EffectiveSystem.coeffs": (SYSTEM.coeffs, lambda: dict(size=CFG.frame_len),
+                               {"size": "int"}),
     "Factors.detect": (FACTORS.detect, lambda: dict(d_tilde=grid()), {"d_tilde": "array"}),
     "ModemConfig": (modem_config, lambda: dict(M=8, N=4, cp_len=2),
                     {"M": "int", "N": "int", "cp_len": "int"}),
@@ -331,7 +334,8 @@ def test_counter_passed_by_position_refused_by_name():
 @example(("ChannelTap", {"doppler": 10**400}, "doppler"))  # too large for a float
 @example(("add_awgn", {"noise_var": 10**400}, "noise_var"))
 @example(("EffectiveSystem.factor", {"noise_var": 10**400}, "noise_var"))
-@example(("EffectiveSystem.coeffs", {"kappa": [[0, 39], [1, 2]]}, None))
+@example(("EffectiveSystem.coeffs", {"size": CFG.frame_len + 1}, None))
+@example(("LtvChannel.coeffs", {"size": 4.0}, "size"))
 def test_bad_argument_refused_by_name(case):
     name, args, wrong_type = case
     call, valid, _ = CALLS[name]
@@ -360,9 +364,9 @@ def test_apply_channel_refuses_a_frame_longer_than_the_system(shape):
         apply_channel(np.ones(shape, dtype=complex), SYSTEM)
 
 
-@pytest.mark.parametrize("kappa", [[0.5], [0.0, 1.0], [-1], [0, CFG.frame_len], True],
+@pytest.mark.parametrize("size", [0.5, 1.0, -1, CFG.frame_len + 1, True],
                          ids=["fraction", "float", "negative", "past-the-frame", "bool"])
-def test_system_coeffs_refuse_a_sample_outside_the_frame(kappa):
+def test_system_coeffs_refuse_a_sample_outside_the_frame(size):
     # the system samples the channel over one frame, and nowhere else
-    with pytest.raises(ValueError, match=r"^kappa must be integer sample indices in \[0, 40\), got"):
-        SYSTEM.coeffs(kappa)
+    with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 40\], got"):
+        SYSTEM.coeffs(size)
