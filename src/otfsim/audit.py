@@ -25,7 +25,7 @@ from .modem_reference import (
     modulate_reference,
 )
 from .numerics import (
-    CmCounter, check_choice, ilog2, is_integer, is_power_of_two, require, write_csv,
+    CmCounter, check, choice_rule, ilog2, is_integer, is_power_of_two, require, write_csv,
 )
 
 #: structure -> (M-point transform stages, N-point transform stages, windowed receiver);
@@ -40,12 +40,18 @@ def is_audit_size(p) -> bool:
     return is_integer(p) and p >= 2 and is_power_of_two(p)
 
 
+def sizes_rule(sizes) -> tuple[bool, str]:
+    """Whether `sizes` is a size sweep :func:`audit_report` takes, and that need in words."""
+    ok = isinstance(sizes, (list, tuple)) and bool(sizes) and all(map(is_audit_size, sizes))
+    return ok, "a non-empty list of powers of two >= 2"
+
+
 def _check_case(structure: str, direction: str, m: int, n: int) -> None:
     """Refuse, by name, a size, structure or direction the audit has no count for."""
     for name, p in (("m", m), ("n", n)):
         require(is_audit_size(p), name, "a power of two >= 2", p)
-    check_choice("structure", structure, STRUCTURES)
-    check_choice("direction", direction, DIRECTIONS)
+    check("structure", structure, choice_rule, STRUCTURES)
+    check("direction", direction, choice_rule, DIRECTIONS)
 
 
 def predicted_cm(structure: str, direction: str, m: int, n: int) -> int:
@@ -100,8 +106,7 @@ class AuditRow:
 def audit_report(m_list, n_list) -> list[AuditRow]:
     """Cross-product audit over size sweeps, all structures and directions."""
     for name, sizes in (("m_list", m_list), ("n_list", n_list)):
-        ok = isinstance(sizes, (list, tuple)) and bool(sizes) and all(map(is_audit_size, sizes))
-        require(ok, name, "a non-empty list of powers of two >= 2", sizes)
+        check(name, sizes, sizes_rule)
     rows = []
     for m in m_list:
         for n in n_list:

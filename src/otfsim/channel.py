@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_array, check_int, check_noise_var, is_finite, is_integer, problem, require, write_csv,
+    as_array, check_int, check_noise_var, int_rule, is_finite, problem, require, write_csv,
 )
 
 
@@ -163,12 +163,11 @@ def load_channel(path) -> LtvChannel:
     return channel_from_spec(spec)
 
 
-#: keys of one tap in a channel spec, the test of their values and what it
-#: asks for; every one but "delay" defaults to 0
-_TAP_RULES = {
-    "delay": (lambda v: is_integer(v) and v >= 0, "a non-negative integer"),
-    **dict.fromkeys(("gain_re", "gain_im", "doppler", "phase"), (is_finite, "a finite number")),
-}
+#: keys of one tap in a channel spec and the rule of their values, giving (ok, need):
+#: "delay" is ChannelTap's; every key but "delay" defaults to 0
+_TAP_RULES = {"delay": int_rule} | dict.fromkeys(
+    ("gain_re", "gain_im", "doppler", "phase"), lambda v: (is_finite(v), "a finite number")
+)
 
 
 def channel_from_spec(spec: dict) -> LtvChannel:
@@ -192,8 +191,8 @@ def channel_from_spec(spec: dict) -> LtvChannel:
         for key, value in tap.items():
             if key not in _TAP_RULES:
                 problems.append(f"taps[{i}].{key}: unknown key")
-            elif not _TAP_RULES[key][0](value):
-                problems.append(f"taps[{i}].{key}: {problem(_TAP_RULES[key][1], value)}")
+            elif not (rule := _TAP_RULES[key](value))[0]:
+                problems.append(f"taps[{i}].{key}: {problem(rule[1], value)}")
     if problems:
         raise ValueError("channel spec " + "; ".join(problems))
     if not taps:

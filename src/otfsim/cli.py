@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_report, is_audit_size, proposed_to_ofdm_ratio, write_report_csv
+from .audit import audit_report, proposed_to_ofdm_ratio, sizes_rule, write_report_csv
 from .channel import (
     ChannelTap,
     LtvChannel,
@@ -41,13 +41,15 @@ from .grids import (
     WINDOW_KINDS,
     ModemConfig,
     QAM_ORDERS,
+    cp_rule,
     make_window,
     qam_demap,
     qam_map,
+    rho_rule,
 )
 from .modem_fast import demodulate_fast, modulate_fast
 from .modem_reference import demodulate_reference, modulate_reference
-from .numerics import check_int, is_choice, is_integer, is_real, problem, write_csv
+from .numerics import choice_rule, int_rule, is_real, problem, write_csv
 
 #: "fast" is kept as a synonym of "zf" for existing configs: the per-symbol
 #: ZF solve is the fast structured solver for every channel
@@ -90,29 +92,27 @@ class RunConfig:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
-        # one (error name, value, check, requirement) per setting, named as its flag
+        # one (error name, value, (ok, need)) per setting, named as its flag, by the library's rules
         snr, rho, kind, cp = self.snr_db, self.window_rho, self.window_kind, self.cp_len
         snr_ok = isinstance(snr, (list, tuple)) and len(snr) > 0 and all(
             is_real(v) and math.isfinite(_noise_var(v)) for v in snr
         )
-        rules = (
-            ("M", self.M, is_integer(self.M) and self.M >= 2, "an integer >= 2"),
-            ("N", self.N, is_integer(self.N) and self.N >= 2, "an integer >= 2"),
-            ("qam", self.qam_order, is_choice(self.qam_order, QAM_ORDERS), f"one of {QAM_ORDERS}"),
-            ("window", kind, is_choice(kind, WINDOW_KINDS), f"one of {WINDOW_KINDS}"),
-            ("rho", rho, is_real(rho) and 0.0 <= rho <= 1.0, "a number in [0, 1]"),
-            ("detector", self.detector, is_choice(self.detector, DETECTORS), f"one of {DETECTORS}"),
-            ("snr", snr, snr_ok, "a non-empty list of dB values"),
-            ("trials", self.trials, is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
-            ("grids", self.grids, is_integer(self.grids) and self.grids >= 1, "an integer >= 1"),
-            ("seed", self.seed, is_integer(self.seed) and self.seed >= 0, "a non-negative integer"),
-            ("out", self.out_dir, isinstance(self.out_dir, str), "a directory path"),
-            ("Mcp", cp, cp is None or is_integer(cp) and cp >= 0,
-             "a non-negative integer"),
-        )
-        problems = _rule_problems(rules)
-        if cp is not None and not {"M", "Mcp"} & problems.keys() and cp >= self.M:
-            problems["Mcp"] = problem(f"< M = {self.M}", cp)
+        problems = _rule_problems((
+            ("M", self.M, int_rule(self.M, 2)),
+            ("N", self.N, int_rule(self.N, 2)),
+            ("qam", self.qam_order, choice_rule(self.qam_order, QAM_ORDERS)),
+            ("window", kind, choice_rule(kind, WINDOW_KINDS)),
+            ("rho", rho, rho_rule(rho)),
+            ("detector", self.detector, choice_rule(self.detector, DETECTORS)),
+            ("snr", snr, (snr_ok, "a non-empty list of dB values")),
+            ("trials", self.trials, int_rule(self.trials, 1)),
+            ("grids", self.grids, int_rule(self.grids, 1)),
+            ("seed", self.seed, int_rule(self.seed)),
+            ("out", self.out_dir, (isinstance(self.out_dir, str), "a directory path")),
+            ("Mcp", cp, int_rule(0 if cp is None else cp)),  # None: M // 4
+        ))
+        if cp is not None and not {"M", "Mcp"} & problems.keys():
+            problems.update(_rule_problems([("Mcp", cp, cp_rule(cp, self.M))]))
         if isinstance(self.channel, str) and not Path(self.channel).exists():
             problems["channel"] = problem("an existing file", self.channel)
         if problems:
@@ -157,11 +157,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError({"config": f"{problem('a readable JSON file', path)}: {exc}"})
         values = _apply_file(raw)
     if (env_seed := os.environ.get("OTFS_SEED")) is not None:
+        values.pop("seed", None)  # a set OTFS_SEED replaces the file seed, good or bad
         try:
-            values["seed"] = check_int("OTFS_SEED", int(env_seed))
-        except ValueError:  # a set OTFS_SEED replaces the file seed, good or bad
-            values.pop("seed", None)
-            problems["OTFS_SEED"] = problem("a non-negative integer", env_seed)
+            seed = int(env_seed)
+        except ValueError:
+            seed = None
+        problems = _rule_problems([("OTFS_SEED", env_seed, int_rule(seed))])
+        if not problems:
+            values["seed"] = seed
     values.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         config = RunConfig(**values)
@@ -182,8 +185,8 @@ _FILE_FIELDS = {
 
 
 def _rule_problems(rules) -> dict[str, str]:
-    """One ``must be …, got …`` message per (name, value, ok, need) rule that fails."""
-    return {name: problem(need, value) for name, value, ok, need in rules if not ok}
+    """One ``must be …, got …`` message per (name, value, (ok, need)) rule that fails."""
+    return {name: problem(need, value) for name, value, (ok, need) in rules if not ok}
 
 
 def _make_out_dir(path: str) -> Path:
@@ -399,11 +402,7 @@ def cmd_equivalence(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(m_list, n_list, out_dir: str) -> int:
-    sizes = "a non-empty list of powers of two >= 2"
-    problems = _rule_problems((
-        ("Ms", m_list, bool(m_list) and all(map(is_audit_size, m_list)), sizes),
-        ("Ns", n_list, bool(n_list) and all(map(is_audit_size, n_list)), sizes),
-    ))
+    problems = _rule_problems((k, v, sizes_rule(v)) for k, v in (("Ms", m_list), ("Ns", n_list)))
     if problems:
         raise ConfigError(problems)
     out = _make_out_dir(out_dir)

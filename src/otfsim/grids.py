@@ -23,11 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_array, charge, check_choice, check_int, check_out, dft, is_real, require
+from .numerics import (
+    as_array, charge, check, check_int, check_out, choice_rule, dft, is_real, require,
+)
 
 QAM_ORDERS = (4, 16, 64)
 
 WINDOW_KINDS = ("rectangular", "time-tapered")
+
+
+def cp_rule(cp_len: int, M: int) -> tuple[bool, str]:
+    """Whether the integer `cp_len` is shorter than a symbol's M samples, and that need."""
+    return cp_len < M, f"< M = {M}"
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ class ModemConfig:
     def __post_init__(self):
         for name, low in (("M", 2), ("N", 2), ("cp_len", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
-        require(self.cp_len < self.M, "cp_len", f"< M = {self.M}", self.cp_len)
+        check("cp_len", self.cp_len, cp_rule, self.M)
 
     @property
     def sym_len(self) -> int:
@@ -122,7 +129,7 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     each symbol takes its first half of bits on the in-phase axis and the
     second half on the quadrature axis. Returns a 1-D complex symbol vector.
     """
-    bps = int(math.log2(check_choice("order", order, QAM_ORDERS)))
+    bps = int(math.log2(check("order", order, choice_rule, QAM_ORDERS)))
     bits = as_array("bits", bits, dtype=None)
     need = f"a flat array of {bps}-bit groups for order = {order}"
     require(bits.ndim == 1 and bits.size % bps == 0, "bits", need, bits)
@@ -140,7 +147,7 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest-neighbor hard decisions back to bits (inverse of qam_map), as uint8."""
-    bps = int(math.log2(check_choice("order", order, QAM_ORDERS)))
+    bps = int(math.log2(check("order", order, choice_rule, QAM_ORDERS)))
     symbols = as_array("symbols", symbols, finite=True).ravel()
     half = bps // 2
     levels = 1 << half
@@ -212,6 +219,11 @@ def apply_window(y: np.ndarray, window: np.ndarray, out: np.ndarray | None = Non
     return np.multiply(y, window, out=out)
 
 
+def rho_rule(rho) -> tuple[bool, str]:
+    """Whether `rho` is a roll-off :func:`make_window` takes, and that need in words."""
+    return is_real(rho) and 0 <= rho <= 1, "a number in [0, 1]"
+
+
 def make_window(kind: str, n: int, *, rho: float = 0.25) -> np.ndarray:
     """The N coefficients of a receive window: rectangular or time-tapered.
 
@@ -221,8 +233,8 @@ def make_window(kind: str, n: int, *, rho: float = 0.25) -> np.ndarray:
     ``sum(|wr|^2) / N == 1``.
     """
     wr = np.ones(check_int("n", n, 1))
-    require(is_real(rho) and 0 <= rho <= 1, "rho", "a number in [0, 1]", rho)
-    if check_choice("kind", kind, WINDOW_KINDS) == "rectangular":
+    check("rho", rho, rho_rule)
+    if check("kind", kind, choice_rule, WINDOW_KINDS) == "rectangular":
         return wr
     taper_len = math.ceil(rho * n / 2)
     if taper_len > 0:

@@ -37,7 +37,6 @@ def demodulate_fast(frame: np.ndarray, window: np.ndarray, cfg: ModemConfig) -> 
     frame. Frames (..., L) give grids (..., M, N), a fresh array that every
     stage writes in place.
     """
-    symbols = cfg.symbols(cfg.check_frame(frame))
-    grid = np.empty(symbols.shape, dtype=np.complex128)
-    apply_window(symbols, cfg.check_window(window), grid)
+    grid = cfg.symbols(cfg.check_frame(frame)).copy()
+    apply_window(grid, cfg.check_window(window), grid)
     return dft(grid, axis=-1, stage="demod_rows", out=grid)

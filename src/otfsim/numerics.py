@@ -9,7 +9,8 @@ here: the number and power-of-two helpers, :class:`SingularMatrixError` and
 
 The checks below (:func:`require` and the rules built on it), the CLI and
 the channel spec word each refused value with :func:`problem`:
-``<name> must be <need>, got <value!r>``, with a long value shortened.
+``<name> must be <need>, got <value!r>``, a long value shortened. A shared
+rule is a function giving ``(ok, need)``, which :func:`check` raises on.
 
 Counting convention: one P-point transform is charged exactly
 ``(P/2)*log2(P)`` CMs when P is a power of two (a radix-2 FFT, trivial
@@ -120,21 +121,27 @@ def require(ok: bool, name: str, need: str, got) -> None:
         raise ValueError(f"{name} {problem(need, got)}")
 
 
+def check(name: str, value, rule, *args):
+    """`value`, refused by `name` unless ``rule(value, *args)``, its ``(ok, need)``, is ok."""
+    ok, need = rule(value, *args)
+    require(ok, name, need, value)
+    return value
+
+
+def int_rule(value, low: int = 0) -> tuple[bool, str]:
+    """Whether `value` is an integer >= `low`, and that need in words."""
+    need = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    return is_integer(value) and value >= low, need
+
+
 def check_int(name: str, value, low: int = 0) -> int:
     """`value`, an integer >= `low`, as a Python int, which cannot wrap."""
-    need = "a non-negative integer" if low == 0 else f"an integer >= {low}"
-    require(is_integer(value) and value >= low, name, need, value)
-    return int(value)
+    return int(check(name, value, int_rule, low))
 
 
-def is_choice(value, options: tuple) -> bool:
-    """One of `options`, strings or integers: 16.0 is not the QAM order 16."""
-    return (isinstance(value, str) or is_integer(value)) and value in options
-
-
-def check_choice(name: str, value, options: tuple):
-    require(is_choice(value, options), name, f"one of {options}", value)
-    return value
+def choice_rule(value, options: tuple) -> tuple[bool, str]:
+    """Whether `value` is one of `options`, strings or integers (16.0 is not 16), and the need."""
+    return (isinstance(value, str) or is_integer(value)) and value in options, f"one of {options}"
 
 
 def check_noise_var(noise_var) -> float:

@@ -31,7 +31,8 @@ from otfsim.cli import (
     run_equivalence,
     run_simulation,
 )
-from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig
+from otfsim.channel import ChannelTap, channel_from_spec
+from otfsim.grids import QAM_ORDERS, WINDOW_KINDS, ModemConfig, make_window, qam_map
 
 
 @pytest.fixture(autouse=True)
@@ -158,12 +159,43 @@ class TestConfig:
 
     @pytest.mark.parametrize("M, cp", [(2, 2), (8, 8), (8, 9), (64, 100)])
     def test_cp_rule_worded_as_modem_config(self, M, cp):
-        # the rule lives in both, since RunConfig reports every bad setting at once
         with pytest.raises(ValueError) as modem:
             ModemConfig(M, 4, cp)
         with pytest.raises(ConfigError) as run:
             RunConfig(M=M, cp_len=cp)
         assert str(modem.value) == "cp_len " + run.value.fields["Mcp"]
+
+    @pytest.mark.parametrize("key, refuse, owner, param", [
+        ("M", lambda: RunConfig(M=1), lambda: ModemConfig(1, 4), "M"),
+        ("N", lambda: RunConfig(N=1), lambda: ModemConfig(8, 1), "N"),
+        ("Mcp", lambda: RunConfig(cp_len=-1), lambda: ModemConfig(8, 4, -1), "cp_len"),
+        ("Mcp", lambda: RunConfig(M=8, cp_len=8), lambda: ModemConfig(8, 4, 8), "cp_len"),
+        ("qam", lambda: RunConfig(qam_order=8), lambda: qam_map(np.zeros(6), 8), "order"),
+        ("window", lambda: RunConfig(window_kind="hann"), lambda: make_window("hann", 4), "kind"),
+        ("rho", lambda: RunConfig(window_rho=1.5), lambda: make_window("time-tapered", 4, rho=1.5),
+         "rho"),
+        ("Ms", lambda: cli.cmd_audit([8, 3], [4], "out"), lambda: audit.audit_report([8, 3], [4]),
+         "m_list"),
+        ("Ns", lambda: cli.cmd_audit([8], [], "out"), lambda: audit.audit_report([8], []),
+         "n_list"),
+        ("taps[0].delay", lambda: channel_from_spec({"taps": [{"delay": -1}]}),
+         lambda: ChannelTap(-1, 1.0), "tap delay"),
+    ], ids=["M", "N", "Mcp-negative", "Mcp-not-below-M", "qam", "window", "rho", "Ms", "Ns",
+            "spec-delay"])
+    def test_shared_rule_worded_as_its_owner(self, key, refuse, owner, param, tmp_path,
+                                             monkeypatch):
+        # the CLI and the channel spec report every bad setting at once through the
+        # owner's (ok, need) rule; its raising check words the same need
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted audit writes here
+        with pytest.raises(ValueError) as front:
+            refuse()
+        with pytest.raises(ValueError) as library:
+            owner()
+        if isinstance(front.value, ConfigError):
+            message = front.value.fields[key]
+        else:
+            message = str(front.value).removeprefix(f"channel spec {key}: ")
+        assert str(library.value) == f"{param} {message}"
 
     def test_missing_channel_file(self, tmp_path):
         path = write_config(tmp_path, channel="nope.json")
@@ -596,6 +628,13 @@ class TestAudit:
         message = record["fields"][field]
         assert message.startswith("must be ") and message.endswith(f", got {got}")
         assert not out.exists()
+
+    def test_sizes_that_are_not_a_list_refused_by_name(self, tmp_path):
+        # argparse always hands a list; a library caller may not
+        with pytest.raises(ConfigError) as exc:
+            cli.cmd_audit(8, [4], str(tmp_path / "out"))
+        assert exc.value.fields == {"Ms": "must be a non-empty list of powers of two >= 2, got 8"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [["--seed", "3"], ["--seed=--"]])
     def test_seed_is_not_an_audit_flag(self, tmp_path, capsys, args):

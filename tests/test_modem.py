@@ -1,6 +1,7 @@
 """Tests for the reference and low-complexity modems."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,25 @@ class TestDemodulateFast:
         with CmCounter() as ref_counter:
             demodulate_reference(np.zeros(512 * 16), window, cfg)
         assert ref_counter.total() == 94208
+
+    @pytest.mark.parametrize("M, N", [(64, 8), (256, 16), (1024, 32)])
+    def test_peak_memory_at_most_the_reference(self, M, N):
+        # the window scales a copy of the kept samples in place: a product of the
+        # strided samples into a fresh array would add an iterator buffer of about
+        # half the result to the peak
+        cfg = ModemConfig(M=M, N=N, cp_len=M // 4)
+        frame = np.random.default_rng(40).normal(size=cfg.frame_len) + 0j
+        window = make_window("time-tapered", N)
+        peaks = []
+        for demodulate in (demodulate_reference, demodulate_fast):
+            demodulate(frame, window, cfg)  # numpy.fft's caches are filled before the count
+            tracemalloc.start()
+            try:
+                demodulate(frame, window, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 @st.composite
